@@ -1094,10 +1094,11 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "replay a recorded trace container under every point of a hardware \
-          config grid (cartesian product over Hydra.Config axes, one forked \
-          worker task per point) and print the per-(config x workload) \
-          verdict/speedup matrix plus the verdict flips vs the default \
-          machine")
+          config grid (cartesian product over Hydra.Config axes; one forked \
+          worker task per record, which decodes the record once into one \
+          tracer per distinct tracer geometry) and print the per-(config x \
+          workload) verdict/speedup matrix plus the verdict flips vs the \
+          default machine")
     Term.(
       const explore $ trace_file_arg $ grid_arg $ grid_pos_arg $ jobs_arg
       $ matrix_json_arg $ default_summary_json_arg)

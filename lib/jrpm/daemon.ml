@@ -9,7 +9,7 @@
    per-request timing and queue-depth metrics. Results are
    byte-identical to the equivalent one-shot invocation (CI cmp-gates
    this): the daemon runs the same Replay.replay_entry /
-   Explore.eval_cell / Pipeline.run units and assembles them in the
+   Explore.eval_record / Pipeline.run units and assembles them in the
    same order; only the transport differs.
 
    Containers are mapped once per process and cached in an LRU
@@ -279,9 +279,9 @@ let response_of_json json =
 type task =
   | T_profile of string
   | T_replay of { path : string; entry : Trace_store.Index.entry }
-  | T_explore_cell of {
+  | T_explore_record of {
       path : string;
-      config : Hydra.Config.t;
+      configs : Hydra.Config.t list;
       entry : Trace_store.Index.entry;
     }
   | T_sleep of float
@@ -289,7 +289,7 @@ type task =
 type task_result =
   | R_summary of Report_summary.t
   | R_outcome of Replay.outcome
-  | R_cell of Explore.cell
+  | R_cells of Explore.cell list
   | R_slept of float
 
 (* Per-worker mapping cache: forked workers cannot inherit mappings
@@ -310,9 +310,9 @@ let run_task = function
   | T_replay { path; entry } ->
       let src = Mapping_cache.get (Lazy.force worker_cache) path in
       R_outcome (Replay.replay_entry ~src entry)
-  | T_explore_cell { path; config; entry } ->
+  | T_explore_record { path; configs; entry } ->
       let src = Mapping_cache.get (Lazy.force worker_cache) path in
-      R_cell (Explore.eval_cell ~src config entry)
+      R_cells (Explore.eval_record ~src configs entry)
   | T_sleep s ->
       Unix.sleepf s;
       R_slept s
@@ -361,6 +361,7 @@ type conn = {
   in_fd : Unix.file_descr;
   out_fd : Unix.file_descr;  (* = in_fd except for stdio *)
   inbuf : Buffer.t;
+  mutable inpos : int;  (* consumed prefix of [inbuf] *)
   outq : (Bytes.t * int ref) Queue.t;
   mutable conn_closed : bool;
 }
@@ -368,11 +369,7 @@ type conn = {
 type pending_kind =
   | K_one  (* single-task ops: profile / sleep *)
   | K_replay of { rpath : string }
-  | K_explore of {
-      archive : string;
-      configs : Hydra.Config.t list;
-      records : int;
-    }
+  | K_explore of { archive : string; configs : Hydra.Config.t list }
 
 type pending = {
   preq_id : Obs.Json.t;
@@ -592,25 +589,16 @@ let handle_request srv conn json =
           | exception Trace_store.Reader.Corrupt msg ->
               error "corrupt container: %s" msg
           | configs, entries ->
-              let tasks = Explore.cell_tasks configs entries in
               submit_fanout srv conn ~id
-                ~kind:
-                  (K_explore
-                     {
-                       archive = path;
-                       configs;
-                       records = List.length entries;
-                     })
+                ~kind:(K_explore { archive = path; configs })
                 ~labels:
                   (List.map
-                     (fun ((c, e) : _ * Trace_store.Index.entry) ->
-                       Printf.sprintf "grid point %s / record %s"
-                         (Hydra.Config.label c) e.Trace_store.Index.name)
-                     tasks)
+                     (fun (e : Trace_store.Index.entry) ->
+                       "record " ^ e.Trace_store.Index.name)
+                     entries)
                 (List.map
-                   (fun (config, entry) ->
-                     T_explore_cell { path; config; entry })
-                   tasks)))
+                   (fun entry -> T_explore_record { path; configs; entry })
+                   entries)))
 
 (* A completed pool ticket: slot the result; when the whole fan-out is
    in, assemble the op-specific response. A worker death (or task
@@ -631,7 +619,7 @@ let finish_request srv (p : pending) =
               (Obs.Json.Obj
                  [ ("summary", summary_json s) ])
         | R_slept s -> Ok (Obs.Json.Obj [ ("slept", Obs.Json.Float s) ])
-        | R_outcome _ | R_cell _ -> Error "internal: mismatched task result")
+        | R_outcome _ | R_cells _ -> Error "internal: mismatched task result")
     | K_replay { rpath } -> (
         let outcomes =
           List.init (Array.length p.pslots) (fun i ->
@@ -644,16 +632,18 @@ let finish_request srv (p : pending) =
         with
         | outcomes -> Ok (replay_result ~path:rpath outcomes)
         | exception Exit -> Error "internal: mismatched task result")
-    | K_explore { archive; configs; records } -> (
-        let cells =
+    | K_explore { archive; configs } -> (
+        let per_record =
           List.init (Array.length p.pslots) (fun i ->
-              match slot i with R_cell c -> Some c | _ -> None)
+              match slot i with R_cells c -> Some c | _ -> None)
         in
         match
-          List.map (function Some c -> c | None -> raise Exit) cells
+          List.map (function Some c -> c | None -> raise Exit) per_record
         with
-        | cells ->
-            Ok (Explore.to_json (Explore.assemble ~archive ~configs ~records cells))
+        | per_record ->
+            Ok
+              (Explore.to_json
+                 (Explore.assemble_records ~archive ~configs per_record))
         | exception Exit -> Error "internal: mismatched task result")
   in
   respond srv p rsp
@@ -673,6 +663,17 @@ let on_completion srv (c : task_result Scheduler.Pool.completion) =
           p.premaining <- p.premaining - 1;
           if p.premaining = 0 && not p.presponded then finish_request srv p)
 
+(* Drop the consumed prefix once it is at least half the buffer, so a
+   burst of pipelined frames costs linear, not quadratic, copying. *)
+let compact_inbuf conn =
+  let len = Buffer.length conn.inbuf in
+  if conn.inpos > 0 && 2 * conn.inpos >= len then begin
+    let rest = Buffer.sub conn.inbuf conn.inpos (len - conn.inpos) in
+    Buffer.clear conn.inbuf;
+    Buffer.add_string conn.inbuf rest;
+    conn.inpos <- 0
+  end
+
 (* One readable client fd: accumulate, then peel off complete frames. *)
 let feed_conn srv conn =
   let chunk = Bytes.create 65536 in
@@ -684,16 +685,15 @@ let feed_conn srv conn =
   let progress = ref (not conn.conn_closed) in
   while !progress do
     progress := false;
-    let have = Buffer.length conn.inbuf in
+    let have = Buffer.length conn.inbuf - conn.inpos in
     if have >= 8 then begin
-      let hdr = Bytes.of_string (Buffer.sub conn.inbuf 0 8) in
+      let hdr = Bytes.of_string (Buffer.sub conn.inbuf conn.inpos 8) in
       let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
       if len < 0 || len > max_frame then close_conn srv conn
       else if have >= 8 + len then begin
-        let payload = Buffer.sub conn.inbuf 8 len in
-        let rest = Buffer.sub conn.inbuf (8 + len) (have - 8 - len) in
-        Buffer.clear conn.inbuf;
-        Buffer.add_string conn.inbuf rest;
+        let payload = Buffer.sub conn.inbuf (conn.inpos + 8) len in
+        conn.inpos <- conn.inpos + 8 + len;
+        compact_inbuf conn;
         (match Obs.Json.parse_exn payload with
         | json -> handle_request srv conn json
         | exception Failure msg ->
@@ -716,6 +716,7 @@ let make_conn ?(out_fd : Unix.file_descr option) fd =
     in_fd = fd;
     out_fd = Option.value out_fd ~default:fd;
     inbuf = Buffer.create 256;
+    inpos = 0;
     outq = Queue.create ();
     conn_closed = false;
   }

@@ -1,7 +1,8 @@
 (* Hardware design-space exploration: sweep a grid of Hydra.Config
-   variants over a captured trace archive. Each grid point replays every
-   record with the analysis re-evaluated at that machine (Replay ?hw);
-   the default point is always evaluated as the reference column and is
+   variants over a captured trace archive. Each record is decoded once
+   into one tracer per distinct geometry among the grid points, and the
+   analysis re-evaluated at every point (Replay.replay_entry_points); the
+   default point is always evaluated as the reference column and is
    byte-identical to what interpretation/sweep produced, since replaying
    under the recorded config is the replay-determinism invariant. *)
 
@@ -131,13 +132,18 @@ type t = {
   flips : flip list;
 }
 
-let eval_cell ~src config entry =
-  let o = Replay.replay_entry ~hw:config ~src entry in
+let cell_of_outcome (o : Replay.outcome) =
   {
     workload = o.Replay.name;
     summary = o.Replay.replayed;
     chosen_stls = o.Replay.chosen_stls;
   }
+
+let eval_record ~src configs entry =
+  List.map cell_of_outcome (Replay.replay_entry_points ~hws:configs ~src entry)
+
+let eval_cell ~src config entry =
+  cell_of_outcome (Replay.replay_entry ~hw:config ~src entry)
 
 let find_flips points =
   match points with
@@ -169,10 +175,8 @@ let find_flips points =
             p.cells)
         rest
 
-(* One work unit per (config point × record), emitted config-major:
-   finer work units than a whole grid point, so the pool stays busy
-   even when the grid is narrower than the worker count or one record
-   dominates. *)
+(* The (config point × record) cells, config-major: the order
+   [assemble] regroups. *)
 let cell_tasks configs entries =
   List.concat_map (fun c -> List.map (fun e -> (c, e)) entries) configs
 
@@ -208,29 +212,43 @@ let assemble ~archive ~configs ~records cells =
   if !rest <> [] then fail "internal: cell count mismatch";
   { archive; points; flips = find_flips points }
 
+(* Per-record cell lists (each in [configs] order, records in archive
+   order) transposed into the config-major [cell_tasks] order. *)
+let assemble_records ~archive ~configs per_record =
+  let rows = Array.of_list (List.map Array.of_list per_record) in
+  let width = List.length configs in
+  if Array.exists (fun r -> Array.length r <> width) rows then
+    fail "internal: cell count mismatch";
+  assemble ~archive ~configs ~records:(Array.length rows)
+    (List.concat
+       (List.init width (fun i ->
+            Array.to_list (Array.map (fun r -> r.(i)) rows))))
+
 let run ?jobs ~grid ~path () =
   let jobs =
     match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
   in
   let configs = configs_of_grid (parse_grid grid) in
   (* map the archive once; workers inherit the read-only pages across
-     fork, so a grid cell's record handoff is just the index entry's
-     (offset, length) — no per-task container open or header read *)
+     fork, so a record's handoff is just the index entry's (offset,
+     length) — no per-task container open or header read *)
   let src = Trace_store.Bytesrc.map_file path in
   let entries = Trace_store.Index.of_src src in
-  (* the index's event counts weight the frame plan so a dominant
-     record's cells dispatch first and tiny cells coalesce *)
-  let cells =
+  (* one task per record: a decode costs its event count once per
+     tracer it feeds, so those weights put a dominant record first and
+     coalesce tiny ones *)
+  let per_record =
     Scheduler.map_adaptive ~jobs
-      ~label:(fun _ (c, (e : Trace_store.Index.entry)) ->
-        Printf.sprintf "grid point %s / record %s" (Hydra.Config.label c)
-          e.Trace_store.Index.name)
-      ~weights:(fun _ ((_, e) : _ * Trace_store.Index.entry) ->
-        float_of_int e.Trace_store.Index.events)
-      (fun _ (config, entry) -> eval_cell ~src config entry)
-      (cell_tasks configs entries)
+      ~label:(fun _ (e : Trace_store.Index.entry) ->
+        "record " ^ e.Trace_store.Index.name)
+      ~weights:(fun _ (e : Trace_store.Index.entry) ->
+        float_of_int
+          (e.Trace_store.Index.events
+          * List.length (Replay.entry_geometries ~src e configs)))
+      (fun _ entry -> eval_record ~src configs entry)
+      entries
   in
-  assemble ~archive:path ~configs ~records:(List.length entries) cells
+  assemble_records ~archive:path ~configs per_record
 
 let default_point t =
   match t.points with

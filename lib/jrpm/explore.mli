@@ -1,22 +1,37 @@
 (** Hardware design-space exploration over a captured trace archive.
 
     [jrpm explore] evaluates a cartesian grid of {!Hydra.Config.t}
-    variants against the trace store: every grid point replays each
-    record through a fresh tracer (geometry re-derived from the point
-    via {!Test_core.Tracer.config_of}) and re-runs the Eq. 1 / Eq. 2
-    analysis at that machine ({!Replay.replay_current} with [?hw]) —
-    no re-interpretation, so a thousand-point sweep costs thousands of
-    replays, each 20–40× cheaper than a pipeline run. The default
-    machine is always evaluated first as the reference column and its
-    summaries are byte-identical to interpreted sweep output (the
-    replay-determinism invariant). The archive is mapped once
-    ({!Trace_store.Bytesrc.map_file}) and indexed from the mapped tail;
-    the grid fans out one {!Scheduler} task per (config point ×
-    record) — {!Replay.replay_entry} seeking into the mapping the
-    forked workers inherit — with the index's event counts weighting
-    the adaptive frame plan, so the work-stealing pool stays busy even
-    when the grid is narrow or one record dominates; cells regroup into
-    grid-order points afterward.
+    variants against the trace store: every record is replayed at every
+    grid point and the Eq. 1 / Eq. 2 analysis re-run at that machine —
+    no re-interpretation. The default machine is always evaluated first
+    as the reference column and its summaries are byte-identical to
+    interpreted sweep output (the replay-determinism invariant).
+
+    The unit of work is one {e record}, not one (point × record) cell.
+    Only part of a config reaches the tracer:
+    - {e tracer geometry} — [comparator_banks], [heap_ts_fifo_lines],
+      [cacheline_ts_lines], [local_ts_slots], [load_buffer_lines],
+      [store_buffer_lines], [line_words] (what
+      {!Test_core.Tracer.config_of} reads);
+    - {e analysis only} — the Table 2 overheads [loop_startup],
+      [loop_shutdown], [loop_eoi], [violation_restart],
+      [store_load_communication], and [num_cpus], which enter only
+      {!Test_core.Analyzer.select}.
+
+    So a record task ({!eval_record}) seeks its record once, reads its
+    metadata once, builds one tracer per distinct effective geometry
+    ({!Replay.geometries}), decodes the stream once into all of them,
+    and runs the analysis once per point. A [cpus] × [store_buffer]
+    grid of 3 × 3 over 26 records is 26 decodes and 78 tracer runs,
+    not 234 of each.
+
+    The archive is mapped once ({!Trace_store.Bytesrc.map_file}) and
+    indexed from the mapped tail; {!run} fans out one {!Scheduler} task
+    per record over the mapping the forked workers inherit, weighted by
+    events × tracers so a dominant record dispatches first; the
+    per-record results are transposed into grid-order points
+    afterward. The serve daemon submits the same record task to its
+    persistent pool.
 
     Simulation-derived summary fields ([tls_cycles], [actual_speedup],
     violation/stall counts) pass through from the capture machine —
@@ -75,21 +90,30 @@ type t = {
           differs from the default column *)
 }
 
+val eval_record :
+  src:Trace_store.Bytesrc.t -> Hydra.Config.t list ->
+  Trace_store.Index.entry -> cell list
+(** Replay one record of a pre-mapped container at every given config
+    point ({!Replay.replay_entry_points}), returning one cell per point
+    in the given order — the grid's unit of work, shared by {!run} and
+    the serve daemon's pool.
+    @raise Trace_store.Reader.Corrupt / [Failure] as
+    {!Replay.replay_entry_points}. *)
+
 val eval_cell :
   src:Trace_store.Bytesrc.t -> Hydra.Config.t -> Trace_store.Index.entry ->
   cell
-(** Replay one record at one config point over a pre-mapped container
-    ({!Replay.replay_entry} with [?hw]) — the grid's unit of work,
-    exposed so the serve daemon can submit cells to its persistent
-    pool against a cached mapping.
+(** One record at one config point: the one-point case of
+    {!eval_record} ({!Replay.replay_entry} with [?hw]).
     @raise Trace_store.Reader.Corrupt / [Failure] as
     {!Replay.replay_current}. *)
 
 val cell_tasks :
   Hydra.Config.t list -> Trace_store.Index.entry list ->
   (Hydra.Config.t * Trace_store.Index.entry) list
-(** The config-major (point × record) task order [run] evaluates and
-    {!assemble} expects. *)
+(** The config-major (point × record) cell order {!assemble} expects;
+    [List.map eval_cell] over it is the cell-at-a-time reference for
+    {!run}'s matrix. *)
 
 val assemble :
   archive:string -> configs:Hydra.Config.t list -> records:int ->
@@ -100,11 +124,19 @@ val assemble :
     @raise Failure when the cell count is not
     [configs * records]. *)
 
+val assemble_records :
+  archive:string -> configs:Hydra.Config.t list -> cell list list -> t
+(** {!assemble} over per-record results: one {!eval_record} list per
+    archive record, in archive order, scattered back into {!cell_tasks}
+    order.
+    @raise Failure when a record's list is not one cell per config. *)
+
 val run : ?jobs:int -> grid:string list -> path:string -> unit -> t
 (** Parse [grid], evaluate {!configs_of_grid} over the container at
-    [path] — one scheduler task per (point × record) across [jobs]
+    [path] — one {!eval_record} scheduler task per record across [jobs]
     workers (default {!Parallel_sweep.default_jobs}) — and report
-    verdict flips. Output is byte-identical for any [jobs].
+    verdict flips. Output is byte-identical for any [jobs], and to
+    {!assemble} over [List.map eval_cell (cell_tasks …)].
     @raise Failure on grid errors or worker failures;
     @raise Trace_store.Reader.Corrupt / [Sys_error] on a bad archive. *)
 

@@ -94,84 +94,135 @@ let capture_run ?hw ?tracer_config ?cpus ?fuel ?sync ?obs ~name src =
 
 (* ---------------- replay side ---------------- *)
 
-let replay_current ?hw reader (record : Trace_store.Reader.record) =
+(* Everything replay needs from a record's metadata besides the stream. *)
+type meta = {
+  recorded : Report_summary.t;
+  recorded_hw : Hydra.Config.t;
+  recorded_config : Test_core.Tracer.config;
+  cpus : int option;
+  reference_bytes : int;
+}
+
+let meta_of_record (record : Trace_store.Reader.record) =
   let meta = record.Trace_store.Reader.meta in
   let member key =
     match Obs.Json.member key meta with
     | Some v -> v
     | None -> fail ("record metadata is missing field " ^ key)
   in
-  let recorded = Report_summary.of_json (member "summary") in
-  let recorded_config = config_of_json (member "tracer_config") in
-  (* records written before the hardware model became a value carry no
-     hw_config; they described the default machine *)
-  let recorded_hw =
-    match Obs.Json.member "hw_config" meta with
-    | Some j -> Hydra.Config.of_json j
-    | None -> Hydra.Config.default
-  in
-  let hw = Option.value hw ~default:recorded_hw in
-  (* an exploration override re-derives the tracer geometry from the
-     target machine, keeping the recorded policy fields *)
-  let config =
-    if Hydra.Config.equal hw recorded_hw then recorded_config
-    else Test_core.Tracer.config_of ~base:recorded_config hw
-  in
-  let cpus =
-    match member "cpus" with
-    | Obs.Json.Null -> None
-    | j -> (
-        match Obs.Json.to_int j with
-        | Some n -> Some n
-        | None -> fail "mistyped metadata field cpus")
-  in
-  let reference_bytes =
-    match Obs.Json.to_int (member "reference_bytes") with
-    | Some n -> n
-    | None -> fail "mistyped metadata field reference_bytes"
-  in
-  let tracer = Test_core.Tracer.create ~config () in
-  let t0 = Unix.gettimeofday () in
-  let stats =
-    Trace_store.Reader.replay reader (Test_core.Tracer.sink tracer)
-  in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  if Test_core.Tracer.events_consumed tracer <> stats.Trace_store.Reader.events
-  then fail "tracer event-tap count disagrees with the decoder";
-  (* the analysis-owned fields are recomputed from the replayed stream;
-     everything else the trace carries verbatim in its metadata *)
-  let selection =
-    Test_core.Analyzer.select ~config:hw ?cpus
-      ~stats:(Test_core.Tracer.stats tracer)
-      ~child_cycles:(Test_core.Tracer.child_cycles tracer)
-      ~program_cycles:recorded.Report_summary.opt.Report_summary.cycles ()
-  in
-  let replayed =
-    {
-      recorded with
-      Report_summary.config_fingerprint = Hydra.Config.fingerprint hw;
-      predicted_speedup = selection.Test_core.Analyzer.predicted_speedup;
-      selected_stls = List.length selection.Test_core.Analyzer.chosen;
-      max_dynamic_depth = Test_core.Tracer.max_dynamic_depth tracer;
-    }
-  in
-  let json s = Obs.Json.to_string (Report_summary.to_json s) in
   {
-    name = record.Trace_store.Reader.name;
-    recorded;
-    replayed;
-    chosen_stls =
-      List.sort compare
-        (List.map
-           (fun (c : Test_core.Analyzer.choice) ->
-             c.Test_core.Analyzer.chosen_stl)
-           selection.Test_core.Analyzer.chosen);
-    matches = String.equal (json replayed) (json recorded);
-    events = stats.Trace_store.Reader.events;
-    record_bytes = stats.Trace_store.Reader.record_bytes;
-    reference_bytes;
-    elapsed_s;
+    recorded = Report_summary.of_json (member "summary");
+    recorded_config = config_of_json (member "tracer_config");
+    (* records written before the hardware model became a value carry
+       no hw_config; they described the default machine *)
+    recorded_hw =
+      (match Obs.Json.member "hw_config" meta with
+      | Some j -> Hydra.Config.of_json j
+      | None -> Hydra.Config.default);
+    cpus =
+      (match member "cpus" with
+      | Obs.Json.Null -> None
+      | j -> (
+          match Obs.Json.to_int j with
+          | Some n -> Some n
+          | None -> fail "mistyped metadata field cpus"));
+    reference_bytes =
+      (match Obs.Json.to_int (member "reference_bytes") with
+      | Some n -> n
+      | None -> fail "mistyped metadata field reference_bytes");
   }
+
+(* The recorded config replays the recorded machine; any other point
+   re-derives the tracer geometry from that machine, keeping the
+   recorded policy fields. *)
+let effective_config ~recorded_hw ~recorded hw =
+  if Hydra.Config.equal hw recorded_hw then recorded
+  else Test_core.Tracer.config_of ~base:recorded hw
+
+let geometries ~recorded_hw ~recorded hws =
+  List.rev
+    (List.fold_left
+       (fun acc hw ->
+         let c = effective_config ~recorded_hw ~recorded hw in
+         if List.mem c acc then acc else c :: acc)
+       [] hws)
+
+(* One decode of the current record feeds one tracer per distinct
+   geometry among [hws]; the Eq. 1 / Eq. 2 analysis then runs once per
+   point over its geometry's tracer. *)
+let replay_meta m ~hws reader (record : Trace_store.Reader.record) =
+  let effective =
+    effective_config ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config
+  in
+  let tracers =
+    List.map
+      (fun config -> (config, Test_core.Tracer.create ~config ()))
+      (geometries ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws)
+  in
+  let sink =
+    match List.map (fun (_, t) -> Test_core.Tracer.sink t) tracers with
+    | [] -> invalid_arg "Jrpm.Replay: no hardware points"
+    | first :: rest -> List.fold_left Hydra.Trace.tee first rest
+  in
+  let t0 = Unix.gettimeofday () in
+  let stats = Trace_store.Reader.replay reader sink in
+  let elapsed_s = Unix.gettimeofday () -. t0 in
+  List.iter
+    (fun (_, tracer) ->
+      if
+        Test_core.Tracer.events_consumed tracer
+        <> stats.Trace_store.Reader.events
+      then fail "tracer event-tap count disagrees with the decoder")
+    tracers;
+  let json s = Obs.Json.to_string (Report_summary.to_json s) in
+  let recorded_json = json m.recorded in
+  List.map
+    (fun hw ->
+      let tracer = List.assoc (effective hw) tracers in
+      (* the analysis-owned fields are recomputed from the replayed
+         stream; everything else the trace carries verbatim in its
+         metadata *)
+      let selection =
+        Test_core.Analyzer.select ~config:hw ?cpus:m.cpus
+          ~stats:(Test_core.Tracer.stats tracer)
+          ~child_cycles:(Test_core.Tracer.child_cycles tracer)
+          ~program_cycles:m.recorded.Report_summary.opt.Report_summary.cycles
+          ()
+      in
+      let replayed =
+        {
+          m.recorded with
+          Report_summary.config_fingerprint = Hydra.Config.fingerprint hw;
+          predicted_speedup = selection.Test_core.Analyzer.predicted_speedup;
+          selected_stls = List.length selection.Test_core.Analyzer.chosen;
+          max_dynamic_depth = Test_core.Tracer.max_dynamic_depth tracer;
+        }
+      in
+      {
+        name = record.Trace_store.Reader.name;
+        recorded = m.recorded;
+        replayed;
+        chosen_stls =
+          List.sort compare
+            (List.map
+               (fun (c : Test_core.Analyzer.choice) ->
+                 c.Test_core.Analyzer.chosen_stl)
+               selection.Test_core.Analyzer.chosen);
+        matches = String.equal (json replayed) recorded_json;
+        events = stats.Trace_store.Reader.events;
+        record_bytes = stats.Trace_store.Reader.record_bytes;
+        reference_bytes = m.reference_bytes;
+        elapsed_s;
+      })
+    hws
+
+let replay_current ?hw reader record =
+  let m = meta_of_record record in
+  match
+    replay_meta m ~hws:[ Option.value hw ~default:m.recorded_hw ] reader record
+  with
+  | [ o ] -> o
+  | _ -> assert false
 
 let replay_all ?hw reader =
   let rec go acc =
@@ -194,12 +245,22 @@ let replay_record ?hw ~path (entry : Trace_store.Index.entry) =
       in
       replay_current ?hw reader record)
 
-let replay_entry ?hw ~src (entry : Trace_store.Index.entry) =
+let seek_entry ~src (entry : Trace_store.Index.entry) =
   let reader = Trace_store.Reader.of_src src in
-  let record =
-    Trace_store.Reader.seek_record reader ~offset:entry.Trace_store.Index.offset
-  in
+  (reader,
+   Trace_store.Reader.seek_record reader ~offset:entry.Trace_store.Index.offset)
+
+let replay_entry ?hw ~src entry =
+  let reader, record = seek_entry ~src entry in
   replay_current ?hw reader record
+
+let replay_entry_points ~hws ~src entry =
+  let reader, record = seek_entry ~src entry in
+  replay_meta (meta_of_record record) ~hws reader record
+
+let entry_geometries ~src entry hws =
+  let m = meta_of_record (snd (seek_entry ~src entry)) in
+  geometries ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws
 
 type io = Mapped | Channel
 

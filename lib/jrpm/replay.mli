@@ -68,6 +68,22 @@ val capture_run :
     return the report plus the finished record bytes (ready for
     {!Trace_store.Writer.container}). *)
 
+val geometries :
+  recorded_hw:Hydra.Config.t ->
+  recorded:Test_core.Tracer.config ->
+  Hydra.Config.t list ->
+  Test_core.Tracer.config list
+(** The distinct tracer configs a record captured on [recorded_hw]
+    under the [recorded] tracer config replays with at the given
+    points, in first-use order: the tracers one {!replay_entry_points}
+    call builds. A point's effective config is [recorded] itself when the
+    point equals [recorded_hw], otherwise
+    {!Test_core.Tracer.config_of}[ ~base:recorded hw] (geometry from
+    the point, recorded policy fields kept). Only the geometry fields
+    of {!Hydra.Config.t} reach the tracer — the Table 2 overheads and
+    the CPU count enter only the analysis — so points that differ only
+    in those share a tracer. *)
+
 val replay_current :
   ?hw:Hydra.Config.t ->
   Trace_store.Reader.t ->
@@ -75,14 +91,15 @@ val replay_current :
   outcome
 (** Replay the reader's current record (the one the given
     {!Trace_store.Reader.next_record} result described) through a fresh
-    tracer + analyzer and compare against the recorded summary.
+    tracer + analyzer and compare against the recorded summary: the
+    one-point case of {!replay_entry_points}, on the same code path.
 
     [hw] (default: the record's own ["hw_config"], itself defaulting to
     {!Hydra.Config.default} for records written before the field
     existed) re-evaluates the analysis at a {e different} hardware
-    point: the tracer geometry is re-derived via
-    {!Test_core.Tracer.config_of} (recorded policy fields kept) and the
-    analyzer runs with the override's overheads and CPU count. Only the
+    point: the tracer runs under the point's effective config (see
+    {!geometries}) and the analyzer with the override's overheads and
+    CPU count. Only the
     analysis-owned fields ([predicted_speedup], [selected_stls],
     [max_dynamic_depth]) and the [config_fingerprint] reflect the
     override; simulation-derived fields ([tls_cycles],
@@ -98,8 +115,8 @@ val replay_record :
     reader, {!Trace_store.Reader.seek_record} to the entry's offset,
     replay, close. Records are self-contained, so the outcome is
     identical to the same record's outcome in a sequential
-    {!replay_file} pass — the unit of work the record-sharded parallel
-    decoder and the explore grid fan out.
+    {!replay_file} pass — the unit of work the channel-backend
+    record-sharded decoder fans out.
     @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current};
     @raise Sys_error when the file cannot be opened. *)
 
@@ -115,6 +132,36 @@ val replay_entry :
     zero-copy worker task — the record handoff is the (offset, length)
     pair in [entry]; the worker opens nothing and copies no chunk.
     @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current}. *)
+
+val replay_entry_points :
+  hws:Hydra.Config.t list ->
+  src:Trace_store.Bytesrc.t ->
+  Trace_store.Index.entry ->
+  outcome list
+(** Replay the entry's record of a pre-mapped container (as
+    {!replay_entry}) at every hardware point of [hws], returning one
+    outcome per point in [hws] order — the per-record explore task.
+    The record's metadata is read once and its stream decoded once,
+    into one fresh tracer per distinct geometry ({!geometries} — teed
+    with {!Hydra.Trace.tee} when there are several); the Eq. 1 / Eq. 2
+    analysis then runs once per point over that point's tracer. Each
+    outcome is identical to a one-point {!replay_entry} at the same
+    point; [events], [record_bytes] and [elapsed_s] describe the shared
+    decode.
+    @raise Invalid_argument when [hws] is empty;
+    @raise Trace_store.Reader.Corrupt / [Failure] as
+    {!replay_current}. *)
+
+val entry_geometries :
+  src:Trace_store.Bytesrc.t ->
+  Trace_store.Index.entry ->
+  Hydra.Config.t list ->
+  Test_core.Tracer.config list
+(** {!geometries} for the entry's record, read from its metadata
+    without decoding the stream: the tracers {!replay_entry_points}
+    over these points builds.
+    @raise Trace_store.Reader.Corrupt / [Failure] on a malformed
+    record header or metadata. *)
 
 val replay_entries :
   ?hw:Hydra.Config.t ->

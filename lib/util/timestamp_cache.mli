@@ -1,8 +1,7 @@
 (** A bounded, FIFO-evicting int→int associative store with a
     zero-allocation hot path.
 
-    This is the flat-array replacement for {!Bounded_assoc_fifo} on the
-    tracer's per-event paths. It models the same finite-history
+    The tracer's per-event timestamp buffers. It models the same finite-history
     timestamp buffers of the TEST hardware (paper Sec. 5.3) — bounded
     capacity, oldest-entry eviction, insert-or-refresh moves a key to
     the back of the eviction order — but is built so that steady-state
@@ -13,9 +12,8 @@
       tuples, no hashtable buckets;
     - the FIFO eviction order is kept as intrusive doubly-linked list
       links stored in two more [int] arrays indexed by slot — refresh
-      and eviction are O(1) pointer surgery, with none of
-      {!Bounded_assoc_fifo}'s stale-queue records or periodic
-      O(n log n) order rebuilds;
+      and eviction are O(1) pointer surgery — no stale-queue records
+      and no periodic O(n log n) order rebuilds;
     - deletion uses backward-shift compaction (no tombstones), fixing
       up the intrusive links of any slot it moves, so lookups never
       degrade and the table never needs rehashing.
@@ -24,9 +22,10 @@
     can serve as the in-band "absent" sentinel: [get] returns a plain
     [int] instead of an allocating [option].
 
-    Observationally equivalent to [Bounded_assoc_fifo] (same find
-    results and eviction counts for any set/find sequence) — asserted
-    by a property test in [test/test_util.ml]. *)
+    Observationally equivalent to the plain Hashtbl + queue model in
+    [test/bounded_assoc_fifo.ml] (same find results and eviction counts
+    for any set/find sequence) — asserted by property tests in
+    [test/test_util.ml]. *)
 
 type t
 

@@ -264,6 +264,127 @@ let test_explore_jobs_identity () =
         j1 (json jobs))
     [ 4; 16 ]
 
+(* ---------------- one decode per record, one tracer per geometry -- *)
+
+let explore_json t = Obs.Json.to_string (Jrpm.Explore.to_json t)
+
+(* The cell-at-a-time reference: every (point x record) cell replayed
+   on its own, through its own tracer. *)
+let cell_at_a_time ~grid path =
+  let configs = Jrpm.Explore.configs_of_grid (Jrpm.Explore.parse_grid grid) in
+  let src = Trace_store.Bytesrc.map_file path in
+  let entries = Trace_store.Index.of_src src in
+  Jrpm.Explore.assemble ~archive:path ~configs
+    ~records:(List.length entries)
+    (List.map
+       (fun (config, entry) -> Jrpm.Explore.eval_cell ~src config entry)
+       (Jrpm.Explore.cell_tasks configs entries))
+
+(* Per-record tasks sharing tracers must reproduce the cell-at-a-time
+   matrix byte for byte, whether the grid mixes tracer-neutral axes
+   (cpus, restart) with geometry axes (store_buffer, banks) or has only
+   tracer-neutral ones. *)
+let test_explore_matches_cell_at_a_time () =
+  let _, path = Lazy.force captured in
+  List.iter
+    (fun grid ->
+      let reference = explore_json (cell_at_a_time ~grid path) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs=%d = cell-at-a-time"
+               (String.concat " " grid) jobs)
+            reference
+            (explore_json (Jrpm.Explore.run ~jobs ~grid ~path ())))
+        [ 1; 3 ])
+    [
+      (* store_buffer=2 changes db's verdict, so a point analysed over
+         another geometry's tracer shows *)
+      [ "cpus=2,8"; "restart=20"; "store_buffer=2,64"; "banks=1" ];
+      [ "cpus=2,8"; "restart=20,40" ];
+    ]
+
+let default_geometry = Test_core.Tracer.config_of C.default
+
+(* A record captured under a tracer config that is not [config_of] its
+   machine: the default column must still replay under the recorded
+   config, and a cpus-only point — tracer-neutral against the machine —
+   must get its own tracer, re-derived from the machine. *)
+let test_explore_recorded_geometry () =
+  let recorded =
+    { default_geometry with Test_core.Tracer.heap_fifo_lines = 4; st_limit = 4 }
+  in
+  let w = Workloads.Registry.find_exn "deltaBlue" in
+  let report, record =
+    Jrpm.Replay.capture_run ~tracer_config:recorded ~name:"deltaBlue"
+      (Workloads.Registry.default_source w)
+  in
+  let path = Filename.temp_file "jrpm_explore_geometry" ".jtrc" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Trace_store.Writer.to_file ~path [ record ];
+      let grid = [ "cpus=8" ] in
+      let configs =
+        Jrpm.Explore.configs_of_grid (Jrpm.Explore.parse_grid grid)
+      in
+      let src = Trace_store.Bytesrc.map_file path in
+      let entry = List.hd (Trace_store.Index.of_src src) in
+      let expected =
+        [ recorded; Test_core.Tracer.config_of ~base:recorded (List.nth configs 1) ]
+      in
+      Alcotest.(check bool) "two points, two tracers" true
+        (Jrpm.Replay.entry_geometries ~src entry configs = expected);
+      Alcotest.(check int) "the pure helper agrees" 2
+        (List.length
+           (Jrpm.Replay.geometries ~recorded_hw:C.default ~recorded configs));
+      let t = Jrpm.Explore.run ~jobs:1 ~grid ~path () in
+      Alcotest.(check string) "default column = recorded summary"
+        (Obs.Json.to_string
+           (Jrpm.Report_summary.to_json (Jrpm.Report_summary.of_report report)))
+        (Obs.Json.to_string
+           (Jrpm.Report_summary.to_json
+              (List.hd (Jrpm.Explore.default_summaries t))));
+      Alcotest.(check string) "matrix = cell-at-a-time"
+        (explore_json (cell_at_a_time ~grid path))
+        (explore_json t))
+
+(* The decode and tracer-run counts per explore pass: the benchmark
+   grid over the registry archive (captured on the default machine, so
+   every record carries the default geometry) is 26 record tasks of 3
+   tracers each — 26 decodes and 78 tracer runs, where cell-at-a-time
+   replay paid 234 of each; cpus alone needs one tracer per record. *)
+let test_explore_plan_counts () =
+  let count grid =
+    let configs = Jrpm.Explore.configs_of_grid (Jrpm.Explore.parse_grid grid) in
+    ( List.length configs,
+      List.length
+        (Jrpm.Replay.geometries ~recorded_hw:C.default ~recorded:default_geometry
+           configs) )
+  in
+  let records = List.length Workloads.Registry.all in
+  let points, tracers = count [ "cpus=2,4,8"; "store_buffer=32,64,128" ] in
+  Alcotest.(check int) "record tasks" 26 records;
+  Alcotest.(check int) "cells" 234 (records * points);
+  Alcotest.(check int) "tracers per record" 3 tracers;
+  Alcotest.(check int) "tracer runs per pass" 78 (records * tracers);
+  Alcotest.(check int) "cpus alone: one tracer per record" 1
+    (snd (count [ "cpus=2,4,8" ]));
+  (* a real default-machine capture carries exactly that geometry *)
+  let _, path = Lazy.force captured in
+  let src = Trace_store.Bytesrc.map_file path in
+  let configs =
+    Jrpm.Explore.configs_of_grid
+      (Jrpm.Explore.parse_grid [ "cpus=2,4,8"; "store_buffer=32,64,128" ])
+  in
+  List.iter
+    (fun (e : Trace_store.Index.entry) ->
+      Alcotest.(check int)
+        ("captured record tracers: " ^ e.Trace_store.Index.name)
+        3
+        (List.length (Jrpm.Replay.entry_geometries ~src e configs)))
+    (Trace_store.Index.of_src src)
+
 (* ---------------- summary fingerprint migration ---------------- *)
 
 let test_summary_fingerprint_fallback () =
@@ -306,5 +427,11 @@ let suites =
           test_explore_jobs_identity;
         Alcotest.test_case "summary fingerprint fallback" `Quick
           test_summary_fingerprint_fallback;
+        Alcotest.test_case "per-record tasks = cell-at-a-time" `Quick
+          test_explore_matches_cell_at_a_time;
+        Alcotest.test_case "recorded geometry keeps its own tracer" `Quick
+          test_explore_recorded_geometry;
+        Alcotest.test_case "decode and tracer-run counts" `Quick
+          test_explore_plan_counts;
       ] );
   ]

@@ -312,6 +312,19 @@ let test_server_end_to_end () =
           (summaries_of r1);
         Alcotest.(check string) "client 2 = one-shot replay" oneshot
           (summaries_of r2);
+        (* explore: one pool task per record (not per grid cell), and
+           the matrix byte-identical to the one-shot run *)
+        let grid = [ "cpus=8"; "store_buffer=32" ] in
+        let r = D.Client.rpc c2 (D.Explore { path = container; grid }) in
+        (match r.D.rsp with
+        | Ok json ->
+            Alcotest.(check string) "daemon explore = one-shot explore"
+              (Obs.Json.to_string
+                 (Jrpm.Explore.to_json
+                    (Jrpm.Explore.run ~jobs:1 ~grid ~path:container ())))
+              (Obs.Json.to_string json)
+        | Error msg -> Alcotest.fail ("explore failed: " ^ msg));
+        Alcotest.(check int) "one explore task per record" 1 r.D.tasks;
         (* a worker SIGKILLed mid-request errors only that request *)
         let sleep_id = D.Client.send c1 (D.Sleep 30.) in
         let busy_pid =
@@ -364,6 +377,102 @@ let test_server_end_to_end () =
                  | Unix.WEXITED n -> Printf.sprintf "exit %d" n
                  | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
                  | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)))
+  end
+
+(* Framing under pipelining: many requests written back to back, the
+   byte stream cut at arbitrary boundaries (and then one burst in a
+   single write), must each get exactly one reply, in request order —
+   whatever the reads the server sees, a partial frame left behind a
+   consumed prefix must survive the buffer compaction. *)
+let test_pipelined_split_frames () =
+  if not S.fork_available then ()
+  else begin
+    let daemon_pid, sock = spawn_daemon ~jobs:1 in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* a server that drops the connection must fail the test (EPIPE),
+       not kill it before it can reap the daemon *)
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigpipe sigpipe;
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        (try Unix.kill daemon_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] daemon_pid) with Unix.Unix_error _ -> ());
+        try Sys.remove sock with Sys_error _ -> ())
+      (fun () ->
+        let rec connect tries =
+          match Unix.connect fd (Unix.ADDR_UNIX sock) with
+          | () -> ()
+          | exception Unix.Unix_error _ when tries > 0 ->
+              Unix.sleepf 0.05;
+              connect (tries - 1)
+        in
+        connect 100;
+        (* a lost or stuck frame fails the test instead of hanging it *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+        let frame id =
+          let payload =
+            Obs.Json.to_string
+              (D.request_to_json { D.id = Obs.Json.Int id; req = D.Ping })
+          in
+          let b = Bytes.create (8 + String.length payload) in
+          Bytes.set_int64_le b 0 (Int64.of_int (String.length payload));
+          Bytes.blit_string payload 0 b 8 (String.length payload);
+          b
+        in
+        let stream ids = Bytes.concat Bytes.empty (List.map frame ids) in
+        let write b off len =
+          let pos = ref off in
+          while !pos < off + len do
+            pos := !pos + Unix.write fd b !pos (off + len - !pos)
+          done
+        in
+        let read_exact n =
+          let b = Bytes.create n in
+          let pos = ref 0 in
+          while !pos < n do
+            match Unix.read fd b !pos (n - !pos) with
+            | 0 -> Alcotest.fail "server closed the connection"
+            | k -> pos := !pos + k
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              ->
+                Alcotest.fail "no reply within 20s"
+          done;
+          b
+        in
+        let expect_replies ids =
+          List.iter
+            (fun id ->
+              let len = Int64.to_int (Bytes.get_int64_le (read_exact 8) 0) in
+              let r =
+                D.response_of_json
+                  (Obs.Json.parse_exn (Bytes.to_string (read_exact len)))
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "reply %d in order" id)
+                (Obs.Json.to_string (Obs.Json.Int id))
+                (Obs.Json.to_string r.D.rsp_id);
+              match r.D.rsp with
+              | Ok (Obs.Json.String "pong") -> ()
+              | _ -> Alcotest.failf "request %d: not a pong" id)
+            ids
+        in
+        let rng = Random.State.make [| 12 |] in
+        let split = List.init 40 Fun.id in
+        let b = stream split in
+        let off = ref 0 in
+        while !off < Bytes.length b do
+          let n = min (1 + Random.State.int rng 23) (Bytes.length b - !off) in
+          write b !off n;
+          off := !off + n;
+          (* pause now and then so the server sees separate reads *)
+          if Random.State.int rng 3 = 0 then Unix.sleepf 0.001
+        done;
+        expect_replies split;
+        let burst = List.init 40 (fun i -> 100 + i) in
+        let b = stream burst in
+        write b 0 (Bytes.length b);
+        expect_replies burst)
   end
 
 (* The orphan bugfix: SIGKILL the daemon itself — no at_exit, no
@@ -432,5 +541,7 @@ let suites =
           test_server_end_to_end;
         Alcotest.test_case "no orphan workers after daemon SIGKILL" `Quick
           test_no_orphans_after_daemon_sigkill;
+        Alcotest.test_case "pipelined frames split at any byte" `Quick
+          test_pipelined_split_frames;
       ] );
   ]

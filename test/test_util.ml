@@ -1,6 +1,6 @@
 (* Unit and property tests for the util library. *)
 
-module Fifo = Util.Bounded_assoc_fifo
+module Fifo = Bounded_assoc_fifo
 
 let test_fifo_basic () =
   let f = Fifo.create ~capacity:3 in
