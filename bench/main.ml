@@ -37,25 +37,11 @@
                                                add --smoke for the CI
                                                variant that fails if replay
                                                is not >= 5x faster)
-          dune exec bench/main.exe -- sched    (scheduler benchmark: a
-                                               deliberately skewed task mix
-                                               under static round-robin
-                                               sharding vs the work-stealing
-                                               queue — wall-clock and
-                                               worker-idle fraction — plus
+          dune exec bench/main.exe -- sched    (scheduler benchmark:
                                                record-sharded parallel trace
                                                decode vs one core; --smoke
-                                               is the CI variant gating the
-                                               stealing and decode speedups)
-          dune exec bench/main.exe -- handoff  (zero-copy handoff benchmark:
-                                               mapped in-place decode vs the
-                                               buffered-channel reader, and
-                                               adaptive LPT/coalesced frame
-                                               dispatch over a shared mapping
-                                               vs FIFO handout with per-task
-                                               container opens on a skewed
-                                               record mix; --smoke is the CI
-                                               variant gating both ratios)
+                                               is the CI variant, gating the
+                                               decode speedup on >= 4 cores)
           dune exec bench/main.exe -- serve    (serve benchmark: repeated
                                                replay requests against the
                                                resident jrpm daemon's warm
@@ -894,36 +880,22 @@ let regress ~jobs ?tolerance ~baseline () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler benchmark (`bench -- sched`): what does the work-stealing
-   task queue buy over static round-robin sharding, and does
-   record-sharded parallel decode beat the one-core decoder?
+(* Scheduler benchmark (`bench -- sched`): does record-sharded
+   parallel decode beat the one-core decoder?
 
-   Part 1 builds a deliberately skewed synthetic mix where every
-   jobs-th task is ~16x heavier than the rest: static round-robin
-   deals ALL the heavy tasks to worker 0, which grinds through them
-   back to back while the other workers sit idle, whereas the
-   stealing queue hands each heavy task to whichever worker frees up
-   first. The tasks block (sleep) rather than spin, so the
-   measurement isolates the scheduling policy — queueing and load
-   imbalance — from CPU throughput and holds on any core count,
-   including 1-core CI runners. Wall-clock and the worker-idle
-   fraction are reported for both policies and the speedup is gated
-   (>= sched_speedup_floor).
+   It replays a replicated capture container through the null sink
+   sequentially (one reader pass, the single-core decode path) and
+   record-sharded across 4 decoder workers; the relative speedup is
+   gated only when the machine actually has >= 4 cores, so the smoke
+   gate stays meaningful on small CI runners while the absolute
+   events/s numbers land in the table either way. *)
 
-   Part 2 replays a replicated capture container through the null
-   sink sequentially (one reader pass, the old single-core decode
-   path) and record-sharded across 4 decoder workers; the relative
-   speedup is gated only when the machine actually has >= 4 cores, so
-   the smoke gate stays meaningful on small CI runners while the
-   absolute events/s numbers land in the table either way. *)
-
-let sched_speedup_floor = 1.3
 let sched_decode_floor = 1.4
 
 let sched_bench ~smoke () =
   section
-    (if smoke then "Scheduler benchmark (smoke: stealing + decode floors)"
-     else "Scheduler benchmark (work stealing vs round-robin)");
+    (if smoke then "Scheduler benchmark (smoke: parallel decode floor)"
+     else "Scheduler benchmark (record-sharded parallel decode)");
   if not Jrpm.Scheduler.fork_available then begin
     print_endline "fork unavailable on this platform; nothing to measure";
     exit 0
@@ -940,73 +912,6 @@ let sched_bench ~smoke () =
     !best
   in
   let failed = ref false in
-
-  (* -------- part 1: skewed synthetic mix -------- *)
-  let jobs = 4 in
-  let ntasks = 16 in
-  let heavy_s = if smoke then 0.04 else 0.1 in
-  let light_s = heavy_s /. 16. in
-  let tasks =
-    List.init ntasks (fun i -> if i mod jobs = 0 then heavy_s else light_s)
-  in
-  (* blocking tasks: the policy difference shows up as queueing delay
-     regardless of how many cores the machine has *)
-  let run_task _ s =
-    Unix.sleepf s;
-    int_of_float (s *. 1e6)
-  in
-  let label _ _ = "synthetic task" in
-  let best_stats run =
-    let best = ref None in
-    for _ = 1 to repeats do
-      let r, (s : Jrpm.Scheduler.stats) = run () in
-      match !best with
-      | Some (_, (b : Jrpm.Scheduler.stats)) when b.wall_s <= s.wall_s -> ()
-      | _ -> best := Some (r, s)
-    done;
-    match !best with Some b -> b | None -> assert false
-  in
-  let rr_results, rr =
-    best_stats (fun () ->
-        Jrpm.Scheduler.map_sharded_stats ~jobs ~label run_task tasks)
-  in
-  let ws_results, ws =
-    best_stats (fun () -> Jrpm.Scheduler.map_stats ~jobs ~label run_task tasks)
-  in
-  if rr_results <> ws_results then begin
-    failed := true;
-    prerr_endline "sched bench: stealing results differ from round-robin"
-  end;
-  let speedup = rr.Jrpm.Scheduler.wall_s /. ws.Jrpm.Scheduler.wall_s in
-  let ok = speedup >= sched_speedup_floor in
-  if not ok then failed := true;
-  Printf.printf
-    "\n%d tasks on %d workers; every %dth task ~16x heavier (%.0f ms vs %.1f \
-     ms)\n\n"
-    ntasks jobs jobs (heavy_s *. 1e3) (light_s *. 1e3);
-  Util.Text_table.print
-    ~aligns:Util.Text_table.[ Left; Right; Right; Right; Right; Left ]
-    ~header:[ "policy"; "wall s"; "busy s"; "idle"; "speedup"; "status" ]
-    [
-      [
-        "static round-robin";
-        Printf.sprintf "%.3f" rr.Jrpm.Scheduler.wall_s;
-        Printf.sprintf "%.3f" rr.Jrpm.Scheduler.busy_s;
-        Printf.sprintf "%.0f%%" (100. *. Jrpm.Scheduler.idle_fraction rr);
-        "1.0x";
-        "";
-      ];
-      [
-        "work stealing";
-        Printf.sprintf "%.3f" ws.Jrpm.Scheduler.wall_s;
-        Printf.sprintf "%.3f" ws.Jrpm.Scheduler.busy_s;
-        Printf.sprintf "%.0f%%" (100. *. Jrpm.Scheduler.idle_fraction ws);
-        Printf.sprintf "%.1fx" speedup;
-        (if ok then "ok" else "UNDER FLOOR");
-      ];
-    ];
-
-  (* -------- part 2: record-sharded parallel decode -------- *)
   let names =
     if smoke then [ "BitOps"; "fft" ]
     else [ "BitOps"; "Huffman"; "compress"; "fft"; "NeuralNet" ]
@@ -1099,227 +1004,10 @@ let sched_bench ~smoke () =
   if !failed then begin
     prerr_endline
       (Printf.sprintf
-         "sched bench: below a floor (stealing >= %.1fx, decode >= %.1fx on \
-          >=4 cores)"
-         sched_speedup_floor sched_decode_floor);
+         "sched bench: below the decode floor (>= %.1fx on >=4 cores)"
+         sched_decode_floor);
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Zero-copy handoff benchmark: the mapped read path against the
-   buffered-channel baseline, and adaptive frame dispatch against FIFO
-   singleton handout.
-
-   Part 1 decodes the same on-disk container through both reader
-   backends, single-threaded. The mapped path decodes varints in place
-   from the shared pages — no per-chunk payload copy, no per-event
-   allocation — so its throughput is gated to be at least the channel
-   path's (>= handoff_mapped_floor) on any machine.
-
-   Part 2 builds a deliberately skewed container: a long run of tiny
-   records first and one giant record (several times the tiny total)
-   LAST. FIFO singleton handout with per-task container opens — the
-   pre-mapping parallel decode path — dispatches the giant record at
-   the tail, serializing it after the pool has drained the tiny ones;
-   the adaptive plan weighs records by the index's event counts, so the
-   giant dispatches first and alone while the tiny records coalesce
-   into a few frames. The wall-clock ratio is gated
-   (>= handoff_parallel_floor) only on machines with >= 4 cores, like
-   the sched decode gate. *)
-
-let handoff_mapped_floor = 1.0
-let handoff_parallel_floor = 1.2
-
-let handoff_bench ~smoke () =
-  section
-    (if smoke then "Handoff benchmark (smoke: mapped + adaptive floors)"
-     else "Handoff benchmark (zero-copy mapped read + adaptive granularity)");
-  if not Jrpm.Scheduler.fork_available then begin
-    print_endline "fork unavailable on this platform; nothing to measure";
-    exit 0
-  end;
-  let repeats = if smoke then 3 else 5 in
-  let time_min f =
-    let best = ref infinity in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let failed = ref false in
-  let capture name =
-    let w = Workloads.Registry.find_exn name in
-    let src = Workloads.Registry.default_source w in
-    let _report, record = Jrpm.Replay.capture_run ~name src in
-    record
-  in
-  (* tiny records first, the giant one LAST — the worst case for FIFO
-     dispatch order and the best case for coalescing *)
-  let giant_name, tiny_name, tiny_copies =
-    if smoke then ("BitOps", "fft", 9) else ("Huffman", "fft", 12)
-  in
-  let giant = capture giant_name in
-  let tiny = capture tiny_name in
-  let records = List.init tiny_copies (fun _ -> tiny) @ [ giant ] in
-  let container = Trace_store.Writer.container records in
-  let path = Filename.temp_file "jrpm_handoff" ".jtrc" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc container);
-      let entries = Trace_store.Index.of_file path in
-      let total_events =
-        List.fold_left
-          (fun acc (e : Trace_store.Index.entry) ->
-            acc + e.Trace_store.Index.events)
-          0 entries
-      in
-      Printf.printf
-        "\n%d records (%dx %s + 1x %s last), %d events, %d bytes on disk\n\n"
-        (List.length entries) tiny_copies tiny_name giant_name total_events
-        (String.length container);
-
-      (* -------- part 1: mapped vs channel sequential decode -------- *)
-      let drain rd =
-        let events = ref 0 in
-        let rec loop () =
-          match Trace_store.Reader.next_record rd with
-          | None -> ()
-          | Some _ ->
-              events :=
-                !events
-                + (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
-                    .Trace_store.Reader.events;
-              loop ()
-        in
-        loop ();
-        Trace_store.Reader.close rd;
-        if !events <> total_events then begin
-          failed := true;
-          Printf.eprintf "handoff bench: decoded %d events, index says %d\n"
-            !events total_events
-        end
-      in
-      let channel_s =
-        time_min (fun () -> drain (Trace_store.Reader.open_file path))
-      in
-      let mapped_s =
-        time_min (fun () -> drain (Trace_store.Reader.open_mapped path))
-      in
-      let channel_evps = float_of_int total_events /. channel_s in
-      let mapped_evps = float_of_int total_events /. mapped_s in
-      let mapped_ratio = mapped_evps /. channel_evps in
-      let mapped_ok = mapped_ratio >= handoff_mapped_floor in
-      if not mapped_ok then failed := true;
-      Util.Text_table.print
-        ~aligns:Util.Text_table.[ Left; Right; Right; Right; Left ]
-        ~header:[ "decode backend"; "wall s"; "events/s"; "speedup"; "status" ]
-        [
-          [
-            "buffered channel";
-            Printf.sprintf "%.3f" channel_s;
-            Printf.sprintf "%.1fM" (channel_evps /. 1e6);
-            "1.0x";
-            "";
-          ];
-          [
-            "mapped (in place)";
-            Printf.sprintf "%.3f" mapped_s;
-            Printf.sprintf "%.1fM" (mapped_evps /. 1e6);
-            Printf.sprintf "%.2fx" mapped_ratio;
-            (if mapped_ok then "ok" else "UNDER FLOOR");
-          ];
-        ];
-
-      (* -------- part 2: adaptive mapped fan-out vs FIFO + per-task
-         container opens -------- *)
-      let jobs = 4 in
-      let label _ (e : Trace_store.Index.entry) =
-        "record " ^ e.Trace_store.Index.name
-      in
-      let decode_channel _ (e : Trace_store.Index.entry) =
-        (* the pre-mapping task body: open the container, read the
-           header, seek — once per record *)
-        let rd = Trace_store.Reader.open_file path in
-        Fun.protect
-          ~finally:(fun () -> Trace_store.Reader.close rd)
-          (fun () ->
-            ignore
-              (Trace_store.Reader.seek_record rd
-                 ~offset:e.Trace_store.Index.offset);
-            (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
-              .Trace_store.Reader.events)
-      in
-      let src = Trace_store.Bytesrc.map_file path in
-      let decode_mapped _ (e : Trace_store.Index.entry) =
-        let rd = Trace_store.Reader.of_src src in
-        ignore
-          (Trace_store.Reader.seek_record rd ~offset:e.Trace_store.Index.offset);
-        (Trace_store.Reader.replay rd Hydra.Trace.null_sink)
-          .Trace_store.Reader.events
-      in
-      let check_events what counts =
-        if List.fold_left ( + ) 0 counts <> total_events then begin
-          failed := true;
-          Printf.eprintf "handoff bench: %s decode lost events\n" what
-        end
-      in
-      let fifo_s =
-        time_min (fun () ->
-            let counts, _ =
-              Jrpm.Scheduler.map_stats ~jobs ~label decode_channel entries
-            in
-            check_events "FIFO" counts)
-      in
-      let adaptive_s =
-        time_min (fun () ->
-            let counts, _ =
-              Jrpm.Scheduler.map_adaptive_stats ~jobs ~label
-                ~weights:(fun _ (e : Trace_store.Index.entry) ->
-                  float_of_int e.Trace_store.Index.events)
-                decode_mapped entries
-            in
-            check_events "adaptive" counts)
-      in
-      let parallel_ratio = fifo_s /. adaptive_s in
-      let cores = Jrpm.Scheduler.core_count () in
-      let gated = cores >= 4 in
-      let parallel_ok = (not gated) || parallel_ratio >= handoff_parallel_floor in
-      if not parallel_ok then failed := true;
-      Printf.printf "\n";
-      Util.Text_table.print
-        ~aligns:Util.Text_table.[ Left; Right; Right; Left ]
-        ~header:[ "parallel replay (4 workers)"; "wall s"; "speedup"; "status" ]
-        [
-          [
-            "FIFO order, per-task open";
-            Printf.sprintf "%.3f" fifo_s;
-            "1.0x";
-            "";
-          ];
-          [
-            "adaptive frames, shared mapping";
-            Printf.sprintf "%.3f" adaptive_s;
-            Printf.sprintf "%.2fx" parallel_ratio;
-            (if not gated then "not gated (<4 cores)"
-             else if parallel_ok then "ok"
-             else "UNDER FLOOR");
-          ];
-        ];
-      if !failed then begin
-        prerr_endline
-          (Printf.sprintf
-             "handoff bench: below a floor (mapped >= %.1fx channel, adaptive \
-              >= %.1fx FIFO on >=4 cores)"
-             handoff_mapped_floor handoff_parallel_floor);
-        exit 1
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* Serve benchmark (`bench -- serve`): what does the resident daemon's
@@ -1333,7 +1021,7 @@ let handoff_bench ~smoke () =
    decode work — the worst case for fork-per-call and precisely what
    the daemon exists to amortize. Warm throughput is gated
    (>= serve_warm_floor x fork-per-call) only on >= 4 core machines,
-   like the sched decode and handoff parallel gates. *)
+   like the sched decode gate. *)
 
 let serve_warm_floor = 2.0
 
@@ -1609,10 +1297,6 @@ let () =
   end;
   if has_arg "sched" then begin
     sched_bench ~smoke:(has_arg "--smoke") ();
-    exit 0
-  end;
-  if has_arg "handoff" then begin
-    handoff_bench ~smoke:(has_arg "--smoke") ();
     exit 0
   end;
   if has_arg "serve" then begin

@@ -806,27 +806,12 @@ let trace_record_cmd =
     Term.(const record $ trace_file_arg $ workloads_arg $ jobs_arg)
 
 let trace_replay_cmd =
-  let io_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("mapped", Jrpm.Replay.Mapped); ("channel", Jrpm.Replay.Channel) ])
-          Jrpm.Replay.Mapped
-      & info [ "io" ] ~docv:"BACKEND"
-          ~doc:
-            "container read path: $(b,mapped) (default) maps the file once \
-             and decodes in place, sharing the read-only pages with decoder \
-             workers; $(b,channel) is the buffered-channel baseline with one \
-             file open per parallel task. Output is byte-identical either \
-             way — CI gates on it")
-  in
-  let replay file summary_json profile profile_json jobs io =
+  let replay file summary_json profile profile_json jobs =
     let jobs =
       match jobs with Some n -> n | None -> Jrpm.Parallel_sweep.default_jobs ()
     in
     let outcomes =
-      fail_trace_errors (fun () -> Jrpm.Replay.replay_file ~jobs ~io file)
+      fail_trace_errors (fun () -> Jrpm.Replay.replay_file ~jobs file)
     in
     (* stdout is deterministic: encoded sizes and re-derived analysis
        results only; wall-clock throughput goes to stderr via --profile *)
@@ -912,7 +897,7 @@ let trace_replay_cmd =
           recorded summaries; records are sharded across decoder workers")
     Term.(
       const replay $ trace_file_arg $ summary_json_arg $ profile_arg
-      $ profile_json_arg $ jobs_arg $ io_arg)
+      $ profile_json_arg $ jobs_arg)
 
 let trace_info_cmd =
   let records_arg =
@@ -941,9 +926,9 @@ let trace_info_cmd =
   in
   let print_index file =
     fail_trace_errors (fun () ->
-        ignore (print_container_line file : Trace_store.Bytesrc.t);
-        (* of_file reads only the header + index chunk, never the body *)
-        let entries = Trace_store.Index.of_file file in
+        (* the embedded index touches only the header, the index chunk
+           and one byte per record of the mapping — never the body *)
+        let entries = Trace_store.Index.of_src (print_container_line file) in
         Util.Text_table.print
           ~aligns:Util.Text_table.[ Right; Right; Right; Right; Left ]
           ~header:[ "Offset"; "Bytes"; "Events"; "B/event"; "Record" ]
@@ -977,7 +962,6 @@ let trace_info_cmd =
               go ((record, stats) :: acc)
         in
         let records = go [] in
-        Trace_store.Reader.close reader;
         Util.Text_table.print
           ~aligns:Util.Text_table.[ Left; Right; Right; Right; Right ]
           ~header:[ "Record"; "Events"; "Bytes"; "B/event"; "Ratio" ]

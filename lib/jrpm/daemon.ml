@@ -91,53 +91,19 @@ end
 
 (* ---------------- wire framing ---------------- *)
 
-(* [len: 8-byte LE][JSON payload], both directions — the scheduler's
-   result-pipe framing applied to a socket. *)
+(* [len: 8-byte LE][JSON payload], both directions — the scheduler
+   pool's pipe framing applied to a socket. *)
 
-let max_frame = 1 lsl 30
-
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = restart_eintr (fun () -> Unix.write fd bytes !pos (len - !pos)) in
-    if n <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    pos := !pos + n
-  done
-
-let read_exact_opt fd n =
-  let buf = Bytes.create n in
-  let pos = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !pos < n do
-    let k = restart_eintr (fun () -> Unix.read fd buf !pos (n - !pos)) in
-    if k = 0 then eof := true else pos := !pos + k
-  done;
-  if !pos = n then Some buf else None
-
-let frame_bytes json =
-  let payload = Obs.Json.to_string json in
-  let n = String.length payload in
-  let b = Bytes.create (8 + n) in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  Bytes.blit_string payload 0 b 8 n;
-  b
-
-let write_frame fd json = write_all fd (frame_bytes json)
+let frame_bytes json = Framing.frame (Obs.Json.to_string json)
+let write_frame fd json = Framing.write_all fd (frame_bytes json)
 
 let read_frame fd =
-  match read_exact_opt fd 8 with
-  | None -> None
-  | Some hdr -> (
-      let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
-      if len < 0 || len > max_frame then
-        fail "Jrpm.Daemon: oversized frame (%d bytes)" len;
-      match read_exact_opt fd len with
-      | None -> fail "Jrpm.Daemon: truncated frame"
-      | Some payload -> Some (Obs.Json.parse_exn (Bytes.to_string payload)))
+  match Framing.read fd with
+  | Eof -> None
+  | Truncated -> fail "Jrpm.Daemon: truncated frame"
+  | Complete payload -> Some (Obs.Json.parse_exn (Bytes.to_string payload))
+  | exception Framing.Bad_length len ->
+      fail "Jrpm.Daemon: oversized frame (%d bytes)" len
 
 (* ---------------- request / response codec ---------------- *)
 
@@ -677,7 +643,9 @@ let compact_inbuf conn =
 (* One readable client fd: accumulate, then peel off complete frames. *)
 let feed_conn srv conn =
   let chunk = Bytes.create 65536 in
-  (match restart_eintr (fun () -> Unix.read conn.in_fd chunk 0 65536) with
+  (match
+     Framing.restart_eintr (fun () -> Unix.read conn.in_fd chunk 0 65536)
+   with
   | 0 -> close_conn srv conn
   | n -> Buffer.add_subbytes conn.inbuf chunk 0 n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -686,28 +654,34 @@ let feed_conn srv conn =
   while !progress do
     progress := false;
     let have = Buffer.length conn.inbuf - conn.inpos in
-    if have >= 8 then begin
-      let hdr = Bytes.of_string (Buffer.sub conn.inbuf conn.inpos 8) in
-      let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
-      if len < 0 || len > max_frame then close_conn srv conn
-      else if have >= 8 + len then begin
-        let payload = Buffer.sub conn.inbuf (conn.inpos + 8) len in
-        conn.inpos <- conn.inpos + 8 + len;
-        compact_inbuf conn;
-        (match Obs.Json.parse_exn payload with
-        | json -> handle_request srv conn json
-        | exception Failure msg ->
-            enqueue_frame conn
-              (response_to_json
-                 {
-                   rsp_id = Obs.Json.Null;
-                   rsp = Error ("bad request: " ^ msg);
-                   elapsed_s = 0.;
-                   queue_depth = Scheduler.Pool.pending srv.pool;
-                   tasks = 0;
-                 }));
-        progress := not conn.conn_closed
-      end
+    if have >= Framing.header_bytes then begin
+      (* an out-of-range length header is the one framing error that
+         closes the connection: the stream cannot be resynchronized *)
+      match
+        Framing.payload_length
+          (Buffer.sub conn.inbuf conn.inpos Framing.header_bytes)
+      with
+      | exception Framing.Bad_length _ -> close_conn srv conn
+      | len when have >= Framing.header_bytes + len ->
+          let payload =
+            Buffer.sub conn.inbuf (conn.inpos + Framing.header_bytes) len
+          in
+          conn.inpos <- conn.inpos + Framing.header_bytes + len;
+          compact_inbuf conn;
+          (match Obs.Json.parse_exn payload with
+          | json -> handle_request srv conn json
+          | exception Failure msg ->
+              enqueue_frame conn
+                (response_to_json
+                   {
+                     rsp_id = Obs.Json.Null;
+                     rsp = Error ("bad request: " ^ msg);
+                     elapsed_s = 0.;
+                     queue_depth = Scheduler.Pool.pending srv.pool;
+                     tasks = 0;
+                   }));
+          progress := not conn.conn_closed
+      | _ -> ()
     end
   done
 
@@ -817,7 +791,8 @@ let serve ?(jobs = 1) transport =
             srv.conns
         in
         let readable, writable, _ =
-          restart_eintr (fun () -> Unix.select read_set write_set [] (-1.))
+          Framing.restart_eintr (fun () ->
+              Unix.select read_set write_set [] (-1.))
         in
         (* pool completions first: a completed request's response can
            ride the same writability event *)
@@ -830,7 +805,7 @@ let serve ?(jobs = 1) transport =
         List.iter (on_completion srv) (Scheduler.Pool.poll srv.pool);
         (match listen_fd with
         | Some lfd when List.mem lfd readable -> (
-            match restart_eintr (fun () -> Unix.accept lfd) with
+            match Framing.restart_eintr (fun () -> Unix.accept lfd) with
             | fd, _ ->
                 Unix.set_nonblock fd;
                 srv.conns <- make_conn fd :: srv.conns;

@@ -22,8 +22,8 @@
     Determinism: the pipeline itself is deterministic and outcomes are
     ordered by registry index, never by arrival, so any [jobs] value
     produces the same outcome list (recorder wall-clock phase spans
-    excepted) — byte-stable golden output and [BENCH_*.json] dumps
-    regardless of worker scheduling. Merge per-workload recorders in
+    excepted) — byte-stable golden output regardless of worker
+    scheduling. Merge per-workload recorders in
     registry order ({!merged_recorder}) for a deterministic aggregate.
 
     A worker that dies or reports an exception fails the whole sweep

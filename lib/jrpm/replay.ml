@@ -230,20 +230,7 @@ let replay_all ?hw reader =
     | None -> List.rev acc
     | Some record -> go (replay_current ?hw reader record :: acc)
   in
-  let outcomes = go [] in
-  Trace_store.Reader.close reader;
-  outcomes
-
-let replay_record ?hw ~path (entry : Trace_store.Index.entry) =
-  let reader = Trace_store.Reader.open_file path in
-  Fun.protect
-    ~finally:(fun () -> Trace_store.Reader.close reader)
-    (fun () ->
-      let record =
-        Trace_store.Reader.seek_record reader
-          ~offset:entry.Trace_store.Index.offset
-      in
-      replay_current ?hw reader record)
+  go []
 
 let seek_entry ~src (entry : Trace_store.Index.entry) =
   let reader = Trace_store.Reader.of_src src in
@@ -261,8 +248,6 @@ let replay_entry_points ~hws ~src entry =
 let entry_geometries ~src entry hws =
   let m = meta_of_record (snd (seek_entry ~src entry)) in
   geometries ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws
-
-type io = Mapped | Channel
 
 let record_label _ (e : Trace_store.Index.entry) =
   "record " ^ e.Trace_store.Index.name
@@ -283,28 +268,13 @@ let replay_entries ?hw ?(jobs = 1) ~src entries =
       (fun _ entry -> replay_entry ?hw ~src entry)
       entries
 
-let replay_file ?hw ?(jobs = 1) ?(io = Mapped) path =
-  match io with
-  | Channel ->
-      (* the pre-mapping read path, kept as the baseline `bench --
-         handoff` and the CI backend-identity gate compare against:
-         buffered channel decode, and one container open + header read
-         per parallel task *)
-      if jobs <= 1 || not Scheduler.fork_available then
-        replay_all ?hw (Trace_store.Reader.open_file path)
-      else
-        let entries = Trace_store.Index.of_file path in
-        Scheduler.map ~jobs ~label:record_label
-          (fun _ entry -> replay_record ?hw ~path entry)
-          entries
-  | Mapped ->
-      (* zero-copy handoff: the parent maps the container once and
-         parses the index from the mapped tail; forked workers inherit
-         the read-only pages, so a task is just (offset, length) into
-         the shared source — no per-task open, header read, or chunk
-         copy. *)
-      let src = Trace_store.Bytesrc.map_file path in
-      replay_entries ?hw ~jobs ~src (Trace_store.Index.of_src src)
+(* Zero-copy handoff: the parent maps the container once and parses
+   the index from the mapped tail; forked workers inherit the read-only
+   pages, so a task is just (offset, length) into the shared source —
+   no per-task open, header read, or chunk copy. *)
+let replay_file ?hw ?(jobs = 1) path =
+  let src = Trace_store.Bytesrc.map_file path in
+  replay_entries ?hw ~jobs ~src (Trace_store.Index.of_src src)
 
 let replay_string ?hw s = replay_all ?hw (Trace_store.Reader.of_string s)
 

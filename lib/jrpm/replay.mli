@@ -14,6 +14,12 @@
     interpreter: that equality is the replay-determinism gate CI
     enforces.
 
+    There is one read path: a container file is mapped once
+    ({!Trace_store.Bytesrc.map_file}), indexed from the mapping
+    ({!Trace_store.Index.of_src}), and each record replays in place
+    from its offset ({!replay_entry}) — sequentially, or fanned out
+    over forked workers that inherit the mapping.
+
     Metadata schema (JSON object, all fields required unless noted):
     - ["summary"]: {!Report_summary.to_json} of the interpreted run;
     - ["hw_config"]: {!Hydra.Config.to_json} of the hardware point the
@@ -109,28 +115,20 @@ val replay_current :
     @raise Trace_store.Reader.Corrupt on a malformed stream;
     @raise Failure on malformed metadata. *)
 
-val replay_record :
-  ?hw:Hydra.Config.t -> path:string -> Trace_store.Index.entry -> outcome
-(** Replay exactly one record of the container at [path]: open a fresh
-    reader, {!Trace_store.Reader.seek_record} to the entry's offset,
-    replay, close. Records are self-contained, so the outcome is
-    identical to the same record's outcome in a sequential
-    {!replay_file} pass — the unit of work the channel-backend
-    record-sharded decoder fans out.
-    @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current};
-    @raise Sys_error when the file cannot be opened. *)
-
 val replay_entry :
   ?hw:Hydra.Config.t ->
   src:Trace_store.Bytesrc.t ->
   Trace_store.Index.entry ->
   outcome
-(** {!replay_record} over an already-materialized byte source: build a
-    cheap cursor ({!Trace_store.Reader.of_src}), seek to the entry's
-    offset, replay in place. With [src] a {!Trace_store.Bytesrc.map_file}
-    mapping established before the scheduler forks, this is the
-    zero-copy worker task — the record handoff is the (offset, length)
-    pair in [entry]; the worker opens nothing and copies no chunk.
+(** Replay exactly one record of an already-materialized byte source:
+    build a cheap cursor ({!Trace_store.Reader.of_src}),
+    {!Trace_store.Reader.seek_record} to the entry's offset, replay in
+    place. Records are self-contained, so the outcome is identical to
+    the same record's outcome in a sequential {!replay_file} pass. With
+    [src] a {!Trace_store.Bytesrc.map_file} mapping established before
+    the scheduler forks, this is the zero-copy worker task — the record
+    handoff is the (offset, length) pair in [entry]; the worker opens
+    nothing and copies no chunk.
     @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current}. *)
 
 val replay_entry_points :
@@ -170,8 +168,7 @@ val replay_entries :
   Trace_store.Index.entry list ->
   outcome list
 (** Replay the given records of an already-mapped container, returning
-    outcomes in entry order. This is {!replay_file}'s [Mapped] body
-    split out for callers that hold the mapping themselves — the serve
+    outcomes in entry order. This is {!replay_file}'s body split out for callers that hold the mapping themselves — the serve
     daemon's LRU of open containers submits per-record
     {!replay_entry} work against a cached [src] without re-mapping or
     re-indexing per request. [jobs > 1] fans out over the {!Scheduler}
@@ -179,38 +176,27 @@ val replay_entries :
     @raise Trace_store.Reader.Corrupt / [Failure] as
     {!replay_current}. *)
 
-type io = Mapped | Channel
-(** Which read path {!replay_file} drives. [Mapped] (the default) maps
-    the container once, indexes from the mapped tail, and fans records
-    out by offset over the shared source with adaptive (event-weighted)
-    task granularity. [Channel] is the buffered-channel baseline — one
-    container open + header read per parallel task, FIFO handout — kept
-    for `bench -- handoff` and the CI gate that the two backends
-    produce byte-identical output. *)
-
-val replay_file :
-  ?hw:Hydra.Config.t -> ?jobs:int -> ?io:io -> string -> outcome list
-(** Open a container and replay every record, returning outcomes in
-    container order; [hw] overrides the hardware point as in
-    {!replay_current}. [jobs > 1] shards records across that many
-    forked decoder workers via the {!Scheduler}: under [Mapped] the
-    workers inherit the parent's read-only mapping and run
-    {!replay_entry} tasks planned by {!Scheduler.plan_frames} with the
-    index's per-record event counts as weights (giant records dispatch
-    first and alone, tiny records coalesce into shared frames); under
-    [Channel] each task is a {!replay_record} against the path. Either
-    way the outcome list — and thus all summary output — is
-    byte-identical to [jobs = 1] and across backends. Per-outcome
+val replay_file : ?hw:Hydra.Config.t -> ?jobs:int -> string -> outcome list
+(** Map a container ({!Trace_store.Bytesrc.map_file}), index it, and
+    replay every record, returning outcomes in container order; [hw]
+    overrides the hardware point as in {!replay_current}. [jobs > 1]
+    shards records across that many forked decoder workers via the
+    {!Scheduler}: the workers inherit the parent's read-only mapping
+    and run {!replay_entry} tasks planned by {!Scheduler.plan_frames}
+    with the index's per-record event counts as weights (giant records
+    dispatch first and alone, tiny records coalesce into shared
+    frames). The outcome list — and thus all summary output — is
+    byte-identical to [jobs = 1]. Per-outcome
     [elapsed_s] is each worker's own decode time, so wall-clock
     improves while the reported per-record timings stay comparable.
-    @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current};
-    @raise Sys_error when the file cannot be opened. *)
+    @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current},
+    and naming the path when it cannot be read. *)
 
 val replay_string : ?hw:Hydra.Config.t -> string -> outcome list
 (** {!replay_file} over in-memory container bytes. *)
 
 val replay_all : ?hw:Hydra.Config.t -> Trace_store.Reader.t -> outcome list
-(** Replay every remaining record of an open reader (closing it), as
+(** Replay every remaining record of an open reader, as
     {!replay_file}. *)
 
 val record_metrics : Obs.Metrics.t -> outcome list -> unit

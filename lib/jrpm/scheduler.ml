@@ -1,29 +1,26 @@
-(* Dynamic work distribution over a persistent pool of forked workers.
+(* Dynamic work distribution over forked workers: one engine, [Pool].
 
-   The parent owns the task queue and hands out one *frame* (a batch of
-   item indices) at a time over a per-worker task pipe; each worker
-   loops — read a frame, run every task in it, write one framed result
-   on its result pipe — until the parent closes the task pipe. A fast
-   worker that finishes its current frame immediately receives the next
-   pending one, so skewed task durations never idle the pool the way
-   static round-robin sharding does. [map] dispatches singleton frames
-   in input order (plain FIFO stealing); [map_adaptive_stats] plans
-   frames from per-task weight estimates — heaviest first, tiny tasks
-   coalesced — via [plan_frames]. The static policy survives as
-   [map_sharded_stats] so `bench -- sched` can measure the difference
-   on the same protocol.
+   [Pool] owns a set of forked workers, each with a task pipe (parent ->
+   worker) and a result pipe (worker -> parent), both carrying
+   [Framing] frames of [Marshal] payloads. A worker loops — read a task,
+   run it, write one framed [(elapsed_s, Ok res | Error msg)] — until
+   the parent closes its task pipe. A worker that reports immediately
+   receives the next queued task, so skewed task durations never idle
+   the pool. The parent multiplexes the result pipes with [Unix.select]
+   and detects a dead worker as EOF (or a short or garbled frame) where
+   a result was expected.
 
-   Only *indices* cross the task pipe ([count, i1..in], 8-byte LE
-   each): workers are forks of this executable, so the item array and
-   the task closure are already in the child's address space. Results
-   cross back via [Marshal] with [Closures] (safe for the same reason),
-   framed by an 8-byte length so the parent can multiplex many result
-   pipes with [Unix.select] and detect a dead worker as EOF (or a short
-   read) where a frame was expected. The parent writes results into a
-   slot array keyed by item index, so the returned list is in input
-   order no matter which worker finished first or how tasks were
-   batched into frames — downstream output stays byte-identical at any
-   [jobs]. *)
+   The map variants are a [Pool] per call whose task is one *frame* — a
+   batch of item indices. Only indices cross the task pipe: workers are
+   forks of this executable, so the item array and the task closure are
+   already in the child's address space. [map] dispatches singleton
+   frames in input order (plain FIFO); [map_adaptive_stats] plans frames
+   from per-task weight estimates — heaviest first, tiny tasks coalesced
+   — via [plan_frames]. The parent writes results into a slot array
+   keyed by item index, so the returned list is in input order no
+   matter which worker finished first or how tasks were batched into
+   frames — downstream output stays byte-identical at any [jobs].
+   [jrpm serve] keeps one [Pool] alive across requests instead. *)
 
 type stats = {
   jobs : int;
@@ -95,132 +92,9 @@ let plan_frames ~jobs ?(frames_per_worker = 4) weights =
     List.rev !frames
   end
 
-(* ---------------- framed messages over raw fds ---------------- *)
-
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = restart_eintr (fun () -> Unix.write fd bytes !pos (len - !pos)) in
-    if n <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    pos := !pos + n
-  done
-
-type 'a read_outcome = Complete of 'a | Eof | Truncated
-
-(* [Eof] only at a frame boundary (byte 0); anything in between is
-   [Truncated] — a worker that died mid-write. *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let pos = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !pos < n do
-    let k = restart_eintr (fun () -> Unix.read fd buf !pos (n - !pos)) in
-    if k = 0 then eof := true else pos := !pos + k
-  done;
-  if !pos = n then Complete buf else if !pos = 0 then Eof else Truncated
-
-let write_u64 fd v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  write_all fd b
-
-let read_u64 fd =
-  match read_exact fd 8 with
-  | Complete b -> Complete (Int64.to_int (Bytes.get_int64_le b 0))
-  | Eof -> Eof
-  | Truncated -> Truncated
-
-(* ---------------- worker side ---------------- *)
-
-(* One result frame per task frame: [len: 8 bytes LE][Marshal payload]
-   where the payload is [(elapsed_s, [(index, Ok result | Error
-   message); ...])] covering every task of the handout. *)
-let worker_loop f items task_rfd result_wfd =
-  let rec loop () =
-    match read_u64 task_rfd with
-    | Eof | Truncated -> Unix._exit 0
-    | Complete count ->
-        if count <= 0 || count > Array.length items then Unix._exit 2;
-        let idxs =
-          List.init count (fun _ ->
-              match read_u64 task_rfd with
-              | Complete i -> i
-              | Eof | Truncated -> Unix._exit 2)
-        in
-        let t0 = Unix.gettimeofday () in
-        let results =
-          List.map
-            (fun idx ->
-              ( idx,
-                try Ok (f idx items.(idx))
-                with e -> Error (Printexc.to_string e) ))
-            idxs
-        in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let payload =
-          Marshal.to_bytes (elapsed, results) [ Marshal.Closures ]
-        in
-        write_u64 result_wfd (Bytes.length payload);
-        write_all result_wfd payload;
-        loop ()
-  in
-  (* any protocol failure means the parent vanished; exit silently —
-     the parent's side of the story is authoritative *)
-  (try loop () with _ -> ());
-  Unix._exit 2
-
-(* ---------------- parent side ---------------- *)
-
-type worker = {
-  pid : int;
-  task_wfd : Unix.file_descr;
-  result_rfd : Unix.file_descr;
-  mutable queue : int list list;  (* static policy: this worker's share *)
-  mutable current : int list option;  (* in-flight frame *)
-  mutable retired : bool;  (* task pipe closed: no further handouts *)
-  mutable dead : bool;  (* already reaped after an abnormal EOF *)
-  mutable busy_s : float;
-}
-
-(* [Shared frames]: one queue of planned frames handed out first-free,
-   first-served. [Sharded]: the classic round-robin shard (singleton
-   frames, item i only ever on worker i mod jobs). *)
-type dispatch = Shared of int list list | Sharded
+(* ---------------- the worker pool ---------------- *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let retire w =
-  if not w.retired then begin
-    w.retired <- true;
-    close_quietly w.task_wfd
-  end
-
-let sequential ~frames f items =
-  let t0 = Unix.gettimeofday () in
-  let busy = ref 0. in
-  let results =
-    List.mapi
-      (fun i x ->
-        let s0 = Unix.gettimeofday () in
-        let r = f i x in
-        busy := !busy +. (Unix.gettimeofday () -. s0);
-        r)
-      items
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  ( results,
-    {
-      jobs = 1;
-      tasks = List.length items;
-      frames;
-      wall_s = wall;
-      busy_s = !busy;
-      max_worker_busy_s = !busy;
-    } )
 
 (* [Unix.WSIGNALED] carries OCaml's internal signal numbers (SIGKILL is
    -7), which make for baffling error messages; name the common ones *)
@@ -242,287 +116,22 @@ let describe_status = function
   | Unix.WSIGNALED sg -> Printf.sprintf "was killed by %s" (signal_name sg)
   | Unix.WSTOPPED sg -> Printf.sprintf "was stopped by %s" (signal_name sg)
 
-let map_core ~dispatch ~jobs ~label f items =
-  let n = List.length items in
-  let frames =
-    match dispatch with
-    | Shared fs -> Array.of_list fs
-    | Sharded -> Array.init n (fun i -> [ i ])
-  in
-  let nframes = Array.length frames in
-  let jobs =
-    (* never more workers than frames: an extra worker could only idle *)
-    max 1 (min jobs nframes)
-  in
-  if jobs <= 1 || (not fork_available) || n <= 1 then
-    sequential ~frames:nframes f items
-  else begin
-    let arr = Array.of_list items in
-    let t0 = Unix.gettimeofday () in
-    (* a worker that dies between our send and its read must not kill
-       the parent with SIGPIPE; EPIPE is handled at the write site *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        match old_sigpipe with
-        | Some h -> Sys.set_signal Sys.sigpipe h
-        | None -> ())
-      (fun () ->
-        let workers =
-          let acc = ref [] in
-          for w = 0 to jobs - 1 do
-            let task_rfd, task_wfd = Unix.pipe ~cloexec:false () in
-            let result_rfd, result_wfd = Unix.pipe ~cloexec:false () in
-            (match Unix.fork () with
-            | 0 ->
-                (* child: keep only its own task-read / result-write
-                   ends; release every parent-side fd inherited from
-                   earlier forks so EOF detection stays precise *)
-                Unix.close task_wfd;
-                Unix.close result_rfd;
-                List.iter
-                  (fun prev ->
-                    close_quietly prev.task_wfd;
-                    close_quietly prev.result_rfd)
-                  !acc;
-                worker_loop f arr task_rfd result_wfd
-            | pid ->
-                Unix.close task_rfd;
-                Unix.close result_wfd;
-                let queue =
-                  match dispatch with
-                  | Shared _ -> []
-                  | Sharded ->
-                      (* the classic round-robin shard: item i belongs
-                         to worker (i mod jobs) *)
-                      List.filter_map
-                        (fun i -> if i mod jobs = w then Some [ i ] else None)
-                        (List.init n Fun.id)
-                in
-                acc :=
-                  {
-                    pid;
-                    task_wfd;
-                    result_rfd;
-                    queue;
-                    current = None;
-                    retired = false;
-                    dead = false;
-                    busy_s = 0.;
-                  }
-                  :: !acc)
-          done;
-          List.rev !acc
-        in
-        let results = Array.make n None in
-        let task_errors = ref [] in
-        (* (in-flight label option, wait-status description), newest
-           first *)
-        let deaths = ref [] in
-        let aborting = ref false in
-        let next_frame = ref 0 in
-        let frame_label fr =
-          match fr with
-          | [] -> "empty frame"
-          | i :: rest ->
-              label i arr.(i)
-              ^
-              (match rest with
-              | [] -> ""
-              | _ ->
-                  Printf.sprintf " (+%d more in its frame)" (List.length rest))
-        in
-        let mark_dead w =
-          let victim = Option.map frame_label w.current in
-          w.current <- None;
-          retire w;
-          close_quietly w.result_rfd;
-          w.dead <- true;
-          let status =
-            match restart_eintr (fun () -> Unix.waitpid [] w.pid) with
-            | _, st -> describe_status st
-            | exception Unix.Unix_error _ -> "vanished"
-          in
-          deaths := (victim, status) :: !deaths;
-          aborting := true
-        in
-        let take_next w =
-          match dispatch with
-          | Shared _ ->
-              if !next_frame < nframes then begin
-                let fr = frames.(!next_frame) in
-                incr next_frame;
-                Some fr
-              end
-              else None
-          | Sharded -> (
-              match w.queue with
-              | [] -> None
-              | fr :: rest ->
-                  w.queue <- rest;
-                  Some fr)
-        in
-        let send_frame w fr =
-          write_u64 w.task_wfd (List.length fr);
-          List.iter (fun i -> write_u64 w.task_wfd i) fr
-        in
-        let assign w =
-          if !aborting then retire w
-          else
-            match take_next w with
-            | None -> retire w
-            | Some fr -> (
-                match send_frame w fr with
-                | () -> w.current <- Some fr
-                | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _)
-                  ->
-                    (* the worker died before reading this handout;
-                       blame the frame it never ran so the report names
-                       the point where progress stopped *)
-                    w.current <- Some fr;
-                    mark_dead w)
-        in
-        List.iter assign workers;
-        let receive w =
-          match read_u64 w.result_rfd with
-          | Eof | Truncated -> mark_dead w
-          | Complete len when len < 0 || len > 1 lsl 30 -> mark_dead w
-          | Complete len -> (
-              match read_exact w.result_rfd len with
-              | Eof | Truncated -> mark_dead w
-              | Complete payload ->
-                  let elapsed, frame_results =
-                    (Marshal.from_bytes payload 0
-                      : float * (int * (_, string) result) list)
-                  in
-                  w.busy_s <- w.busy_s +. elapsed;
-                  w.current <- None;
-                  List.iter
-                    (fun (idx, r) ->
-                      match r with
-                      | Ok v -> results.(idx) <- Some v
-                      | Error msg ->
-                          task_errors :=
-                            (label idx arr.(idx), msg) :: !task_errors;
-                          aborting := true)
-                    frame_results;
-                  assign w;
-                  if w.retired && not w.dead then close_quietly w.result_rfd)
-        in
-        let rec pump () =
-          match List.filter (fun w -> w.current <> None) workers with
-          | [] -> ()
-          | busy ->
-              let fds = List.map (fun w -> w.result_rfd) busy in
-              let ready, _, _ =
-                restart_eintr (fun () -> Unix.select fds [] [] (-1.))
-              in
-              List.iter
-                (fun fd ->
-                  match List.find_opt (fun w -> w.result_rfd = fd) busy with
-                  | Some w when w.current <> None -> receive w
-                  | _ -> ())
-                ready;
-              pump ()
-        in
-        pump ();
-        (* nothing in flight: close remaining pipes and reap the
-           survivors (dead workers were reaped in [mark_dead]) *)
-        List.iter
-          (fun w ->
-            if not w.dead then begin
-              retire w;
-              close_quietly w.result_rfd;
-              ignore (restart_eintr (fun () -> Unix.waitpid [] w.pid))
-            end)
-          workers;
-        let wall = Unix.gettimeofday () -. t0 in
-        (match (!deaths, !task_errors) with
-        | [], [] -> ()
-        | deaths, errors ->
-            let death_msgs =
-              List.rev_map
-                (fun (victim, status) ->
-                  match victim with
-                  | Some name ->
-                      Printf.sprintf "worker running %s %s" name status
-                  | None -> Printf.sprintf "worker %s" status)
-                deaths
-            in
-            let error_msgs =
-              List.rev_map (fun (name, msg) -> name ^ ": " ^ msg) errors
-            in
-            failwith
-              ("Jrpm.Scheduler: " ^ String.concat "; " (death_msgs @ error_msgs)));
-        let out =
-          Array.to_list results
-          |> List.mapi (fun i r ->
-                 match r with
-                 | Some v -> v
-                 | None ->
-                     failwith
-                       (Printf.sprintf "Jrpm.Scheduler: missing result for %s"
-                          (label i arr.(i))))
-        in
-        let busy_s = List.fold_left (fun acc w -> acc +. w.busy_s) 0. workers in
-        let max_busy =
-          List.fold_left (fun acc w -> Float.max acc w.busy_s) 0. workers
-        in
-        ( out,
-          {
-            jobs;
-            tasks = n;
-            frames = nframes;
-            wall_s = wall;
-            busy_s;
-            max_worker_busy_s = max_busy;
-          } ))
-  end
-
-let fifo_frames n = List.init n (fun i -> [ i ])
-
-let map_stats ?(jobs = 1) ?(label = default_label) f items =
-  map_core ~dispatch:(Shared (fifo_frames (List.length items))) ~jobs ~label f
-    items
-
-let map ?jobs ?label f items = fst (map_stats ?jobs ?label f items)
-
-let map_sharded_stats ?(jobs = 1) ?(label = default_label) f items =
-  map_core ~dispatch:Sharded ~jobs ~label f items
-
-let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ?frames_per_worker
-    ~weights f items =
-  let warr = Array.of_list (List.mapi weights items) in
-  let frames =
-    plan_frames
-      ~jobs:(max 1 (min jobs (Array.length warr)))
-      ?frames_per_worker warr
-  in
-  map_core ~dispatch:(Shared frames) ~jobs ~label f items
-
-let map_adaptive ?jobs ?label ?frames_per_worker ~weights f items =
-  fst (map_adaptive_stats ?jobs ?label ?frames_per_worker ~weights f items)
-
-(* ---------------- persistent pool ---------------- *)
-
-(* The map variants above fork a pool per call; [Pool] keeps one alive
-   across calls so a resident server pays the fork cost once. Tasks
-   (not indices) cross the task pipe as framed [Marshal] payloads —
-   pool tasks arrive over a socket long after the fork, so there is no
-   shared item array to index into. One task per worker in flight;
-   completing a task immediately pulls the next queued one. *)
+(* Tasks (not indices) cross the task pipe as framed [Marshal] payloads
+   — a resident server's tasks arrive over a socket long after the
+   fork, so there is no shared item array to index into. One task per
+   worker in flight; completing a task immediately pulls the next
+   queued one. *)
 module Pool = struct
   type 'res completion = {
     ticket : int;
     label : string;
+    worker : int;
     elapsed_s : float;
     outcome : ('res, string) result;
   }
 
   type pworker = {
+    slot : int;  (* position in the pool; a respawn keeps it *)
     mutable ppid : int;
     mutable ptask_wfd : Unix.file_descr;
     mutable presult_rfd : Unix.file_descr;
@@ -546,31 +155,26 @@ module Pool = struct
      framed Marshal'd [(elapsed_s, Ok res | Error msg)]. EOF on the
      task pipe — the parent closed it, or died and the kernel closed
      it — is the shutdown signal, even if it arrives mid-frame. *)
-  let pool_worker_loop run task_rfd result_wfd =
+  let worker_loop run task_rfd result_wfd =
     let rec loop () =
-      match read_u64 task_rfd with
+      match Framing.read task_rfd with
       | Eof | Truncated -> Unix._exit 0
-      | Complete len ->
-          if len <= 0 || len > 1 lsl 30 then Unix._exit 2;
-          let task =
-            match read_exact task_rfd len with
-            | Complete payload -> (Marshal.from_bytes payload 0 : _)
-            | Eof | Truncated -> Unix._exit 2
-          in
+      | Complete payload ->
+          let task = (Marshal.from_bytes payload 0 : _) in
           let t0 = Unix.gettimeofday () in
           let outcome =
             try Ok (run task) with e -> Error (Printexc.to_string e)
           in
           let elapsed = Unix.gettimeofday () -. t0 in
-          let payload =
-            Marshal.to_bytes
-              ((elapsed, outcome) : float * (_, string) result)
-              [ Marshal.Closures ]
-          in
-          write_u64 result_wfd (Bytes.length payload);
-          write_all result_wfd payload;
+          Framing.write_all result_wfd
+            (Framing.frame
+               (Marshal.to_string
+                  ((elapsed, outcome) : float * (_, string) result)
+                  [ Marshal.Closures ]));
           loop ()
     in
+    (* any protocol failure means the parent vanished or sent garbage;
+       exit silently — the parent's side of the story is authoritative *)
     (try loop () with _ -> ());
     Unix._exit 2
 
@@ -583,7 +187,7 @@ module Pool = struct
      [others] excludes a worker being replaced: its parent-side fds
      are already closed and their numbers may have been reused by the
      new pipes. *)
-  let spawn ~run ~child_cleanup ~others =
+  let spawn ~run ~child_cleanup ~others ~slot =
     let task_rfd, task_wfd = Unix.pipe ~cloexec:false () in
     let result_rfd, result_wfd = Unix.pipe ~cloexec:false () in
     match Unix.fork () with
@@ -596,16 +200,16 @@ module Pool = struct
             close_quietly w.presult_rfd)
           others;
         (try child_cleanup () with _ -> ());
-        pool_worker_loop run task_rfd result_wfd
+        worker_loop run task_rfd result_wfd
     | pid ->
         Unix.close task_rfd;
         Unix.close result_wfd;
-        { ppid = pid; ptask_wfd = task_wfd; presult_rfd = result_rfd;
+        { slot; ppid = pid; ptask_wfd = task_wfd; presult_rfd = result_rfd;
           pcurrent = None }
 
   let create ?(jobs = 1) ?(child_cleanup = fun () -> ()) run =
     let jobs = max 1 jobs in
-    let inline = (not fork_available) || jobs < 1 in
+    let inline = not fork_available in
     let t =
       {
         run;
@@ -621,8 +225,8 @@ module Pool = struct
       }
     in
     if not inline then
-      for _ = 1 to jobs do
-        t.pws <- t.pws @ [ spawn ~run ~child_cleanup ~others:t.pws ]
+      for slot = 0 to jobs - 1 do
+        t.pws <- t.pws @ [ spawn ~run ~child_cleanup ~others:t.pws ~slot ]
       done;
     t
 
@@ -640,14 +244,14 @@ module Pool = struct
   let deaths t = t.pdeaths
   let result_fds t = List.map (fun w -> w.presult_rfd) t.pws
 
-  (* A dead worker: complete its in-flight ticket as an [Error] naming
-     the wait status, then fork a replacement in place — the pool keeps
-     serving and only the affected request sees the failure. *)
   let reap_describe pid =
-    match restart_eintr (fun () -> Unix.waitpid [] pid) with
+    match Framing.restart_eintr (fun () -> Unix.waitpid [] pid) with
     | _, st -> describe_status st
     | exception Unix.Unix_error _ -> "vanished"
 
+  (* A dead worker: complete its in-flight ticket as an [Error] naming
+     the wait status, then fork a replacement in place — the pool keeps
+     serving and only the affected task sees the failure. *)
   let handle_death t w =
     t.pdeaths <- t.pdeaths + 1;
     close_quietly w.ptask_wfd;
@@ -660,6 +264,7 @@ module Pool = struct
           {
             ticket;
             label;
+            worker = w.slot;
             elapsed_s = 0.;
             outcome =
               Error (Printf.sprintf "worker running %s %s" label status);
@@ -670,6 +275,7 @@ module Pool = struct
       let fresh =
         spawn ~run:t.run ~child_cleanup:t.child_cleanup
           ~others:(List.filter (fun o -> o != w) t.pws)
+          ~slot:w.slot
       in
       w.ppid <- fresh.ppid;
       w.ptask_wfd <- fresh.ptask_wfd;
@@ -678,10 +284,9 @@ module Pool = struct
     end
 
   let send_task t w (ticket, label, task) =
-    let payload = Marshal.to_bytes task [ Marshal.Closures ] in
     match
-      write_u64 w.ptask_wfd (Bytes.length payload);
-      write_all w.ptask_wfd payload
+      Framing.write_all w.ptask_wfd
+        (Framing.frame (Marshal.to_string task [ Marshal.Closures ]))
     with
     | () -> w.pcurrent <- Some (ticket, label)
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
@@ -711,7 +316,13 @@ module Pool = struct
         try Ok (t.run task) with e -> Error (Printexc.to_string e)
       in
       t.done_rev <-
-        { ticket; label; elapsed_s = Unix.gettimeofday () -. t0; outcome }
+        {
+          ticket;
+          label;
+          worker = 0;
+          elapsed_s = Unix.gettimeofday () -. t0;
+          outcome;
+        }
         :: t.done_rev
     end
     else begin
@@ -724,22 +335,19 @@ module Pool = struct
      the worker died. Either way the worker becomes free and the queue
      is re-dispatched. *)
   let receive t w =
-    (match read_u64 w.presult_rfd with
-    | Eof | Truncated -> handle_death t w
-    | Complete len when len < 0 || len > 1 lsl 30 -> handle_death t w
-    | Complete len -> (
-        match read_exact w.presult_rfd len with
-        | Eof | Truncated -> handle_death t w
-        | Complete payload -> (
-            let elapsed_s, outcome =
-              (Marshal.from_bytes payload 0 : float * (_, string) result)
-            in
-            match w.pcurrent with
-            | None -> ()  (* spurious frame from a worker we reset *)
-            | Some (ticket, label) ->
-                w.pcurrent <- None;
-                t.done_rev <-
-                  { ticket; label; elapsed_s; outcome } :: t.done_rev)));
+    (match Framing.read w.presult_rfd with
+    | Eof | Truncated | (exception Framing.Bad_length _) -> handle_death t w
+    | Complete payload -> (
+        let elapsed_s, outcome =
+          (Marshal.from_bytes payload 0 : float * (_, string) result)
+        in
+        match w.pcurrent with
+        | None -> ()  (* spurious frame from a worker we reset *)
+        | Some (ticket, label) ->
+            w.pcurrent <- None;
+            t.done_rev <-
+              { ticket; label; worker = w.slot; elapsed_s; outcome }
+              :: t.done_rev));
     dispatch t
 
   let drain_fd t fd =
@@ -760,7 +368,7 @@ module Pool = struct
       | busy ->
           let fds = List.map (fun w -> w.presult_rfd) busy in
           let ready, _, _ =
-            restart_eintr (fun () -> Unix.select fds [] [] timeout_s)
+            Framing.restart_eintr (fun () -> Unix.select fds [] [] timeout_s)
           in
           List.iter (drain_fd t) ready
     end;
@@ -795,3 +403,153 @@ module Pool = struct
       t.pws <- []
     end
 end
+
+(* ---------------- map: a pool per call ---------------- *)
+
+let sequential ~frames f items =
+  let t0 = Unix.gettimeofday () in
+  let busy = ref 0. in
+  let results =
+    List.mapi
+      (fun i x ->
+        let s0 = Unix.gettimeofday () in
+        let r = f i x in
+        busy := !busy +. (Unix.gettimeofday () -. s0);
+        r)
+      items
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  ( results,
+    {
+      jobs = 1;
+      tasks = List.length items;
+      frames;
+      wall_s = wall;
+      busy_s = !busy;
+      max_worker_busy_s = !busy;
+    } )
+
+(* Run [frames] (dispatch-ordered batches of item indices) on a
+   per-call [Pool]. The pool task is one frame; the worker catches each
+   item's exception itself, so a pool [Error] always means a dead
+   worker. At most [jobs] frames are in flight and the next one is
+   submitted only as a frame completes, so every submit lands on the
+   worker that just freed up, and the first failure stops further
+   handouts (abort-early). In-flight frames then drain, [shutdown]
+   reaps every worker — respawned ones included — and the failure is
+   raised naming the dead worker's frame and each erring task. *)
+let run_frames ~frames ~jobs ~label f items =
+  let n = List.length items in
+  let frames = Array.of_list frames in
+  let nframes = Array.length frames in
+  (* never more workers than frames: an extra worker could only idle *)
+  let jobs = max 1 (min jobs nframes) in
+  if jobs <= 1 || (not fork_available) || n <= 1 then
+    sequential ~frames:nframes f items
+  else begin
+    let arr = Array.of_list items in
+    let t0 = Unix.gettimeofday () in
+    (* a worker that dies between our send and its read must not kill
+       the parent with SIGPIPE; EPIPE is handled at the write site *)
+    let old_sigpipe =
+      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+      with Invalid_argument _ | Sys_error _ -> None
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        match old_sigpipe with
+        | Some h -> Sys.set_signal Sys.sigpipe h
+        | None -> ())
+      (fun () ->
+        let run_frame fr =
+          List.map
+            (fun idx ->
+              ( idx,
+                try Ok (f idx arr.(idx))
+                with e -> Error (Printexc.to_string e) ))
+            fr
+        in
+        let frame_label fr =
+          match fr with
+          | [] -> "empty frame"
+          | i :: rest ->
+              label i arr.(i)
+              ^
+              (match rest with
+              | [] -> ""
+              | _ ->
+                  Printf.sprintf " (+%d more in its frame)" (List.length rest))
+        in
+        let pool = Pool.create ~jobs run_frame in
+        let results = Array.make n None in
+        let busy = Array.make jobs 0. in
+        (* newest first *)
+        let deaths = ref [] and task_errors = ref [] in
+        let next_frame = ref 0 in
+        let submit_next () =
+          if !deaths = [] && !task_errors = [] && !next_frame < nframes
+          then begin
+            let fr = frames.(!next_frame) in
+            incr next_frame;
+            ignore (Pool.submit ~label:(frame_label fr) pool fr : int)
+          end
+        in
+        let complete (c : _ Pool.completion) =
+          busy.(c.Pool.worker) <- busy.(c.Pool.worker) +. c.Pool.elapsed_s;
+          (match c.Pool.outcome with
+          | Error msg -> deaths := msg :: !deaths
+          | Ok frame_results ->
+              List.iter
+                (fun (idx, r) ->
+                  match r with
+                  | Ok v -> results.(idx) <- Some v
+                  | Error msg ->
+                      task_errors :=
+                        (label idx arr.(idx) ^ ": " ^ msg) :: !task_errors)
+                frame_results);
+          submit_next ()
+        in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            for _ = 1 to jobs do
+              submit_next ()
+            done;
+            while Pool.pending pool > 0 do
+              List.iter complete (Pool.wait pool)
+            done);
+        let wall = Unix.gettimeofday () -. t0 in
+        (match List.rev !deaths @ List.rev !task_errors with
+        | [] -> ()
+        | msgs -> failwith ("Jrpm.Scheduler: " ^ String.concat "; " msgs));
+        (* no failure means every frame completed, so every slot is set *)
+        ( List.init n (fun i -> Option.get results.(i)),
+          {
+            jobs;
+            tasks = n;
+            frames = nframes;
+            wall_s = wall;
+            busy_s = Array.fold_left ( +. ) 0. busy;
+            max_worker_busy_s = Array.fold_left Float.max 0. busy;
+          } ))
+  end
+
+let map_stats ?(jobs = 1) ?(label = default_label) f items =
+  run_frames
+    ~frames:(List.init (List.length items) (fun i -> [ i ]))
+    ~jobs ~label f items
+
+let map ?jobs ?label f items = fst (map_stats ?jobs ?label f items)
+
+let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ?frames_per_worker
+    ~weights f items =
+  let warr = Array.of_list (List.mapi weights items) in
+  let frames =
+    plan_frames
+      ~jobs:(max 1 (min jobs (Array.length warr)))
+      ?frames_per_worker warr
+  in
+  run_frames ~frames ~jobs ~label f items
+
+let map_adaptive ?jobs ?label ?frames_per_worker ~weights f items =
+  fst (map_adaptive_stats ?jobs ?label ?frames_per_worker ~weights f items)

@@ -1,24 +1,25 @@
-(** Work-stealing task scheduler over forked worker processes.
+(** Work-stealing task scheduler over forked worker processes: one
+    engine, {!Pool}, used two ways.
 
-    The parent keeps a queue of task {e frames} — batches of item
-    indices — and a persistent pool of [jobs] forked workers. Each
-    worker owns two pipes: a task pipe (parent -> worker) carrying one
-    frame per handout ([count, i1..in], 8-byte little-endian each), and
-    a result pipe (worker -> parent) carrying one framed
-    [Marshal]-encoded [(elapsed_s, [(index, Ok v | Error msg); ...])]
-    per frame. Workers are forks of the calling process, so the item
+    {!Pool} forks [jobs] workers, each owning two pipes: a task pipe
+    (parent -> worker) and a result pipe (worker -> parent), both
+    carrying {!Framing} frames of [Marshal] payloads. When a worker
+    reports, the parent immediately hands it the next queued task
+    (dynamic policy), so a skewed task mix keeps every worker busy
+    until the queue drains; closing the task pipe is the shutdown
+    signal.
+
+    The map variants create a pool per call, capped at the frame count,
+    and shut it down before returning; [jrpm serve] keeps one pool alive
+    across requests. A map's pool task is one {e frame} — a batch of
+    item indices. Workers are forks of the calling process, so the item
     list and the task closure never cross a pipe — only indices and
-    results do. When a worker reports a frame the parent immediately
-    hands it the next pending one (dynamic policy), so a skewed task
-    mix keeps every worker busy until the queue drains; closing the
-    task pipe is the shutdown signal.
-
-    [map] dispatches singleton frames in input order (plain FIFO
-    stealing). [map_adaptive_stats] plans frames from caller-supplied
-    per-task weights via {!plan_frames}: heaviest tasks first (LPT),
-    tiny tasks coalesced into shared frames, so neither a giant task at
-    the tail nor per-task handout overhead on thousands of tiny tasks
-    dominates the wall-clock.
+    results do. [map] dispatches singleton frames in input order (plain
+    FIFO stealing). [map_adaptive_stats] plans frames from
+    caller-supplied per-task weights via {!plan_frames}: heaviest tasks
+    first (LPT), tiny tasks coalesced into shared frames, so neither a
+    giant task at the tail nor per-task handout overhead on thousands
+    of tiny tasks dominates the wall-clock.
 
     {b Ordering guarantee.} Results are slotted by item index and
     returned in input order: for a deterministic [f], every map variant
@@ -107,19 +108,11 @@ val map_adaptive :
   weights:(int -> 'a -> float) -> (int -> 'a -> 'b) ->
   'a list -> 'b list
 
-(** Same protocol and guarantees, but the static round-robin policy of
-    the pre-scheduler sweep: item [i] may only ever run on worker
-    [i mod jobs]. Kept as the baseline `bench -- sched` compares the
-    dynamic policy against. *)
-val map_sharded_stats :
-  ?jobs:int -> ?label:(int -> 'a -> string) -> (int -> 'a -> 'b) ->
-  'a list -> 'b list * stats
-
-(** A persistent forked worker pool that survives across calls — the
-    substrate for [jrpm serve]. Where the map variants fork per call,
-    [Pool.create] forks once and tasks stream in over time: each task
-    crosses the task pipe as one framed [Marshal] payload, each result
-    comes back as a framed [(elapsed_s, Ok res | Error msg)].
+(** A forked worker pool: the engine under the map variants (one pool
+    per call) and [jrpm serve] (one pool for the daemon's lifetime).
+    Tasks stream in over time: each task crosses the task pipe as one
+    framed [Marshal] payload, each result comes back as a framed
+    [(elapsed_s, Ok res | Error msg)].
 
     {b Failure semantics.} A worker that dies mid-task is detected as
     EOF (or a short frame) on its result pipe; its in-flight ticket
@@ -143,6 +136,9 @@ module Pool : sig
   type 'res completion = {
     ticket : int;  (** as returned by {!submit} *)
     label : string;
+    worker : int;
+        (** slot of the worker that ran it, in [\[0, jobs)]; a
+            respawned worker keeps its predecessor's slot *)
     elapsed_s : float;  (** in-task time ([0.] for a worker death) *)
     outcome : ('res, string) result;
   }

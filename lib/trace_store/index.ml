@@ -173,89 +173,6 @@ let of_src b =
 let of_string s = of_src (Bytesrc.Str s)
 let of_bigstring b = of_src (Bytesrc.Big b)
 
-(* [of_file] reads only the header and the index chunk through the
-   channel (plus one seek per record to validate its offset), never the
-   container body — `trace info --records` on a multi-GB archive costs
-   a few KB of IO. Containers without the chunk fall back to reading
-   the file once and scanning its frames. *)
-
-let ch_uvarint ic what =
-  let rec go acc shift =
-    if shift > 56 then corrupt "varint too long in %s" what;
-    let c =
-      match input_char ic with
-      | c -> Char.code c
-      | exception End_of_file -> corrupt "truncated container (EOF in %s)" what
-    in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  let v = go 0 0 in
-  if v < 0 then corrupt "varint overflow in %s" what;
-  v
-
-let of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let flen = in_channel_length ic in
-      let header =
-        let mlen = String.length Layout.magic in
-        match really_input_string ic (mlen + 1) with
-        | s ->
-            if not (String.equal (String.sub s 0 mlen) Layout.magic) then
-              corrupt "bad magic (not a trace container)";
-            let v = Char.code s.[mlen] in
-            if v <> Layout.version then
-              corrupt
-                "unsupported trace format version %d (this reader speaks %d)"
-                v Layout.version;
-            let ext = ch_uvarint ic "header extension" in
-            if pos_in ic + ext > flen then
-              corrupt "truncated container (EOF in header extension)";
-            seek_in ic (pos_in ic + ext);
-            pos_in ic
-        | exception End_of_file -> corrupt "truncated container header"
-      in
-      ignore (header : int);
-      match input_char ic with
-      | tag when Char.code tag = Layout.tag_index ->
-          let plen = ch_uvarint ic "chunk length" in
-          if pos_in ic + plen > flen then
-            corrupt "truncated container (EOF in chunk payload)";
-          let payload =
-            match really_input_string ic plen with
-            | s -> s
-            | exception End_of_file ->
-                corrupt "truncated container (EOF in chunk payload)"
-          in
-          let base = pos_in ic in
-          let entries =
-            List.map
-              (fun e -> { e with offset = base + e.offset })
-              (decode_chunk_payload (Bytesrc.Str payload) 0 plen)
-          in
-          List.iter
-            (fun e ->
-              let points_at_record =
-                e.offset >= 0 && e.bytes >= 0
-                && e.offset + e.bytes <= flen
-                && e.offset < flen
-                &&
-                (seek_in ic e.offset;
-                 match input_char ic with
-                 | c -> Char.code c = Layout.tag_record_begin
-                 | exception End_of_file -> false)
-              in
-              if not points_at_record then
-                corrupt "index entry for %S does not point at a record" e.name)
-            entries;
-          entries
-      | _ | (exception End_of_file) ->
-          seek_in ic 0;
-          of_src (Bytesrc.Str (really_input_string ic flen)))
-
 (* ---------------- writer support ---------------- *)
 
 (* Validate that [r] is exactly one framed record and summarize it. *)

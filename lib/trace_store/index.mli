@@ -41,13 +41,6 @@ val of_string : string -> entry list
 val of_bigstring : Bytesrc.bigstring -> entry list
 (** [of_src (Bytesrc.Big b)]. *)
 
-val of_file : string -> entry list
-(** Like {!of_src}, reading only the header and the index chunk (plus
-    one validating seek per record) through a channel — never the
-    container body, so indexing a large archive costs a few KB of IO.
-    Only a container with no index chunk is read whole and scanned.
-    @raise Sys_error when the file cannot be read. *)
-
 val embedded_chunk_size : Bytesrc.t -> int option
 (** Payload size in bytes of the embedded index chunk, or [None] for a
     legacy container that has none (`jrpm trace info` reports this).

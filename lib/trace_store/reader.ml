@@ -8,19 +8,17 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 type record = { name : string; meta : Obs.Json.t }
 type replay_stats = { events : int; record_bytes : int }
 
-(* A reader either streams a channel (legacy path: every event chunk is
-   copied into a string before decoding) or decodes *in place* over a
-   byte source — container bytes already in memory, or a read-only file
-   mapping shared with forked decoder workers. The Direct path never
-   copies an event chunk: payloads are decoded and checksummed at their
-   container offsets, and the RLE reference segment is an (offset, len)
-   span into the source instead of a copied string. *)
-type source = Channel of in_channel | Direct of Bytesrc.t
+(* A reader decodes *in place* over a byte source — container bytes
+   already in memory, or a read-only file mapping shared with forked
+   decoder workers. It never copies an event chunk: payloads are
+   decoded and checksummed at their container offsets, and the RLE
+   reference segment is an (offset, len) span into the source instead
+   of a copied string. *)
 
 type cursor = Header_done | In_record | Record_done | Container_done
 
 type t = {
-  src : source;
+  src : Bytesrc.t;
   mutable off : int;  (* bytes consumed so far, container start = 0 *)
   mutable cursor : cursor;
   state : Layout.state;
@@ -42,54 +40,30 @@ let max_repeat = 1 lsl 40
 (* ---------------- byte source ---------------- *)
 
 let read_byte_opt t =
-  match t.src with
-  | Channel ic -> (
-      match input_char ic with
-      | c ->
-          t.off <- t.off + 1;
-          Some (Char.code c)
-      | exception End_of_file -> None)
-  | Direct b ->
-      if t.off >= Bytesrc.length b then None
-      else begin
-        let v = Char.code (Bytesrc.unsafe_get b t.off) in
-        t.off <- t.off + 1;
-        Some v
-      end
+  if t.off >= Bytesrc.length t.src then None
+  else begin
+    let v = Char.code (Bytesrc.unsafe_get t.src t.off) in
+    t.off <- t.off + 1;
+    Some v
+  end
 
 let read_byte t what =
   match read_byte_opt t with
   | Some b -> b
   | None -> corrupt "truncated container (EOF in %s)" what
 
-let read_exact t n what =
-  if n > max_chunk then corrupt "%s length %d is implausible" what n;
-  match t.src with
-  | Channel ic -> (
-      match really_input_string ic n with
-      | s ->
-          t.off <- t.off + n;
-          s
-      | exception End_of_file -> corrupt "truncated container (EOF in %s)" what)
-  | Direct b ->
-      if t.off + n > Bytesrc.length b then
-        corrupt "truncated container (EOF in %s)" what
-      else begin
-        let r = Bytesrc.sub_string b ~pos:t.off ~len:n in
-        t.off <- t.off + n;
-        r
-      end
-
-(* Skip [n] payload bytes without materializing them (Direct sources
-   just advance the cursor — skipping a record is free on a mapping). *)
+(* Skip [n] payload bytes without materializing them — skipping a
+   record is free on a mapping. *)
 let skip_exact t n what =
-  match t.src with
-  | Channel _ -> ignore (read_exact t n what : string)
-  | Direct b ->
-      if n > max_chunk then corrupt "%s length %d is implausible" what n;
-      if t.off + n > Bytesrc.length b then
-        corrupt "truncated container (EOF in %s)" what
-      else t.off <- t.off + n
+  if n > max_chunk then corrupt "%s length %d is implausible" what n;
+  if t.off + n > Bytesrc.length t.src then
+    corrupt "truncated container (EOF in %s)" what
+  else t.off <- t.off + n
+
+let read_exact t n what =
+  let pos = t.off in
+  skip_exact t n what;
+  Bytesrc.sub_string t.src ~pos ~len:n
 
 let read_uvarint t what =
   let rec go acc shift =
@@ -142,13 +116,9 @@ let init src =
   skip_exact t ext "header extension";
   t
 
-let open_file path = init (Channel (open_in_bin path))
-let of_src b = init (Direct b)
+let of_src = init
 let of_string s = of_src (Bytesrc.Str s)
 let of_bigstring b = of_src (Bytesrc.Big b)
-let open_mapped path = of_src (Bytesrc.map_file path)
-
-let close t = match t.src with Channel ic -> close_in ic | Direct _ -> ()
 
 (* ---------------- event decoding ---------------- *)
 
@@ -360,11 +330,8 @@ let rec next_record t =
 
 let seek_record t ~offset =
   if offset < 0 then corrupt "seek offset %d is negative" offset;
-  (match t.src with
-  | Channel ic -> seek_in ic offset
-  | Direct b ->
-      if offset > Bytesrc.length b then
-        corrupt "seek offset %d is past the container end" offset);
+  if offset > Bytesrc.length t.src then
+    corrupt "seek offset %d is past the container end" offset;
   t.off <- offset;
   t.cursor <- Record_done;
   match next_record t with
@@ -407,22 +374,12 @@ let replay t sink =
     let tag = read_byte t "chunk tag" in
     let len = read_uvarint t "chunk length" in
     if tag = Layout.tag_events then begin
-      (match t.src with
-      | Direct b ->
-          (* zero-copy: checksum and decode the chunk at its container
-             offset; nothing is materialized per chunk or per task *)
-          if len > max_chunk then
-            corrupt "event chunk length %d is implausible" len;
-          if t.off + len > Bytesrc.length b then
-            corrupt "truncated container (EOF in event chunk)";
-          let start = t.off in
-          t.off <- start + len;
-          t.checksum <- Layout.fnv32_src t.checksum b ~pos:start ~len;
-          decode_payload t b start (start + len) sink
-      | Channel _ ->
-          let payload = read_exact t len "event chunk" in
-          t.checksum <- Layout.fnv32 t.checksum payload;
-          decode_payload t (Bytesrc.Str payload) 0 (String.length payload) sink);
+      (* zero-copy: checksum and decode the chunk at its container
+         offset; nothing is materialized per chunk or per task *)
+      let start = t.off in
+      skip_exact t len "event chunk";
+      t.checksum <- Layout.fnv32_src t.checksum t.src ~pos:start ~len;
+      decode_payload t t.src start (start + len) sink;
       go ()
     end
     else if tag = Layout.tag_record_end then begin

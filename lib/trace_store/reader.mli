@@ -8,18 +8,16 @@
     record if its events were not consumed), {!replay} decodes the
     current record's event stream into a sink.
 
-    Two byte-source backends share one decoder: a buffered channel
-    ({!open_file} — every event chunk is copied into a string before
-    decoding) and a {e direct} source ({!of_string} / {!of_bigstring} /
-    {!open_mapped} — the inlined-varint hot path decodes in place from
-    the {!Bytesrc.t}, allocation-free per event, and skipping a record
-    just advances an offset). The direct form over {!Bytesrc.map_file}
-    is the zero-copy handoff path: the parent maps the container once,
-    forked workers inherit the read-only pages, and each worker builds
-    a cheap cursor with {!of_src} + {!seek_record} — no per-task file
-    open, header read, or chunk copy. Both backends produce identical
-    results for identical bytes; CI cmp-gates that equivalence at the
-    CLI level. Every structural
+    A reader decodes in place over a {!Bytesrc.t} ({!of_src}, or
+    {!of_string} / {!of_bigstring}): the inlined-varint hot path reads
+    the source directly, allocation-free per event, and skipping a
+    record just advances an offset. Files are read through
+    {!Bytesrc.map_file}, which maps the container (or reads it whole
+    where mapping fails). That is the zero-copy handoff path: the
+    parent maps the container once, forked workers inherit the
+    read-only pages, and each worker builds a cheap cursor with
+    {!of_src} + {!seek_record} — no per-task file open, header read,
+    or chunk copy. Every structural
     violation — bad magic or version, truncation, an unknown opcode, a
     varint overflowing the native int, an [op_repeat] with no reference
     segment, or an end-chunk event-count / final-timestamp / checksum
@@ -55,11 +53,6 @@ type replay_stats = {
                           chunk — the denominator of bytes/event *)
 }
 
-val open_file : string -> t
-(** Open and validate the container header.
-    @raise Corrupt on a bad header;
-    @raise Sys_error when the file cannot be opened. *)
-
 val of_string : string -> t
 (** A direct reader over in-memory container bytes
     ({!Writer.container} output) — what the tests and property checks
@@ -72,12 +65,6 @@ val of_src : Bytesrc.t -> t
 
 val of_bigstring : Bytesrc.bigstring -> t
 (** [of_src (Bytesrc.Big b)]. *)
-
-val open_mapped : string -> t
-(** Map the container with {!Bytesrc.map_file} and read it in place —
-    the default CLI read path. Falls back to reading the whole file
-    when the mapping fails, so behavior matches {!open_file} minus the
-    per-chunk copies. @raise Corrupt on a bad header. *)
 
 val next_record : t -> record option
 (** Advance to the next record and return its identity, or [None] at
@@ -100,6 +87,3 @@ val replay : t -> Hydra.Trace.sink -> replay_stats
     capture order, verifying the end chunk. Must follow a successful
     {!next_record}; a second call for the same record raises
     [Invalid_argument] (records stream once — reopen to re-replay). *)
-
-val close : t -> unit
-(** Release the underlying channel (a no-op for {!of_string}). *)

@@ -1,17 +1,82 @@
-(* The profiling daemon: the wire codec round-trips (including through
-   the serialized frame), the mapping cache is a correct stat-validated
-   LRU, and a live socket server answers concurrent clients with
-   byte-identical results, survives a SIGKILLed worker, and never
-   leaves orphaned pool workers behind — even when the daemon itself
-   is SIGKILLed. *)
+(* The profiling daemon: the shared length framing reads back what it
+   wrote and classifies short reads, the wire codec round-trips
+   (including through the serialized frame), the mapping cache is a
+   correct stat-validated LRU, and a live socket server answers
+   concurrent clients with byte-identical results, survives a
+   SIGKILLed worker and a client with an oversized length header, and
+   never leaves orphaned pool workers behind — even when the daemon
+   itself is SIGKILLed. *)
 
 module D = Jrpm.Daemon
+module F = Jrpm.Framing
 module S = Jrpm.Scheduler
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
+
+(* ---------------- framing over a pipe ---------------- *)
+
+(* [write] goes into a fresh pipe whose write end is then closed, so
+   the reader sees exactly those bytes followed by EOF. *)
+let with_pipe write f =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close r with Unix.Unix_error _ -> ())
+    (fun () ->
+      write w;
+      Unix.close w;
+      f r)
+
+let header len =
+  let b = Bytes.create F.header_bytes in
+  Bytes.set_int64_le b 0 (Int64.of_int len);
+  b
+
+let show_read = function
+  | F.Complete b -> "Complete " ^ Bytes.to_string b
+  | F.Eof -> "Eof"
+  | F.Truncated -> "Truncated"
+
+let test_framing_over_pipe () =
+  let check_reads what writes expected =
+    with_pipe
+      (fun w -> List.iter (F.write_all w) writes)
+      (fun r ->
+        Alcotest.(check (list string))
+          what expected
+          (List.rev
+             (List.fold_left
+                (fun acc _ -> show_read (F.read r) :: acc)
+                [] expected)))
+  in
+  check_reads "frames round-trip, then Eof at the boundary"
+    [ F.frame "hello"; F.frame ""; F.frame "{\"id\":1}" ]
+    [ "Complete hello"; "Complete "; "Complete {\"id\":1}"; "Eof" ];
+  check_reads "EOF mid-header is Truncated"
+    [ Bytes.sub (header 5) 0 3 ]
+    [ "Truncated" ];
+  check_reads "EOF mid-payload is Truncated"
+    [ header 5; Bytes.of_string "he" ]
+    [ "Truncated" ];
+  check_reads "EOF right after the header is Truncated" [ header 5 ]
+    [ "Truncated" ];
+  (* out-of-range headers are rejected from the header alone — no
+     payload buffer is allocated, or a max_int length would fail with
+     Invalid_argument instead of Bad_length *)
+  List.iter
+    (fun len ->
+      with_pipe
+        (fun w -> F.write_all w (header len))
+        (fun r ->
+          match F.read r with
+          | _ -> Alcotest.failf "length %d must be rejected" len
+          | exception F.Bad_length got ->
+              Alcotest.(check int) "rejected length reported" len got))
+    [ -1; min_int; F.max_frame + 1; max_int ];
+  Alcotest.(check int) "payload_length accepts max_frame" F.max_frame
+    (F.payload_length (Bytes.to_string (header F.max_frame)))
 
 (* ---------------- codec round-trips ---------------- *)
 
@@ -475,6 +540,44 @@ let test_pipelined_split_frames () =
         expect_replies burst)
   end
 
+(* An out-of-range length header is the one framing error that closes
+   a connection: the server drops that client (it reads EOF, no reply)
+   and keeps serving everyone else. *)
+let test_oversized_header_closes_connection () =
+  if not S.fork_available then ()
+  else begin
+    let daemon_pid, sock = spawn_daemon ~jobs:1 in
+    let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigpipe sigpipe;
+        (try Unix.kill daemon_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] daemon_pid) with Unix.Unix_error _ -> ());
+        try Sys.remove sock with Sys_error _ -> ())
+      (fun () ->
+        let good = connect_retry sock in
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            D.Client.close good)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX sock);
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+            F.write_all fd (header (F.max_frame + 1));
+            (match F.read fd with
+            | F.Eof -> ()
+            | r ->
+                Alcotest.failf "oversized client: expected EOF, got %s"
+                  (show_read r)
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              ->
+                Alcotest.fail "connection not closed within 20s");
+            match (D.Client.rpc good D.Ping).D.rsp with
+            | Ok (Obs.Json.String "pong") -> ()
+            | _ -> Alcotest.fail "second client: ping not answered"))
+  end
+
 (* The orphan bugfix: SIGKILL the daemon itself — no at_exit, no
    signal handler runs — and every pool worker must still exit,
    because the kernel closing the daemon's pipe ends EOFs the idle
@@ -523,6 +626,9 @@ let test_no_orphans_after_daemon_sigkill () =
 
 let suites =
   [
+    ( "daemon.framing",
+      [ Alcotest.test_case "frames over a pipe" `Quick test_framing_over_pipe ]
+    );
     ( "daemon.codec",
       [
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -543,5 +649,7 @@ let suites =
           test_no_orphans_after_daemon_sigkill;
         Alcotest.test_case "pipelined frames split at any byte" `Quick
           test_pipelined_split_frames;
+        Alcotest.test_case "oversized header closes only that client" `Quick
+          test_oversized_header_closes_connection;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* The work-stealing scheduler: [Scheduler.map ~jobs f xs] must be
    observably [List.mapi f xs] — same results, same order — for any
-   worker count, task mix, or completion order; both distribution
-   policies agree; and failures (task exceptions, killed workers)
-   surface as [Failure] naming the task that was running. *)
+   worker count, task mix, or completion order; failures (task
+   exceptions, killed workers) surface as [Failure] naming the task
+   that was running; and no worker outlives a map call. *)
 
 module S = Jrpm.Scheduler
 
@@ -41,14 +41,6 @@ let test_order_with_skew () =
     "input order preserved under skew"
     (List.init 12 Fun.id)
     (S.map ~jobs:4 f items)
-
-let test_sharded_equals_dynamic () =
-  let items = List.init 17 (fun i -> i * i) in
-  let f i x = (i, x + 1) in
-  let dyn, _ = S.map_stats ~jobs:3 f items in
-  let sh, _ = S.map_sharded_stats ~jobs:3 f items in
-  Alcotest.(check bool) "policies agree" true (dyn = sh);
-  Alcotest.(check bool) "both equal mapi" true (dyn = List.mapi f items)
 
 let test_edges () =
   let id _ x = x in
@@ -246,6 +238,87 @@ let test_frame_failures () =
           (contains ~needle:"(+3 more in its frame)" msg)
   end
 
+(* The calling process's children (zombies included, so an unreaped
+   worker counts), from every thread's [/proc/self/task/TID/children]
+   on Linux; kernels built without that file fall back to the parent
+   pid field of every [/proc/PID/stat]. [None] without [/proc]. *)
+let children () =
+  let read_line path =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> try input_line ic with End_of_file -> "")
+  in
+  let ints line =
+    List.filter_map int_of_string_opt (String.split_on_char ' ' line)
+  in
+  let from_children_files () =
+    Array.to_list (Sys.readdir "/proc/self/task")
+    |> List.concat_map (fun tid ->
+           ints (read_line (Printf.sprintf "/proc/self/task/%s/children" tid)))
+  in
+  (* "PID (COMM) STATE PPID ...": COMM may hold spaces and parens *)
+  let from_stat_files () =
+    let self = Unix.getpid () in
+    Array.to_list (Sys.readdir "/proc")
+    |> List.filter_map (fun entry ->
+           match int_of_string_opt entry with
+           | None -> None
+           | Some pid -> (
+               match read_line (Printf.sprintf "/proc/%d/stat" pid) with
+               | exception Sys_error _ -> None (* exited meanwhile *)
+               | line -> (
+                   let rest =
+                     String.sub line
+                       (String.rindex line ')' + 2)
+                       (String.length line - String.rindex line ')' - 2)
+                   in
+                   match String.split_on_char ' ' rest with
+                   | _state :: ppid :: _ when int_of_string_opt ppid = Some self
+                     ->
+                       Some pid
+                   | _ -> None)))
+  in
+  match from_children_files () with
+  | pids -> Some (List.sort_uniq compare pids)
+  | exception Sys_error _ -> (
+      match from_stat_files () with
+      | pids -> Some (List.sort_uniq compare pids)
+      | exception Sys_error _ -> None)
+
+(* [scheduler.mli] promises that no worker outlives a call: after a
+   successful map, a map whose task raises, and a map whose task
+   SIGKILLs its own worker (the pool forks a replacement), the process
+   has exactly the children it had before. *)
+let test_no_worker_outlives_map () =
+  match children () with
+  | None -> () (* no /proc on this platform *)
+  | Some before ->
+      let items = List.init 12 Fun.id in
+      let check what ~fails run =
+        Alcotest.(check bool)
+          (what ^ ": raises iff a task failed")
+          fails
+          (match run () with
+          | (_ : int list) -> false
+          | exception Failure _ -> true);
+        Alcotest.(check (option (list int)))
+          (what ^ ": no worker left behind")
+          (Some before) (children ())
+      in
+      check "successful map" ~fails:false (fun () ->
+          S.map ~jobs:3 (fun _ x -> x) items);
+      check "raising task" ~fails:true (fun () ->
+          S.map ~jobs:3
+            (fun i x -> if i = 4 then failwith "boom" else x)
+            items);
+      check "killed worker" ~fails:true (fun () ->
+          S.map ~jobs:3
+            (fun i x ->
+              if i = 4 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+              x)
+            items)
+
 (* ---------------- the persistent pool ---------------- *)
 
 (* The daemon's substrate: one Pool outliving many submit/drain
@@ -361,8 +434,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_map_equals_mapi;
         Alcotest.test_case "skewed mix keeps input order" `Quick
           test_order_with_skew;
-        Alcotest.test_case "sharded equals dynamic" `Quick
-          test_sharded_equals_dynamic;
         Alcotest.test_case "edge cases" `Quick test_edges;
         Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
       ] );
@@ -385,6 +456,8 @@ let suites =
           test_killed_worker_names_task;
         Alcotest.test_case "failures through coalesced frames" `Quick
           test_frame_failures;
+        Alcotest.test_case "no worker outlives a map call" `Quick
+          test_no_worker_outlives_map;
       ] );
     ( "scheduler.pool",
       [

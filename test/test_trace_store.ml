@@ -536,20 +536,22 @@ let with_temp_container bytes f =
         (fun () -> output_string oc bytes);
       f path)
 
-(* of_file's partial read (header + index chunk + one validating seek
-   per record) must agree exactly with the in-memory parse, on both the
-   indexed and the legacy layout; a lying on-disk index must raise
-   through the same partial-read path; and the mapped reader must
-   decode a real file identically to the string backend. *)
-let test_of_file_and_mapped_agree () =
+(* Indexing a file is [Index.of_src] over its mapping: it must agree
+   exactly with the in-memory parse, on both the indexed and the legacy
+   layout; a lying on-disk index must raise through the same path; and
+   the reader over the mapping must decode a real file identically to
+   the string backend. *)
+let index_file path = I.of_src (B.map_file path)
+
+let test_mapped_file_index_and_reader () =
   let records = three_records () in
   let indexed = W.container records in
   let legacy = legacy_container records in
   with_temp_container indexed (fun path ->
       Alcotest.(check bool)
-        "of_file = of_string (indexed)" true
-        (I.of_file path = I.of_string indexed);
-      let e = List.hd (I.of_file path) in
+        "mapped index = of_string (indexed)" true
+        (index_file path = I.of_string indexed);
+      let e = List.hd (index_file path) in
       let mapped = B.map_file path in
       Alcotest.(check int) "mapping covers the file" (String.length indexed)
         (B.length mapped);
@@ -557,9 +559,9 @@ let test_of_file_and_mapped_agree () =
         "mapped decode = string decode" true
         (collect_record mapped ~offset:e.I.offset
         = collect_record (B.of_string indexed) ~offset:e.I.offset);
-      (* open_mapped drains the whole container like open_file *)
-      let drain_with open_ =
-        let r = open_ path in
+      (* a reader over the mapping drains the whole container like
+         one over the in-memory bytes *)
+      let drain r =
         let rec go acc =
           match R.next_record r with
           | None -> List.rev acc
@@ -568,17 +570,15 @@ let test_of_file_and_mapped_agree () =
               ignore (R.replay r sink : R.replay_stats);
               go ((record.R.name, events ()) :: acc)
         in
-        let out = go [] in
-        R.close r;
-        out
+        go []
       in
       Alcotest.(check bool)
-        "open_mapped = open_file" true
-        (drain_with R.open_mapped = drain_with R.open_file));
+        "mapped drain = string drain" true
+        (drain (R.of_src mapped) = drain (R.of_string indexed)));
   with_temp_container legacy (fun path ->
       Alcotest.(check bool)
-        "of_file = of_string (legacy, scan fallback)" true
-        (I.of_file path = I.of_string legacy));
+        "mapped index = of_string (legacy, scan fallback)" true
+        (index_file path = I.of_string legacy));
   (* lying index on disk: offset points one byte past the record *)
   let _, record = encode_record ~name:"x" [ E.Return { now = 3 } ] in
   let entry =
@@ -593,7 +593,7 @@ let test_of_file_and_mapped_agree () =
   Buffer.add_string b record;
   Buffer.add_string b "\x00\x00";
   with_temp_container (Buffer.contents b) (fun path ->
-      expect_corrupt "lying on-disk index" (fun () -> I.of_file path))
+      expect_corrupt "lying on-disk index" (fun () -> index_file path))
 
 (* ---------------- on-disk robustness: truncation, special files,
    atomic writes ---------------- *)
@@ -609,24 +609,18 @@ let write_file path bytes =
   output_string oc bytes;
   close_out oc
 
-let drain_reader rd =
-  Fun.protect
-    ~finally:(fun () -> R.close rd)
-    (fun () ->
-      let rec go () =
-        match R.next_record rd with
-        | None -> ()
-        | Some _ ->
-            ignore (R.replay rd Hydra.Trace.null_sink : R.replay_stats);
-            go ()
-      in
-      go ())
+let rec drain_reader rd =
+  match R.next_record rd with
+  | None -> ()
+  | Some _ ->
+      ignore (R.replay rd Hydra.Trace.null_sink : R.replay_stats);
+      drain_reader rd
 
 (* A container cut short on disk — a capture that died before its
    atomic rename, read through a non-atomic writer's leftovers — must
-   surface as a clean Corrupt from BOTH reader backends, at any cut
-   point, never as a decode of garbage or an unhandled exception. *)
-let test_truncated_file_both_backends () =
+   surface as a clean Corrupt from the reader over its mapping, at any
+   cut point, never as a decode of garbage or an unhandled exception. *)
+let test_truncated_file_every_cut () =
   let good =
     W.container
       [
@@ -638,12 +632,9 @@ let test_truncated_file_both_backends () =
       List.iter
         (fun keep ->
           write_file path (String.sub good 0 keep);
-          List.iter
-            (fun (backend, open_rd) ->
-              expect_corrupt
-                (Printf.sprintf "%s: truncated to %d bytes" backend keep)
-                (fun () -> drain_reader (open_rd path)))
-            [ ("channel", R.open_file); ("mapped", R.open_mapped) ])
+          expect_corrupt
+            (Printf.sprintf "truncated to %d bytes" keep)
+            (fun () -> drain_reader (R.of_src (B.map_file path))))
         [ 0; 5; 8; 20; String.length good / 3; String.length good - 1 ])
 
 (* map_file on things that are not regular trace files: empty files
@@ -720,7 +711,7 @@ let test_atomic_io () =
   with_temp_file (fun path ->
       W.to_file ~path
         [ snd (encode_record ~name:"atomic" (loop_events ~iters:2 ~body:3)) ];
-      let entries = I.of_file path in
+      let entries = index_file path in
       Alcotest.(check (list string))
         "to_file container loads" [ "atomic" ]
         (List.map (fun (e : I.entry) -> e.I.name) entries))
@@ -825,13 +816,13 @@ let suites =
           test_merged_captures_both_backends;
         Alcotest.test_case "index agrees across backends and layouts" `Quick
           test_index_backends_agree;
-        Alcotest.test_case "of_file partial read and mapped reader" `Quick
-          test_of_file_and_mapped_agree;
+        Alcotest.test_case "mapped file index and reader" `Quick
+          test_mapped_file_index_and_reader;
       ] );
     ( "trace_store.files",
       [
-        Alcotest.test_case "truncated file is Corrupt on both backends" `Quick
-          test_truncated_file_both_backends;
+        Alcotest.test_case "truncated file is Corrupt on every cut" `Quick
+          test_truncated_file_every_cut;
         Alcotest.test_case "map_file on empty/dir/missing/fifo" `Quick
           test_map_file_special_paths;
         Alcotest.test_case "atomic writes survive a crashing writer" `Quick
