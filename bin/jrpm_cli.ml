@@ -111,14 +111,20 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* resolved here, once: an unset --jobs means JRPM_JOBS or the core
+   count (Parallel_sweep.default_jobs, which warns on a bad JRPM_JOBS) *)
 let jobs_arg =
-  Arg.(
-    value
-    & opt (some positive_int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "number of worker processes (default: core count; 1 = run \
-           sequentially in-process; must be positive)")
+  Term.(
+    const (function
+      | Some n -> n
+      | None -> Jrpm.Parallel_sweep.default_jobs ())
+    $ Arg.(
+        value
+        & opt (some positive_int) None
+        & info [ "jobs"; "j" ] ~docv:"N"
+            ~doc:
+              "number of worker processes (default: core count; 1 = run \
+               sequentially in-process; must be positive)"))
 
 (* Containers are written atomically (temp + fsync + rename) so a
    crash mid-capture never leaves a truncated container where a good
@@ -134,17 +140,25 @@ let write_container_file ~file bytes =
         (Unix.error_message err);
       exit 1
 
-let write_text_file ~what file contents =
+(* every JSON file the CLI writes: pretty-printed, newline-terminated *)
+let write_json_file ~what file json =
   match open_out file with
   | oc ->
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          output_string oc contents;
+          output_string oc (Obs.Json.to_string ~pretty:true json);
           output_char oc '\n')
   | exception Sys_error msg ->
       Printf.eprintf "jrpm: cannot write %s: %s\n" what msg;
       exit 1
+
+let prerr_phase_table rc =
+  prerr_string
+    (Util.Text_table.render
+       ~aligns:Util.Text_table.[ Left; Right; Right; Right ]
+       ~header:[ "phase"; "spans"; "seconds"; "share" ]
+       (Obs.Recorder.phase_rows rc))
 
 (* Run the full pipeline under an optional observability recorder and
    emit the requested --profile / --profile-json outputs. *)
@@ -165,11 +179,7 @@ let run_observed ~profile ~profile_json ~banks ~sync ~name src =
   | Some rc ->
       Jrpm.Pipeline.record_report_metrics (Obs.Recorder.metrics rc) r;
       if profile then begin
-        prerr_string
-          (Util.Text_table.render
-             ~aligns:Util.Text_table.[ Left; Right; Right; Right ]
-             ~header:[ "phase"; "spans"; "seconds"; "share" ]
-             (Obs.Recorder.phase_rows rc));
+        prerr_phase_table rc;
         (* transistor estimate of the machine this run actually modelled
            (comparator banks and CPU count from the active config, not
            the compile-time defaults) *)
@@ -197,20 +207,10 @@ let run_observed ~profile ~profile_json ~banks ~sync ~name src =
                   "tracer.ld_dedup_conflicts"; "tracer.st_dedup_conflicts";
                 ]))
       end;
-      (match profile_json with
-      | Some file -> (
-          match open_out file with
-          | oc ->
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () ->
-                  output_string oc
-                    (Obs.Json.to_string ~pretty:true (Obs.Recorder.to_json rc));
-                  output_char oc '\n')
-          | exception Sys_error msg ->
-              Printf.eprintf "jrpm: cannot write profile JSON: %s\n" msg;
-              exit 1)
-      | None -> ()));
+      Option.iter
+        (fun file ->
+          write_json_file ~what:"profile JSON" file (Obs.Recorder.to_json rc))
+        profile_json);
   r
 
 (* ---------------- run ---------------- *)
@@ -472,6 +472,145 @@ let bench_cmd =
       const bench $ name_arg $ size_arg $ banks_arg $ verbose_arg $ sync_arg
       $ profile_arg $ profile_json_arg)
 
+(* ---------------- result renderers ---------------- *)
+
+(* One renderer per result kind, called by the one-shot command and by
+   its `jrpm client` twin on the same result document, so their output
+   is identical by construction. *)
+
+let malformed fmt =
+  Printf.ksprintf
+    (fun detail ->
+      Printf.eprintf "jrpm: malformed daemon result (%s)\n" detail;
+      exit 1)
+    fmt
+
+let write_summaries ~what file summaries =
+  write_json_file ~what file
+    (Obs.Json.List (List.map Jrpm.Report_summary.to_json summaries))
+
+(* `jrpm sweep` / `jrpm client profile`: stdout is deterministic
+   (registry order, simulated cycles only) *)
+let print_sweep ~summary_json summaries =
+  Util.Text_table.print
+    ~aligns:
+      Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
+    ~header:
+      [
+        "Benchmark"; "Plain cycles"; "TLS cycles"; "Actual x"; "Pred x";
+        "STLs"; "Violations"; "Outputs";
+      ]
+    (List.map
+       (fun (s : Jrpm.Report_summary.t) ->
+         [
+           s.Jrpm.Report_summary.name;
+           string_of_int s.Jrpm.Report_summary.plain_cycles;
+           string_of_int s.Jrpm.Report_summary.tls_cycles;
+           Printf.sprintf "%.2f" s.Jrpm.Report_summary.actual_speedup;
+           Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
+           string_of_int s.Jrpm.Report_summary.selected_stls;
+           string_of_int s.Jrpm.Report_summary.violations;
+           (if s.Jrpm.Report_summary.outputs_match then "match" else "MISMATCH");
+         ])
+       summaries);
+  Option.iter
+    (fun file -> write_summaries ~what:"summary JSON" file summaries)
+    summary_json
+
+type replay_row = {
+  events : int;
+  record_bytes : int;
+  reference_bytes : int;
+  matches : bool;
+  replayed : Jrpm.Report_summary.t;
+}
+
+(* The rows of a replay result document (Daemon.replay_result). *)
+let replay_rows json =
+  let list key =
+    match Obs.Json.member key json with
+    | Some (Obs.Json.List l) -> l
+    | _ -> malformed "no %s" key
+  in
+  let records = list "records" and summaries = list "summaries" in
+  if List.length records <> List.length summaries then
+    malformed "%d records, %d summaries" (List.length records)
+      (List.length summaries);
+  List.map2
+    (fun rj sj ->
+      let int key =
+        match Option.bind (Obs.Json.member key rj) Obs.Json.to_int with
+        | Some n -> n
+        | None -> malformed "no %s" key
+      in
+      {
+        events = int "events";
+        record_bytes = int "record_bytes";
+        reference_bytes = int "reference_bytes";
+        matches = Obs.Json.member "matches" rj = Some (Obs.Json.Bool true);
+        replayed =
+          (try Jrpm.Report_summary.of_json sj
+           with Failure msg -> malformed "%s" msg);
+      })
+    records summaries
+
+(* `jrpm trace replay` / `jrpm client replay`: the table on stdout
+   (encoded sizes and re-derived analysis results only), the summaries,
+   then exit 1 if any record diverged; [profile] sees the rows first *)
+let print_replay ?(profile = ignore) ~summary_json json =
+  let rows = replay_rows json in
+  Util.Text_table.print
+    ~aligns:
+      Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
+    ~header:
+      [
+        "Benchmark"; "Events"; "Bytes"; "B/event"; "Ratio"; "Pred x"; "STLs";
+        "Replay";
+      ]
+    (List.map
+       (fun r ->
+         [
+           r.replayed.Jrpm.Report_summary.name;
+           string_of_int r.events;
+           string_of_int r.record_bytes;
+           Printf.sprintf "%.2f"
+             (float_of_int r.record_bytes /. float_of_int (max 1 r.events));
+           Printf.sprintf "%.1f"
+             (float_of_int r.reference_bytes
+             /. float_of_int (max 1 r.record_bytes));
+           Printf.sprintf "%.2f"
+             r.replayed.Jrpm.Report_summary.predicted_speedup;
+           string_of_int r.replayed.Jrpm.Report_summary.selected_stls;
+           (if r.matches then "match" else "DIVERGED");
+         ])
+       rows);
+  Option.iter
+    (fun out ->
+      write_summaries ~what:"summary JSON" out
+        (List.map (fun r -> r.replayed) rows))
+    summary_json;
+  profile rows;
+  if List.exists (fun r -> not r.matches) rows then begin
+    Printf.eprintf
+      "jrpm: replayed analysis DIVERGED from the recorded summaries\n";
+    exit 1
+  end
+
+(* `jrpm explore` / `jrpm client explore` *)
+let print_explore ~summary_json ~default_summary_json json =
+  let t =
+    try Jrpm.Explore.of_json json with Failure msg -> malformed "%s" msg
+  in
+  print_string (Jrpm.Explore.render t);
+  Option.iter
+    (fun out -> write_json_file ~what:"explore matrix JSON" out json)
+    summary_json;
+  Option.iter
+    (fun out ->
+      write_summaries ~what:"default-point summary JSON" out
+        (Jrpm.Explore.default_summaries t))
+    default_summary_json
+
 let summary_json_arg =
   Arg.(
     value
@@ -550,11 +689,6 @@ let sweep_cmd =
   in
   let sweep jobs profile profile_json summary_json baseline update_baseline
       tolerance diff_json trace trend trend_label =
-    let jobs =
-      match jobs with
-      | Some n -> n
-      | None -> Jrpm.Parallel_sweep.default_jobs ()
-    in
     (match (baseline, update_baseline, diff_json) with
     | None, true, _ ->
         Printf.eprintf "jrpm: --update-baseline requires --baseline FILE\n";
@@ -602,86 +736,27 @@ let sweep_cmd =
         Printf.eprintf "jrpm: trace container %s: %d workloads, %d bytes\n"
           file (List.length outcomes) (String.length bytes)
     | _ -> ());
-    (* stdout is deterministic (registry order, simulated cycles only);
-       wall-clock timing goes to stderr *)
-    Util.Text_table.print
-      ~aligns:
-        Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
-      ~header:
-        [
-          "Benchmark"; "Plain cycles"; "TLS cycles"; "Actual x"; "Pred x";
-          "STLs"; "Violations"; "Outputs";
-        ]
-      (List.map
-         (fun (o : Jrpm.Parallel_sweep.outcome) ->
-           let s = o.Jrpm.Parallel_sweep.summary in
-           [
-             s.Jrpm.Report_summary.name;
-             string_of_int s.Jrpm.Report_summary.plain_cycles;
-             string_of_int s.Jrpm.Report_summary.tls_cycles;
-             Printf.sprintf "%.2f" s.Jrpm.Report_summary.actual_speedup;
-             Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
-             string_of_int s.Jrpm.Report_summary.selected_stls;
-             string_of_int s.Jrpm.Report_summary.violations;
-             (if s.Jrpm.Report_summary.outputs_match then "match" else "MISMATCH");
-           ])
-         outcomes);
+    let summaries =
+      List.map
+        (fun (o : Jrpm.Parallel_sweep.outcome) -> o.Jrpm.Parallel_sweep.summary)
+        outcomes
+    in
+    print_sweep ~summary_json summaries;
     Printf.eprintf "sweep: %d benchmarks, %d jobs, %.2fs wall-clock\n%!"
       (List.length outcomes) jobs wall_s;
-    (match summary_json with
-    | Some file -> (
-        let doc =
-          Obs.Json.List
-            (List.map
-               (fun (o : Jrpm.Parallel_sweep.outcome) ->
-                 Jrpm.Report_summary.to_json o.Jrpm.Parallel_sweep.summary)
-               outcomes)
-        in
-        match open_out file with
-        | oc ->
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Obs.Json.to_string ~pretty:true doc);
-                output_char oc '\n')
-        | exception Sys_error msg ->
-            Printf.eprintf "jrpm: cannot write summary JSON: %s\n" msg;
-            exit 1)
-    | None -> ());
     (match Jrpm.Parallel_sweep.merged_recorder outcomes with
     | None -> ()
     | Some merged ->
-        if profile then
-          prerr_string
-            (Util.Text_table.render
-               ~aligns:Util.Text_table.[ Left; Right; Right; Right ]
-               ~header:[ "phase"; "spans"; "seconds"; "share" ]
-               (Obs.Recorder.phase_rows merged));
-        (match profile_json with
-        | Some file -> (
-            match open_out file with
-            | oc ->
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    output_string oc
-                      (Obs.Json.to_string ~pretty:true
-                         (Obs.Recorder.to_json merged));
-                    output_char oc '\n')
-            | exception Sys_error msg ->
-                Printf.eprintf "jrpm: cannot write profile JSON: %s\n" msg;
-                exit 1)
-        | None -> ()));
+        if profile then prerr_phase_table merged;
+        Option.iter
+          (fun file ->
+            write_json_file ~what:"profile JSON" file
+              (Obs.Recorder.to_json merged))
+          profile_json);
     (* ----- benchmark-regression gate ----- *)
     match baseline with
     | None -> ()
     | Some file ->
-        let summaries =
-          List.map
-            (fun (o : Jrpm.Parallel_sweep.outcome) ->
-              o.Jrpm.Parallel_sweep.summary)
-            outcomes
-        in
         if update_baseline then begin
           (try Jrpm.Regression.save_baseline file summaries
            with Failure msg ->
@@ -710,21 +785,10 @@ let sweep_cmd =
                 Printf.eprintf "jrpm: cannot write trend file: %s\n" msg;
                 exit 1)
           | None -> ());
-          (match diff_json with
-          | Some out -> (
-              match open_out out with
-              | oc ->
-                  Fun.protect
-                    ~finally:(fun () -> close_out oc)
-                    (fun () ->
-                      output_string oc
-                        (Obs.Json.to_string ~pretty:true
-                           (Jrpm.Regression.to_json d));
-                      output_char oc '\n')
-              | exception Sys_error msg ->
-                  Printf.eprintf "jrpm: cannot write diff JSON: %s\n" msg;
-                  exit 1)
-          | None -> ());
+          Option.iter
+            (fun out ->
+              write_json_file ~what:"diff JSON" out (Jrpm.Regression.to_json d))
+            diff_json;
           if Jrpm.Regression.failed d then exit 1
         end
   in
@@ -780,11 +844,6 @@ let trace_record_cmd =
                   exit 1)
             names
     in
-    let jobs =
-      match jobs with
-      | Some n -> n
-      | None -> Jrpm.Parallel_sweep.default_jobs ()
-    in
     let outcomes =
       with_frontend_errors (fun () ->
           Jrpm.Parallel_sweep.run ~jobs ~capture:true ~workloads ())
@@ -806,88 +865,53 @@ let trace_record_cmd =
     Term.(const record $ trace_file_arg $ workloads_arg $ jobs_arg)
 
 let trace_replay_cmd =
+  (* replay gauges from the result rows and this command's own wall
+     clock, so throughput is events over elapsed time at any --jobs *)
+  let print_profile ~profile ~profile_json ~wall_s rows =
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+    let events = sum (fun r -> r.events) in
+    let bytes = sum (fun r -> r.record_bytes) in
+    let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+    let gauges =
+      [
+        ("trace.records", float_of_int (List.length rows));
+        ("trace.events", float_of_int events);
+        ("trace.bytes", float_of_int bytes);
+        ("trace.bytes_per_event", ratio bytes events);
+        ( "trace.compression_ratio",
+          ratio (sum (fun r -> r.reference_bytes)) bytes );
+        ( "trace.replay_events_per_sec",
+          if wall_s > 0. then float_of_int events /. wall_s else 0. );
+        ( "trace.replay_matches",
+          float_of_int (List.length (List.filter (fun r -> r.matches) rows)) );
+      ]
+    in
+    if profile then
+      prerr_string
+        (Util.Text_table.render
+           ~aligns:Util.Text_table.[ Left; Right ]
+           ~header:[ "replay metric"; "value" ]
+           (List.map (fun (g, v) -> [ g; Printf.sprintf "%.2f" v ]) gauges));
+    Option.iter
+      (fun out ->
+        let rc = Obs.Recorder.create () in
+        List.iter
+          (fun (g, v) -> Obs.Metrics.set_gauge (Obs.Recorder.metrics rc) g v)
+          gauges;
+        write_json_file ~what:"profile JSON" out (Obs.Recorder.to_json rc))
+      profile_json
+  in
   let replay file summary_json profile profile_json jobs =
-    let jobs =
-      match jobs with Some n -> n | None -> Jrpm.Parallel_sweep.default_jobs ()
+    let t0 = Unix.gettimeofday () in
+    let result =
+      fail_trace_errors (fun () ->
+          Jrpm.Daemon.execute ~jobs
+            (Jrpm.Daemon.Replay { path = file; record = None }))
     in
-    let outcomes =
-      fail_trace_errors (fun () -> Jrpm.Replay.replay_file ~jobs file)
-    in
-    (* stdout is deterministic: encoded sizes and re-derived analysis
-       results only; wall-clock throughput goes to stderr via --profile *)
-    Util.Text_table.print
-      ~aligns:
-        Util.Text_table.[ Left; Right; Right; Right; Right; Right; Right; Left ]
-      ~header:
-        [
-          "Benchmark"; "Events"; "Bytes"; "B/event"; "Ratio"; "Pred x"; "STLs";
-          "Replay";
-        ]
-      (List.map
-         (fun (o : Jrpm.Replay.outcome) ->
-           [
-             o.Jrpm.Replay.name;
-             string_of_int o.Jrpm.Replay.events;
-             string_of_int o.Jrpm.Replay.record_bytes;
-             Printf.sprintf "%.2f"
-               (float_of_int o.Jrpm.Replay.record_bytes
-               /. float_of_int (max 1 o.Jrpm.Replay.events));
-             Printf.sprintf "%.1f"
-               (float_of_int o.Jrpm.Replay.reference_bytes
-               /. float_of_int (max 1 o.Jrpm.Replay.record_bytes));
-             Printf.sprintf "%.2f"
-               o.Jrpm.Replay.replayed.Jrpm.Report_summary.predicted_speedup;
-             string_of_int
-               o.Jrpm.Replay.replayed.Jrpm.Report_summary.selected_stls;
-             (if o.Jrpm.Replay.matches then "match" else "DIVERGED");
-           ])
-         outcomes);
-    (match summary_json with
-    | Some out ->
-        let doc =
-          Obs.Json.List
-            (List.map
-               (fun (o : Jrpm.Replay.outcome) ->
-                 Jrpm.Report_summary.to_json o.Jrpm.Replay.replayed)
-               outcomes)
-        in
-        write_text_file ~what:"summary JSON" out
-          (Obs.Json.to_string ~pretty:true doc)
-    | None -> ());
-    (if profile || profile_json <> None then begin
-       let rc = Obs.Recorder.create () in
-       Jrpm.Replay.record_metrics (Obs.Recorder.metrics rc) outcomes;
-       if profile then
-         prerr_string
-           (Util.Text_table.render
-              ~aligns:Util.Text_table.[ Left; Right ]
-              ~header:[ "replay metric"; "value" ]
-              (List.map
-                 (fun g ->
-                   [
-                     g;
-                     (match Obs.Metrics.gauge (Obs.Recorder.metrics rc) g with
-                     | Some v -> Printf.sprintf "%.2f" v
-                     | None -> "-");
-                   ])
-                 [
-                   "trace.records"; "trace.events"; "trace.bytes";
-                   "trace.bytes_per_event"; "trace.compression_ratio";
-                   "trace.replay_events_per_sec"; "trace.replay_matches";
-                 ]));
-       match profile_json with
-       | Some out ->
-           write_text_file ~what:"profile JSON" out
-             (Obs.Json.to_string ~pretty:true (Obs.Recorder.to_json rc))
-       | None -> ()
-     end);
-    if List.exists (fun (o : Jrpm.Replay.outcome) -> not o.Jrpm.Replay.matches)
-         outcomes
-    then begin
-      Printf.eprintf
-        "jrpm: replayed analysis DIVERGED from the recorded summaries\n";
-      exit 1
-    end
+    let wall_s = Unix.gettimeofday () -. t0 in
+    print_replay ~summary_json
+      ~profile:(print_profile ~profile ~profile_json ~wall_s)
+      result
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1048,31 +1072,17 @@ let explore_cmd =
              replay-determinism gate)")
   in
   let explore file grid grid_pos jobs matrix_json default_summary_json =
-    let grid = grid @ grid_pos in
-    let t =
+    let result =
       fail_trace_errors (fun () ->
-          try Jrpm.Explore.run ?jobs ~grid ~path:file ()
+          try
+            Jrpm.Daemon.execute ~jobs
+              (Jrpm.Daemon.Explore { path = file; grid = grid @ grid_pos })
           with Invalid_argument msg ->
             (* an out-of-range grid point (validate) is a usage error *)
             Printf.eprintf "jrpm: %s\n" msg;
             exit 2)
     in
-    print_string (Jrpm.Explore.render t);
-    (match matrix_json with
-    | Some out ->
-        write_text_file ~what:"explore matrix JSON" out
-          (Obs.Json.to_string ~pretty:true (Jrpm.Explore.to_json t))
-    | None -> ());
-    match default_summary_json with
-    | Some out ->
-        let doc =
-          Obs.Json.List
-            (List.map Jrpm.Report_summary.to_json
-               (Jrpm.Explore.default_summaries t))
-        in
-        write_text_file ~what:"default-point summary JSON" out
-          (Obs.Json.to_string ~pretty:true doc)
-    | None -> ()
+    print_explore ~summary_json:matrix_json ~default_summary_json result
   in
   Cmd.v
     (Cmd.info "explore"
@@ -1108,9 +1118,6 @@ let serve_cmd =
              socket (one client; exits at stdin EOF)")
   in
   let serve socket stdio jobs =
-    let jobs =
-      match jobs with Some n -> n | None -> Jrpm.Parallel_sweep.default_jobs ()
-    in
     let transport =
       match (socket, stdio) with
       | Some path, false -> Jrpm.Daemon.Socket path
@@ -1139,10 +1146,8 @@ let serve_cmd =
           requests")
     Term.(const serve $ socket_arg $ stdio_arg $ jobs_arg)
 
-(* The client subcommands render and write results with exactly the
-   code paths of the one-shot commands (same Text_table columns, same
-   pretty-JSON writer), so CI can `cmp` daemon output against `jrpm
-   sweep` / `jrpm trace replay` / `jrpm explore`. *)
+(* The client subcommands send the request a one-shot command runs
+   in-process and print the response with that command's renderer. *)
 
 let client_socket_arg =
   Arg.(
@@ -1252,38 +1257,7 @@ let client_profile_cmd =
                   summary_of_member ~what:n json)
             ids
         in
-        (* the jrpm sweep table, byte for byte *)
-        Util.Text_table.print
-          ~aligns:
-            Util.Text_table.
-              [ Left; Right; Right; Right; Right; Right; Right; Left ]
-          ~header:
-            [
-              "Benchmark"; "Plain cycles"; "TLS cycles"; "Actual x"; "Pred x";
-              "STLs"; "Violations"; "Outputs";
-            ]
-          (List.map
-             (fun (s : Jrpm.Report_summary.t) ->
-               [
-                 s.Jrpm.Report_summary.name;
-                 string_of_int s.Jrpm.Report_summary.plain_cycles;
-                 string_of_int s.Jrpm.Report_summary.tls_cycles;
-                 Printf.sprintf "%.2f" s.Jrpm.Report_summary.actual_speedup;
-                 Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
-                 string_of_int s.Jrpm.Report_summary.selected_stls;
-                 string_of_int s.Jrpm.Report_summary.violations;
-                 (if s.Jrpm.Report_summary.outputs_match then "match"
-                  else "MISMATCH");
-               ])
-             summaries);
-        match summary_json with
-        | Some file ->
-            let doc =
-              Obs.Json.List (List.map Jrpm.Report_summary.to_json summaries)
-            in
-            write_text_file ~what:"summary JSON" file
-              (Obs.Json.to_string ~pretty:true doc)
-        | None -> ())
+        print_sweep ~summary_json summaries)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1311,79 +1285,10 @@ let client_replay_cmd =
   in
   let replay socket file record summary_json =
     with_client socket (fun c ->
-        let json, _r =
+        let json, _ =
           client_rpc c (Jrpm.Daemon.Replay { path = file; record })
         in
-        let jlist what = function
-          | Some (Obs.Json.List l) -> l
-          | _ ->
-              Printf.eprintf "jrpm: malformed daemon result (no %s)\n" what;
-              exit 1
-        in
-        let records = jlist "records" (Obs.Json.member "records" json) in
-        let summaries =
-          List.map
-            (fun sj ->
-              try Jrpm.Report_summary.of_json sj
-              with Failure msg ->
-                Printf.eprintf "jrpm: %s\n" msg;
-                exit 1)
-            (jlist "summaries" (Obs.Json.member "summaries" json))
-        in
-        let jint j k =
-          match Obs.Json.member k j with
-          | Some (Obs.Json.Int n) -> n
-          | _ ->
-              Printf.eprintf "jrpm: malformed daemon result (no %s)\n" k;
-              exit 1
-        in
-        let matches j =
-          match Obs.Json.member "matches" j with
-          | Some (Obs.Json.Bool b) -> b
-          | _ -> false
-        in
-        (* the jrpm trace replay table, byte for byte *)
-        Util.Text_table.print
-          ~aligns:
-            Util.Text_table.
-              [ Left; Right; Right; Right; Right; Right; Right; Left ]
-          ~header:
-            [
-              "Benchmark"; "Events"; "Bytes"; "B/event"; "Ratio"; "Pred x";
-              "STLs"; "Replay";
-            ]
-          (List.map2
-             (fun rj (s : Jrpm.Report_summary.t) ->
-               let events = jint rj "events" in
-               let record_bytes = jint rj "record_bytes" in
-               let reference_bytes = jint rj "reference_bytes" in
-               [
-                 s.Jrpm.Report_summary.name;
-                 string_of_int events;
-                 string_of_int record_bytes;
-                 Printf.sprintf "%.2f"
-                   (float_of_int record_bytes /. float_of_int (max 1 events));
-                 Printf.sprintf "%.1f"
-                   (float_of_int reference_bytes
-                   /. float_of_int (max 1 record_bytes));
-                 Printf.sprintf "%.2f" s.Jrpm.Report_summary.predicted_speedup;
-                 string_of_int s.Jrpm.Report_summary.selected_stls;
-                 (if matches rj then "match" else "DIVERGED");
-               ])
-             records summaries);
-        (match summary_json with
-        | Some out ->
-            let doc =
-              Obs.Json.List (List.map Jrpm.Report_summary.to_json summaries)
-            in
-            write_text_file ~what:"summary JSON" out
-              (Obs.Json.to_string ~pretty:true doc)
-        | None -> ());
-        if List.exists (fun rj -> not (matches rj)) records then begin
-          Printf.eprintf
-            "jrpm: replayed analysis DIVERGED from the recorded summaries\n";
-          exit 1
-        end)
+        print_replay ~summary_json json)
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1417,25 +1322,17 @@ let client_explore_cmd =
         let json, r =
           client_rpc c (Jrpm.Daemon.Explore { path = file; grid })
         in
-        (match matrix_json with
-        | Some out ->
-            write_text_file ~what:"explore matrix JSON" out
-              (Obs.Json.to_string ~pretty:true json)
-        | None -> ());
-        let count k =
-          match Obs.Json.member k json with
-          | Some (Obs.Json.List l) -> List.length l
-          | _ -> 0
-        in
-        Printf.printf
-          "explore: %d config point(s) x %d workload(s), %d verdict flip(s)\n"
-          (count "points") (count "workloads") (count "flips");
+        print_explore ~summary_json:matrix_json ~default_summary_json:None
+          json;
         Printf.eprintf "client: %d pool task(s), %.2fs\n%!" r.Jrpm.Daemon.tasks
           r.Jrpm.Daemon.elapsed_s)
   in
   Cmd.v
     (Cmd.info "explore"
-       ~doc:"evaluate a config grid over a container through the daemon")
+       ~doc:
+         "evaluate a config grid over a container through the daemon; \
+          stdout and $(b,--summary-json) are byte-identical to $(b,jrpm \
+          explore)")
     Term.(
       const explore $ client_socket_arg $ client_file_arg $ grid_arg
       $ matrix_json_arg)

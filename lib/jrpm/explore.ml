@@ -224,16 +224,10 @@ let assemble_records ~archive ~configs per_record =
        (List.init width (fun i ->
             Array.to_list (Array.map (fun r -> r.(i)) rows))))
 
-let run ?jobs ~grid ~path () =
+let run_entries ?jobs ~archive ~src configs entries =
   let jobs =
     match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
   in
-  let configs = configs_of_grid (parse_grid grid) in
-  (* map the archive once; workers inherit the read-only pages across
-     fork, so a record's handoff is just the index entry's (offset,
-     length) — no per-task container open or header read *)
-  let src = Trace_store.Bytesrc.map_file path in
-  let entries = Trace_store.Index.of_src src in
   (* one task per record: a decode costs its event count once per
      tracer it feeds, so those weights put a dominant record first and
      coalesce tiny ones *)
@@ -248,7 +242,15 @@ let run ?jobs ~grid ~path () =
       (fun _ entry -> eval_record ~src configs entry)
       entries
   in
-  assemble_records ~archive:path ~configs per_record
+  assemble_records ~archive ~configs per_record
+
+let run ?jobs ~grid ~path () =
+  let configs = configs_of_grid (parse_grid grid) in
+  (* map the archive once; workers inherit the read-only pages across
+     fork, so a record's handoff is just the index entry's (offset,
+     length) — no per-task container open or header read *)
+  let src = Trace_store.Bytesrc.map_file path in
+  run_entries ?jobs ~archive:path ~src configs (Trace_store.Index.of_src src)
 
 let default_point t =
   match t.points with
@@ -370,3 +372,69 @@ let to_json t =
       ("points", Obs.Json.List (List.map point_json t.points));
       ("flips", Obs.Json.List (List.map flip_json t.flips));
     ]
+
+(* The inverse of [to_json]. Cells carry no workload name on the wire:
+   each point's cells are in archive record order, which is the order
+   of the top-level "workloads" list. *)
+let of_json json =
+  let open Obs.Json in
+  let field key j =
+    match member key j with
+    | Some v -> v
+    | None -> fail ("matrix JSON is missing field " ^ key)
+  in
+  let conv what f key j =
+    match f (field key j) with
+    | Some v -> v
+    | None -> fail (Printf.sprintf "matrix JSON field %s is not %s" key what)
+  in
+  let str = conv "a string" to_string_opt in
+  let num = conv "a number" to_float in
+  let list = conv "a list" to_list in
+  let elems what f key j =
+    List.map
+      (fun v ->
+        match f v with
+        | Some x -> x
+        | None -> fail (Printf.sprintf "matrix JSON field %s holds %s" key what))
+      (list key j)
+  in
+  let ints = elems "a non-integer" to_int in
+  if conv "an integer" to_int "schema_version" json <> 1 then
+    fail "unsupported matrix JSON schema_version";
+  let workloads = elems "a non-string" to_string_opt "workloads" json in
+  let point p =
+    let cells = list "cells" p in
+    if List.length cells <> List.length workloads then
+      fail "matrix JSON point does not cover every workload";
+    {
+      config = Hydra.Config.of_json (field "config" p);
+      fingerprint = str "fingerprint" p;
+      label = str "label" p;
+      cells =
+        List.map2
+          (fun workload c ->
+            {
+              workload;
+              summary = Report_summary.of_json (field "summary" c);
+              chosen_stls = ints "chosen_stls" c;
+            })
+          workloads cells;
+    }
+  in
+  let flip f =
+    {
+      flip_workload = str "workload" f;
+      flip_label = str "label" f;
+      flip_fingerprint = str "fingerprint" f;
+      default_chosen = ints "default_chosen" f;
+      chosen = ints "chosen" f;
+      default_speedup = num "default_speedup" f;
+      speedup = num "speedup" f;
+    }
+  in
+  {
+    archive = str "archive" json;
+    points = List.map point (list "points" json);
+    flips = List.map flip (list "flips" json);
+  }

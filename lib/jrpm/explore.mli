@@ -31,7 +31,10 @@
     events × tracers so a dominant record dispatches first; the
     per-record results are transposed into grid-order points
     afterward. The serve daemon submits the same record task to its
-    persistent pool.
+    persistent pool, and [jrpm explore] runs as a {!Daemon.execute}
+    request through {!run_entries}. Either way the result is the
+    {!to_json} document; both [jrpm explore] and [jrpm client explore]
+    print {!render} of its {!of_json}.
 
     Simulation-derived summary fields ([tls_cycles], [actual_speedup],
     violation/stall counts) pass through from the capture machine —
@@ -140,6 +143,14 @@ val run : ?jobs:int -> grid:string list -> path:string -> unit -> t
     @raise Failure on grid errors or worker failures;
     @raise Trace_store.Reader.Corrupt / [Sys_error] on a bad archive. *)
 
+val run_entries :
+  ?jobs:int -> archive:string -> src:Trace_store.Bytesrc.t ->
+  Hydra.Config.t list -> Trace_store.Index.entry list -> t
+(** {!run}'s body for callers that already hold the parsed grid and the
+    mapped container: one {!eval_record} task per entry, weighted by
+    events × tracers, [archive] naming the container in the result.
+    {!Daemon.execute} runs explore requests through this. *)
+
 val default_point : t -> point_result
 val default_summaries : t -> Report_summary.t list
 (** The reference column — byte-identical to [jrpm sweep] summaries of
@@ -156,3 +167,9 @@ val to_json : t -> Obs.Json.t
 (** Machine-readable matrix ([schema_version] 1): workloads, one entry
     per config point (fingerprint, label, config, per-workload summary
     + chosen STLs), and the flips list. *)
+
+val of_json : Obs.Json.t -> t
+(** Inverse of {!to_json}: [to_json (of_json (to_json t)) = to_json t]
+    and [render (of_json (to_json t)) = render t], byte for byte. The
+    matrix a client receives from the daemon renders through this.
+    @raise Failure on a malformed document. *)

@@ -264,6 +264,55 @@ let test_explore_jobs_identity () =
         j1 (json jobs))
     [ 4; 16 ]
 
+(* The matrix document is what a daemon client receives; it renders
+   through [of_json], so decoding must lose nothing [render] or the
+   default-column summaries need — on a grid with a verdict flip, and
+   through the serialized bytes as well as the tree. *)
+let test_explore_json_roundtrip () =
+  let _, path = Lazy.force captured in
+  let t = Jrpm.Explore.run ~jobs:1 ~grid:[ "cpus=8" ] ~path () in
+  Alcotest.(check bool) "the grid flips a verdict" true
+    (t.Jrpm.Explore.flips <> []);
+  let j = Jrpm.Explore.to_json t in
+  let summaries t =
+    Obs.Json.to_string
+      (Obs.Json.List
+         (List.map Jrpm.Report_summary.to_json
+            (Jrpm.Explore.default_summaries t)))
+  in
+  List.iter
+    (fun (what, t') ->
+      Alcotest.(check string) (what ^ ": to_json") (Obs.Json.to_string j)
+        (Obs.Json.to_string (Jrpm.Explore.to_json t'));
+      Alcotest.(check string) (what ^ ": render") (Jrpm.Explore.render t)
+        (Jrpm.Explore.render t');
+      Alcotest.(check string) (what ^ ": default summaries") (summaries t)
+        (summaries t'))
+    [
+      ("tree", Jrpm.Explore.of_json j);
+      ( "bytes",
+        Jrpm.Explore.of_json (Obs.Json.parse_exn (Obs.Json.to_string j)) );
+    ];
+  List.iter
+    (fun (what, doc) ->
+      match Jrpm.Explore.of_json doc with
+      | _ -> Alcotest.failf "%s must be rejected" what
+      | exception Failure _ -> ())
+    [
+      ("an empty object", Obs.Json.Obj []);
+      ( "workloads that do not match the cells",
+        match j with
+        | Obs.Json.Obj fields ->
+            Obs.Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   if k = "workloads" then
+                     (k, Obs.Json.List [ Obs.Json.String "extra" ])
+                   else (k, v))
+                 fields)
+        | _ -> Alcotest.fail "matrix JSON is not an object" );
+    ]
+
 (* ---------------- one decode per record, one tracer per geometry -- *)
 
 let explore_json t = Obs.Json.to_string (Jrpm.Explore.to_json t)
@@ -425,6 +474,8 @@ let suites =
           test_explore_verdict_flip;
         Alcotest.test_case "explore byte-identical at jobs 1/4/16" `Quick
           test_explore_jobs_identity;
+        Alcotest.test_case "matrix JSON round-trips through of_json" `Quick
+          test_explore_json_roundtrip;
         Alcotest.test_case "summary fingerprint fallback" `Quick
           test_summary_fingerprint_fallback;
         Alcotest.test_case "per-record tasks = cell-at-a-time" `Quick
