@@ -28,20 +28,35 @@ type status =
   | Exit_taken of int           (* reached Tls_exit; pc to resume after *)
   | Trapped of string           (* speculative trap; fatal only as head *)
 
+(* Speculative state is keyed by word address, line number or load PC:
+   plain ints, so the tables skip the polymorphic hash and compare. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (a : int) = a land max_int
+end)
+
 type thread = {
   rank : int;
   mutable pc : int;
   mutable frames : Machine.frame list; (* non-empty; head = current *)
   mutable ready_at : int;
   mutable status : status;
-  write_buf : (int, Value.t) Hashtbl.t;
-  read_set : (int, int) Hashtbl.t; (* word addr -> PC of the reading load *)
-  read_lines : (int, unit) Hashtbl.t;
-  write_lines : (int, unit) Hashtbl.t;
+  write_buf : Value.t Itbl.t;
+  read_set : int Itbl.t; (* word addr -> PC of the reading load *)
+  read_lines : unit Itbl.t;
+  write_lines : unit Itbl.t;
   mutable pending_output : Value.t list; (* reversed *)
   mutable nested : int; (* dynamic re-entries of the same STL (recursion) *)
   mutable stalled_once : bool;
 }
+
+let clear_tables (t : thread) =
+  Itbl.clear t.write_buf;
+  Itbl.clear t.read_set;
+  Itbl.clear t.read_lines;
+  Itbl.clear t.write_lines
 
 type mstats = {
   mutable m_committed : int;
@@ -77,7 +92,18 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       m_sync_stalls = 0;
     }
   in
-  let sync_pcs : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let sync_pcs : unit Itbl.t = Itbl.create 16 in
+  (* [costs.(f).(pc)]: the cycle cost of instruction [pc] of function [f] *)
+  let costs =
+    Array.map (fun f -> Array.map Native.instr_cost f.Native.code) p.funcs
+  in
+  let ncpus = config.Config.num_cpus in
+  (* each CPU slot's write buffer, read set, read lines and write lines:
+     every thread spawned on the slot clears and reuses them *)
+  let slot_tables =
+    Array.init ncpus (fun _ ->
+        (Itbl.create 64, Itbl.create 64, Itbl.create 16, Itbl.create 16))
+  in
   let new_frame fidx ret_pc ret_reg args =
     let f = p.funcs.(fidx) in
     let slots = Array.make (max f.Native.nslots 1) Value.zero in
@@ -95,6 +121,9 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
   let line_of addr = addr / config.Config.line_words in
 
   (* ---------------- speculative loop execution ---------------- *)
+  (* Every scan over [cpus] runs in slot order: which thread steps or is
+     restarted first at a given [now] is part of the simulated machine,
+     so the order must not change. *)
   let run_speculative (plan : Native.stl_plan) (master : Machine.frame) :
       Machine.frame * int (* resume pc *) =
     ms.m_loops <- ms.m_loops + 1;
@@ -104,6 +133,9 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     (* master-side reduction accumulators start from the pre-loop values *)
     let red_acc =
       List.map (fun (slot, op) -> (slot, op, ref snapshot.(slot))) plan.Native.reductions
+    in
+    let restart_penalty =
+      config.Config.violation_restart + List.length plan.Native.invariants
     in
     let seed_frame rank =
       incr frame_uid;
@@ -124,158 +156,161 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
         uid = !frame_uid;
       }
     in
-    let spawn rank now =
-      {
-        rank;
-        pc = plan.Native.body_start;
-        frames = [ seed_frame rank ];
-        ready_at = now;
-        status = Running;
-        write_buf = Hashtbl.create 64;
-        read_set = Hashtbl.create 64;
-        read_lines = Hashtbl.create 16;
-        write_lines = Hashtbl.create 16;
-        pending_output = [];
-        nested = 0;
-        stalled_once = false;
-      }
+    let spawn slot rank now =
+      let write_buf, read_set, read_lines, write_lines = slot_tables.(slot) in
+      let t =
+        {
+          rank;
+          pc = plan.Native.body_start;
+          frames = [ seed_frame rank ];
+          ready_at = now;
+          status = Running;
+          write_buf;
+          read_set;
+          read_lines;
+          write_lines;
+          pending_output = [];
+          nested = 0;
+          stalled_once = false;
+        }
+      in
+      clear_tables t;
+      t
     in
-    let cpus : thread option array = Array.make config.Config.num_cpus None in
+    let cpus : thread option array = Array.make ncpus None in
     let next_iter = ref 0 in
     let head_rank = ref 0 in
     let exit_pending = ref None in
     let now = ref !cycles in
-    let find_thread rank =
-      let found = ref None in
-      Array.iter
-        (fun t -> match t with Some t when t.rank = rank -> found := Some t | _ -> ())
-        cpus;
-      !found
+    (* the thread of rank [rank], if in flight (ranks are unique) *)
+    let rec find_from rank i =
+      if i < 0 then None
+      else
+        match cpus.(i) with
+        | Some t as found when t.rank = rank -> found
+        | _ -> find_from rank (i - 1)
     in
+    let find_thread rank = find_from rank (ncpus - 1) in
     let restart (t : thread) ~at =
       ms.m_violations <- ms.m_violations + 1;
       if Obs.Sink.enabled obs then
         Obs.Sink.emit obs (Obs.Event.Tls_violation { rank = t.rank; now = at });
-      Hashtbl.reset t.write_buf;
-      Hashtbl.reset t.read_set;
-      Hashtbl.reset t.read_lines;
-      Hashtbl.reset t.write_lines;
+      clear_tables t;
       t.pending_output <- [];
       t.nested <- 0;
       t.frames <- [ seed_frame t.rank ];
       t.pc <- plan.Native.body_start;
       t.status <- Running;
       t.stalled_once <- false;
-      t.ready_at <-
-        at + config.Config.violation_restart + List.length plan.Native.invariants
+      t.ready_at <- at + restart_penalty
     in
     (* violate all threads with rank >= r *)
     let violate_from r ~at =
       (match !exit_pending with
       | Some (er, _) when er >= r -> exit_pending := None
       | _ -> ());
-      Array.iter
-        (fun t ->
-          match t with
-          | Some t when t.rank >= r -> restart t ~at
-          | _ -> ())
-        cpus
+      for i = 0 to ncpus - 1 do
+        match cpus.(i) with
+        | Some t when t.rank >= r -> restart t ~at
+        | _ -> ()
+      done
     in
     let squash_younger r =
-      Array.iteri
-        (fun i t ->
-          match t with
-          | Some t when t.rank > r -> cpus.(i) <- None
-          | _ -> ())
-        cpus;
+      for i = 0 to ncpus - 1 do
+        match cpus.(i) with
+        | Some t when t.rank > r -> cpus.(i) <- None
+        | _ -> ()
+      done;
       next_iter := r + 1
     in
-    (* speculative load for thread t *)
-    let spec_load (t : thread) addr ~pc ~now:n =
-      match Hashtbl.find_opt t.write_buf addr with
-      | Some v -> (v, 0)
+    (* is [addr] buffered by a thread of rank [head_rank..r]? *)
+    let rec buffered_older addr r =
+      r >= !head_rank
+      && ((match find_thread r with
+          | Some th -> Itbl.mem th.write_buf addr
+          | None -> false)
+         || buffered_older addr (r - 1))
+    in
+    (* the value of [addr] buffered by the youngest thread of rank
+       [head_rank..r], searching from [r] down *)
+    let rec forwarded addr r =
+      if r < !head_rank then None
+      else
+        match find_thread r with
+        | Some th -> (
+            match Itbl.find_opt th.write_buf addr with
+            | Some _ as v -> v
+            | None -> forwarded addr (r - 1))
+        | None -> forwarded addr (r - 1)
+    in
+    (* speculative load for thread t into [regs.(d)]; returns the extra
+       cycles of a cross-thread forward *)
+    let spec_load (t : thread) addr ~pc regs d =
+      match Itbl.find_opt t.write_buf addr with
+      | Some v ->
+          regs.(d) <- v;
+          0
       | None ->
-          let rec search r =
-            if r < !head_rank then (Machine.Memory.load mem addr, 0)
-            else
-              match find_thread r with
-              | Some th -> (
-                  match Hashtbl.find_opt th.write_buf addr with
-                  | Some v ->
-                      ms.m_forwards <- ms.m_forwards + 1;
-                      (v, config.Config.store_load_communication)
-                  | None -> search (r - 1))
-              | None -> search (r - 1)
+          let extra =
+            match forwarded addr (t.rank - 1) with
+            | Some v ->
+                ms.m_forwards <- ms.m_forwards + 1;
+                regs.(d) <- v;
+                config.Config.store_load_communication
+            | None ->
+                (* a misspeculated address: squash with the thread *)
+                if addr < 0 then raise (Machine.Trap "negative heap address");
+                regs.(d) <- Machine.Memory.load mem addr;
+                0
           in
-          let v, extra = search (t.rank - 1) in
-          Hashtbl.replace t.read_set addr pc;
-          Hashtbl.replace t.read_lines (line_of addr) ();
-          ignore n;
-          (v, extra)
+          Itbl.replace t.read_set addr pc;
+          Itbl.replace t.read_lines (line_of addr) ();
+          extra
     in
     (* learned synchronization: should this load wait for a producer? *)
     let must_wait (t : thread) addr ~pc =
       sync
-      && Hashtbl.mem sync_pcs pc
+      && Itbl.mem sync_pcs pc
       && t.rank <> !head_rank
-      && (not (Hashtbl.mem t.write_buf addr))
-      && not
-           (let rec buffered r =
-              r >= !head_rank
-              && ((match find_thread r with
-                  | Some th -> Hashtbl.mem th.write_buf addr
-                  | None -> false)
-                 || buffered (r - 1))
-            in
-            buffered (t.rank - 1))
+      && (not (Itbl.mem t.write_buf addr))
+      && not (buffered_older addr (t.rank - 1))
     in
     (* can a Waiting_addr thread resume? *)
     let wait_satisfied (t : thread) addr =
-      t.rank = !head_rank
-      || (let rec buffered r =
-            r >= !head_rank
-            && ((match find_thread r with
-                | Some th -> Hashtbl.mem th.write_buf addr
-                | None -> false)
-               || buffered (r - 1))
-          in
-          buffered (t.rank - 1))
+      t.rank = !head_rank || buffered_older addr (t.rank - 1)
     in
     let spec_store (t : thread) addr v ~at =
-      Hashtbl.replace t.write_buf addr v;
-      Hashtbl.replace t.write_lines (line_of addr) ();
+      Itbl.replace t.write_buf addr v;
+      Itbl.replace t.write_lines (line_of addr) ();
       (* violation detection against more-speculative threads *)
       let victim = ref max_int in
-      Array.iter
-        (fun th ->
-          match th with
-          | Some th
-            when th.rank > t.rank
-                 && Hashtbl.mem th.read_set addr
-                 && th.rank < !victim ->
-              victim := th.rank
-          | _ -> ())
-        cpus;
+      for i = 0 to ncpus - 1 do
+        match cpus.(i) with
+        | Some th
+          when th.rank > t.rank && th.rank < !victim && Itbl.mem th.read_set addr
+          ->
+            victim := th.rank
+        | _ -> ()
+      done;
       if !victim < max_int then begin
-        (if sync then
-           (* learn the violating load so future executions synchronize *)
-           Array.iter
-             (fun th ->
-               match th with
-               | Some th when th.rank >= !victim -> (
-                   match Hashtbl.find_opt th.read_set addr with
-                   | Some load_pc -> Hashtbl.replace sync_pcs load_pc ()
-                   | None -> ())
-               | _ -> ())
-             cpus);
+        if sync then
+          (* learn the violating load so future executions synchronize *)
+          for i = 0 to ncpus - 1 do
+            match cpus.(i) with
+            | Some th when th.rank >= !victim -> (
+                match Itbl.find_opt th.read_set addr with
+                | Some load_pc -> Itbl.replace sync_pcs load_pc ()
+                | None -> ())
+            | _ -> ()
+          done;
         violate_from !victim ~at
       end
     in
     let check_overflow (t : thread) =
       if t.rank <> !head_rank then
         if
-          Hashtbl.length t.read_lines > config.Config.load_buffer_lines
-          || Hashtbl.length t.write_lines > config.Config.store_buffer_lines
+          Itbl.length t.read_lines > config.Config.load_buffer_lines
+          || Itbl.length t.write_lines > config.Config.store_buffer_lines
         then begin
           t.status <- Stalled;
           if not t.stalled_once then begin
@@ -290,11 +325,12 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     (* execute one instruction of thread t at time n; returns unit *)
     let step (t : thread) ~n =
       let frame = List.hd t.frames in
-      let f = p.funcs.(frame.Machine.fidx) in
+      let fidx = frame.Machine.fidx in
+      let f = p.funcs.(fidx) in
       let ins = f.Native.code.(t.pc) in
       incr icount;
       if !icount > fuel then raise (Out_of_fuel fuel);
-      let cost = ref (Native.instr_cost ins) in
+      let cost = ref costs.(fidx).(t.pc) in
       let regs = frame.Machine.regs in
       let slots = frame.Machine.slots in
       let next = t.pc + 1 in
@@ -330,9 +366,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
                (* pc unchanged: the load re-issues when the wait ends *)
              end
              else begin
-               let v, extra = spec_load t addr ~pc:fpc ~now:n in
-               regs.(d) <- v;
-               cost := !cost + extra;
+               cost := !cost + spec_load t addr ~pc:fpc regs d;
                check_overflow t;
                t.pc <- next
              end
@@ -401,9 +435,10 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
        with Machine.Trap msg -> t.status <- Trapped msg);
       t.ready_at <- n + !cost
     in
-    (* commit thread t (head): flush writes, merge reductions, output *)
+    (* commit thread t (head): flush writes, merge reductions, output.
+       Buffered addresses are distinct, so flush order is immaterial. *)
     let commit (t : thread) =
-      Hashtbl.iter (fun addr v -> Machine.Memory.store mem addr v) t.write_buf;
+      Itbl.iter (fun addr v -> Machine.Memory.store mem addr v) t.write_buf;
       List.iter
         (fun (slot, op, acc) ->
           let base_frame = List.nth t.frames (List.length t.frames - 1) in
@@ -416,28 +451,26 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     in
     (* main speculation loop *)
     let result = ref None in
-    while !result = None do
+    while Option.is_none !result do
       (* 0. refill free CPUs with the next iterations (optimistic spawn) *)
-      if !exit_pending = None then
-        Array.iteri
-          (fun i th ->
-            if th = None then begin
-              cpus.(i) <- Some (spawn !next_iter (!now + config.Config.loop_eoi));
-              incr next_iter
-            end)
-          cpus;
-      (* 0b. wake synchronized threads whose producer store arrived *)
-      Array.iter
-        (fun th ->
-          match th with
-          | Some t -> (
-              match t.status with
-              | Waiting_addr addr when wait_satisfied t addr ->
-                  t.status <- Running;
-                  t.ready_at <- max t.ready_at !now
-              | _ -> ())
-          | None -> ())
-        cpus;
+      if Option.is_none !exit_pending then
+        for i = 0 to ncpus - 1 do
+          if Option.is_none cpus.(i) then begin
+            cpus.(i) <- Some (spawn i !next_iter (!now + config.Config.loop_eoi));
+            incr next_iter
+          end
+        done;
+      (* 0b. wake synchronized threads whose producer store arrived
+         (only learned synchronization ever parks a thread) *)
+      if sync then
+        for i = 0 to ncpus - 1 do
+          match cpus.(i) with
+          | Some ({ status = Waiting_addr addr; _ } as t)
+            when wait_satisfied t addr ->
+              t.status <- Running;
+              t.ready_at <- max t.ready_at !now
+          | _ -> ()
+        done;
       (* 1. head-thread state transitions *)
       (match find_thread !head_rank with
       | Some t -> (
@@ -450,12 +483,11 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
           | Iter_done when t.ready_at <= !now ->
               commit t;
               (* free the CPU; the refill step spawns the next iteration *)
-              Array.iteri
-                (fun i th ->
-                  match th with
-                  | Some th when th.rank = t.rank -> cpus.(i) <- None
-                  | _ -> ())
-                cpus;
+              for i = 0 to ncpus - 1 do
+                match cpus.(i) with
+                | Some th when th.rank = t.rank -> cpus.(i) <- None
+                | _ -> ()
+              done;
               incr head_rank
           | Exit_taken resume when t.ready_at <= !now ->
               commit t;
@@ -467,30 +499,27 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
               result := Some (base_frame, resume)
           | _ -> ())
       | None -> ());
-      if !result = None then begin
+      if Option.is_none !result then begin
         (* 2. execute ready threads *)
         let progressed = ref false in
-        Array.iter
-          (fun th ->
-            match th with
-            | Some t when t.status = Running && t.ready_at <= !now ->
-                step t ~n:!now;
-                progressed := true
-            | _ -> ())
-          cpus;
+        for i = 0 to ncpus - 1 do
+          match cpus.(i) with
+          | Some ({ status = Running; _ } as t) when t.ready_at <= !now ->
+              step t ~n:!now;
+              progressed := true
+          | _ -> ()
+        done;
         (* 3. advance time *)
         if not !progressed then begin
           let next_time = ref max_int in
-          Array.iter
-            (fun th ->
-              match th with
-              | Some t when t.status = Running || t.status = Iter_done
-                            || (match t.status with Exit_taken _ -> true | _ -> false) ->
-                  if t.ready_at > !now && t.ready_at < !next_time then
-                    next_time := t.ready_at
-              | _ -> ())
-            cpus;
-          now := (if !next_time = max_int then !now + 1 else !next_time)
+          for i = 0 to ncpus - 1 do
+            match cpus.(i) with
+            | Some ({ status = Running | Iter_done | Exit_taken _; _ } as t)
+              when t.ready_at > !now && t.ready_at < !next_time ->
+                next_time := t.ready_at
+            | _ -> ()
+          done;
+          now := if !next_time = max_int then !now + 1 else !next_time
         end
       end
     done;
@@ -518,7 +547,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     let ins = f.Native.code.(!pc) in
     incr icount;
     if !icount > fuel then raise (Out_of_fuel fuel);
-    cycles := !cycles + Native.instr_cost ins;
+    cycles := !cycles + costs.(!frame.Machine.fidx).(!pc);
     let regs = !frame.Machine.regs in
     let slots = !frame.Machine.slots in
     let next = !pc + 1 in

@@ -81,6 +81,17 @@ let equivalence_cases =
       "int[] a;\n\
        int in_p;\n\
        def main() { a = new int[100]; for (int i = 0; i < 100; i = i + 1) { a[i] = i % 9 + 1; } in_p = 0; int n = 0; while (in_p < 100) { in_p = in_p + a[in_p]; n = n + 1; } print_int(n); print_int(in_p); }";
+    (* a younger thread reads the older one's short-lived negative index,
+       forwarded from its write buffer, and loads from a negative address
+       before the final store violates it: a speculative trap, not a
+       simulator crash *)
+    check_equiv "misspeculated negative-address load squashes"
+      "int[] a; int[] b; int[] nx;\n\
+       def main() { a = new int[64]; b = new int[64]; nx = new int[1]; nx[0] = 0;\n\
+       for (int i = 0; i < 60; i = i + 1) { int t = 0; int k = 0; while (k < 5) { t = t + a[k]; k = k + 1; }\n\
+       int j = nx[0]; b[i] = a[j] + t; nx[0] = -100000000; int m = 0; while (m < 30) { t = t + a[m]; m = m + 1; }\n\
+       nx[0] = i; b[i] = b[i] + t; }\n\
+       print_int(b[59]); }";
   ]
 
 (* Dependence-free loops actually speed up (and never slow down much). *)
@@ -397,6 +408,99 @@ let prop_tls_equiv =
       let plain, tls = compile_both src in
       outputs_of_seq plain = outputs_of_tls tls)
 
+(* ---------------- golden simulator runs ---------------- *)
+
+(* Pins the simulator's cycle accounting on paths the default sweep
+   never takes: 8 CPUs, 2-line speculative buffers (overflow stalls)
+   and learned synchronization (sync stalls). Each workload's TLS build
+   comes from the default-hardware pipeline selection; [golden_tls_runs]
+   renders one line per (workload, config, sync) run plus a digest of
+   fft's default-config event stream. test/golden_tls_runs.json is this
+   function's output, written by the simulator before its hot-loop
+   rewrite, so any change to step order or accounting shows up here. *)
+let golden_tls_workloads = [ "Assignment"; "deltaBlue"; "fft"; "LuFactor" ]
+
+let golden_tls_configs =
+  let d = Hydra.Config.default in
+  [
+    ("default", d);
+    ("cpus8", { d with Hydra.Config.num_cpus = 8 });
+    ( "buffers2",
+      { d with Hydra.Config.store_buffer_lines = 2; load_buffer_lines = 2 } );
+  ]
+
+let md5_lines l = Digest.to_hex (Digest.string (String.concat "\n" l))
+
+let golden_tls_runs () =
+  let tls_program name =
+    let w = Workloads.Registry.find_exn name in
+    let r = Jrpm.Pipeline.run ~name (Workloads.Registry.default_source w) in
+    let selected =
+      List.map
+        (fun (c : Test_core.Analyzer.choice) -> c.chosen_stl)
+        r.Jrpm.Pipeline.selection.Test_core.Analyzer.chosen
+    in
+    Compiler.Codegen.generate ~mode:(Compiler.Codegen.Tls { selected })
+      r.Jrpm.Pipeline.table r.Jrpm.Pipeline.tac
+  in
+  let progs = List.map (fun n -> (n, tls_program n)) golden_tls_workloads in
+  let run_line (name, prog) (label, config) sync =
+    let r = Hydra.Tls_sim.run ~config ~sync prog in
+    let s = r.Hydra.Tls_sim.stats in
+    Printf.sprintf
+      "{\"workload\": %S, \"config\": %S, \"sync\": %b, \"cycles\": %d, \
+       \"threads_committed\": %d, \"violations\": %d, \"overflow_stalls\": %d, \
+       \"forwarded_loads\": %d, \"loops_entered\": %d, \"spec_cycles\": %d, \
+       \"sync_stalls\": %d, \"output_md5\": %S}"
+      name label sync r.Hydra.Tls_sim.cycles s.Hydra.Tls_sim.threads_committed
+      s.violations s.overflow_stalls s.forwarded_loads s.loops_entered
+      s.spec_cycles s.sync_stalls
+      (md5_lines (List.map Ir.Value.to_string r.Hydra.Tls_sim.output))
+  in
+  let runs =
+    List.concat_map
+      (fun wp ->
+        List.concat_map
+          (fun cfg -> [ run_line wp cfg false; run_line wp cfg true ])
+          golden_tls_configs)
+      progs
+  in
+  let events =
+    let rc = Obs.Recorder.create ~max_events:max_int () in
+    ignore (Hydra.Tls_sim.run ~obs:(Obs.Recorder.sink rc) (List.assoc "fft" progs));
+    Obs.Recorder.events rc
+  in
+  let counts =
+    List.filter_map
+      (fun label ->
+        match List.filter (fun e -> Obs.Event.label e = label) events with
+        | [] -> None
+        | l -> Some (Printf.sprintf "%S: %d" label (List.length l)))
+      Obs.Event.all_labels
+  in
+  [ "{\"runs\": [" ]
+  @ List.mapi
+      (fun i l -> "  " ^ l ^ if i < List.length runs - 1 then "," else "")
+      runs
+  @ [
+      "],";
+      Printf.sprintf "\"fft_default_events\": {\"labels\": {%s}, \"md5\": %S}"
+        (String.concat ", " counts)
+        (md5_lines
+           (List.map (fun e -> Obs.Json.to_string (Obs.Event.to_json e)) events));
+      "}";
+    ]
+
+let test_golden_tls_runs () =
+  let golden =
+    let ic = open_in "golden_tls_runs.json" in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    String.split_on_char '\n' (String.trim s)
+  in
+  Alcotest.(check (list string)) "simulator runs match golden" golden
+    (golden_tls_runs ())
+
 let suites =
   [
     ("tls.equivalence", equivalence_cases @ [ QCheck_alcotest.to_alcotest prop_tls_equiv ]);
@@ -409,6 +513,11 @@ let suites =
         Alcotest.test_case "store-load forwarding" `Quick test_forwarding_counted;
         Alcotest.test_case "spec stats" `Quick test_spec_stats_sane;
         Alcotest.test_case "overflow stall" `Quick test_overflow_stall;
+      ] );
+    ( "tls.golden",
+      [
+        Alcotest.test_case "runs at cpus, buffers and sync points" `Quick
+          test_golden_tls_runs;
       ] );
     ( "tls.structure",
       [
