@@ -402,7 +402,7 @@ def main() {
 }
 |}
   in
-  let tracer, _ = Jrpm.Pipeline.profile_only src in
+  let { Jrpm.Pipeline.tracer; _ } = Jrpm.Pipeline.profile_only src in
   let _, st =
     List.fold_left
       (fun ((_, b) as acc) ((_, s) as c) ->

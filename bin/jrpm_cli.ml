@@ -88,9 +88,6 @@ let profile_json_arg =
           "write the full observability dump (pipeline phase spans, metrics, \
            tracer/analyzer/TLS events) as JSON to $(docv)")
 
-let tracer_config banks =
-  { Test_core.Tracer.default_config with Test_core.Tracer.banks }
-
 (* the --banks flag is a one-axis override of the hardware point; the
    full grid lives in `jrpm explore` *)
 let hw_of_banks banks =
@@ -270,7 +267,7 @@ let print_stats_table stats estimates =
 let profile_cmd =
   let profile file banks =
     with_frontend_errors (fun () ->
-        let tracer, plain_cycles =
+        let { Jrpm.Pipeline.tracer; plain_cycles; _ } =
           Jrpm.Pipeline.profile_only ~hw:(hw_of_banks banks) (read_file file)
         in
         let stats = Test_core.Tracer.stats tracer in
@@ -293,23 +290,14 @@ let profile_cmd =
 let deps_cmd =
   let deps file banks =
     with_frontend_errors (fun () ->
-        let src = read_file file in
-        let tac = Compiler.Opt.program (Ir.Lower.compile src) in
-        let table = Compiler.Stl_table.build tac in
-        let prog =
-          Compiler.Codegen.generate
-            ~mode:(Compiler.Codegen.Annotated { optimized = true })
-            table tac
+        let { Jrpm.Pipeline.tracer; table; annotated_program; _ } =
+          Jrpm.Pipeline.profile_only ~hw:(hw_of_banks banks) (read_file file)
         in
-        let tracer =
-          Test_core.Tracer.create ~config:(tracer_config banks) ()
-        in
-        ignore
-          (Hydra.Seq_interp.run ~tracing:true
-             ~sink:(Test_core.Tracer.sink tracer) prog);
         List.iter
           (fun (stl, st) ->
-            let entries = Test_core.Dep_profile.of_stats prog st in
+            let entries =
+              Test_core.Dep_profile.of_stats annotated_program st
+            in
             if entries <> [] then begin
               print_stl_header table stl;
               Format.printf "%a@." Test_core.Dep_profile.pp entries

@@ -4,6 +4,20 @@
 
 open Ir
 
+exception Trap of string
+
+(* Register reads that must hold an int (addresses, sizes, integer ALU
+   operands) or a float. A well-typed program holds a value of the wrong
+   kind only after an out-of-bounds or misspeculated access, so it traps
+   like any other runtime error. *)
+let int_operand = function
+  | Value.Int i -> i
+  | Value.Float _ -> raise (Trap "float value used as an int")
+
+let float_operand = function
+  | Value.Float f -> f
+  | Value.Int _ -> raise (Trap "int value used as a float")
+
 module Memory = struct
   type t = {
     mutable cells : Value.t array;
@@ -25,18 +39,18 @@ module Memory = struct
     end
 
   let load t addr =
-    if addr < 0 then invalid_arg "Memory.load: negative address";
+    if addr < 0 then raise (Trap "negative heap address");
     if addr >= Array.length t.cells then Value.zero else t.cells.(addr)
 
   let store t addr v =
-    if addr < 0 then invalid_arg "Memory.store: negative address";
+    if addr < 0 then raise (Trap "negative heap address");
     ensure t addr;
     t.cells.(addr) <- v
 
   (** Allocate [n] cells of element [kind] (initialized to the kind's
       zero); cell [base-1] holds the length. *)
   let alloc ?(kind = `Int) t n =
-    if n < 0 then invalid_arg "Memory.alloc: negative size";
+    if n < 0 then raise (Trap "negative allocation size");
     let hdr = t.brk in
     t.brk <- t.brk + n + 1;
     ensure t (t.brk - 1);
@@ -60,22 +74,20 @@ type frame = {
   uid : int; (* unique frame id, for local-variable timestamps *)
 }
 
-exception Trap of string
-
 let eval_binop (op : Tac.binop) (a : Value.t) (b : Value.t) : Value.t =
   let open Value in
-  let ii f = Int (f (to_int a) (to_int b)) in
-  let ff f = Float (f (to_float a) (to_float b)) in
-  let icmp f = Int (if f (compare (to_int a) (to_int b)) 0 then 1 else 0) in
-  let fcmp f = Int (if f (compare (to_float a) (to_float b)) 0 then 1 else 0) in
+  let ii f = Int (f (int_operand a) (int_operand b)) in
+  let ff f = Float (f (float_operand a) (float_operand b)) in
+  let icmp f = Int (if f (compare (int_operand a) (int_operand b)) 0 then 1 else 0) in
+  let fcmp f = Int (if f (compare (float_operand a) (float_operand b)) 0 then 1 else 0) in
   match op with
   | Tac.Add -> ii ( + )
   | Tac.Sub -> ii ( - )
   | Tac.Mul -> ii ( * )
   | Tac.Div ->
-      if to_int b = 0 then raise (Trap "integer division by zero") else ii ( / )
+      if int_operand b = 0 then raise (Trap "integer division by zero") else ii ( / )
   | Tac.Rem ->
-      if to_int b = 0 then raise (Trap "integer remainder by zero") else ii Stdlib.( mod )
+      if int_operand b = 0 then raise (Trap "integer remainder by zero") else ii Stdlib.( mod )
   | Tac.BAnd -> ii ( land )
   | Tac.BOr -> ii ( lor )
   | Tac.BXor -> ii ( lxor )
@@ -101,27 +113,27 @@ let eval_binop (op : Tac.binop) (a : Value.t) (b : Value.t) : Value.t =
 let eval_unop (op : Tac.unop) (a : Value.t) : Value.t =
   let open Value in
   match op with
-  | Tac.Neg -> Int (-to_int a)
-  | Tac.FNeg -> Float (-.to_float a)
-  | Tac.LNot -> Int (if to_int a = 0 then 1 else 0)
-  | Tac.I2F -> Float (Float.of_int (to_int a))
-  | Tac.F2I -> Int (Float.to_int (to_float a))
+  | Tac.Neg -> Int (-int_operand a)
+  | Tac.FNeg -> Float (-.float_operand a)
+  | Tac.LNot -> Int (if int_operand a = 0 then 1 else 0)
+  | Tac.I2F -> Float (Float.of_int (int_operand a))
+  | Tac.F2I -> Int (Float.to_int (float_operand a))
 
 let eval_builtin (b : Tac.builtin) (args : Value.t list) : Value.t =
   let open Value in
   match (b, args) with
-  | Tac.Sqrt, [ x ] -> Float (Float.sqrt (to_float x))
-  | Tac.Sin, [ x ] -> Float (Float.sin (to_float x))
-  | Tac.Cos, [ x ] -> Float (Float.cos (to_float x))
-  | Tac.Exp, [ x ] -> Float (Float.exp (to_float x))
-  | Tac.Log, [ x ] -> Float (Float.log (to_float x))
-  | Tac.FAbs, [ x ] -> Float (Float.abs (to_float x))
-  | Tac.Floor, [ x ] -> Float (Float.floor (to_float x))
-  | Tac.IAbs, [ x ] -> Int (abs (to_int x))
-  | Tac.IMin, [ x; y ] -> Int (min (to_int x) (to_int y))
-  | Tac.IMax, [ x; y ] -> Int (max (to_int x) (to_int y))
-  | Tac.FMin, [ x; y ] -> Float (Float.min (to_float x) (to_float y))
-  | Tac.FMax, [ x; y ] -> Float (Float.max (to_float x) (to_float y))
+  | Tac.Sqrt, [ x ] -> Float (Float.sqrt (float_operand x))
+  | Tac.Sin, [ x ] -> Float (Float.sin (float_operand x))
+  | Tac.Cos, [ x ] -> Float (Float.cos (float_operand x))
+  | Tac.Exp, [ x ] -> Float (Float.exp (float_operand x))
+  | Tac.Log, [ x ] -> Float (Float.log (float_operand x))
+  | Tac.FAbs, [ x ] -> Float (Float.abs (float_operand x))
+  | Tac.Floor, [ x ] -> Float (Float.floor (float_operand x))
+  | Tac.IAbs, [ x ] -> Int (abs (int_operand x))
+  | Tac.IMin, [ x; y ] -> Int (min (int_operand x) (int_operand y))
+  | Tac.IMax, [ x; y ] -> Int (max (int_operand x) (int_operand y))
+  | Tac.FMin, [ x; y ] -> Float (Float.min (float_operand x) (float_operand y))
+  | Tac.FMax, [ x; y ] -> Float (Float.max (float_operand x) (float_operand y))
   | _ -> raise (Trap "builtin arity mismatch")
 
 (** Identity element for a privatized reduction accumulator. *)

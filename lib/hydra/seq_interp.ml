@@ -5,6 +5,9 @@ type result = {
   output : Value.t list;
   memory : Machine.Memory.t;
   instructions : int;
+  locals_cycles : int;
+  read_stats_cycles : int;
+  loop_anno_cycles : int;
 }
 
 exception Out_of_fuel of int
@@ -15,6 +18,9 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
   let output = ref [] in
   let cycles = ref 0 in
   let icount = ref 0 in
+  (* the annotation cycles of paper Figure 6, by kind *)
+  let locals_cycles = ref 0 and read_stats_cycles = ref 0 in
+  let loop_anno_cycles = ref 0 in
   let frame_uid = ref 0 in
   let new_frame fidx ret_pc ret_reg args =
     let f = p.funcs.(fidx) in
@@ -74,19 +80,20 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
         slots.(s) <- regs.(r);
         pc := next
     | Native.Ld_heap (d, a) ->
-        let addr = Value.to_int regs.(a) in
+        let addr = Machine.int_operand regs.(a) in
         regs.(d) <- Machine.Memory.load mem addr;
         if tracing then
           sink.Trace.on_heap_load ~addr ~pc:(f.pc_base + !pc) ~now:!cycles;
         pc := next
     | Native.St_heap (a, s) ->
-        let addr = Value.to_int regs.(a) in
+        let addr = Machine.int_operand regs.(a) in
         Machine.Memory.store mem addr regs.(s);
         if tracing then sink.Trace.on_heap_store ~addr ~now:!cycles;
         pc := next
     | Native.Alloc (d, n, kind) ->
         regs.(d) <-
-          Value.Int (Machine.Memory.alloc ~kind mem (Value.to_int regs.(n)));
+          Value.Int
+            (Machine.Memory.alloc ~kind mem (Machine.int_operand regs.(n)));
         pc := next
     | Native.Call (ret_reg, callee, args) ->
         let argv = List.map (fun r -> regs.(r)) args in
@@ -117,25 +124,31 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
             frame := caller;
             stack := rest)
     | Native.Sloop (stl, nlocals) ->
+        loop_anno_cycles := !loop_anno_cycles + cost;
         if tracing then
           sink.Trace.on_sloop ~stl ~nlocals ~frame:!frame.Machine.uid
             ~now:!cycles;
         pc := next
     | Native.Eloop stl ->
+        loop_anno_cycles := !loop_anno_cycles + cost;
         if tracing then sink.Trace.on_eloop ~stl ~now:!cycles;
         pc := next
     | Native.Eoi stl ->
+        loop_anno_cycles := !loop_anno_cycles + cost;
         if tracing then sink.Trace.on_eoi ~stl ~now:!cycles;
         pc := next
     | Native.Read_stats stl ->
+        read_stats_cycles := !read_stats_cycles + cost;
         if tracing then sink.Trace.on_read_stats ~stl ~now:!cycles;
         pc := next
     | Native.Lwl s ->
+        locals_cycles := !locals_cycles + cost;
         if tracing then
           sink.Trace.on_local_load ~frame:!frame.Machine.uid ~slot:s
             ~pc:(f.pc_base + !pc) ~now:!cycles;
         pc := next
     | Native.Swl s ->
+        locals_cycles := !locals_cycles + cost;
         if tracing then
           sink.Trace.on_local_store ~frame:!frame.Machine.uid ~slot:s
             ~now:!cycles;
@@ -143,4 +156,7 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
     | Native.Tls_enter _ | Native.Tls_iter_end _ | Native.Tls_exit _ ->
         pc := next)
   done;
-  { cycles = !cycles; output = List.rev !output; memory = mem; instructions = !icount }
+  { cycles = !cycles; output = List.rev !output; memory = mem;
+    instructions = !icount; locals_cycles = !locals_cycles;
+    read_stats_cycles = !read_stats_cycles;
+    loop_anno_cycles = !loop_anno_cycles }

@@ -12,7 +12,13 @@ type result = {
   output : Ir.Value.t list;      (** print_int / print_float values, in order *)
   memory : Machine.Memory.t;
   instructions : int;            (** dynamic instruction count *)
+  locals_cycles : int;           (** cycles of [lwl]/[swl] annotations *)
+  read_stats_cycles : int;       (** cycles of statistics-read routines *)
+  loop_anno_cycles : int;        (** cycles of [sloop]/[eloop]/[eoi] *)
 }
+(** The three annotation components split the profiling slowdown as in
+    paper Figure 6. Annotations cost cycles only under [~tracing:true],
+    so all three are 0 for an untraced run. *)
 
 exception Out_of_fuel of int
 
@@ -25,4 +31,5 @@ val run :
 (** @param fuel maximum dynamic instructions (default 500 million);
     @raise Out_of_fuel if exceeded;
     @raise Machine.Trap on runtime errors (division by zero, negative
-    address). *)
+    address, negative allocation size, a value of the wrong kind as an
+    address, size or operand). *)

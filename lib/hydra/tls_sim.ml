@@ -258,8 +258,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
                 regs.(d) <- v;
                 config.Config.store_load_communication
             | None ->
-                (* a misspeculated address: squash with the thread *)
-                if addr < 0 then raise (Machine.Trap "negative heap address");
+                (* a misspeculated negative address traps here and
+                   squashes with the thread *)
                 regs.(d) <- Machine.Memory.load mem addr;
                 0
           in
@@ -355,7 +355,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
              slots.(s) <- regs.(r);
              t.pc <- next
          | Native.Ld_heap (d, a) ->
-             let addr = Value.to_int regs.(a) in
+             let addr = Machine.int_operand regs.(a) in
              let fpc = f.Native.pc_base + t.pc in
              if must_wait t addr ~pc:fpc then begin
                ms.m_sync_stalls <- ms.m_sync_stalls + 1;
@@ -371,14 +371,15 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
                t.pc <- next
              end
          | Native.St_heap (a, s) ->
-             let addr = Value.to_int regs.(a) in
+             let addr = Machine.int_operand regs.(a) in
              spec_store t addr regs.(s) ~at:n;
              check_overflow t;
              t.pc <- next
          | Native.Alloc (d, nreg, kind) ->
              regs.(d) <-
                Value.Int
-                 (Machine.Memory.alloc ~kind mem (Value.to_int regs.(nreg)));
+                 (Machine.Memory.alloc ~kind mem
+                    (Machine.int_operand regs.(nreg)));
              t.pc <- next
          | Native.Call (ret_reg, callee, args) ->
              let argv = List.map (fun r -> regs.(r)) args in
@@ -571,14 +572,15 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
         slots.(s) <- regs.(r);
         pc := next
     | Native.Ld_heap (d, a) ->
-        regs.(d) <- Machine.Memory.load mem (Value.to_int regs.(a));
+        regs.(d) <- Machine.Memory.load mem (Machine.int_operand regs.(a));
         pc := next
     | Native.St_heap (a, s) ->
-        Machine.Memory.store mem (Value.to_int regs.(a)) regs.(s);
+        Machine.Memory.store mem (Machine.int_operand regs.(a)) regs.(s);
         pc := next
     | Native.Alloc (d, n, kind) ->
         regs.(d) <-
-          Value.Int (Machine.Memory.alloc ~kind mem (Value.to_int regs.(n)));
+          Value.Int
+            (Machine.Memory.alloc ~kind mem (Machine.int_operand regs.(n)));
         pc := next
     | Native.Call (ret_reg, callee, args) ->
         let argv = List.map (fun r -> regs.(r)) args in

@@ -60,8 +60,9 @@ val run :
     restarting — the violation-minimizing mechanism of the paper's
     citations [10]/[30] (Cintra-Torrellas / Steffan et al.).
     @raise Machine.Trap only for traps reached non-speculatively
-    (speculative traps squash silently with the thread). A load from a
-    negative heap address, e.g. through an index forwarded from an
-    older thread's short-lived store, traps like any other
+    (speculative traps squash silently with the thread). A negative
+    heap address or allocation size, or a value of the wrong kind
+    (a Float address or ALU operand), e.g. through an index forwarded
+    from an older thread's short-lived store, traps like any other
     instruction: it reaches the caller only if the thread becomes the
     head. *)

@@ -53,109 +53,99 @@ let phases =
     phase_tls;
   ]
 
-let annotated_run ?tracer_config ?fuel ?(obs = Obs.Sink.null)
-    ?(wrap_sink = Fun.id) ~optimized ~plain_cycles table tac =
+(* An annotated build run with tracing on. The annotation cycles that
+   split the slowdown (Figure 6) come from the interpreter, so [sink]
+   only matters to a caller that consumes the events. *)
+let annotated_run ?fuel ?sink ~optimized ~plain_cycles table tac =
   let prog =
     Compiler.Codegen.generate ~mode:(Compiler.Codegen.Annotated { optimized })
       table tac
   in
-  let tracer = Test_core.Tracer.create ?config:tracer_config ~obs () in
-  let counts = Counting_sink.create_counts () in
-  let sink =
-    wrap_sink (Counting_sink.wrap counts (Test_core.Tracer.sink tracer))
-  in
-  let r = Hydra.Seq_interp.run ?fuel ~tracing:true ~sink prog in
+  let r = Hydra.Seq_interp.run ?fuel ~tracing:true ?sink prog in
   let run =
     {
       cycles = r.Hydra.Seq_interp.cycles;
       slowdown =
         Float.of_int r.Hydra.Seq_interp.cycles /. Float.of_int (max 1 plain_cycles);
-      locals_cycles = Counting_sink.locals_cycles counts;
-      read_stats_cycles = Counting_sink.read_stats_cycles counts;
-      loop_anno_cycles = Counting_sink.loop_cycles counts;
+      locals_cycles = r.Hydra.Seq_interp.locals_cycles;
+      read_stats_cycles = r.Hydra.Seq_interp.read_stats_cycles;
+      loop_anno_cycles = r.Hydra.Seq_interp.loop_anno_cycles;
     }
   in
-  (run, tracer, prog)
+  (run, prog)
+
+(* The [frontend] and [plain-run] phases both entry points start with. *)
+let compile_and_run_plain ?fuel ~obs ~optimize src =
+  let tac, table =
+    Obs.Sink.phase obs phase_frontend (fun () ->
+        let tac = Ir.Lower.compile src in
+        let tac = if optimize then Compiler.Opt.program tac else tac in
+        (tac, Compiler.Stl_table.build tac))
+  in
+  let pr =
+    Obs.Sink.phase obs phase_plain (fun () ->
+        let plain =
+          Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac
+        in
+        Hydra.Seq_interp.run ?fuel plain)
+  in
+  (tac, table, pr)
+
+(* The [profile-opt] phase: the one traced run, which feeds the analyzer.
+   An explicit [tracer_config] wins (tests exercise odd geometries);
+   otherwise the tracer models the same machine the analysis targets.
+   [wrap] sits between the interpreter and the tracer; the capture tee
+   wraps outermost, so the writer records the raw interpreter stream,
+   which is what replay must feed back. *)
+let profile_opt ?fuel ~hw ?tracer_config ~obs ?capture ?(wrap = Fun.id)
+    ~plain_cycles table tac =
+  Obs.Sink.phase obs phase_profile_opt (fun () ->
+      let config =
+        Option.value tracer_config ~default:(Test_core.Tracer.config_of hw)
+      in
+      let tracer = Test_core.Tracer.create ~config ~obs () in
+      let sink = wrap (Test_core.Tracer.sink tracer) in
+      let sink =
+        Option.fold capture ~none:sink ~some:(fun w ->
+            Hydra.Trace.tee sink (Trace_store.Writer.sink w))
+      in
+      let run, prog =
+        annotated_run ?fuel ~sink ~optimized:true ~plain_cycles table tac
+      in
+      (run, tracer, prog))
+
+type profile = {
+  tracer : Test_core.Tracer.t;
+  plain_cycles : int;
+  table : Compiler.Stl_table.t;
+  annotated_program : Hydra.Native.program;
+}
 
 let profile_only ?(hw = Hydra.Config.default) ?tracer_config ?fuel
     ?(obs = Obs.Sink.null) ?(optimize = true) ?capture src =
-  let tracer_config =
-    match tracer_config with
-    | Some c -> Some c
-    | None -> Some (Test_core.Tracer.config_of hw)
+  let tac, table, pr = compile_and_run_plain ?fuel ~obs ~optimize src in
+  let plain_cycles = pr.Hydra.Seq_interp.cycles in
+  let _, tracer, annotated_program =
+    profile_opt ?fuel ~hw ?tracer_config ~obs ?capture ~plain_cycles table tac
   in
-  let tac, table =
-    Obs.Sink.phase obs phase_frontend (fun () ->
-        let tac = Ir.Lower.compile src in
-        let tac = if optimize then Compiler.Opt.program tac else tac in
-        (tac, Compiler.Stl_table.build tac))
-  in
-  let pr =
-    Obs.Sink.phase obs phase_plain (fun () ->
-        let plain =
-          Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac
-        in
-        Hydra.Seq_interp.run ?fuel plain)
-  in
-  let wrap_sink =
-    match capture with
-    | None -> Fun.id
-    | Some w -> fun s -> Hydra.Trace.tee s (Trace_store.Writer.sink w)
-  in
-  let _, tracer, _ =
-    Obs.Sink.phase obs phase_profile_opt (fun () ->
-        annotated_run ?tracer_config ?fuel ~obs ~wrap_sink ~optimized:true
-          ~plain_cycles:pr.Hydra.Seq_interp.cycles table tac)
-  in
-  (tracer, pr.Hydra.Seq_interp.cycles)
+  { tracer; plain_cycles; table; annotated_program }
 
 let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     ?(obs = Obs.Sink.null) ?(optimize = true) ?capture ~name src : report =
-  (* an explicit tracer_config wins (tests exercise odd geometries);
-     otherwise the tracer models the same machine the analysis targets *)
-  let tracer_config =
-    match tracer_config with
-    | Some c -> Some c
-    | None -> Some (Test_core.Tracer.config_of hw)
-  in
-  let tac, table =
-    Obs.Sink.phase obs phase_frontend (fun () ->
-        let tac = Ir.Lower.compile src in
-        let tac = if optimize then Compiler.Opt.program tac else tac in
-        (tac, Compiler.Stl_table.build tac))
-  in
   (* 1. plain sequential baseline *)
-  let pr =
-    Obs.Sink.phase obs phase_plain (fun () ->
-        let plain =
-          Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac
-        in
-        Hydra.Seq_interp.run ?fuel plain)
-  in
+  let tac, table, pr = compile_and_run_plain ?fuel ~obs ~optimize src in
   let plain_cycles = pr.Hydra.Seq_interp.cycles in
-  (* 2. profiling runs — only the optimized run (the one feeding the
-     analyzer) reports tracer events to [obs], so arc/overflow counters
-     are not double-counted across the two runs. *)
-  let base, _, _ =
+  (* 2. profiling runs. The base run is untraced: only its cycle split
+     is read, and the interpreter counts that itself. *)
+  let base, _ =
     Obs.Sink.phase obs phase_profile_base (fun () ->
-        annotated_run ?tracer_config ?fuel ~optimized:false ~plain_cycles table
-          tac)
+        annotated_run ?fuel ~optimized:false ~plain_cycles table tac)
   in
   let methods = Test_core.Method_profile.create () in
-  (* the capture tee wraps outermost, so the writer records the raw
-     interpreter stream — the same stream every pass-through wrapper
-     below it forwards to the tracer, hence what replay must feed back *)
-  let wrap_capture =
-    match capture with
-    | None -> Fun.id
-    | Some w -> fun s -> Hydra.Trace.tee s (Trace_store.Writer.sink w)
-  in
   let opt, tracer, annotated_program =
-    Obs.Sink.phase obs phase_profile_opt (fun () ->
-        annotated_run ?tracer_config ?fuel ~obs
-          ~wrap_sink:(fun s ->
-            wrap_capture (Test_core.Method_profile.wrap methods s))
-          ~optimized:true ~plain_cycles table tac)
+    profile_opt ?fuel ~hw ?tracer_config ~obs ?capture
+      ~wrap:(Test_core.Method_profile.wrap methods)
+      ~plain_cycles table tac
   in
   (* 3. analyze & select *)
   let stats, estimates, selection =

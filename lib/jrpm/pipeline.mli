@@ -1,8 +1,9 @@
 (** The full Jrpm life cycle over one Javelin program (paper Fig. 1):
 
     1. compile the source, identify potential STLs;
-    2. run natively with base and with optimized annotations, collecting
-       TEST statistics (the optimized run feeds the analyzer);
+    2. run natively with base and with optimized annotations; only the
+       optimized run is traced, and its TEST statistics feed the
+       analyzer;
     3. estimate per-STL speedups (Equation 1), pick decompositions
        (Equation 2);
     4. recompile the chosen STLs into speculative threads;
@@ -20,6 +21,9 @@ type anno_run = {
   read_stats_cycles : int;
   loop_anno_cycles : int;         (** sloop/eloop/eoi component *)
 }
+(** One annotated run. The three components are the interpreter's own
+    counts ({!Hydra.Seq_interp.result}), so a run needs no tracer to
+    report them. *)
 
 type report = {
   name : string;
@@ -74,8 +78,11 @@ val run :
     bracketed in [Phase_begin]/[Phase_end] events (phases [frontend],
     [plain-run], [profile-base], [profile-opt], [analyze],
     [recompile-tls], [tls-run]) and the sink is threaded into the
-    tracer (optimized profiling run only, so counters are not
-    double-counted), the analyzer, and the TLS simulator.
+    tracer, the analyzer, and the TLS simulator.
+
+    The base-annotation run ([profile-base]) is not traced: it feeds no
+    tracer and no sink, and its cycle split comes from the interpreter.
+    The optimized run is the one traced run.
 
     [capture] tees the {e optimized} profiling run's raw annotation
     event stream — the stream the tracer itself consumes — into a
@@ -85,6 +92,15 @@ val run :
     The base profiling run and the TLS run are never captured.
     @raise the usual front-end exceptions on bad source. *)
 
+type profile = {
+  tracer : Test_core.Tracer.t;    (** the optimized run's tracer *)
+  plain_cycles : int;             (** plain sequential cycle count *)
+  table : Compiler.Stl_table.t;
+  annotated_program : Hydra.Native.program;
+      (** the traced build, which maps load PCs back to source
+          ({!Test_core.Dep_profile.of_stats}) *)
+}
+
 val profile_only :
   ?hw:Hydra.Config.t ->
   ?tracer_config:Test_core.Tracer.config ->
@@ -93,11 +109,12 @@ val profile_only :
   ?optimize:bool ->
   ?capture:Trace_store.Writer.t ->
   string ->
-  Test_core.Tracer.t * int
-(** Compile with optimized annotations and trace once; returns the
-    tracer and the plain sequential cycle count. [obs] observes the
-    [frontend], [plain-run], and [profile-opt] phases and the tracer.
-    [capture] tees the profiling event stream exactly as in {!run}. *)
+  profile
+(** The first steps of {!run} and nothing after them: compile, run
+    plain, and trace the optimized-annotation build once, with the same
+    [hw]/[tracer_config] rules. [obs] observes the [frontend],
+    [plain-run], and [profile-opt] phases and the tracer. [capture] tees
+    the profiling event stream exactly as in {!run}. *)
 
 val phases : string list
 (** The phase names {!run} brackets, in pipeline order — the vocabulary

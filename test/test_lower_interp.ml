@@ -98,12 +98,52 @@ let test_trap_div_zero () =
     (fun () -> ignore (run_outputs "def main() { int z = 0; print_int(1 / z); }"))
 
 let test_trap_negative_address () =
-  try
-    ignore
-      (run_outputs "int[] a; def main() { a = new int[2]; print_int(a[-5]); }")
-    (* a[-5] reads payload-5; if that is still >= 0 it reads garbage (0)
-       rather than trapping, which is also acceptable *)
-  with Hydra.Machine.Trap _ | Invalid_argument _ -> ()
+  (* far enough below the heap that the address itself is negative *)
+  match
+    run_outputs
+      "int[] a; def main() { a = new int[2]; print_int(a[-100000]); }"
+  with
+  | _ -> Alcotest.fail "a negative address must trap"
+  | exception Hydra.Machine.Trap _ -> ()
+
+(* The interpreter's annotation split (paper Figure 6) equals the events
+   a sink sees, each priced at its Hydra.Cost constant; untraced, it is 0. *)
+let test_annotation_cycles () =
+  let prog, _ =
+    Compiler.Codegen.compile_source
+      ~mode:(Compiler.Codegen.Annotated { optimized = false })
+      "int[] a;\n\
+       def main() { a = new int[50]; int x = 1; for (int i = 0; i < 50; i = i + 1) { a[i] = x; x = (x * 7 + i) % 101; } print_int(x); }"
+  in
+  let locals = ref 0 and reads = ref 0 and bounds = ref 0 and eois = ref 0 in
+  let sink =
+    {
+      Hydra.Trace.null_sink with
+      on_sloop = (fun ~stl:_ ~nlocals:_ ~frame:_ ~now:_ -> incr bounds);
+      on_eloop = (fun ~stl:_ ~now:_ -> incr bounds);
+      on_eoi = (fun ~stl:_ ~now:_ -> incr eois);
+      on_read_stats = (fun ~stl:_ ~now:_ -> incr reads);
+      on_local_load = (fun ~frame:_ ~slot:_ ~pc:_ ~now:_ -> incr locals);
+      on_local_store = (fun ~frame:_ ~slot:_ ~now:_ -> incr locals);
+    }
+  in
+  let r = Hydra.Seq_interp.run ~tracing:true ~sink prog in
+  Alcotest.(check bool) "every kind seen" true
+    (!locals > 0 && !reads > 0 && !bounds > 0 && !eois > 0);
+  Alcotest.(check int) "locals" (!locals * Hydra.Cost.cost_anno_local)
+    r.Hydra.Seq_interp.locals_cycles;
+  Alcotest.(check int) "read stats" (!reads * Hydra.Cost.cost_read_stats)
+    r.Hydra.Seq_interp.read_stats_cycles;
+  Alcotest.(check int) "loop annotations"
+    ((!bounds * Hydra.Cost.cost_anno_loop) + (!eois * Hydra.Cost.cost_anno_eoi))
+    r.Hydra.Seq_interp.loop_anno_cycles;
+  let u = Hydra.Seq_interp.run prog in
+  Alcotest.(check (list int)) "untraced: all 0" [ 0; 0; 0 ]
+    [
+      u.Hydra.Seq_interp.locals_cycles;
+      u.Hydra.Seq_interp.read_stats_cycles;
+      u.Hydra.Seq_interp.loop_anno_cycles;
+    ]
 
 let test_cycles_positive () =
   let prog, _ =
@@ -131,6 +171,7 @@ let suites =
       [
         Alcotest.test_case "trap div zero" `Quick test_trap_div_zero;
         Alcotest.test_case "negative address" `Quick test_trap_negative_address;
+        Alcotest.test_case "annotation cycles" `Quick test_annotation_cycles;
         Alcotest.test_case "cycle accounting" `Quick test_cycles_positive;
         Alcotest.test_case "fuel limit" `Quick test_fuel;
       ] );

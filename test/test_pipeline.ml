@@ -75,13 +75,52 @@ let test_serialish_pipeline () =
 
 let test_anno_components_sum () =
   let r = run_small "NumHeapSort" 500 in
-  (* the slowdown components must not exceed the total overhead *)
-  let overhead = r.opt.cycles - r.plain_cycles in
-  let parts =
-    r.opt.locals_cycles + r.opt.read_stats_cycles + r.opt.loop_anno_cycles
+  (* in both profiling runs the slowdown components must not exceed the
+     total overhead *)
+  let check what (a : Jrpm.Pipeline.anno_run) =
+    let overhead = a.cycles - r.plain_cycles in
+    let parts = a.locals_cycles + a.read_stats_cycles + a.loop_anno_cycles in
+    Alcotest.(check bool) (what ^ ": components <= overhead") true
+      (parts <= overhead);
+    Alcotest.(check bool) (what ^ ": components > 0") true (parts > 0)
   in
-  Alcotest.(check bool) "components <= overhead" true (parts <= overhead);
-  Alcotest.(check bool) "components > 0" true (parts > 0)
+  check "base" r.base;
+  check "opt" r.opt
+
+(* `deps` validates --banks like `profile`: the same message and exit 2,
+   not an escaped exception or an empty report. *)
+let test_cli_banks_rejected () =
+  let jrpm = "../bin/jrpm_cli.exe" in
+  if Sys.file_exists jrpm then begin
+    let src = Filename.temp_file "jrpm_banks" ".jvl" in
+    let errfile = Filename.temp_file "jrpm_banks" ".err" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src; errfile ])
+      (fun () ->
+        Out_channel.with_open_bin src (fun oc ->
+            output_string oc "def main() { print_int(1); }");
+        let stderr_of cmd banks =
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s --banks=%s %s >/dev/null 2>%s" jrpm cmd
+                 banks (Filename.quote src) (Filename.quote errfile))
+          in
+          Alcotest.(check int) (cmd ^ " --banks=" ^ banks ^ ": exit") 2 code;
+          In_channel.with_open_bin errfile In_channel.input_all
+        in
+        List.iter
+          (fun banks ->
+            let p = stderr_of "profile" banks in
+            Alcotest.(check string) ("--banks=" ^ banks ^ ": same message") p
+              (stderr_of "deps" banks);
+            Alcotest.(check string) "the message"
+              (Printf.sprintf
+                 "jrpm: Hydra.Config: comparator_banks must be positive (got %s)\n"
+                 banks)
+              p)
+          [ "0"; "-1" ])
+  end
 
 let test_dataset_sensitivity () =
   (* Sec. 6.1: with a larger data set, inner-loop trip counts grow and
@@ -91,7 +130,9 @@ let test_dataset_sensitivity () =
      with the data size. *)
   let w = Workloads.Registry.find_exn "LuFactor" in
   let ovf scale =
-    let tracer, _ = Jrpm.Pipeline.profile_only (w.Workloads.Workload.source scale) in
+    let { Jrpm.Pipeline.tracer; _ } =
+      Jrpm.Pipeline.profile_only (w.Workloads.Workload.source scale)
+    in
     let stats = Test_core.Tracer.stats tracer in
     List.fold_left
       (fun acc (_, s) -> Float.max acc (Test_core.Stats.overflow_freq s))
@@ -117,5 +158,7 @@ let suites =
         Alcotest.test_case "mips simulator" `Slow test_serialish_pipeline;
         Alcotest.test_case "slowdown components" `Slow test_anno_components_sum;
         Alcotest.test_case "dataset sensitivity" `Slow test_dataset_sensitivity;
+        Alcotest.test_case "deps and profile reject bad --banks" `Quick
+          test_cli_banks_rejected;
       ] );
   ]

@@ -3,8 +3,9 @@
    globalized carried locals, early exits, and zero-trip loops — and
    must actually speed up dependence-free loops. *)
 
-let compile_both ?selected src =
+let compile_both ?(optimize = false) ?selected src =
   let tac = Ir.Lower.compile src in
+  let tac = if optimize then Compiler.Opt.program tac else tac in
   let table = Compiler.Stl_table.build tac in
   let plain = Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac in
   let selected =
@@ -30,11 +31,21 @@ let outputs_of_seq prog =
 let outputs_of_tls prog =
   List.map Ir.Value.to_string (Hydra.Tls_sim.run prog).Hydra.Tls_sim.output
 
-let check_equiv ?selected name src =
+let check_equiv ?optimize ?selected name src =
   Alcotest.test_case name `Quick (fun () ->
-      let plain, tls = compile_both ?selected src in
+      let plain, tls = compile_both ?optimize ?selected src in
       Alcotest.(check (list string))
         (name ^ " output") (outputs_of_seq plain) (outputs_of_tls tls))
+
+(* globals sit at addresses 1..5 and [fl]'s payload starts at 7, so
+   [fl[-5]] is the cell holding [a] *)
+let float_base_src =
+  "float[] fl; int[] a; int[] b; int[] d; int[] nx;\n\
+   def main() { fl = new float[64]; a = new int[1]; a[0] = 7; b = new int[64]; d = new int[64]; nx = new int[1]; nx[0] = 0;\n\
+   for (int i = 0; i < 60; i = i + 1) { int t = 0; int k = 0; while (k < 5) { t = t + d[k]; k = k + 1; }\n\
+   int j = nx[0]; fl[j] = 2.5; b[i] = a[0] + t; nx[0] = -5; int m = 0; while (m < 30) { t = t + d[m]; m = m + 1; }\n\
+   nx[0] = i; b[i] = b[i] + t; }\n\
+   print_int(b[59]); }"
 
 let equivalence_cases =
   [
@@ -92,6 +103,23 @@ let equivalence_cases =
        int j = nx[0]; b[i] = a[j] + t; nx[0] = -100000000; int m = 0; while (m < 30) { t = t + a[m]; m = m + 1; }\n\
        nx[0] = i; b[i] = b[i] + t; }\n\
        print_int(b[59]); }";
+    (* the same forwarded short-lived negative value, used as the size
+       of an allocation *)
+    check_equiv "misspeculated negative allocation size squashes"
+      "int[] a; int[] b; int[] nx; int[] c;\n\
+       def main() { a = new int[64]; b = new int[64]; nx = new int[1]; nx[0] = 0;\n\
+       for (int i = 0; i < 60; i = i + 1) { int t = 0; int k = 0; while (k < 5) { t = t + a[k]; k = k + 1; }\n\
+       int j = nx[0]; c = new int[j + 1]; nx[0] = -100; int m = 0; while (m < 30) { t = t + a[m]; m = m + 1; }\n\
+       nx[0] = i; b[i] = c[0] + t; }\n\
+       print_int(b[59]); }";
+    (* the forwarded index points a float-array store at the global cell
+       that holds array [a]'s base, and the thread reads that base back
+       from its own write buffer as a Float: optimized, [a[0]] loads
+       through it directly; unoptimized, the Float first meets the add
+       of the element offset *)
+    check_equiv ~optimize:true "misspeculated float address squashes"
+      float_base_src;
+    check_equiv "misspeculated float ALU operand squashes" float_base_src;
   ]
 
 (* Dependence-free loops actually speed up (and never slow down much). *)

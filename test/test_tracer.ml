@@ -437,7 +437,7 @@ def main() {
 }
 |}
   in
-  let tracer, _ = Jrpm.Pipeline.profile_only src in
+  let { Jrpm.Pipeline.tracer; _ } = Jrpm.Pipeline.profile_only src in
   (* the big loop is the one with the most cycles *)
   let _, st =
     List.fold_left
