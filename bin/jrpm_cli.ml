@@ -41,6 +41,9 @@ let with_frontend_errors f =
   | Hydra.Machine.Trap msg ->
       Printf.eprintf "runtime trap: %s\n" msg;
       exit 2
+  | Hydra.Machine.Out_of_fuel n ->
+      Printf.eprintf "runtime trap: out of fuel after %d instructions\n" n;
+      exit 2
 
 (* ---------------- arguments ---------------- *)
 

@@ -6,10 +6,15 @@ open Ir
 
 exception Trap of string
 
-(* Register reads that must hold an int (addresses, sizes, integer ALU
+exception Out_of_fuel of int
+(** More dynamic instructions than the executor's [fuel]; the payload is
+    the fuel. *)
+
+(* Operand reads that must hold an int (addresses, sizes, integer ALU
    operands) or a float. A well-typed program holds a value of the wrong
    kind only after an out-of-bounds or misspeculated access, so it traps
-   like any other runtime error. *)
+   like any other runtime error. The executors make the same checks, with
+   the same messages, on their unboxed register files. *)
 let int_operand = function
   | Value.Int i -> i
   | Value.Float _ -> raise (Trap "float value used as an int")
@@ -65,14 +70,70 @@ module Memory = struct
 
 end
 
+(* A frame's registers and slots live in one flat tagged file: index
+   [r] is register [r] and index [soff + s] is slot [s]. Entry [i] holds
+   [Int ints.(i)] when [kinds.[i] = kind_int] and [Float floats.(i)]
+   otherwise; the unused half is stale. The executors read and write the
+   three arrays directly, so an ALU result is a plain store with no
+   allocation and no write barrier, and a value is boxed into a
+   [Value.t] only when it leaves the frame. *)
 type frame = {
   fidx : int;
-  slots : Value.t array;
-  regs : Value.t array;
+  ints : int array;
+  floats : float array;
+  kinds : Bytes.t;
+  soff : int; (* index of slot 0: the function's register count *)
   ret_pc : int;
   ret_reg : Native.reg option;
   uid : int; (* unique frame id, for local-variable timestamps *)
 }
+
+let kind_int = '\000'
+let kind_float = '\001'
+
+(** A frame for [f] with every register and slot [Value.zero]. *)
+let new_frame (f : Native.func) ~fidx ~ret_pc ~ret_reg ~uid =
+  let n = f.Native.nregs + f.Native.nslots in
+  {
+    fidx;
+    ints = Array.make n 0;
+    floats = Array.make n 0.;
+    kinds = Bytes.make n kind_int;
+    soff = f.Native.nregs;
+    ret_pc;
+    ret_reg;
+    uid;
+  }
+
+(** Entry [i] of [fr]'s file, boxed. *)
+let get (fr : frame) i : Value.t =
+  if Bytes.get fr.kinds i = kind_int then Value.Int fr.ints.(i)
+  else Value.Float fr.floats.(i)
+
+let set (fr : frame) i (v : Value.t) =
+  match v with
+  | Value.Int n ->
+      fr.ints.(i) <- n;
+      Bytes.set fr.kinds i kind_int
+  | Value.Float x ->
+      fr.floats.(i) <- x;
+      Bytes.set fr.kinds i kind_float
+
+(** Copy entry [src] of [from] to entry [dst] of [into]. *)
+let copy ~(from : frame) src ~(into : frame) dst =
+  into.ints.(dst) <- from.ints.(src);
+  into.floats.(dst) <- from.floats.(src);
+  Bytes.set into.kinds dst (Bytes.get from.kinds src)
+
+let rec pass_args_from caller callee i = function
+  | [] -> ()
+  | r :: args ->
+      copy ~from:caller r ~into:callee (callee.soff + i);
+      pass_args_from caller callee (i + 1) args
+
+(** Call arguments: registers [args] of [caller] to the first slots of
+    [callee]. *)
+let pass_args ~caller ~callee args = pass_args_from caller callee 0 args
 
 let eval_binop (op : Tac.binop) (a : Value.t) (b : Value.t) : Value.t =
   let open Value in

@@ -21,6 +21,7 @@ type result = {
     so all three are 0 for an untraced run. *)
 
 exception Out_of_fuel of int
+(** {!Machine.Out_of_fuel}, re-exported. *)
 
 val run :
   ?sink:Trace.sink ->

@@ -38,6 +38,7 @@ type result = {
 }
 
 exception Out_of_fuel of int
+(** {!Machine.Out_of_fuel}, re-exported. *)
 
 val run :
   ?config:Config.t ->

@@ -164,9 +164,208 @@ let test_fuel () =
   Alcotest.check_raises "runs out of fuel" (Hydra.Seq_interp.Out_of_fuel 10_000)
     (fun () -> ignore (Hydra.Seq_interp.run ~fuel:10_000 prog))
 
+(* ---------------- ALU differential ---------------- *)
+
+(* Both executors dispatch ALU instructions on unboxed register files;
+   [Machine.eval_binop]/[eval_unop] are the [Value]-level reference that
+   [Compiler.Opt] folds constants with. A one-op program
+   [Const a; Const b; op; Print] must print what the reference computes,
+   or raise the same trap, on [Seq_interp], on [Tls_sim]'s sequential
+   master, and inside a speculative thread. *)
+
+let alu_operands =
+  Ir.Value.
+    [
+      Int 0; Int 1; Int (-1); Int 2; Int 7; Int (-13); Int 62; Int 63;
+      Int min_int; Int max_int; Float 0.; Float (-0.); Float 1.5;
+      Float (-2.25); Float 1e300; Float nan; Float infinity;
+      Float neg_infinity;
+    ]
+
+let all_binops =
+  Ir.Tac.
+    [
+      Add; Sub; Mul; Div; Rem; BAnd; BOr; BXor; Shl; Shr; Eq; Ne; Lt; Le; Gt;
+      Ge; FAdd; FSub; FMul; FDiv; FEq; FNe; FLt; FLe; FGt; FGe;
+    ]
+
+let all_unops = Ir.Tac.[ Neg; FNeg; LNot; I2F; F2I ]
+
+(* [op] computes register 2 from registers 0 and 1. With [~spec] the op
+   runs as the body of a selected loop whose first thread exits it. *)
+let alu_program ~spec a b (op : Hydra.Native.instr) : Hydra.Native.program =
+  let body =
+    Hydra.Native.[ Const (0, a); Const (1, b); op; Print (`Int, 2) ]
+  in
+  let code =
+    if spec then
+      Hydra.Native.([ Tls_enter 0 ] @ body @ [ Tls_exit 0; Return None ])
+    else body @ [ Hydra.Native.Return None ]
+  in
+  let plan =
+    {
+      Hydra.Native.stl_id = 0;
+      plan_func = 0;
+      body_start = 1;
+      inductors = [];
+      reductions = [];
+      globalized = [];
+      invariants = [];
+    }
+  in
+  {
+    Hydra.Native.funcs =
+      [|
+        {
+          Hydra.Native.name = "main";
+          nslots = 0;
+          nregs = 3;
+          code = Array.of_list code;
+          pc_base = 0;
+        };
+      |];
+    main = 0;
+    globals = [||];
+    heap_base = 16;
+    stl_plans = (if spec then [ (0, plan) ] else []);
+  }
+
+(* bit-exact, so NaN equals NaN and 0. differs from -0. *)
+let same_value (a : Ir.Value.t) (b : Ir.Value.t) =
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Hydra.Machine.Trap msg -> Error msg
+
+let single = function
+  | [ v ] -> v
+  | l -> Alcotest.failf "expected one output, got %d" (List.length l)
+
+let alu_agrees a b (op : Hydra.Native.instr) =
+  let expected =
+    outcome (fun () ->
+        match op with
+        | Hydra.Native.Binop (_, bop, _, _) -> Hydra.Machine.eval_binop bop a b
+        | Hydra.Native.Unop (_, uop, _) -> Hydra.Machine.eval_unop uop a
+        | _ -> assert false)
+  in
+  let seq =
+    outcome (fun () ->
+        single (Hydra.Seq_interp.run (alu_program ~spec:false a b op)).output)
+  in
+  let tls spec =
+    outcome (fun () ->
+        single (Hydra.Tls_sim.run (alu_program ~spec a b op)).output)
+  in
+  let same x y =
+    match (x, y) with
+    | Ok v, Ok w -> same_value v w
+    | Error m, Error n -> m = n
+    | _ -> false
+  in
+  same expected seq && same expected (tls false) && same expected (tls true)
+
+let alu_case_gen =
+  QCheck.Gen.(
+    let operand =
+      oneof
+        [
+          oneofl alu_operands;
+          map (fun i -> Ir.Value.Int i) int;
+          map (fun x -> Ir.Value.Float x) float;
+        ]
+    in
+    map3
+      (fun a b op -> (a, b, op))
+      operand operand
+      (oneof
+         [
+           map (fun op -> Hydra.Native.Binop (2, op, 0, 1)) (oneofl all_binops);
+           map (fun op -> Hydra.Native.Unop (2, op, 0)) (oneofl all_unops);
+         ]))
+
+let prop_alu_differential =
+  QCheck.Test.make ~name:"executors' ALU = Machine.eval_binop/eval_unop"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b, op) ->
+         Format.asprintf "a=%a b=%a: %a" Ir.Value.pp a Ir.Value.pp b
+           Hydra.Native.pp_instr op)
+       alu_case_gen)
+    (fun (a, b, op) -> alu_agrees a b op)
+
+(* Every pair of the edge operands under every op; the property above
+   adds random ints and floats. *)
+let test_alu_exhaustive () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun op ->
+              if not (alu_agrees a b op) then
+                Alcotest.failf "a=%a b=%a: %a" Ir.Value.pp a Ir.Value.pp b
+                  Hydra.Native.pp_instr op)
+            (List.map (fun op -> Hydra.Native.Binop (2, op, 0, 1)) all_binops
+            @ List.map (fun op -> Hydra.Native.Unop (2, op, 0)) all_unops))
+        alu_operands)
+    alu_operands
+
+(* ---------------- hot-path allocation ---------------- *)
+
+(* The tentpole invariant of the unboxed register files: a loop of int
+   ALU ops, local loads/stores and branches allocates nothing per
+   instruction, untraced or traced into the null sink. Each run also
+   allocates a fixed few hundred words (cost table, frame, output);
+   over the 3.5M instructions here that is under 0.001 words per
+   instruction, so the 0.05 budget is all headroom. Boxing every ALU
+   result and local (2 words each) costs this loop 0.4. *)
+let test_hot_path_alloc () =
+  let src =
+    "def main() { int s = 0; int t = 1; for (int i = 0; i < 100000; i = i + 1) \
+     { s = (s + i * 3) % 1000; if (s < t) { t = t - 1; } else { t = t + 2; } } \
+     print_int(s + t); }"
+  in
+  let prog, _ =
+    Compiler.Codegen.compile_source
+      ~mode:(Compiler.Codegen.Annotated { optimized = false })
+      src
+  in
+  let words_per_instr tracing =
+    let before = Gc.minor_words () in
+    let r = Hydra.Seq_interp.run ~tracing prog in
+    let words = Gc.minor_words () -. before in
+    (words /. Float.of_int r.Hydra.Seq_interp.instructions,
+     r.Hydra.Seq_interp.instructions)
+  in
+  List.iter
+    (fun tracing ->
+      let w, n = words_per_instr tracing in
+      Alcotest.(check bool)
+        (Printf.sprintf "tracing=%b: %.4f minor words per instruction over %d"
+           tracing w n)
+        true
+        (n > 500_000 && w < 0.05))
+    [ false; true ]
+
 let suites =
   [
     ("interp.semantics", semantics_cases);
+    ( "interp.alu_oracle",
+      [
+        Alcotest.test_case "every operand pair" `Quick test_alu_exhaustive;
+        QCheck_alcotest.to_alcotest prop_alu_differential;
+      ] );
+    ( "interp.hot_path",
+      [
+        Alcotest.test_case "ALU, locals and branches allocation-free" `Quick
+          test_hot_path_alloc;
+      ] );
     ( "interp.machine",
       [
         Alcotest.test_case "trap div zero" `Quick test_trap_div_zero;

@@ -122,6 +122,31 @@ let test_cli_banks_rejected () =
           [ "0"; "-1" ])
   end
 
+(* A program that never terminates is a user error: `run` stops it at
+   the fuel limit with a runtime-trap message and exit 2, not an escaped
+   exception. *)
+let test_cli_out_of_fuel () =
+  let jrpm = "../bin/jrpm_cli.exe" in
+  if Sys.file_exists jrpm then begin
+    let src = Filename.temp_file "jrpm_fuel" ".jvl" in
+    let errfile = Filename.temp_file "jrpm_fuel" ".err" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src; errfile ])
+      (fun () ->
+        Out_channel.with_open_bin src (fun oc ->
+            output_string oc "def main() { while (1) { } }");
+        let code =
+          Sys.command
+            (Printf.sprintf "%s run %s >/dev/null 2>%s" jrpm (Filename.quote src)
+               (Filename.quote errfile))
+        in
+        Alcotest.(check int) "exit" 2 code;
+        Alcotest.(check string) "the message"
+          "runtime trap: out of fuel after 500000000 instructions\n"
+          (In_channel.with_open_bin errfile In_channel.input_all))
+  end
+
 let test_dataset_sensitivity () =
   (* Sec. 6.1: with a larger data set, inner-loop trip counts grow and
      speculating high in the nest overflows the buffers, so selection
@@ -160,5 +185,7 @@ let suites =
         Alcotest.test_case "dataset sensitivity" `Slow test_dataset_sensitivity;
         Alcotest.test_case "deps and profile reject bad --banks" `Quick
           test_cli_banks_rejected;
+        Alcotest.test_case "run stops a non-terminating program" `Quick
+          test_cli_out_of_fuel;
       ] );
   ]
