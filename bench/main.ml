@@ -19,16 +19,6 @@
                                                variant that fails if an
                                                allocation budget is
                                                exceeded)
-          dune exec bench/main.exe -- regress  (benchmark-regression gate:
-                                               sweep every workload and
-                                               diff the summaries against
-                                               test/baseline_sweep_
-                                               summaries.json — override
-                                               with --baseline FILE and the
-                                               fail threshold with
-                                               --tolerance PCT; exits
-                                               non-zero on any field past
-                                               the fail tolerance)
           dune exec bench/main.exe -- replay   (trace-store benchmark:
                                                capture real workloads, then
                                                time replaying the trace
@@ -848,38 +838,6 @@ let replay_bench ~smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Benchmark-regression gate (`bench -- regress`): sweep the whole
-   registry and diff the Report_summary records against the checked-in
-   baseline. The same gate as `jrpm sweep --baseline`, packaged for CI
-   and for a quick local "did my change move any benchmark?" check. *)
-
-let regress ~jobs ?tolerance ~baseline () =
-  section
-    (Printf.sprintf "Benchmark-regression gate (baseline: %s)" baseline);
-  let base =
-    try Jrpm.Regression.load_baseline baseline
-    with Failure msg ->
-      Printf.eprintf
-        "bench regress: %s\n\
-         (generate it with `jrpm sweep --jobs 1 --baseline %s \
-         --update-baseline`)\n"
-        msg baseline;
-      exit 1
-  in
-  let outcomes = Jrpm.Parallel_sweep.run ~jobs ~observe:false () in
-  let current =
-    List.map
-      (fun (o : Jrpm.Parallel_sweep.outcome) -> o.Jrpm.Parallel_sweep.summary)
-      outcomes
-  in
-  let d = Jrpm.Regression.diff ?tolerance ~baseline:base ~current () in
-  print_string (Jrpm.Regression.render d);
-  if Jrpm.Regression.failed d then begin
-    prerr_endline "bench regress: benchmark regression past tolerance";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler benchmark (`bench -- sched`): does record-sharded
    parallel decode beat the one-core decoder?
 
@@ -1301,33 +1259,6 @@ let () =
   end;
   if has_arg "serve" then begin
     serve_bench ~smoke:(has_arg "--smoke") ();
-    exit 0
-  end;
-  if has_arg "regress" then begin
-    (* like `jrpm sweep --tolerance`: negative, non-finite (NaN), and
-       non-numeric thresholds are user errors, not gates *)
-    let tolerance =
-      match string_arg "--tolerance" "" with
-      | "" -> None
-      | s -> (
-          match float_of_string_opt s with
-          | None ->
-              Printf.eprintf
-                "bench: --tolerance must be a non-negative percentage, got %S\n"
-                s;
-              exit 2
-          | Some pct -> (
-              try Some (Jrpm.Regression.tolerance_of_fail_pct pct)
-              with Invalid_argument _ ->
-                Printf.eprintf
-                  "bench: --tolerance must be a non-negative percentage, got \
-                   %S\n"
-                  s;
-                exit 2))
-    in
-    regress ~jobs:(jobs_arg ()) ?tolerance
-      ~baseline:(string_arg "--baseline" "test/baseline_sweep_summaries.json")
-      ();
     exit 0
   end;
   let quick = has_arg "quick" in

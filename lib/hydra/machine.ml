@@ -119,6 +119,21 @@ let set (fr : frame) i (v : Value.t) =
       fr.floats.(i) <- x;
       Bytes.set fr.kinds i kind_float
 
+(** Entry [i] of [fr]'s file as an int (an address or a size); traps on
+    a float, as {!int_operand} does. *)
+let get_int (fr : frame) i =
+  if Bytes.get fr.kinds i = kind_int then fr.ints.(i)
+  else raise (Trap "float value used as an int")
+
+let set_int (fr : frame) i n =
+  fr.ints.(i) <- n;
+  Bytes.set fr.kinds i kind_int
+
+(** Is entry [i] of [fr]'s file non-zero (a taken branch)? *)
+let nonzero (fr : frame) i =
+  if Bytes.get fr.kinds i = kind_int then fr.ints.(i) <> 0
+  else fr.floats.(i) <> 0.
+
 (** Copy entry [src] of [from] to entry [dst] of [into]. *)
 let copy ~(from : frame) src ~(into : frame) dst =
   into.ints.(dst) <- from.ints.(src);

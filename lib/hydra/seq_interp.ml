@@ -55,15 +55,91 @@ let unbox ints floats kinds i (v : Value.t) =
 let[@inline never] negative_address () =
   raise (Machine.Trap "negative heap address")
 
-let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
-    (p : Native.program) : result =
-  let mem = Machine.Memory.create ~heap_base:p.heap_base in
-  let output = ref [] in
-  let cycles = ref 0 in
-  let icount = ref 0 in
-  (* the annotation cycles of paper Figure 6, by kind *)
-  let locals_cycles = ref 0 and read_stats_cycles = ref 0 in
-  let loop_anno_cycles = ref 0 in
+(* The frame-local instructions: [Const], [Mov], [Unop], [Binop],
+   [Ld_local] and [St_local], on the file [ints]/[floats]/[kinds] whose
+   slot 0 is at [soff]. Operand kinds are checked here, at the point of
+   use, with [Machine.eval_binop]'s trap messages. *)
+let[@inline] exec_local (ints : int array) (floats : float array) kinds soff
+    (ins : Native.instr) =
+  match ins with
+  | Native.Const (r, Value.Int n) -> set_int ints kinds r n
+  | Native.Const (r, Value.Float x) -> set_float floats kinds r x
+  | Native.Mov (d, s) -> move ints floats kinds ~src:s ~dst:d
+  | Native.Ld_local (d, s) -> move ints floats kinds ~src:(soff + s) ~dst:d
+  | Native.St_local (s, r) -> move ints floats kinds ~src:r ~dst:(soff + s)
+  | Native.Unop (d, op, s) -> (
+      match op with
+      | Tac.Neg -> set_int ints kinds d (-int_at ints kinds s)
+      | Tac.FNeg -> set_float floats kinds d (-.float_at floats kinds s)
+      | Tac.LNot -> set_bool ints kinds d (int_at ints kinds s = 0)
+      | Tac.I2F -> set_float floats kinds d (Float.of_int (int_at ints kinds s))
+      | Tac.F2I -> set_int ints kinds d (Float.to_int (float_at floats kinds s)))
+  | Native.Binop (d, op, a, b) -> (
+      match op with
+      | Tac.Add -> set_int ints kinds d (int_at ints kinds a + int_at ints kinds b)
+      | Tac.Sub -> set_int ints kinds d (int_at ints kinds a - int_at ints kinds b)
+      | Tac.Mul -> set_int ints kinds d (int_at ints kinds a * int_at ints kinds b)
+      | Tac.Div ->
+          let y = int_at ints kinds b in
+          if y = 0 then raise (Machine.Trap "integer division by zero");
+          set_int ints kinds d (int_at ints kinds a / y)
+      | Tac.Rem ->
+          let y = int_at ints kinds b in
+          if y = 0 then raise (Machine.Trap "integer remainder by zero");
+          set_int ints kinds d (int_at ints kinds a mod y)
+      | Tac.BAnd ->
+          set_int ints kinds d (int_at ints kinds a land int_at ints kinds b)
+      | Tac.BOr ->
+          set_int ints kinds d (int_at ints kinds a lor int_at ints kinds b)
+      | Tac.BXor ->
+          set_int ints kinds d (int_at ints kinds a lxor int_at ints kinds b)
+      | Tac.Shl ->
+          set_int ints kinds d (int_at ints kinds a lsl int_at ints kinds b)
+      | Tac.Shr ->
+          set_int ints kinds d (int_at ints kinds a asr int_at ints kinds b)
+      | Tac.Eq -> set_bool ints kinds d (int_at ints kinds a = int_at ints kinds b)
+      | Tac.Ne -> set_bool ints kinds d (int_at ints kinds a <> int_at ints kinds b)
+      | Tac.Lt -> set_bool ints kinds d (int_at ints kinds a < int_at ints kinds b)
+      | Tac.Le -> set_bool ints kinds d (int_at ints kinds a <= int_at ints kinds b)
+      | Tac.Gt -> set_bool ints kinds d (int_at ints kinds a > int_at ints kinds b)
+      | Tac.Ge -> set_bool ints kinds d (int_at ints kinds a >= int_at ints kinds b)
+      | Tac.FAdd ->
+          set_float floats kinds d
+            (float_at floats kinds a +. float_at floats kinds b)
+      | Tac.FSub ->
+          set_float floats kinds d
+            (float_at floats kinds a -. float_at floats kinds b)
+      | Tac.FMul ->
+          set_float floats kinds d
+            (float_at floats kinds a *. float_at floats kinds b)
+      | Tac.FDiv ->
+          set_float floats kinds d
+            (float_at floats kinds a /. float_at floats kinds b)
+      | Tac.FEq | Tac.FNe | Tac.FLt | Tac.FLe | Tac.FGt | Tac.FGe ->
+          (* [Float.compare], like [Machine.eval_binop]: NaN equals
+             itself and sorts below every other float *)
+          let c =
+            Float.compare (float_at floats kinds a) (float_at floats kinds b)
+          in
+          set_bool ints kinds d
+            (match op with
+            | Tac.FEq -> c = 0
+            | Tac.FNe -> c <> 0
+            | Tac.FLt -> c < 0
+            | Tac.FLe -> c <= 0
+            | Tac.FGt -> c > 0
+            | _ -> c >= 0))
+  | _ -> invalid_arg "Seq_interp.exec_local"
+
+type state = {
+  mem : Machine.Memory.t;
+  costs : int array array;
+  mutable cycles : int;
+  mutable icount : int;
+  mutable output : Value.t list;
+}
+
+let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
   (* [costs.(f).(pc)]: the cycle cost of instruction [pc] of function
      [f]; annotations are free no-ops in an untraced run *)
   let costs =
@@ -80,6 +156,17 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
           f.Native.code)
       p.funcs
   in
+  let st =
+    { mem = Machine.Memory.create ~heap_base:p.heap_base; costs; cycles = 0;
+      icount = 0; output = [] }
+  in
+  let mem = st.mem in
+  (* [st.cycles] and [st.icount] are current only around [speculate] *)
+  let cycles = ref 0 in
+  let icount = ref 0 in
+  (* the annotation cycles of paper Figure 6, by kind *)
+  let locals_cycles = ref 0 and read_stats_cycles = ref 0 in
+  let loop_anno_cycles = ref 0 in
   let frame_uid = ref 1 in
   let stack = ref [] in
   let frame =
@@ -88,7 +175,7 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
          ~ret_reg:None ~uid:1)
   in
   (* the current frame's function and register file; they change only at
-     [Call] and [Return] *)
+     [Call], [Return] and a speculative region *)
   let cur_code = ref p.funcs.(p.main).Native.code in
   let cur_costs = ref costs.(p.main) in
   let cur_pc_base = ref p.funcs.(p.main).Native.pc_base in
@@ -113,84 +200,9 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
     let ints = !cur_ints and floats = !cur_floats and kinds = !cur_kinds in
     let next = !pc + 1 in
     match ins with
-    | Native.Const (r, Value.Int n) ->
-        set_int ints kinds r n;
-        pc := next
-    | Native.Const (r, Value.Float x) ->
-        set_float floats kinds r x;
-        pc := next
-    | Native.Mov (d, s) ->
-        move ints floats kinds ~src:s ~dst:d;
-        pc := next
-    | Native.Unop (d, op, s) ->
-        (match op with
-        | Tac.Neg -> set_int ints kinds d (-int_at ints kinds s)
-        | Tac.FNeg -> set_float floats kinds d (-.float_at floats kinds s)
-        | Tac.LNot -> set_bool ints kinds d (int_at ints kinds s = 0)
-        | Tac.I2F -> set_float floats kinds d (Float.of_int (int_at ints kinds s))
-        | Tac.F2I -> set_int ints kinds d (Float.to_int (float_at floats kinds s)));
-        pc := next
-    | Native.Binop (d, op, a, b) ->
-        (match op with
-        | Tac.Add -> set_int ints kinds d (int_at ints kinds a + int_at ints kinds b)
-        | Tac.Sub -> set_int ints kinds d (int_at ints kinds a - int_at ints kinds b)
-        | Tac.Mul -> set_int ints kinds d (int_at ints kinds a * int_at ints kinds b)
-        | Tac.Div ->
-            let y = int_at ints kinds b in
-            if y = 0 then raise (Machine.Trap "integer division by zero");
-            set_int ints kinds d (int_at ints kinds a / y)
-        | Tac.Rem ->
-            let y = int_at ints kinds b in
-            if y = 0 then raise (Machine.Trap "integer remainder by zero");
-            set_int ints kinds d (int_at ints kinds a mod y)
-        | Tac.BAnd ->
-            set_int ints kinds d (int_at ints kinds a land int_at ints kinds b)
-        | Tac.BOr ->
-            set_int ints kinds d (int_at ints kinds a lor int_at ints kinds b)
-        | Tac.BXor ->
-            set_int ints kinds d (int_at ints kinds a lxor int_at ints kinds b)
-        | Tac.Shl ->
-            set_int ints kinds d (int_at ints kinds a lsl int_at ints kinds b)
-        | Tac.Shr ->
-            set_int ints kinds d (int_at ints kinds a asr int_at ints kinds b)
-        | Tac.Eq -> set_bool ints kinds d (int_at ints kinds a = int_at ints kinds b)
-        | Tac.Ne -> set_bool ints kinds d (int_at ints kinds a <> int_at ints kinds b)
-        | Tac.Lt -> set_bool ints kinds d (int_at ints kinds a < int_at ints kinds b)
-        | Tac.Le -> set_bool ints kinds d (int_at ints kinds a <= int_at ints kinds b)
-        | Tac.Gt -> set_bool ints kinds d (int_at ints kinds a > int_at ints kinds b)
-        | Tac.Ge -> set_bool ints kinds d (int_at ints kinds a >= int_at ints kinds b)
-        | Tac.FAdd ->
-            set_float floats kinds d
-              (float_at floats kinds a +. float_at floats kinds b)
-        | Tac.FSub ->
-            set_float floats kinds d
-              (float_at floats kinds a -. float_at floats kinds b)
-        | Tac.FMul ->
-            set_float floats kinds d
-              (float_at floats kinds a *. float_at floats kinds b)
-        | Tac.FDiv ->
-            set_float floats kinds d
-              (float_at floats kinds a /. float_at floats kinds b)
-        | Tac.FEq | Tac.FNe | Tac.FLt | Tac.FLe | Tac.FGt | Tac.FGe ->
-            (* [Float.compare], like [Machine.eval_binop]: NaN equals
-               itself and sorts below every other float *)
-            let c =
-              Float.compare (float_at floats kinds a) (float_at floats kinds b)
-            in
-            set_bool ints kinds d
-              (match op with
-              | Tac.FEq -> c = 0
-              | Tac.FNe -> c <> 0
-              | Tac.FLt -> c < 0
-              | Tac.FLe -> c <= 0
-              | Tac.FGt -> c > 0
-              | _ -> c >= 0));
-        pc := next
-    | Native.Ld_local (d, s) ->
-        move ints floats kinds ~src:(!cur_soff + s) ~dst:d;
-        pc := next
-    | Native.St_local (s, r) ->
-        move ints floats kinds ~src:r ~dst:(!cur_soff + s);
+    | Native.Const _ | Native.Mov _ | Native.Unop _ | Native.Binop _
+    | Native.Ld_local _ | Native.St_local _ ->
+        exec_local ints floats kinds !cur_soff ins;
         pc := next
     | Native.Ld_heap (d, a) ->
         let addr = int_at ints kinds a in
@@ -238,7 +250,7 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
              (List.map (fun r -> box ints floats kinds r) args));
         pc := next
     | Native.Print (_, r) ->
-        output := box ints floats kinds r :: !output;
+        st.output <- box ints floats kinds r :: st.output;
         pc := next
     | Native.Jump t -> pc := t
     | Native.Branch (r, a, b) ->
@@ -298,10 +310,27 @@ let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000)
           sink.Trace.on_local_store ~frame:!frame.Machine.uid ~slot:s
             ~now:!cycles;
         pc := next
-    | Native.Tls_enter _ | Native.Tls_iter_end _ | Native.Tls_exit _ ->
-        pc := next
+    | Native.Tls_enter stl -> (
+        match (speculate, List.assoc_opt stl p.stl_plans) with
+        | Some speculate, Some plan
+          when plan.Native.plan_func = !frame.Machine.fidx ->
+            st.cycles <- !cycles;
+            st.icount <- !icount;
+            let fr, resume = speculate st plan !frame in
+            cycles := st.cycles;
+            icount := st.icount;
+            frame := fr;
+            cur_ints := fr.Machine.ints;
+            cur_floats := fr.Machine.floats;
+            cur_kinds := fr.Machine.kinds;
+            pc := resume
+        | _ -> pc := next)
+    | Native.Tls_iter_end _ | Native.Tls_exit _ -> pc := next
   done;
-  { cycles = !cycles; output = List.rev !output; memory = mem;
+  { cycles = !cycles; output = List.rev st.output; memory = mem;
     instructions = !icount; locals_cycles = !locals_cycles;
     read_stats_cycles = !read_stats_cycles;
     loop_anno_cycles = !loop_anno_cycles }
+
+let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000) p =
+  exec ~sink ~tracing ~fuel ~speculate:None p

@@ -69,123 +69,6 @@ type mstats = {
   mutable m_sync_stalls : int;
 }
 
-(* ---------------- register files ---------------- *)
-(* The helpers of the hot loops live here, not in [Machine]: the dev
-   profile compiles with [-opaque], which turns every cross-module call
-   into an out-of-line call through the module block. Kind tags are
-   [Machine.kind_int] ('\000') and [Machine.kind_float] ('\001'). *)
-
-let[@inline never] not_int () = raise (Machine.Trap "float value used as an int")
-
-let[@inline never] not_float () =
-  raise (Machine.Trap "int value used as a float")
-
-let[@inline] int_at (ints : int array) kinds i =
-  if Bytes.get kinds i = '\000' then ints.(i) else not_int ()
-
-let[@inline] float_at (floats : float array) kinds i =
-  if Bytes.get kinds i = '\000' then not_float () else floats.(i)
-
-let[@inline] set_int (ints : int array) kinds i n =
-  ints.(i) <- n;
-  Bytes.set kinds i '\000'
-
-let[@inline] set_float (floats : float array) kinds i x =
-  floats.(i) <- x;
-  Bytes.set kinds i '\001'
-
-let[@inline] set_bool ints kinds i b = set_int ints kinds i (if b then 1 else 0)
-
-let[@inline] move (ints : int array) (floats : float array) kinds ~src ~dst =
-  ints.(dst) <- ints.(src);
-  floats.(dst) <- floats.(src);
-  Bytes.set kinds dst (Bytes.get kinds src)
-
-let branch_taken (fr : Machine.frame) r =
-  if Bytes.get fr.Machine.kinds r = '\000' then fr.Machine.ints.(r) <> 0
-  else fr.Machine.floats.(r) <> 0.
-
-let int_reg (fr : Machine.frame) r = int_at fr.Machine.ints fr.Machine.kinds r
-
-(* The frame-local instructions: [Const], [Mov], [Unop], [Binop],
-   [Ld_local] and [St_local]. Operand kinds are checked here, at the
-   point of use, with [Machine.eval_binop]'s trap messages. *)
-let exec_local (fr : Machine.frame) (ins : Native.instr) =
-  let ints = fr.Machine.ints
-  and floats = fr.Machine.floats
-  and kinds = fr.Machine.kinds in
-  match ins with
-  | Native.Const (r, Value.Int n) -> set_int ints kinds r n
-  | Native.Const (r, Value.Float x) -> set_float floats kinds r x
-  | Native.Mov (d, s) -> move ints floats kinds ~src:s ~dst:d
-  | Native.Ld_local (d, s) ->
-      move ints floats kinds ~src:(fr.Machine.soff + s) ~dst:d
-  | Native.St_local (s, r) ->
-      move ints floats kinds ~src:r ~dst:(fr.Machine.soff + s)
-  | Native.Unop (d, op, s) -> (
-      match op with
-      | Tac.Neg -> set_int ints kinds d (-int_at ints kinds s)
-      | Tac.FNeg -> set_float floats kinds d (-.float_at floats kinds s)
-      | Tac.LNot -> set_bool ints kinds d (int_at ints kinds s = 0)
-      | Tac.I2F -> set_float floats kinds d (Float.of_int (int_at ints kinds s))
-      | Tac.F2I -> set_int ints kinds d (Float.to_int (float_at floats kinds s)))
-  | Native.Binop (d, op, a, b) -> (
-      match op with
-      | Tac.Add -> set_int ints kinds d (int_at ints kinds a + int_at ints kinds b)
-      | Tac.Sub -> set_int ints kinds d (int_at ints kinds a - int_at ints kinds b)
-      | Tac.Mul -> set_int ints kinds d (int_at ints kinds a * int_at ints kinds b)
-      | Tac.Div ->
-          let y = int_at ints kinds b in
-          if y = 0 then raise (Machine.Trap "integer division by zero");
-          set_int ints kinds d (int_at ints kinds a / y)
-      | Tac.Rem ->
-          let y = int_at ints kinds b in
-          if y = 0 then raise (Machine.Trap "integer remainder by zero");
-          set_int ints kinds d (int_at ints kinds a mod y)
-      | Tac.BAnd ->
-          set_int ints kinds d (int_at ints kinds a land int_at ints kinds b)
-      | Tac.BOr ->
-          set_int ints kinds d (int_at ints kinds a lor int_at ints kinds b)
-      | Tac.BXor ->
-          set_int ints kinds d (int_at ints kinds a lxor int_at ints kinds b)
-      | Tac.Shl ->
-          set_int ints kinds d (int_at ints kinds a lsl int_at ints kinds b)
-      | Tac.Shr ->
-          set_int ints kinds d (int_at ints kinds a asr int_at ints kinds b)
-      | Tac.Eq -> set_bool ints kinds d (int_at ints kinds a = int_at ints kinds b)
-      | Tac.Ne -> set_bool ints kinds d (int_at ints kinds a <> int_at ints kinds b)
-      | Tac.Lt -> set_bool ints kinds d (int_at ints kinds a < int_at ints kinds b)
-      | Tac.Le -> set_bool ints kinds d (int_at ints kinds a <= int_at ints kinds b)
-      | Tac.Gt -> set_bool ints kinds d (int_at ints kinds a > int_at ints kinds b)
-      | Tac.Ge -> set_bool ints kinds d (int_at ints kinds a >= int_at ints kinds b)
-      | Tac.FAdd ->
-          set_float floats kinds d
-            (float_at floats kinds a +. float_at floats kinds b)
-      | Tac.FSub ->
-          set_float floats kinds d
-            (float_at floats kinds a -. float_at floats kinds b)
-      | Tac.FMul ->
-          set_float floats kinds d
-            (float_at floats kinds a *. float_at floats kinds b)
-      | Tac.FDiv ->
-          set_float floats kinds d
-            (float_at floats kinds a /. float_at floats kinds b)
-      | Tac.FEq | Tac.FNe | Tac.FLt | Tac.FLe | Tac.FGt | Tac.FGe ->
-          (* [Float.compare], like [Machine.eval_binop]: NaN equals
-             itself and sorts below every other float *)
-          let c =
-            Float.compare (float_at floats kinds a) (float_at floats kinds b)
-          in
-          set_bool ints kinds d
-            (match op with
-            | Tac.FEq -> c = 0
-            | Tac.FNe -> c <> 0
-            | Tac.FLt -> c < 0
-            | Tac.FLe -> c <= 0
-            | Tac.FGt -> c > 0
-            | _ -> c >= 0))
-  | _ -> invalid_arg "Tls_sim.exec_local"
-
 let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     ?(obs = Obs.Sink.null) (p : Native.program) : result =
   (* With [sync], the speculation hardware learns the PCs of loads whose
@@ -194,10 +77,6 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
      is visible instead of restarting — the synchronization mechanism of
      the paper's citations [10]/[30]. The learned set persists across
      loop activations, like a violation-prediction table. *)
-  let mem = Machine.Memory.create ~heap_base:p.heap_base in
-  let output = ref [] in
-  let cycles = ref 0 in
-  let icount = ref 0 in
   let ms =
     {
       m_committed = 0;
@@ -210,10 +89,6 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     }
   in
   let sync_pcs : unit Itbl.t = Itbl.create 16 in
-  (* [costs.(f).(pc)]: the cycle cost of instruction [pc] of function [f] *)
-  let costs =
-    Array.map (fun f -> Array.map Native.instr_cost f.Native.code) p.funcs
-  in
   let ncpus = config.Config.num_cpus in
   (* each CPU slot's write buffer, read set, read lines and write lines:
      every thread spawned on the slot clears and reuses them *)
@@ -231,11 +106,12 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
   (* Every scan over [cpus] runs in slot order: which thread steps or is
      restarted first at a given [now] is part of the simulated machine,
      so the order must not change. *)
-  let run_speculative (plan : Native.stl_plan) (master : Machine.frame) :
-      Machine.frame * int (* resume pc *) =
+  let run_speculative (st : Seq_interp.state) (plan : Native.stl_plan)
+      (master : Machine.frame) : Machine.frame * int (* resume pc *) =
+    let mem = st.Seq_interp.mem in
     ms.m_loops <- ms.m_loops + 1;
-    let spec_start = !cycles in
-    cycles := !cycles + config.Config.loop_startup;
+    let spec_start = st.cycles in
+    st.cycles <- st.cycles + config.Config.loop_startup;
     (* The master frame is not written until the loop returns, so its
        slots are the pre-loop snapshot every seed frame starts from. *)
     let soff = master.Machine.soff in
@@ -268,7 +144,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       Bytes.blit master.Machine.kinds soff fr.Machine.kinds soff nslots;
       List.iter
         (fun (i, x0, step) ->
-          set_int fr.Machine.ints fr.Machine.kinds i (x0 + (rank * step)))
+          Machine.set_int fr i (x0 + (rank * step)))
         inductors;
       List.iter
         (fun (slot, op) ->
@@ -302,7 +178,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     let next_iter = ref 0 in
     let head_rank = ref 0 in
     let exit_pending = ref None in
-    let now = ref !cycles in
+    let now = ref st.cycles in
     (* The ranks in flight are exactly [head_rank, next_iter): spawns
        take [next_iter], commits advance [head_rank] and a loop exit
        squashes every rank above its own. There are at most [ncpus] of
@@ -446,7 +322,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
             ms.m_stalls <- ms.m_stalls + 1;
             if Obs.Sink.enabled obs then
               Obs.Sink.emit obs
-                (Obs.Event.Tls_overflow_stall { rank = t.rank; now = !cycles })
+                (Obs.Event.Tls_overflow_stall { rank = t.rank; now = st.cycles })
           end
         end
     in
@@ -456,18 +332,19 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       let fidx = frame.Machine.fidx in
       let f = p.funcs.(fidx) in
       let ins = f.Native.code.(t.pc) in
-      incr icount;
-      if !icount > fuel then raise (Out_of_fuel fuel);
-      let cost = ref costs.(fidx).(t.pc) in
+      st.icount <- st.icount + 1;
+      if st.icount > fuel then raise (Out_of_fuel fuel);
+      let cost = ref st.costs.(fidx).(t.pc) in
       let next = t.pc + 1 in
       (try
          match ins with
          | Native.Const _ | Native.Mov _ | Native.Unop _ | Native.Binop _
          | Native.Ld_local _ | Native.St_local _ ->
-             exec_local frame ins;
+             Seq_interp.exec_local frame.Machine.ints frame.Machine.floats
+               frame.Machine.kinds frame.Machine.soff ins;
              t.pc <- next
          | Native.Ld_heap (d, a) ->
-             let addr = int_reg frame a in
+             let addr = Machine.get_int frame a in
              let fpc = f.Native.pc_base + t.pc in
              if must_wait t addr ~pc:fpc then begin
                ms.m_sync_stalls <- ms.m_sync_stalls + 1;
@@ -483,13 +360,13 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
                t.pc <- next
              end
          | Native.St_heap (a, s) ->
-             let addr = int_reg frame a in
+             let addr = Machine.get_int frame a in
              spec_store t addr (Machine.get frame s) ~at:n;
              check_overflow t;
              t.pc <- next
          | Native.Alloc (d, nreg, kind) ->
-             set_int frame.Machine.ints frame.Machine.kinds d
-               (Machine.Memory.alloc ~kind mem (int_reg frame nreg));
+             Machine.set_int frame d
+               (Machine.Memory.alloc ~kind mem (Machine.get_int frame nreg));
              t.pc <- next
          | Native.Call (ret_reg, callee, args) ->
              let fr = new_frame callee next ret_reg in
@@ -506,7 +383,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
              t.pc <- next
          | Native.Jump tgt -> t.pc <- tgt
          | Native.Branch (r, a, b) ->
-             t.pc <- (if branch_taken frame r then a else b)
+             t.pc <- (if Machine.nonzero frame r then a else b)
          | Native.Return rv -> (
              match t.frames with
              | [ _ ] ->
@@ -555,10 +432,10 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
         (fun (slot, op, acc) ->
           acc := Machine.reduction_merge op !acc (Machine.get t.seed (soff + slot)))
         red_acc;
-      output := t.pending_output @ !output;
+      st.output <- t.pending_output @ st.output;
       ms.m_committed <- ms.m_committed + 1;
       if Obs.Sink.enabled obs then
-        Obs.Sink.emit obs (Obs.Event.Tls_commit { rank = t.rank; now = !cycles })
+        Obs.Sink.emit obs (Obs.Event.Tls_commit { rank = t.rank; now = st.cycles })
     in
     (* does the head thread have no transition to make at [now]? *)
     let head_quiet () =
@@ -653,8 +530,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       end
     done;
     let base_frame, resume = Option.get !result in
-    cycles := !now + config.Config.loop_shutdown;
-    ms.m_spec_cycles <- ms.m_spec_cycles + (!cycles - spec_start);
+    st.cycles <- !now + config.Config.loop_shutdown;
+    ms.m_spec_cycles <- ms.m_spec_cycles + (st.cycles - spec_start);
     (* master keeps using the exiting thread's register file *)
     let mf =
       {
@@ -667,76 +544,16 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     (mf, resume)
   in
 
-  (* ---------------- sequential (master) execution ---------------- *)
-  let stack = ref [] in
-  let frame = ref (new_frame p.main (-1) None) in
-  let pc = ref 0 in
-  let running = ref true in
-  while !running do
-    let fr = !frame in
-    let fidx = fr.Machine.fidx in
-    let ins = p.funcs.(fidx).Native.code.(!pc) in
-    incr icount;
-    if !icount > fuel then raise (Out_of_fuel fuel);
-    cycles := !cycles + costs.(fidx).(!pc);
-    let next = !pc + 1 in
-    match ins with
-    | Native.Const _ | Native.Mov _ | Native.Unop _ | Native.Binop _
-    | Native.Ld_local _ | Native.St_local _ ->
-        exec_local fr ins;
-        pc := next
-    | Native.Ld_heap (d, a) ->
-        Machine.set fr d (Machine.Memory.load mem (int_reg fr a));
-        pc := next
-    | Native.St_heap (a, s) ->
-        Machine.Memory.store mem (int_reg fr a) (Machine.get fr s);
-        pc := next
-    | Native.Alloc (d, n, kind) ->
-        set_int fr.Machine.ints fr.Machine.kinds d
-          (Machine.Memory.alloc ~kind mem (int_reg fr n));
-        pc := next
-    | Native.Call (ret_reg, callee, args) ->
-        let callee_fr = new_frame callee next ret_reg in
-        Machine.pass_args ~caller:fr ~callee:callee_fr args;
-        stack := fr :: !stack;
-        frame := callee_fr;
-        pc := 0
-    | Native.Builtin (d, b, args) ->
-        Machine.set fr d
-          (Machine.eval_builtin b (List.map (fun r -> Machine.get fr r) args));
-        pc := next
-    | Native.Print (_, r) ->
-        output := Machine.get fr r :: !output;
-        pc := next
-    | Native.Jump t -> pc := t
-    | Native.Branch (r, a, b) -> pc := (if branch_taken fr r then a else b)
-    | Native.Return rv -> (
-        match !stack with
-        | [] -> running := false
-        | caller :: rest ->
-            (match (fr.Machine.ret_reg, rv) with
-            | Some d, Some r -> Machine.copy ~from:fr r ~into:caller d
-            | Some d, None -> Machine.set caller d Value.zero
-            | None, _ -> ());
-            pc := fr.Machine.ret_pc;
-            frame := caller;
-            stack := rest)
-    | Native.Sloop _ | Native.Eloop _ | Native.Eoi _ | Native.Read_stats _
-    | Native.Lwl _ | Native.Swl _ ->
-        pc := next
-    | Native.Tls_iter_end _ | Native.Tls_exit _ -> pc := next
-    | Native.Tls_enter stl -> (
-        match List.assoc_opt stl p.stl_plans with
-        | Some plan when plan.Native.plan_func = fidx ->
-            let mf, resume = run_speculative plan fr in
-            frame := mf;
-            pc := resume
-        | _ -> pc := next)
-  done;
+  (* sequential code runs in [Seq_interp]'s loop, which hands each
+     selected region to [run_speculative] *)
+  let r =
+    Seq_interp.exec ~sink:Trace.null_sink ~tracing:false ~fuel
+      ~speculate:(Some run_speculative) p
+  in
   {
-    cycles = !cycles;
-    output = List.rev !output;
-    memory = mem;
+    cycles = r.Seq_interp.cycles;
+    output = r.Seq_interp.output;
+    memory = r.Seq_interp.memory;
     stats =
       {
         threads_committed = ms.m_committed;

@@ -1,9 +1,12 @@
 (** Speculative execution of a TLS-compiled program on the 4-CPU Hydra
     model.
 
-    Sequential code runs on one CPU. At a [Tls_enter] marker whose STL
-    has a plan, the loop is executed as speculative threads — one loop
-    iteration per thread, up to [config.num_cpus] in flight:
+    Sequential code runs on one CPU, in {!Seq_interp}'s loop (the same
+    loop as {!Seq_interp.run}, through {!Seq_interp.exec}). At a
+    [Tls_enter] marker whose STL has a plan in the current function,
+    that loop hands the region to this module, which executes it as
+    speculative threads — one loop iteration per thread, up to
+    [config.num_cpus] in flight:
 
     - each thread runs against a private speculative write buffer; loads
       search the own buffer, then less-speculative threads' buffers (with
@@ -50,8 +53,8 @@ val run :
 (** @param config hardware point to simulate (default
     {!Config.default}): CPU count, Table-1 buffer limits, and Table-2
     overheads all come from it.
-    @param fuel maximum dynamic instructions across all CPUs
-    (default 2 billion).
+    @param fuel maximum dynamic instructions across all CPUs, master
+    and speculative threads in one budget (default 2 billion).
     @param obs observability sink (default {!Obs.Sink.null}): receives
     per-thread commit / violation / overflow-stall / sync-stall events.
     @param sync enable learned synchronization (default false): the

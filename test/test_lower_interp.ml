@@ -162,16 +162,53 @@ let test_fuel () =
       "def main() { while (1) { } }"
   in
   Alcotest.check_raises "runs out of fuel" (Hydra.Seq_interp.Out_of_fuel 10_000)
-    (fun () -> ignore (Hydra.Seq_interp.run ~fuel:10_000 prog))
+    (fun () -> ignore (Hydra.Seq_interp.run ~fuel:10_000 prog));
+  let tls, _ =
+    Compiler.Codegen.compile_source
+      ~mode:(Compiler.Codegen.Tls { selected = [] })
+      "def main() { while (1) { } }"
+  in
+  Alcotest.check_raises "TLS master runs out of fuel"
+    (Hydra.Tls_sim.Out_of_fuel 10_000)
+    (fun () -> ignore (Hydra.Tls_sim.run ~fuel:10_000 tls));
+  (* One budget covers the master and the speculative threads: the
+     first loop runs sequentially on the master (about 8,400
+     instructions with the rest of [main]), the second as threads (about
+     17,000), 25,432 in all; each alone stays inside [fuel] *)
+  let fuel = 20_000 in
+  let src =
+    "int[] a;\n\
+     def main() { a = new int[1000]; int s = 0;\n\
+     for (int i = 0; i < 600; i = i + 1) { s = s + i; }\n\
+     for (int j = 0; j < 1000; j = j + 1) { a[j] = j; }\n\
+     print_int(s + a[999]); }"
+  in
+  let tac = Ir.Lower.compile src in
+  let table = Compiler.Stl_table.build tac in
+  let second = table.Compiler.Stl_table.stls.(1).Compiler.Stl_table.id in
+  let tls =
+    Compiler.Codegen.generate
+      ~mode:(Compiler.Codegen.Tls { selected = [ second ] })
+      table tac
+  in
+  let r = Hydra.Tls_sim.run tls in
+  Alcotest.(check (list string)) "runs with the default fuel" [ "180699" ]
+    (List.map Ir.Value.to_string r.Hydra.Tls_sim.output);
+  Alcotest.(check int) "the second loop speculates" 1
+    r.Hydra.Tls_sim.stats.Hydra.Tls_sim.loops_entered;
+  Alcotest.check_raises "master and threads share the budget"
+    (Hydra.Tls_sim.Out_of_fuel fuel)
+    (fun () -> ignore (Hydra.Tls_sim.run ~fuel tls))
 
 (* ---------------- ALU differential ---------------- *)
 
-(* Both executors dispatch ALU instructions on unboxed register files;
-   [Machine.eval_binop]/[eval_unop] are the [Value]-level reference that
-   [Compiler.Opt] folds constants with. A one-op program
-   [Const a; Const b; op; Print] must print what the reference computes,
-   or raise the same trap, on [Seq_interp], on [Tls_sim]'s sequential
-   master, and inside a speculative thread. *)
+(* The executors' one ALU dispatch, [Seq_interp.exec_local], works on
+   unboxed register files: the sequential loop inlines it and the TLS
+   thread step calls it. [Machine.eval_binop]/[eval_unop] are the
+   [Value]-level reference that [Compiler.Opt] folds constants with. A
+   one-op program [Const a; Const b; op; Print] must print what the
+   reference computes, or raise the same trap, on [Seq_interp], on
+   [Tls_sim]'s sequential master, and inside a speculative thread. *)
 
 let alu_operands =
   Ir.Value.
@@ -351,7 +388,22 @@ let test_hot_path_alloc () =
            tracing w n)
         true
         (n > 500_000 && w < 0.05))
-    [ false; true ]
+    [ false; true ];
+  (* the TLS master runs the same loop: the same source built with no
+     STL selected, over the sequential run's instruction count *)
+  let tls, _ =
+    Compiler.Codegen.compile_source
+      ~mode:(Compiler.Codegen.Tls { selected = [] })
+      src
+  in
+  let n = (Hydra.Seq_interp.run tls).Hydra.Seq_interp.instructions in
+  let before = Gc.minor_words () in
+  ignore (Hydra.Tls_sim.run tls);
+  let w = (Gc.minor_words () -. before) /. Float.of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "TLS master: %.4f minor words per instruction over %d" w n)
+    true
+    (n > 500_000 && w < 0.05)
 
 let suites =
   [

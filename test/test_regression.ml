@@ -398,9 +398,9 @@ let test_tolerance_validation () =
   let z = R.tolerance_of_fail_pct 0. in
   Alcotest.(check (float 1e-9)) "zero allowed (exact gate)" 0. z.R.fail_pct
 
-(* Both CLIs must reject a bad --tolerance with exit 2 and a clear
-   message BEFORE doing any sweep work — spawn the built binaries.
-   (Validation precedes the sweep in both, so these are fast.) *)
+(* `jrpm sweep` must reject a bad --tolerance with exit 2 and a clear
+   message BEFORE doing any sweep work — spawn the built binary.
+   (Validation precedes the sweep, so this is fast.) *)
 let test_cli_tolerance_rejected () =
   let check_cli what cmd =
     let errfile = Filename.temp_file "jrpm_tolerance" ".err" in
@@ -425,15 +425,10 @@ let test_cli_tolerance_rejected () =
            in
            go 0))
   in
-  let jrpm = "../bin/jrpm_cli.exe" and bench = "../bench/main.exe" in
+  let jrpm = "../bin/jrpm_cli.exe" in
   if Sys.file_exists jrpm then begin
     check_cli "jrpm sweep negative" (jrpm ^ " sweep --tolerance=-1");
     check_cli "jrpm sweep NaN" (jrpm ^ " sweep --tolerance=nan")
-  end;
-  if Sys.file_exists bench then begin
-    check_cli "bench regress negative" (bench ^ " regress --tolerance=-1");
-    check_cli "bench regress NaN" (bench ^ " regress --tolerance=nan");
-    check_cli "bench regress garbage" (bench ^ " regress --tolerance=bogus")
   end
 
 let suites =

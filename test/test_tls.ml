@@ -327,6 +327,60 @@ let test_non_reentrant_nesting () =
     main_loops
 
 (* Selecting nothing produces a program equivalent to plain. *)
+(* Outside a selected STL the TLS machine is the sequential machine:
+   with nothing selected, [Tls_sim.run] must reproduce the plain build's
+   sequential run exactly (cycles, output, heap break and every heap
+   cell below it), and a TLS build carries no profiling annotation even
+   with every STL selected. Registry programs, built as the pipeline
+   builds them. *)
+let check_empty_selection_equals_plain (w : Workloads.Workload.t) =
+  let name = w.Workloads.Workload.name in
+  let tac =
+    Compiler.Opt.program (Ir.Lower.compile (Workloads.Registry.default_source w))
+  in
+  let table = Compiler.Stl_table.build tac in
+  let gen mode = Compiler.Codegen.generate ~mode table tac in
+  let sr = Hydra.Seq_interp.run (gen Compiler.Codegen.Plain) in
+  let tr = Hydra.Tls_sim.run (gen (Compiler.Codegen.Tls { selected = [] })) in
+  Alcotest.(check int) (name ^ " cycles") sr.Hydra.Seq_interp.cycles
+    tr.Hydra.Tls_sim.cycles;
+  Alcotest.(check (list string)) (name ^ " output")
+    (List.map Ir.Value.to_string sr.Hydra.Seq_interp.output)
+    (List.map Ir.Value.to_string tr.Hydra.Tls_sim.output);
+  let sm = sr.Hydra.Seq_interp.memory and tm = tr.Hydra.Tls_sim.memory in
+  let brk = sm.Hydra.Machine.Memory.brk in
+  Alcotest.(check int) (name ^ " heap brk") brk tm.Hydra.Machine.Memory.brk;
+  let cell (m : Hydra.Machine.Memory.t) i =
+    (* bit patterns, so a NaN cell equals itself *)
+    match Hydra.Machine.Memory.load m i with
+    | Ir.Value.Int n -> Printf.sprintf "%d" n
+    | Ir.Value.Float x -> Printf.sprintf "%Lx" (Int64.bits_of_float x)
+  in
+  for i = 0 to brk - 1 do
+    if cell sm i <> cell tm i then
+      Alcotest.failf "%s: heap cell %d is %s sequentially, %s under TLS" name i
+        (cell sm i) (cell tm i)
+  done;
+  let all_stls =
+    Array.to_list
+      (Array.map
+         (fun (s : Compiler.Stl_table.stl) -> s.Compiler.Stl_table.id)
+         table.Compiler.Stl_table.stls)
+  in
+  Array.iter
+    (fun (f : Hydra.Native.func) ->
+      Array.iter
+        (fun ins ->
+          match ins with
+          | Hydra.Native.Sloop _ | Hydra.Native.Eloop _ | Hydra.Native.Eoi _
+          | Hydra.Native.Read_stats _ | Hydra.Native.Lwl _ | Hydra.Native.Swl _
+            ->
+              Alcotest.failf "%s: annotation %a in the TLS build" name
+                Hydra.Native.pp_instr ins
+          | _ -> ())
+        f.Hydra.Native.code)
+    (gen (Compiler.Codegen.Tls { selected = all_stls })).Hydra.Native.funcs
+
 let test_empty_selection () =
   let src =
     "def main() { int s = 0; for (int i = 0; i < 30; i = i + 1) { s = s + i; } print_int(s); }"
@@ -339,7 +393,8 @@ let test_empty_selection () =
   let tr = Hydra.Tls_sim.run tls in
   Alcotest.(check (list string)) "output" [ "435" ]
     (List.map Ir.Value.to_string tr.Hydra.Tls_sim.output);
-  Alcotest.(check int) "no speculation" 0 tr.Hydra.Tls_sim.stats.loops_entered
+  Alcotest.(check int) "no speculation" 0 tr.Hydra.Tls_sim.stats.loops_entered;
+  List.iter check_empty_selection_equals_plain Workloads.Registry.all
 
 (* Learned synchronization (the [~sync:true] extension): correctness is
    preserved and violations drop on a store-early / load-late chain. *)
