@@ -51,37 +51,39 @@ let pct x = Printf.sprintf "%.1f%%" (100. *. x)
 (* Tables 1 & 2: hardware constants *)
 
 let table1 () =
+  let hw = Hydra.Config.default in
   section "Table 1 - Thread-level speculation buffer limits";
   Util.Text_table.print
     ~header:[ "Buffer"; "Per-thread limit"; "Associativity" ]
     [
       [
         "Load buffer";
-        Printf.sprintf "16kB (%d lines x 32B)" Hydra.Cost.load_buffer_lines;
+        Printf.sprintf "16kB (%d lines x 32B)" hw.load_buffer_lines;
         "4-way";
       ];
       [
         "Store buffer";
-        Printf.sprintf "2kB (%d lines x 32B)" Hydra.Cost.store_buffer_lines;
+        Printf.sprintf "2kB (%d lines x 32B)" hw.store_buffer_lines;
         "Fully";
       ];
     ]
 
 let table2 () =
+  let hw = Hydra.Config.default in
   section "Table 2 - Thread-level speculation overheads";
   Util.Text_table.print
     ~header:[ "TLS operation"; "Overhead/delay" ]
     [
-      [ "Loop startup"; Printf.sprintf "%d cycles" Hydra.Cost.loop_startup ];
-      [ "Loop shutdown"; Printf.sprintf "%d cycles" Hydra.Cost.loop_shutdown ];
-      [ "Loop end-of-iteration"; Printf.sprintf "%d cycles" Hydra.Cost.loop_eoi ];
+      [ "Loop startup"; Printf.sprintf "%d cycles" hw.loop_startup ];
+      [ "Loop shutdown"; Printf.sprintf "%d cycles" hw.loop_shutdown ];
+      [ "Loop end-of-iteration"; Printf.sprintf "%d cycles" hw.loop_eoi ];
       [
         "Violation and restart";
-        Printf.sprintf "%d cycles" Hydra.Cost.violation_restart;
+        Printf.sprintf "%d cycles" hw.violation_restart;
       ];
       [
         "Store-load communication";
-        Printf.sprintf "%d cycles" Hydra.Cost.store_load_communication;
+        Printf.sprintf "%d cycles" hw.store_load_communication;
       ];
     ]
 
@@ -1159,7 +1161,8 @@ let bechamel_suite () =
           (Staged.stage (fun () ->
                ignore
                  (Sys.opaque_identity
-                    (Hydra.Cost.load_buffer_lines + Hydra.Cost.loop_startup))));
+                    (Hydra.Config.default.load_buffer_lines
+                    + Hydra.Config.default.loop_startup))));
         Test.make ~name:"fig3 tracer-dependency-events"
           (Staged.stage drive_tracer);
         Test.make ~name:"fig4 overflow-analysis-events"

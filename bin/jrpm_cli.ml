@@ -62,7 +62,7 @@ let size_arg =
 let banks_arg =
   Arg.(
     value
-    & opt int Hydra.Cost.comparator_banks
+    & opt int Hydra.Config.default.comparator_banks
     & info [ "banks" ] ~docv:"N" ~doc:"number of TEST comparator banks")
 
 let verbose_arg =
@@ -126,32 +126,21 @@ let jobs_arg =
               "number of worker processes (default: core count; 1 = run \
                sequentially in-process; must be positive)"))
 
-(* Containers are written atomically (temp + fsync + rename) so a
-   crash mid-capture never leaves a truncated container where a good
-   one stood. *)
-let write_container_file ~file bytes =
-  match Trace_store.Atomic_io.write_string ~path:file bytes with
-  | () -> ()
-  | exception Sys_error msg ->
-      Printf.eprintf "jrpm: cannot write trace container: %s\n" msg;
-      exit 1
-  | exception Unix.Unix_error (err, _, _) ->
-      Printf.eprintf "jrpm: cannot write trace container: %s\n"
-        (Unix.error_message err);
-      exit 1
+(* Every file the CLI writes goes through one atomic path (temp + fsync
+   + rename), so a crash mid-write never leaves a truncated container or
+   JSON file where a good one stood. *)
+let write_file ~what ~file bytes =
+  let fail msg =
+    Printf.eprintf "jrpm: cannot write %s: %s\n" what msg;
+    exit 1
+  in
+  try Trace_store.Atomic_io.write_string ~path:file bytes with
+  | Sys_error msg -> fail msg
+  | Unix.Unix_error (err, _, _) -> fail (Unix.error_message err)
 
 (* every JSON file the CLI writes: pretty-printed, newline-terminated *)
 let write_json_file ~what file json =
-  match open_out file with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Obs.Json.to_string ~pretty:true json);
-          output_char oc '\n')
-  | exception Sys_error msg ->
-      Printf.eprintf "jrpm: cannot write %s: %s\n" what msg;
-      exit 1
+  write_file ~what ~file (Obs.Json.to_string ~pretty:true json ^ "\n")
 
 let prerr_phase_table rc =
   prerr_string
@@ -620,34 +609,8 @@ let sweep_cmd =
           ~doc:
             "diff this sweep's per-workload summaries against the baseline \
              JSON array in $(docv) (the $(b,--summary-json) format) and exit \
-             non-zero if any field regresses past the fail tolerance")
-  in
-  let update_baseline_arg =
-    Arg.(
-      value & flag
-      & info [ "update-baseline" ]
-          ~doc:
-            "rewrite the $(b,--baseline) file with this sweep's summaries \
-             instead of diffing against it (the deliberate golden-refresh \
-             path; call out the diff in the PR)")
-  in
-  let tolerance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:
-            "fail threshold for relative fields as a percentage (default 5; \
-             the warn threshold scales with it at the default 2:5 ratio)")
-  in
-  let diff_json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "diff-json" ] ~docv:"FILE"
-          ~doc:
-            "write the machine-readable baseline diff (per-workload field \
-             verdicts) as JSON to $(docv); requires $(b,--baseline)")
+             non-zero if an exact field changes or a cycle count, speedup or \
+             slowdown moves by more than 5%")
   in
   let trace_arg =
     Arg.(
@@ -659,60 +622,17 @@ let sweep_cmd =
              write one trace-store container to $(docv) (replay it with \
              $(b,jrpm trace replay))")
   in
-  let trend_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trend" ] ~docv:"FILE"
-          ~doc:
-            "append one JSON line per baseline diff to $(docv) (created if \
-             absent): time, worst verdict, warn/fail counts, and every \
-             non-passing field's signed drift — makes slow creep inside the \
-             warn band visible across runs; requires $(b,--baseline)")
-  in
-  let trend_label_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trend-label" ] ~docv:"LABEL"
-          ~doc:
-            "tag the $(b,--trend) line with $(docv) (a commit id in CI, say)")
-  in
-  let sweep jobs profile profile_json summary_json baseline update_baseline
-      tolerance diff_json trace trend trend_label =
-    (match (baseline, update_baseline, diff_json) with
-    | None, true, _ ->
-        Printf.eprintf "jrpm: --update-baseline requires --baseline FILE\n";
-        exit 2
-    | None, _, Some _ ->
-        Printf.eprintf "jrpm: --diff-json requires --baseline FILE\n";
-        exit 2
-    | _ -> ());
-    (match (baseline, trend) with
-    | None, Some _ ->
-        Printf.eprintf "jrpm: --trend requires --baseline FILE\n";
-        exit 2
-    | _ -> ());
-    let tolerance =
-      match tolerance with
-      | None -> Jrpm.Regression.default_tolerance
-      | Some pct -> (
-          try Jrpm.Regression.tolerance_of_fail_pct pct
-          with Invalid_argument _ ->
-            Printf.eprintf
-              "jrpm: --tolerance must be a non-negative percentage\n";
-            exit 2)
-    in
+  let sweep jobs profile profile_json summary_json baseline trace =
     (* read the baseline before the (multi-second) sweep so a missing
        or malformed file is diagnosed immediately *)
     let baseline_records =
-      match baseline with
-      | Some file when not update_baseline -> (
-          try Some (Jrpm.Regression.load_baseline file)
+      Option.map
+        (fun file ->
+          try Jrpm.Regression.load_baseline file
           with Failure msg ->
             Printf.eprintf "jrpm: %s\n" msg;
             exit 1)
-      | _ -> None
+        baseline
     in
     let observe = profile || profile_json <> None in
     let t0 = Unix.gettimeofday () in
@@ -723,7 +643,7 @@ let sweep_cmd =
     let wall_s = Unix.gettimeofday () -. t0 in
     (match (trace, Jrpm.Parallel_sweep.container outcomes) with
     | Some file, Some bytes ->
-        write_container_file ~file bytes;
+        write_file ~what:"trace container" ~file bytes;
         Printf.eprintf "jrpm: trace container %s: %d workloads, %d bytes\n"
           file (List.length outcomes) (String.length bytes)
     | _ -> ());
@@ -745,43 +665,19 @@ let sweep_cmd =
               (Obs.Recorder.to_json merged))
           profile_json);
     (* ----- benchmark-regression gate ----- *)
-    match baseline with
+    match baseline_records with
     | None -> ()
-    | Some file ->
-        if update_baseline then begin
-          (try Jrpm.Regression.save_baseline file summaries
-           with Failure msg ->
-             Printf.eprintf "jrpm: %s\n" msg;
-             exit 1);
-          Printf.eprintf "jrpm: baseline %s updated (%d workloads)\n" file
-            (List.length summaries)
-        end
-        else begin
-          let base = Option.get baseline_records in
-          let d =
-            (* a fingerprint mismatch means the baseline describes a
-               different machine — refuse to fail-classify the drift *)
-            try
-              Jrpm.Regression.diff ~tolerance ~baseline:base ~current:summaries
-                ()
-            with Failure msg ->
-              Printf.eprintf "jrpm: %s\n" msg;
-              exit 1
-          in
-          print_string (Jrpm.Regression.render d);
-          (match trend with
-          | Some path -> (
-              try Jrpm.Regression.append_trend ?label:trend_label ~path d
-              with Failure msg ->
-                Printf.eprintf "jrpm: cannot write trend file: %s\n" msg;
-                exit 1)
-          | None -> ());
-          Option.iter
-            (fun out ->
-              write_json_file ~what:"diff JSON" out (Jrpm.Regression.to_json d))
-            diff_json;
-          if Jrpm.Regression.failed d then exit 1
-        end
+    | Some base ->
+        let d =
+          (* a fingerprint mismatch means the baseline describes a
+             different machine — refuse to fail-classify the drift *)
+          try Jrpm.Regression.diff ~baseline:base ~current:summaries ()
+          with Failure msg ->
+            Printf.eprintf "jrpm: %s\n" msg;
+            exit 1
+        in
+        print_string (Jrpm.Regression.render d);
+        if Jrpm.Regression.failed d then exit 1
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -791,8 +687,7 @@ let sweep_cmd =
           deterministic aggregate")
     Term.(
       const sweep $ jobs_arg $ profile_arg $ profile_json_arg $ summary_json_arg
-      $ baseline_arg $ update_baseline_arg $ tolerance_arg $ diff_json_arg
-      $ trace_arg $ trend_arg $ trend_label_arg)
+      $ baseline_arg $ trace_arg)
 
 (* ---------------- trace: capture once, replay many ---------------- *)
 
@@ -844,7 +739,7 @@ let trace_record_cmd =
         Printf.eprintf "jrpm: capture produced no records\n";
         exit 1
     | Some bytes ->
-        write_container_file ~file bytes;
+        write_file ~what:"trace container" ~file bytes;
         Printf.eprintf "jrpm: recorded %d workloads, %d bytes -> %s\n"
           (List.length outcomes) (String.length bytes) file
   in

@@ -12,15 +12,16 @@ type config = {
 }
 
 let default_config =
+  let hw = Hydra.Config.default in
   {
-    banks = Hydra.Cost.comparator_banks;
-    heap_fifo_lines = Hydra.Cost.heap_ts_fifo_lines;
-    ld_dedup_entries = 512;
-    st_dedup_entries = Hydra.Cost.cacheline_ts_lines;
-    local_slots = Hydra.Cost.local_ts_slots;
-    ld_limit = Hydra.Cost.load_buffer_lines;
-    st_limit = Hydra.Cost.store_buffer_lines;
-    line_words = Hydra.Cost.line_words;
+    banks = hw.Hydra.Config.comparator_banks;
+    heap_fifo_lines = hw.Hydra.Config.heap_ts_fifo_lines;
+    ld_dedup_entries = hw.Hydra.Config.load_buffer_lines;
+    st_dedup_entries = hw.Hydra.Config.cacheline_ts_lines;
+    local_slots = hw.Hydra.Config.local_ts_slots;
+    ld_limit = hw.Hydra.Config.load_buffer_lines;
+    st_limit = hw.Hydra.Config.store_buffer_lines;
+    line_words = hw.Hydra.Config.line_words;
     max_entries_per_stl = None;
     release_overflowing = Some (4, 0.9);
   }

@@ -3,9 +3,9 @@
    Every geometry and overhead constant the paper fixes (Tables 1/2,
    Sec. 5.3, the 4-CPU machine) lives here as a record field so the
    analysis can be evaluated at machine points other than the paper's:
-   [default] reproduces the {!Cost} compile-time constants bit-for-bit,
-   and the design-space exploration layer (jrpm explore) sweeps grids
-   of variants over replayed traces. *)
+   [default] is the paper's machine (the one definition of it), and the
+   design-space exploration layer (jrpm explore) sweeps grids of
+   variants over replayed traces. *)
 
 type t = {
   (* TEST tracer geometry (paper Sec. 5.3) *)
@@ -29,19 +29,22 @@ type t = {
 
 let default =
   {
-    comparator_banks = Cost.comparator_banks;
-    heap_ts_fifo_lines = Cost.heap_ts_fifo_lines;
-    cacheline_ts_lines = Cost.cacheline_ts_lines;
-    local_ts_slots = Cost.local_ts_slots;
-    load_buffer_lines = Cost.load_buffer_lines;
-    store_buffer_lines = Cost.store_buffer_lines;
-    line_words = Cost.line_words;
-    loop_startup = Cost.loop_startup;
-    loop_shutdown = Cost.loop_shutdown;
-    loop_eoi = Cost.loop_eoi;
-    violation_restart = Cost.violation_restart;
-    store_load_communication = Cost.store_load_communication;
-    num_cpus = Cost.num_cpus;
+    (* TEST hardware capacities (paper Sec. 5.3) *)
+    comparator_banks = 8;
+    heap_ts_fifo_lines = 192; (* 6 kB of write history, line-sized entries *)
+    cacheline_ts_lines = 64; (* 2 kB direct-mapped *)
+    local_ts_slots = 64; (* 2 kB, one buffer *)
+    (* Table 1: per-thread speculative state, in 32-byte lines *)
+    load_buffer_lines = 512; (* 16 kB, 4-way *)
+    store_buffer_lines = 64; (* 2 kB, fully associative *)
+    line_words = 8; (* one 32-byte line holds 8 four-byte words *)
+    (* Table 2, in cycles *)
+    loop_startup = 25;
+    loop_shutdown = 25;
+    loop_eoi = 5;
+    violation_restart = 5;
+    store_load_communication = 10;
+    num_cpus = 4;
   }
 
 let equal (a : t) (b : t) = a = b

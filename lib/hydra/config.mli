@@ -4,9 +4,9 @@
     (Tables 1/2, Sec. 5.3, the 4-CPU machine) into a value so the
     analysis — Eq. 1 speedup, Eq. 2 speculate-vs-nest, the TLS
     simulator, and the transistor-cost estimate — can be evaluated at
-    machine points other than the paper's. {!default} reproduces the
-    {!Cost} compile-time constants bit-for-bit; [jrpm explore] sweeps
-    grids of variants over replayed traces. *)
+    machine points other than the paper's. {!default} is the paper's
+    machine; [jrpm explore] sweeps grids of variants over replayed
+    traces. *)
 
 type t = {
   (* TEST tracer geometry (paper Sec. 5.3) *)
@@ -29,7 +29,8 @@ type t = {
 }
 
 val default : t
-(** The paper's machine: equal to the {!Cost} constants field-by-field. *)
+(** The paper's machine (Tables 1/2, Sec. 5.3, four CPUs) — the one
+    definition of its geometry and TLS overheads. *)
 
 val equal : t -> t -> bool
 

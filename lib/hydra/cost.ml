@@ -1,43 +1,9 @@
-(** Cycle-cost and capacity model of the Hydra CMP (paper Tables 1 and 2).
+(** Instruction cycle costs of the Hydra CMP's single-issue pipeline.
 
-    The absolute instruction latencies below are a plain single-issue MIPS
-    model; the paper's results depend on the ratios (thread sizes vs. TLS
-    overheads vs. buffer limits), which these constants reproduce. *)
-
-(* ------------------------------------------------------------------ *)
-(* Table 1 — thread-level speculation buffer limits (per thread).      *)
-
-let line_words = 8
-(** One 32-byte cache line holds 8 four-byte words; TEST and the TLS
-    hardware count speculative state in lines. *)
-
-let load_buffer_lines = 512
-(** Speculatively-read L1 lines a thread may hold (16 kB, 4-way). *)
-
-let store_buffer_lines = 64
-(** Speculative store-buffer entries per thread (2 kB, fully assoc.). *)
-
-(* ------------------------------------------------------------------ *)
-(* Table 2 — thread-level speculation overheads (cycles).              *)
-
-let loop_startup = 25
-let loop_shutdown = 25
-let loop_eoi = 5
-let violation_restart = 5
-let store_load_communication = 10
-
-(* ------------------------------------------------------------------ *)
-(* TEST hardware capacities (paper Sec. 5.3).                          *)
-
-let comparator_banks = 8
-let heap_ts_fifo_lines = 192   (* 6 kB of write history, line-sized entries *)
-let cacheline_ts_lines = 64    (* 2 kB direct-mapped *)
-let local_ts_slots = 64        (* 2 kB, one buffer *)
-
-(* ------------------------------------------------------------------ *)
-(* Hydra configuration.                                                *)
-
-let num_cpus = 4
+    The absolute latencies below are a plain single-issue MIPS model; the
+    paper's results depend on the ratios (thread sizes vs. TLS overheads
+    vs. buffer limits), which these constants reproduce together with
+    the machine geometry and TLS overheads in {!Config.default}. *)
 
 (* ------------------------------------------------------------------ *)
 (* Instruction latencies (cycles) for the single-issue pipeline.       *)

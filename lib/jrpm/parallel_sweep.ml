@@ -6,16 +6,6 @@ type outcome = {
   trace : string option;
 }
 
-(* One wire tuple per workload task: the summary and recorder state
-   serialized through the lib/obs JSON schema, the finished trace-store
-   record bytes when capturing (self-contained, so the parent
-   byte-copies them into one container), and the full report for
-   in-process consumers (bench tables need the STL table / tracer /
-   tac, which have no JSON form). The scheduler keys results by item
-   index and returns them in registry order, so no index travels on the
-   wire. *)
-type wire_item = string * string option * string option * Pipeline.report
-
 let core_count = Scheduler.core_count
 
 let default_jobs () =
@@ -33,7 +23,11 @@ let default_jobs () =
           core_count ())
   | None -> core_count ()
 
-let run_one ~observe ~capture (w : Workloads.Workload.t) =
+(* One scheduler task per workload. The outcome itself is the result:
+   the scheduler Marshals it back (workers are forks of this executable)
+   and slots it by workload index, so outcomes come back in registry
+   order whatever the completion order was. *)
+let outcome ~observe ~capture (w : Workloads.Workload.t) =
   let recorder = if observe then Some (Obs.Recorder.create ()) else None in
   let obs =
     match recorder with
@@ -51,58 +45,21 @@ let run_one ~observe ~capture (w : Workloads.Workload.t) =
   (match recorder with
   | Some rc -> Pipeline.record_report_metrics (Obs.Recorder.metrics rc) report
   | None -> ());
-  (report, recorder, trace)
-
-let sequential ~observe ~capture workloads =
-  List.map
-    (fun w ->
-      let report, recorder, trace = run_one ~observe ~capture w in
-      {
-        workload = w;
-        report;
-        summary = Report_summary.of_report report;
-        recorder;
-        trace;
-      })
-    workloads
-
-(* ---------------- scheduler tasks ---------------- *)
-
-let encode_item ~observe ~capture w : wire_item =
-  let report, recorder, trace = run_one ~observe ~capture w in
-  let summary_json =
-    Obs.Json.to_string (Report_summary.to_json (Report_summary.of_report report))
-  in
-  let recorder_json =
-    Option.map (fun rc -> Obs.Json.to_string (Obs.Recorder.to_json rc)) recorder
-  in
-  (summary_json, recorder_json, trace, report)
-
-let decode_item w ((summary_json, recorder_json, trace, report) : wire_item) =
-  let summary = Report_summary.of_json (Obs.Json.parse_exn summary_json) in
-  let recorder =
-    Option.map
-      (fun s -> Obs.Recorder.of_json (Obs.Json.parse_exn s))
-      recorder_json
-  in
-  { workload = w; report; summary; recorder; trace }
+  {
+    workload = w;
+    report;
+    summary = Report_summary.of_report report;
+    recorder;
+    trace;
+  }
 
 let run ?jobs ?(observe = false) ?(capture = false)
     ?(workloads = Workloads.Registry.all) () =
-  let jobs = match jobs with Some n -> max 1 n | None -> default_jobs () in
-  if jobs <= 1 || (not Scheduler.fork_available) || List.length workloads <= 1
-  then sequential ~observe ~capture workloads
-  else
-    (* one task per workload on the work-stealing pool; [Scheduler.map]
-       returns wire tuples in registry order whatever the completion
-       order was *)
-    let wire =
-      Scheduler.map ~jobs
-        ~label:(fun _ w -> "workload " ^ w.Workloads.Workload.name)
-        (fun _ w -> encode_item ~observe ~capture w)
-        workloads
-    in
-    List.map2 decode_item workloads wire
+  let jobs = match jobs with Some n -> n | None -> default_jobs () in
+  Scheduler.map ~jobs
+    ~label:(fun _ w -> "workload " ^ w.Workloads.Workload.name)
+    (fun _ w -> outcome ~observe ~capture w)
+    workloads
 
 let container outcomes =
   let records = List.filter_map (fun o -> o.trace) outcomes in

@@ -10,14 +10,12 @@
       workload no longer idles the rest of the pool (the old static
       round-robin sharding did);
     - each worker runs the complete pipeline for the workload with its
-      own {!Obs.Recorder} (when [observe]), then ships one result frame
-      back: the {!Report_summary}/recorder state serialized through the
-      lib/obs JSON schema, the captured trace record bytes (when
-      [capture]), and the full report (marshalled — workers are forks
-      of this executable, so closures survive);
-    - the parent slots results by workload index, decodes the JSON back
-      through {!Report_summary.of_json} / {!Obs.Recorder.of_json}, and
-      returns outcomes in registry order.
+      own {!Obs.Recorder} (when [observe]) and ships its {!outcome}
+      back as the scheduler's result frame (marshalled — workers are
+      forks of this executable, so closures survive); the captured
+      trace record bytes ride along when [capture];
+    - the scheduler slots results by workload index, so outcomes come
+      back in registry order.
 
     Determinism: the pipeline itself is deterministic and outcomes are
     ordered by registry index, never by arrival, so any [jobs] value
@@ -33,10 +31,10 @@
 type outcome = {
   workload : Workloads.Workload.t;
   report : Pipeline.report;
-  summary : Report_summary.t;  (** decoded from the worker's JSON *)
+  summary : Report_summary.t;  (** [Report_summary.of_report report] *)
   recorder : Obs.Recorder.t option;
-      (** the worker's per-workload recorder, decoded from its JSON
-          dump; [None] unless the sweep ran with [observe] *)
+      (** the worker's per-workload recorder; [None] unless the sweep
+          ran with [observe] *)
   trace : string option;
       (** the workload's finished trace-store record bytes; [None]
           unless the sweep ran with [capture]. Records are
@@ -64,8 +62,8 @@ val run :
     the sequential bench harness. [capture] (default [false]) records
     every workload's optimized profiling event stream into a
     trace-store record ({!Replay.capture_run}); workers ship the
-    finished record bytes over the wire alongside the summary. Runs
-    sequentially in-process when [jobs <= 1], when forking is
+    finished record bytes back in the outcome. {!Scheduler.map} runs
+    the sweep sequentially in-process when [jobs <= 1], when forking is
     unavailable (Windows), or for a single workload.
     @raise Failure when a worker fails, naming the workload it ran. *)
 

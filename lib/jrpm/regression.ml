@@ -4,14 +4,6 @@ type tolerance = { warn_pct : float; fail_pct : float }
 
 let default_tolerance = { warn_pct = 2.0; fail_pct = 5.0 }
 
-let tolerance_of_fail_pct pct =
-  if (not (Float.is_finite pct)) || pct < 0. then
-    invalid_arg "Jrpm.Regression.tolerance_of_fail_pct: negative or non-finite";
-  {
-    fail_pct = pct;
-    warn_pct = pct *. (default_tolerance.warn_pct /. default_tolerance.fail_pct);
-  }
-
 type field_diff = {
   field : string;
   baseline : string;
@@ -22,11 +14,7 @@ type field_diff = {
 
 type workload_diff = Matched of field_diff list | Added | Removed
 
-type t = {
-  workloads : (string * workload_diff) list;
-  tol : tolerance;
-  worst : verdict;
-}
+type t = { workloads : (string * workload_diff) list; worst : verdict }
 
 let verdict_rank = function Pass -> 0 | Warn -> 1 | Fail -> 2
 let verdict_max a b = if verdict_rank a >= verdict_rank b then a else b
@@ -51,7 +39,7 @@ let exact_field field render equal base cur =
 (* Relative field: percentage delta against the baseline magnitude,
    inclusive thresholds. Zero and non-finite baselines admit no
    meaningful relative delta and degrade to exact comparison. *)
-let relative_field ~tol field render base cur =
+let relative_field field render base cur =
   if float_same base cur then
     { field; baseline = render base; current = render cur;
       delta_pct = (if Float.is_finite base && base <> 0. then Some 0. else None);
@@ -63,8 +51,8 @@ let relative_field ~tol field render base cur =
     let delta = (cur -. base) /. Float.abs base *. 100. in
     let mag = Float.abs delta in
     let v =
-      if mag <= tol.warn_pct then Pass
-      else if mag <= tol.fail_pct then Warn
+      if mag <= default_tolerance.warn_pct then Pass
+      else if mag <= default_tolerance.fail_pct then Warn
       else Fail
     in
     { field; baseline = render base; current = render cur;
@@ -73,37 +61,37 @@ let relative_field ~tol field render base cur =
 let render_int = string_of_int
 let render_bool = string_of_bool
 let render_float f = Printf.sprintf "%.4g" f
-let rel_int ~tol field b c =
-  relative_field ~tol field
+let rel_int field b c =
+  relative_field field
     (fun f -> string_of_int (int_of_float f))
     (float_of_int b) (float_of_int c)
 
-let summary_diffs ~tol (b : Report_summary.t) (c : Report_summary.t) =
+let summary_diffs (b : Report_summary.t) (c : Report_summary.t) =
   let anno prefix (ba : Report_summary.anno_summary)
       (ca : Report_summary.anno_summary) =
     [
-      rel_int ~tol (prefix ^ ".cycles") ba.Report_summary.cycles
+      rel_int (prefix ^ ".cycles") ba.Report_summary.cycles
         ca.Report_summary.cycles;
-      relative_field ~tol (prefix ^ ".slowdown") render_float
+      relative_field (prefix ^ ".slowdown") render_float
         ba.Report_summary.slowdown ca.Report_summary.slowdown;
-      rel_int ~tol (prefix ^ ".locals_cycles") ba.Report_summary.locals_cycles
+      rel_int (prefix ^ ".locals_cycles") ba.Report_summary.locals_cycles
         ca.Report_summary.locals_cycles;
-      rel_int ~tol
+      rel_int
         (prefix ^ ".read_stats_cycles")
         ba.Report_summary.read_stats_cycles ca.Report_summary.read_stats_cycles;
-      rel_int ~tol
+      rel_int
         (prefix ^ ".loop_anno_cycles")
         ba.Report_summary.loop_anno_cycles ca.Report_summary.loop_anno_cycles;
     ]
   in
   [
-    rel_int ~tol "plain_cycles" b.Report_summary.plain_cycles
+    rel_int "plain_cycles" b.Report_summary.plain_cycles
       c.Report_summary.plain_cycles;
-    rel_int ~tol "tls_cycles" b.Report_summary.tls_cycles
+    rel_int "tls_cycles" b.Report_summary.tls_cycles
       c.Report_summary.tls_cycles;
-    relative_field ~tol "actual_speedup" render_float
+    relative_field "actual_speedup" render_float
       b.Report_summary.actual_speedup c.Report_summary.actual_speedup;
-    relative_field ~tol "predicted_speedup" render_float
+    relative_field "predicted_speedup" render_float
       b.Report_summary.predicted_speedup c.Report_summary.predicted_speedup;
     exact_field "selected_stls" render_int Int.equal
       b.Report_summary.selected_stls c.Report_summary.selected_stls;
@@ -129,7 +117,7 @@ let summary_diffs ~tol (b : Report_summary.t) (c : Report_summary.t) =
 
 (* ---------------- pairing by workload name ---------------- *)
 
-let diff ?(tolerance = default_tolerance) ~baseline ~current () =
+let diff ~baseline ~current () =
   let name (s : Report_summary.t) = s.Report_summary.name in
   let find l n = List.find_opt (fun s -> name s = n) l in
   (* Summaries produced under different hardware configs are expected
@@ -156,7 +144,7 @@ let diff ?(tolerance = default_tolerance) ~baseline ~current () =
     List.map
       (fun b ->
         match find current (name b) with
-        | Some c -> (name b, Matched (summary_diffs ~tol:tolerance b c))
+        | Some c -> (name b, Matched (summary_diffs b c))
         | None -> (name b, Removed))
       baseline
   in
@@ -180,13 +168,13 @@ let diff ?(tolerance = default_tolerance) ~baseline ~current () =
               acc fields)
       Pass workloads
   in
-  { workloads; tol = tolerance; worst }
+  { workloads; worst }
 
 let failed t = t.worst = Fail
 
 (* ---------------- rendering ---------------- *)
 
-let table_rows ?(all = false) t =
+let table_rows t =
   List.concat_map
     (fun (name, w) ->
       match w with
@@ -196,7 +184,7 @@ let table_rows ?(all = false) t =
       | Matched fields ->
           List.filter_map
             (fun f ->
-              if (not all) && f.field_verdict = Pass then None
+              if f.field_verdict = Pass then None
               else
                 Some
                   [
@@ -227,12 +215,12 @@ let summary_line t =
   Printf.sprintf
     "regression check: %d workload(s), %d field fail(s), %d warn(s) \
      (tolerance: warn %.4g%%, fail %.4g%%) -> %s\n"
-    (List.length t.workloads) (count Fail) (count Warn) t.tol.warn_pct
-    t.tol.fail_pct
+    (List.length t.workloads) (count Fail) (count Warn)
+    default_tolerance.warn_pct default_tolerance.fail_pct
     (string_of_verdict t.worst)
 
-let render ?(all = false) t =
-  let rows = table_rows ~all t in
+let render t =
+  let rows = table_rows t in
   let table =
     if rows = [] then ""
     else
@@ -242,47 +230,6 @@ let render ?(all = false) t =
         rows
   in
   table ^ summary_line t
-
-(* ---------------- machine-readable diff ---------------- *)
-
-let to_json t =
-  let field_json f =
-    Obs.Json.Obj
-      ([
-         ("field", Obs.Json.String f.field);
-         ("baseline", Obs.Json.String f.baseline);
-         ("current", Obs.Json.String f.current);
-       ]
-      @ (match f.delta_pct with
-        | Some d -> [ ("delta_pct", Obs.Json.Float d) ]
-        | None -> [])
-      @ [ ("verdict", Obs.Json.String (string_of_verdict f.field_verdict)) ])
-  in
-  let workload_json (name, w) =
-    Obs.Json.Obj
-      (("name", Obs.Json.String name)
-      ::
-      (match w with
-      | Added -> [ ("status", Obs.Json.String "added") ]
-      | Removed -> [ ("status", Obs.Json.String "removed") ]
-      | Matched fields ->
-          [
-            ("status", Obs.Json.String "matched");
-            ("fields", Obs.Json.List (List.map field_json fields));
-          ]))
-  in
-  Obs.Json.Obj
-    [
-      ("schema_version", Obs.Json.Int 1);
-      ( "tolerance",
-        Obs.Json.Obj
-          [
-            ("warn_pct", Obs.Json.Float t.tol.warn_pct);
-            ("fail_pct", Obs.Json.Float t.tol.fail_pct);
-          ] );
-      ("worst", Obs.Json.String (string_of_verdict t.worst));
-      ("workloads", Obs.Json.List (List.map workload_json t.workloads));
-    ]
 
 (* ---------------- baseline files ---------------- *)
 
@@ -307,78 +254,3 @@ let load_baseline path =
       try List.map Report_summary.of_json entries
       with Failure msg ->
         failwith (Printf.sprintf "baseline %s: %s" path msg))
-
-let save_baseline path summaries =
-  let doc = Obs.Json.List (List.map Report_summary.to_json summaries) in
-  match open_out path with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Obs.Json.to_string ~pretty:true doc);
-          output_char oc '\n')
-  | exception Sys_error msg ->
-      failwith (Printf.sprintf "cannot write baseline %s: %s" path msg)
-
-(* ---------------- warn-drift trend file ---------------- *)
-
-let count_verdict t v =
-  List.fold_left
-    (fun acc (_, w) ->
-      match w with
-      | Added | Removed -> if v = Fail then acc + 1 else acc
-      | Matched fields ->
-          acc + List.length (List.filter (fun f -> f.field_verdict = v) fields))
-    0 t.workloads
-
-let trend_entry ?label t =
-  let drift =
-    List.concat_map
-      (fun (name, w) ->
-        match w with
-        | Added | Removed -> []
-        | Matched fields ->
-            List.filter_map
-              (fun f ->
-                if f.field_verdict = Pass then None
-                else
-                  Some
-                    (Obs.Json.Obj
-                       ([
-                          ("workload", Obs.Json.String name);
-                          ("field", Obs.Json.String f.field);
-                        ]
-                       @ (match f.delta_pct with
-                         | Some d -> [ ("delta_pct", Obs.Json.Float d) ]
-                         | None -> [])
-                       @ [
-                           ( "verdict",
-                             Obs.Json.String (string_of_verdict f.field_verdict)
-                           );
-                         ])))
-              fields)
-      t.workloads
-  in
-  Obs.Json.Obj
-    ([ ("schema_version", Obs.Json.Int 1) ]
-    @ (match label with
-      | Some l -> [ ("label", Obs.Json.String l) ]
-      | None -> [])
-    @ [
-        ("time", Obs.Json.Int (int_of_float (Unix.time ())));
-        ("worst", Obs.Json.String (string_of_verdict t.worst));
-        ("warns", Obs.Json.Int (count_verdict t Warn));
-        ("fails", Obs.Json.Int (count_verdict t Fail));
-        ("drift", Obs.Json.List drift);
-      ])
-
-let append_trend ?label ~path t =
-  match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Obs.Json.to_string (trend_entry ?label t));
-          output_char oc '\n')
-  | exception Sys_error msg ->
-      failwith (Printf.sprintf "cannot write trend file %s: %s" path msg)

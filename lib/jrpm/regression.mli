@@ -14,7 +14,7 @@
       counts) must be identical — any change is a {!Fail};
     - {b relative} fields (cycle counts, speedups, profiling
       slowdowns) compare by percentage delta against the baseline
-      value under a {!tolerance}: within [warn_pct] is a {!Pass},
+      value under {!default_tolerance}: within [warn_pct] is a {!Pass},
       within [fail_pct] a {!Warn}, beyond it a {!Fail}. Both bounds
       are inclusive — a delta of exactly [warn_pct] still passes. A
       zero or non-finite baseline has no meaningful relative delta,
@@ -22,7 +22,8 @@
 
     Workloads present on only one side are reported as {!Added} /
     {!Removed} and count as failures: the baseline must be refreshed
-    deliberately ([--update-baseline]), never implicitly. *)
+    deliberately ([jrpm sweep --jobs 1 --summary-json FILE]), never
+    implicitly. *)
 
 type verdict = Pass | Warn | Fail
 
@@ -32,13 +33,8 @@ type tolerance = {
 }
 
 val default_tolerance : tolerance
-(** [{ warn_pct = 2.0; fail_pct = 5.0 }]. *)
-
-val tolerance_of_fail_pct : float -> tolerance
-(** Tolerance with the given fail threshold and the warn threshold
-    scaled by the default 2:5 ratio — the [--tolerance PCT] CLI
-    mapping.
-    @raise Invalid_argument on a negative or non-finite percentage. *)
+(** [{ warn_pct = 2.0; fail_pct = 5.0 }], the one tolerance {!diff}
+    classifies relative fields under. *)
 
 type field_diff = {
   field : string;  (** e.g. ["tls_cycles"], ["opt.slowdown"] *)
@@ -60,12 +56,10 @@ type workload_diff =
 type t = {
   workloads : (string * workload_diff) list;
       (** baseline order, then added workloads in sweep order *)
-  tol : tolerance;
   worst : verdict;  (** [Fail] ≻ [Warn] ≻ [Pass] over every field *)
 }
 
 val diff :
-  ?tolerance:tolerance ->
   baseline:Report_summary.t list ->
   current:Report_summary.t list ->
   unit ->
@@ -79,36 +73,16 @@ val diff :
 val failed : t -> bool
 (** [worst = Fail] — the CLI's exit-status predicate. *)
 
-val table_rows : ?all:bool -> t -> string list list
+val table_rows : t -> string list list
 (** Rows for {!Util.Text_table} — [workload; field; baseline;
-    current; delta; verdict]. By default only non-[Pass] fields (plus
-    added/removed workloads) appear; [all] includes every compared
-    field. *)
+    current; delta; verdict] — for every non-[Pass] field and every
+    added/removed workload. *)
 
-val render : ?all:bool -> t -> string
+val render : t -> string
 (** The per-workload diff table plus a one-line summary; degenerates
-    to the summary line alone when everything passes and [all] is
-    unset. *)
-
-val to_json : t -> Obs.Json.t
-(** Machine-readable diff document ([schema_version] 1): tolerance,
-    worst verdict, and per-workload field diffs. *)
+    to the summary line alone when everything passes. *)
 
 val load_baseline : string -> Report_summary.t list
 (** Read a baseline file (the [--summary-json] array format).
     @raise Failure on unreadable files or malformed documents, with
     the file name in the message. *)
-
-val save_baseline : string -> Report_summary.t list -> unit
-(** Write summaries as a pretty-printed JSON array — the
-    [--update-baseline] writer; byte-identical to
-    [sweep --summary-json] output for the same records.
-    @raise Failure when the file cannot be written. *)
-
-val append_trend : ?label:string -> path:string -> t -> unit
-(** Append one JSON line to a drift trend file (created if absent):
-    epoch time, optional [label] (a commit id in CI), worst verdict,
-    warn/fail counts, and one entry per non-[Pass] field with its
-    signed delta. Slow creep inside the warn band becomes visible by
-    diffing successive lines ([jrpm sweep --trend FILE]).
-    @raise Failure when the file cannot be written. *)

@@ -1,4 +1,4 @@
-(** Atomic whole-file writes for trace containers.
+(** Atomic whole-file writes (trace containers, JSON outputs).
 
     [write ~path f] opens [path ^ ".tmp"], hands the channel to [f],
     then flushes, fsyncs, and [Unix.rename]s the temp file over

@@ -1,34 +1,13 @@
-(* The first-class hardware model: default == the Cost constants
-   field-by-field, JSON codec round-trips, fingerprints key configs
-   stably, and the explore engine finds the documented cpus=8 verdict
-   flip when replaying a captured archive under a grid. *)
+(* The first-class hardware model: the field table covers the record,
+   JSON codec round-trips, fingerprints key configs stably, and the
+   explore engine finds the documented cpus=8 verdict flip when
+   replaying a captured archive under a grid. *)
 
 module C = Hydra.Config
 
-(* ---------------- default vs the compile-time constants ----------- *)
+(* ---------------- field table ---------------- *)
 
-let test_default_matches_cost () =
-  let check name got want = Alcotest.(check int) name want got in
-  check "comparator_banks" C.default.C.comparator_banks
-    Hydra.Cost.comparator_banks;
-  check "heap_ts_fifo_lines" C.default.C.heap_ts_fifo_lines
-    Hydra.Cost.heap_ts_fifo_lines;
-  check "cacheline_ts_lines" C.default.C.cacheline_ts_lines
-    Hydra.Cost.cacheline_ts_lines;
-  check "local_ts_slots" C.default.C.local_ts_slots Hydra.Cost.local_ts_slots;
-  check "load_buffer_lines" C.default.C.load_buffer_lines
-    Hydra.Cost.load_buffer_lines;
-  check "store_buffer_lines" C.default.C.store_buffer_lines
-    Hydra.Cost.store_buffer_lines;
-  check "line_words" C.default.C.line_words Hydra.Cost.line_words;
-  check "loop_startup" C.default.C.loop_startup Hydra.Cost.loop_startup;
-  check "loop_shutdown" C.default.C.loop_shutdown Hydra.Cost.loop_shutdown;
-  check "loop_eoi" C.default.C.loop_eoi Hydra.Cost.loop_eoi;
-  check "violation_restart" C.default.C.violation_restart
-    Hydra.Cost.violation_restart;
-  check "store_load_communication" C.default.C.store_load_communication
-    Hydra.Cost.store_load_communication;
-  check "num_cpus" C.default.C.num_cpus Hydra.Cost.num_cpus;
+let test_field_table () =
   (* the field table names every record field exactly once *)
   Alcotest.(check int) "field table arity" 13 (List.length C.fields);
   Alcotest.(check int)
@@ -458,8 +437,8 @@ let suites =
   [
     ( "config.model",
       [
-        Alcotest.test_case "default equals Cost constants" `Quick
-          test_default_matches_cost;
+        Alcotest.test_case "field table covers the record" `Quick
+          test_field_table;
         QCheck_alcotest.to_alcotest prop_json_roundtrip;
         Alcotest.test_case "of_json errors" `Quick test_of_json_errors;
         Alcotest.test_case "validate" `Quick test_validate;

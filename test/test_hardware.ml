@@ -65,12 +65,12 @@ let test_instr_costs_positive () =
      annotations must be cheaper than the stats read *)
   Alcotest.(check bool) "lwl cheap" true
     (Hydra.Cost.cost_anno_local < Hydra.Cost.cost_read_stats);
+  let hw = Hydra.Config.default in
   Alcotest.(check bool) "table 2 values" true
-    (Hydra.Cost.loop_startup = 25 && Hydra.Cost.loop_shutdown = 25
-   && Hydra.Cost.loop_eoi = 5 && Hydra.Cost.violation_restart = 5
-   && Hydra.Cost.store_load_communication = 10);
+    (hw.loop_startup = 25 && hw.loop_shutdown = 25 && hw.loop_eoi = 5
+   && hw.violation_restart = 5 && hw.store_load_communication = 10);
   Alcotest.(check bool) "table 1 values" true
-    (Hydra.Cost.load_buffer_lines = 512 && Hydra.Cost.store_buffer_lines = 64)
+    (hw.load_buffer_lines = 512 && hw.store_buffer_lines = 64)
 
 let suites =
   [

@@ -147,6 +147,56 @@ let test_cli_out_of_fuel () =
           (In_channel.with_open_bin errfile In_channel.input_all))
   end
 
+(* Every CLI output file goes through one atomic writer: a summary JSON
+   that cannot be written exits 1 with a message naming it, and leaves
+   no staging [.tmp] file behind — neither when the directory is missing
+   nor when the final rename fails (the target is a directory). *)
+let test_cli_summary_json_unwritable () =
+  let jrpm = "../bin/jrpm_cli.exe" in
+  if Sys.file_exists jrpm then begin
+    let container = Filename.temp_file "jrpm_write" ".jtrc" in
+    let errfile = Filename.temp_file "jrpm_write" ".err" in
+    let dir = Filename.temp_file "jrpm_write" ".dir" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
+          [ container; errfile; Trace_store.Atomic_io.tmp_path dir ];
+        try Sys.rmdir dir with Sys_error _ -> ())
+      (fun () ->
+        let _, record =
+          Jrpm.Replay.capture_run ~name:"tiny"
+            "def main() { int s = 0; for (int i = 0; i < 8; i = i + 1) { s = s \
+             + i; } print_int(s); }"
+        in
+        Trace_store.Atomic_io.write_string ~path:container
+          (Trace_store.Writer.container [ record ]);
+        List.iter
+          (fun (what, out) ->
+            let code =
+              Sys.command
+                (Printf.sprintf "%s trace replay %s --summary-json %s \
+                                 >/dev/null 2>%s"
+                   jrpm (Filename.quote container) (Filename.quote out)
+                   (Filename.quote errfile))
+            in
+            Alcotest.(check int) (what ^ ": exit") 1 code;
+            let err = In_channel.with_open_bin errfile In_channel.input_all in
+            Alcotest.(check bool)
+              (what ^ ": names the file: " ^ err)
+              true
+              (String.starts_with ~prefix:"jrpm: cannot write summary JSON: "
+                 err);
+            Alcotest.(check bool) (what ^ ": no .tmp left") false
+              (Sys.file_exists (Trace_store.Atomic_io.tmp_path out)))
+          [
+            ("missing directory", Filename.concat dir "missing/out.json");
+            ("directory target", dir);
+          ])
+  end
+
 let test_dataset_sensitivity () =
   (* Sec. 6.1: with a larger data set, inner-loop trip counts grow and
      speculating high in the nest overflows the buffers, so selection
@@ -187,5 +237,7 @@ let suites =
           test_cli_banks_rejected;
         Alcotest.test_case "run stops a non-terminating program" `Quick
           test_cli_out_of_fuel;
+        Alcotest.test_case "unwritable summary JSON" `Quick
+          test_cli_summary_json_unwritable;
       ] );
   ]

@@ -247,35 +247,27 @@ let test_parallel_equals_sequential () =
 
 (* ---------------- golden summaries ---------------- *)
 
-(* Regression pin for the tracer hot-path rewrite: a real-workload
-   sweep must produce Report_summary JSON identical to the checked-in
-   golden (generated with `jrpm sweep --summary-json` before the
-   rewrite). A subset of the registry keeps the test fast while
-   covering integer, float, and media kernels. *)
+(* A real-workload sweep must produce Report_summary JSON identical to
+   the checked-in sweep pin (test/baseline_sweep_summaries.json, written
+   by `jrpm sweep --jobs 1 --summary-json`). A subset of the registry
+   keeps the test fast while covering integer, float, and media
+   kernels; CI checks all 26 entries with `cmp`. *)
 let golden_subset = [ "BitOps"; "Huffman"; "compress"; "fft"; "NeuralNet" ]
 
+(* the pinned summary of workload [name], as JSON text *)
+let pinned_json =
+  let pin = lazy (Jrpm.Regression.load_baseline "baseline_sweep_summaries.json") in
+  fun name ->
+    match
+      List.find_opt
+        (fun (s : Jrpm.Report_summary.t) -> s.Jrpm.Report_summary.name = name)
+        (Lazy.force pin)
+    with
+    | Some s -> Obs.Json.to_string (Jrpm.Report_summary.to_json s)
+    | None -> Alcotest.failf "workload %s is not in the sweep pin" name
+
 let test_golden_summaries () =
-  let golden =
-    let ic = open_in "golden_sweep_summaries.json" in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Obs.Json.parse_exn s
-  in
-  let golden_of name =
-    match Obs.Json.to_list golden with
-    | Some entries ->
-        List.find
-          (fun e ->
-            Obs.Json.member "name" e
-            |> Option.map Obs.Json.to_string_opt
-            |> Option.join = Some name)
-          entries
-    | None -> Alcotest.fail "golden file is not a JSON list"
-  in
-  let workloads =
-    List.map Workloads.Registry.find_exn golden_subset
-  in
+  let workloads = List.map Workloads.Registry.find_exn golden_subset in
   let outcomes = Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~observe:false () in
   List.iter
     (fun (o : Jrpm.Parallel_sweep.outcome) ->
@@ -283,7 +275,7 @@ let test_golden_summaries () =
       let name = s.Jrpm.Report_summary.name in
       Alcotest.(check string)
         ("summary JSON matches golden: " ^ name)
-        (Obs.Json.to_string (golden_of name))
+        (pinned_json name)
         (Obs.Json.to_string (Jrpm.Report_summary.to_json s)))
     outcomes
 

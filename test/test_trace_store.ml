@@ -718,31 +718,13 @@ let test_atomic_io () =
 
 (* ---------------- replay determinism vs the golden sweep ---------------- *)
 
-(* The same subset test_sweep pins against golden_sweep_summaries.json:
-   capture each workload, then check the REPLAYED summaries against the
-   same golden bytes — interpretation and replay must agree exactly. *)
-let golden_subset = [ "BitOps"; "Huffman"; "compress"; "fft"; "NeuralNet" ]
-
+(* The same subset test_sweep checks against the sweep pin: capture
+   each workload, then check the REPLAYED summaries against the same
+   pinned bytes — interpretation and replay must agree exactly. *)
 let test_replayed_sweep_matches_golden () =
-  let golden =
-    let ic = open_in "golden_sweep_summaries.json" in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Obs.Json.parse_exn s
+  let workloads =
+    List.map Workloads.Registry.find_exn Test_sweep.golden_subset
   in
-  let golden_of name =
-    match Obs.Json.to_list golden with
-    | Some entries ->
-        List.find
-          (fun e ->
-            Obs.Json.member "name" e
-            |> Option.map Obs.Json.to_string_opt
-            |> Option.join = Some name)
-          entries
-    | None -> Alcotest.fail "golden file is not a JSON list"
-  in
-  let workloads = List.map Workloads.Registry.find_exn golden_subset in
   let outcomes =
     Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~capture:true ()
   in
@@ -761,7 +743,7 @@ let test_replayed_sweep_matches_golden () =
         true o.Jrpm.Replay.matches;
       Alcotest.(check string)
         ("replayed summary JSON matches golden: " ^ o.Jrpm.Replay.name)
-        (Obs.Json.to_string (golden_of o.Jrpm.Replay.name))
+        (Test_sweep.pinned_json o.Jrpm.Replay.name)
         (Obs.Json.to_string (Jrpm.Report_summary.to_json o.Jrpm.Replay.replayed)))
     replayed
 

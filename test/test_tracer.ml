@@ -129,7 +129,7 @@ let test_figure4_overflow () =
 let test_store_dedup_aliasing () =
   let t = Tracer.create ~config:{ small_config with Tracer.st_limit = 64 } () in
   let s = Tracer.sink t in
-  let line_bytes = Hydra.Cost.line_words in
+  let line_bytes = Hydra.Config.default.line_words in
   s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
   s.Hydra.Trace.on_heap_store ~addr:0 ~now:1;
   (* line 64 maps to the same dedup entry as line 0 *)
@@ -360,7 +360,7 @@ let test_local_ts_eviction () =
   let s = Tracer.sink t in
   s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:1 ~frame:1 ~now:0;
   s.Hydra.Trace.on_local_store ~frame:1 ~slot:0 ~now:2;
-  for i = 1 to Hydra.Cost.local_ts_slots do
+  for i = 1 to Hydra.Config.default.local_ts_slots do
     s.Hydra.Trace.on_local_store ~frame:(100 + i) ~slot:0 ~now:(2 + i)
   done;
   s.Hydra.Trace.on_eoi ~stl:0 ~now:100;
