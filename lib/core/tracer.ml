@@ -11,24 +11,16 @@ type config = {
   release_overflowing : (int * float) option;
 }
 
-let default_config =
-  let hw = Hydra.Config.default in
+let config_of ?base (hw : Hydra.Config.t) =
+  (* the two policy fields come from [base]; the paper's policy is no
+     entry cap and bank release for STLs that overflow on >= 90% of
+     threads after 4 entries *)
+  let max_entries_per_stl, release_overflowing =
+    match base with
+    | Some b -> (b.max_entries_per_stl, b.release_overflowing)
+    | None -> (None, Some (4, 0.9))
+  in
   {
-    banks = hw.Hydra.Config.comparator_banks;
-    heap_fifo_lines = hw.Hydra.Config.heap_ts_fifo_lines;
-    ld_dedup_entries = hw.Hydra.Config.load_buffer_lines;
-    st_dedup_entries = hw.Hydra.Config.cacheline_ts_lines;
-    local_slots = hw.Hydra.Config.local_ts_slots;
-    ld_limit = hw.Hydra.Config.load_buffer_lines;
-    st_limit = hw.Hydra.Config.store_buffer_lines;
-    line_words = hw.Hydra.Config.line_words;
-    max_entries_per_stl = None;
-    release_overflowing = Some (4, 0.9);
-  }
-
-let config_of ?(base = default_config) (hw : Hydra.Config.t) =
-  {
-    base with
     banks = hw.Hydra.Config.comparator_banks;
     heap_fifo_lines = hw.Hydra.Config.heap_ts_fifo_lines;
     (* the load-dedup table models the load buffer's tag array, the
@@ -39,7 +31,11 @@ let config_of ?(base = default_config) (hw : Hydra.Config.t) =
     ld_limit = hw.Hydra.Config.load_buffer_lines;
     st_limit = hw.Hydra.Config.store_buffer_lines;
     line_words = hw.Hydra.Config.line_words;
+    max_entries_per_stl;
+    release_overflowing;
   }
+
+let default_config = config_of Hydra.Config.default
 
 (* The per-event hot path (heap/local load/store, eoi) is written to be
    allocation-free in steady state — see ARCHITECTURE.md "Tracer hot

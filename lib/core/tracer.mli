@@ -49,8 +49,8 @@ val config_of : ?base:config -> Hydra.Config.t -> config
     (banks, FIFO lines, dedup entries, local slots, line limits, line
     words) come from the {!Hydra.Config.t}; policy fields
     ([max_entries_per_stl], [release_overflowing]) are kept from [base]
-    (default {!default_config}). [config_of Hydra.Config.default]
-    equals {!default_config}. *)
+    (default: {!default_config}'s). {!default_config} is [config_of
+    Hydra.Config.default]. *)
 
 type t
 

@@ -1,3 +1,23 @@
+(* The Hydra TLS simulator. Sequential code runs in [Seq_interp]'s loop;
+   a selected STL runs here as speculative threads, one loop iteration
+   per thread, each on a CPU slot.
+
+   Each CPU slot owns the speculative state of the thread it runs, as
+   Hydra's per-CPU buffers do: a write buffer (word address -> value), a
+   read set (word address -> PC of the load), and the sets of lines read
+   and written. They are [Spec_table]s: open-addressed int tables whose
+   [clear] is O(1), so a spawn or a restart does not touch the slots of
+   the table's previous thread. Write-buffer entries are unboxed like a
+   [Machine.frame]'s file; a value is boxed once, when the commit flush
+   stores it to memory.
+
+   One pass of the scheduler refills free CPU slots, wakes synchronized
+   threads, makes the head thread's transition, steps every ready
+   thread in slot order, and advances time. The step scan also gathers
+   what the time advance needs, unless a step restarted or squashed
+   another thread or changed the pending loop exit; then the advance
+   scans the slots again. *)
+
 open Ir
 
 type spec_stats = {
@@ -28,36 +48,154 @@ type status =
   | Exit_taken of int           (* reached Tls_exit; pc to resume after *)
   | Trapped of string           (* speculative trap; fatal only as head *)
 
-(* Speculative state is keyed by word address, line number or load PC:
-   plain ints, so the tables skip the polymorphic hash and compare. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* Speculative state is keyed by word address, line number or load PC.
+   The table lives in this module because the dev profile's [-opaque]
+   would make every call into another module an out-of-line call. *)
+module Spec_table = struct
+  type t = {
+    mutable keys : int array;
+    mutable stamps : int array;
+    mutable ints : int array;
+    mutable floats : float array;
+    mutable kinds : Bytes.t;
+    mutable live : int array;
+    mutable size : int;
+    mutable gen : int;
+    mutable shift : int;
+  }
 
-  let equal (a : int) b = a = b
-  let hash (a : int) = a land max_int
-end)
+  (* [2^bits] slots, none live: a stamp of 0 is never a generation *)
+  let fresh t bits =
+    let cap = 1 lsl bits in
+    t.keys <- Array.make cap 0;
+    t.stamps <- Array.make cap 0;
+    t.ints <- Array.make cap 0;
+    t.floats <- Array.make cap 0.;
+    t.kinds <- Bytes.make cap '\000';
+    t.live <- Array.make (cap / 2) 0;
+    t.size <- 0;
+    t.gen <- 1;
+    t.shift <- Sys.int_size - bits
+
+  let create n =
+    let rec bits b = if 1 lsl b >= 2 * n then b else bits (b + 1) in
+    let t =
+      { keys = [||]; stamps = [||]; ints = [||]; floats = [||];
+        kinds = Bytes.empty; live = [||]; size = 0; gen = 0; shift = 0 }
+    in
+    fresh t (bits 3);
+    t
+
+  (* multiplicative hashing: the top bits of [k] times an odd constant,
+     so neither consecutive keys nor power-of-two strides pile up *)
+  let[@inline] home t k = (k * 0x2545F4914F6CDD1D) lsr t.shift
+
+  (* the slot holding [k], or the free slot where it would go; at most
+     half the slots are live, so the probe ends *)
+  let[@inline] probe t k =
+    let keys = t.keys and stamps = t.stamps and gen = t.gen in
+    let mask = Array.length keys - 1 in
+    let i = ref (home t k) in
+    while Array.unsafe_get stamps !i = gen && Array.unsafe_get keys !i <> k do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let length t = t.size
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.size <- 0
+
+  let[@inline] find t k =
+    let i = probe t k in
+    if Array.unsafe_get t.stamps i = t.gen then i else -1
+
+  let[@inline] mem t k = find t k >= 0
+
+  let grow t =
+    let keys = t.keys and ints = t.ints and floats = t.floats in
+    let kinds = t.kinds and live = t.live and size = t.size in
+    fresh t (Sys.int_size - t.shift + 1);
+    for j = 0 to size - 1 do
+      let o = live.(j) in
+      let i = probe t keys.(o) in
+      t.stamps.(i) <- t.gen;
+      t.keys.(i) <- keys.(o);
+      t.ints.(i) <- ints.(o);
+      t.floats.(i) <- floats.(o);
+      Bytes.set t.kinds i (Bytes.get kinds o);
+      t.live.(j) <- i
+    done;
+    t.size <- size
+
+  (* the slot of [k], inserted if absent; a new slot's value is stale *)
+  let rec slot t k =
+    let i = probe t k in
+    if Array.unsafe_get t.stamps i = t.gen then i
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      grow t;
+      slot t k
+    end
+    else begin
+      Array.unsafe_set t.stamps i t.gen;
+      Array.unsafe_set t.keys i k;
+      t.live.(t.size) <- i;
+      t.size <- t.size + 1;
+      i
+    end
+
+  let[@inline] add t k = ignore (slot t k)
+  let[@inline] replace t k v = t.ints.(slot t k) <- v
+
+  let iter t f =
+    for j = 0 to t.size - 1 do
+      f t t.live.(j)
+    done
+
+  (* entry [r] of a frame's file into slot [i], and back *)
+  let[@inline] store t i (fr : Machine.frame) r =
+    t.ints.(i) <- fr.Machine.ints.(r);
+    t.floats.(i) <- fr.Machine.floats.(r);
+    Bytes.set t.kinds i (Bytes.get fr.Machine.kinds r)
+
+  let[@inline] load t i (fr : Machine.frame) r =
+    fr.Machine.ints.(r) <- t.ints.(i);
+    fr.Machine.floats.(r) <- t.floats.(i);
+    Bytes.set fr.Machine.kinds r (Bytes.get t.kinds i)
+
+  let box t i : Value.t =
+    if Bytes.get t.kinds i = '\000' then Value.Int t.ints.(i)
+    else Value.Float t.floats.(i)
+end
 
 type thread = {
   rank : int;
   mutable pc : int;
-  mutable frames : Machine.frame list; (* non-empty; head = current *)
-  seed : Machine.frame; (* the base of [frames]: its CPU slot's seed frame *)
+  (* the current frame and its function's code, cost row and [pc_base]:
+     they change only at [Call], [Return], spawn and restart *)
+  mutable frame : Machine.frame;
+  mutable code : Native.instr array;
+  mutable costs : int array;
+  mutable pc_base : int;
+  mutable callers : Machine.frame list; (* innermost first; [] at [seed] *)
+  seed : Machine.frame; (* the loop frame: its CPU slot's seed frame *)
   mutable ready_at : int;
   mutable status : status;
-  write_buf : Value.t Itbl.t;
-  read_set : int Itbl.t; (* word addr -> PC of the reading load *)
-  read_lines : unit Itbl.t;
-  write_lines : unit Itbl.t;
+  write_buf : Spec_table.t;
+  read_set : Spec_table.t; (* word addr -> PC of the reading load *)
+  read_lines : Spec_table.t;
+  write_lines : Spec_table.t;
   mutable pending_output : Value.t list; (* reversed *)
   mutable nested : int; (* dynamic re-entries of the same STL (recursion) *)
   mutable stalled_once : bool;
 }
 
 let clear_tables (t : thread) =
-  Itbl.clear t.write_buf;
-  Itbl.clear t.read_set;
-  Itbl.clear t.read_lines;
-  Itbl.clear t.write_lines
+  Spec_table.clear t.write_buf;
+  Spec_table.clear t.read_set;
+  Spec_table.clear t.read_lines;
+  Spec_table.clear t.write_lines
 
 type mstats = {
   mutable m_committed : int;
@@ -88,13 +226,16 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       m_sync_stalls = 0;
     }
   in
-  let sync_pcs : unit Itbl.t = Itbl.create 16 in
+  let sync_pcs = Spec_table.create 16 in
   let ncpus = config.Config.num_cpus in
   (* each CPU slot's write buffer, read set, read lines and write lines:
      every thread spawned on the slot clears and reuses them *)
   let slot_tables =
     Array.init ncpus (fun _ ->
-        (Itbl.create 64, Itbl.create 64, Itbl.create 16, Itbl.create 16))
+        ( Spec_table.create 64,
+          Spec_table.create 64,
+          Spec_table.create 16,
+          Spec_table.create 16 ))
   in
   (* frame uids only key the tracer's local timestamps; no tracer runs here *)
   let new_frame fidx ret_pc ret_reg =
@@ -115,21 +256,30 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     (* The master frame is not written until the loop returns, so its
        slots are the pre-loop snapshot every seed frame starts from. *)
     let soff = master.Machine.soff in
-    let nslots = Array.length master.Machine.ints - soff in
+    let nfile = Array.length master.Machine.ints in
     let slot_value slot = Machine.get master (soff + slot) in
     (* master-side reduction accumulators start from the pre-loop values *)
     let red_acc =
       List.map (fun (slot, op) -> (slot, op, ref (slot_value slot)))
         plan.Native.reductions
     in
+    (* (entry, x0, step) per inductor and (entry, identity) per reduction *)
     let inductors =
-      List.map
-        (fun (slot, step) -> (soff + slot, Value.to_int (slot_value slot), step))
-        plan.Native.inductors
+      Array.of_list
+        (List.map
+           (fun (slot, step) -> (soff + slot, Value.to_int (slot_value slot), step))
+           plan.Native.inductors)
+    in
+    let reductions =
+      Array.of_list
+        (List.map
+           (fun (slot, op) -> (soff + slot, Machine.reduction_identity op))
+           plan.Native.reductions)
     in
     let restart_penalty =
       config.Config.violation_restart + List.length plan.Native.invariants
     in
+    let loop_func = p.funcs.(plan.Native.plan_func) in
     (* one seed frame per CPU slot, refilled for every thread the slot
        starts: registers zero, slots from the snapshot, inductors at
        [x0 + rank*step], reductions at their identity *)
@@ -137,29 +287,48 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       Array.init ncpus (fun _ -> new_frame plan.Native.plan_func (-1) None)
     in
     let refill (fr : Machine.frame) rank =
-      Array.fill fr.Machine.ints 0 soff 0;
-      Bytes.fill fr.Machine.kinds 0 soff Machine.kind_int;
-      Array.blit master.Machine.ints soff fr.Machine.ints soff nslots;
-      Array.blit master.Machine.floats soff fr.Machine.floats soff nslots;
-      Bytes.blit master.Machine.kinds soff fr.Machine.kinds soff nslots;
-      List.iter
-        (fun (i, x0, step) ->
-          Machine.set_int fr i (x0 + (rank * step)))
-        inductors;
-      List.iter
-        (fun (slot, op) ->
-          Machine.set fr (soff + slot) (Machine.reduction_identity op))
-        plan.Native.reductions
+      let ints = fr.Machine.ints and floats = fr.Machine.floats in
+      let kinds = fr.Machine.kinds in
+      for i = 0 to soff - 1 do
+        ints.(i) <- 0;
+        Bytes.set kinds i '\000'
+      done;
+      for i = soff to nfile - 1 do
+        ints.(i) <- master.Machine.ints.(i);
+        floats.(i) <- master.Machine.floats.(i);
+        Bytes.set kinds i (Bytes.get master.Machine.kinds i)
+      done;
+      for j = 0 to Array.length inductors - 1 do
+        let i, x0, step = inductors.(j) in
+        Machine.set_int fr i (x0 + (rank * step))
+      done;
+      for j = 0 to Array.length reductions - 1 do
+        let i, identity = reductions.(j) in
+        Machine.set fr i identity
+      done
+    in
+    (* make [fr] the thread's current frame *)
+    let set_frame (t : thread) (fr : Machine.frame) =
+      let f = p.funcs.(fr.Machine.fidx) in
+      t.frame <- fr;
+      t.code <- f.Native.code;
+      t.costs <- st.costs.(fr.Machine.fidx);
+      t.pc_base <- f.Native.pc_base
     in
     let spawn slot rank now =
       let write_buf, read_set, read_lines, write_lines = slot_tables.(slot) in
-      refill seeds.(slot) rank;
+      let seed = seeds.(slot) in
+      refill seed rank;
       let t =
         {
           rank;
           pc = plan.Native.body_start;
-          frames = [ seeds.(slot) ];
-          seed = seeds.(slot);
+          frame = seed;
+          code = loop_func.Native.code;
+          costs = st.costs.(plan.Native.plan_func);
+          pc_base = loop_func.Native.pc_base;
+          callers = [];
+          seed;
           ready_at = now;
           status = Running;
           write_buf;
@@ -175,10 +344,14 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       t
     in
     let cpus : thread option array = Array.make ncpus None in
+    let free = ref ncpus in (* slots of [cpus] holding no thread *)
     let next_iter = ref 0 in
     let head_rank = ref 0 in
     let exit_pending = ref None in
     let now = ref st.cycles in
+    (* set when a step restarts or squashes another thread or changes
+       [exit_pending]: the step scan's time-advance data is then stale *)
+    let disturbed = ref false in
     (* The ranks in flight are exactly [head_rank, next_iter): spawns
        take [next_iter], commits advance [head_rank] and a loop exit
        squashes every rank above its own. There are at most [ncpus] of
@@ -202,7 +375,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       t.pending_output <- [];
       t.nested <- 0;
       refill t.seed t.rank;
-      t.frames <- [ t.seed ];
+      set_frame t t.seed;
+      t.callers <- [];
       t.pc <- plan.Native.body_start;
       t.status <- Running;
       t.stalled_once <- false;
@@ -210,6 +384,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     in
     (* violate all threads with rank >= r *)
     let violate_from r ~at =
+      disturbed := true;
       (match !exit_pending with
       | Some (er, _) when er >= r -> exit_pending := None
       | _ -> ());
@@ -220,9 +395,12 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       done
     in
     let squash_younger r =
+      disturbed := true;
       for i = 0 to ncpus - 1 do
         match cpus.(i) with
-        | Some t when t.rank > r -> cpus.(i) <- None
+        | Some t when t.rank > r ->
+            cpus.(i) <- None;
+            incr free
         | _ -> ()
       done;
       next_iter := r + 1
@@ -231,68 +409,75 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     let rec buffered_older addr r =
       r >= !head_rank
       && ((match find_thread r with
-          | Some th -> Itbl.mem th.write_buf addr
+          | Some th -> Spec_table.mem th.write_buf addr
           | None -> false)
          || buffered_older addr (r - 1))
     in
-    (* the value of [addr] buffered by the youngest thread of rank
-       [head_rank..r], searching from [r] down *)
-    let rec forwarded addr r =
-      if r < !head_rank then None
-      else
-        match find_thread r with
-        | Some th -> (
-            match Itbl.find_opt th.write_buf addr with
-            | Some _ as v -> v
-            | None -> forwarded addr (r - 1))
-        | None -> forwarded addr (r - 1)
+    (* copy the value of [addr] buffered by the youngest thread of rank
+       [head_rank..r], searching from [r] down, into entry [d] of [fr];
+       false if no such thread buffers [addr] *)
+    let rec forward addr r fr d =
+      r >= !head_rank
+      && ((match find_thread r with
+          | Some th ->
+              let i = Spec_table.find th.write_buf addr in
+              i >= 0
+              && begin
+                   Spec_table.load th.write_buf i fr d;
+                   true
+                 end
+          | None -> false)
+         || forward addr (r - 1) fr d)
     in
-    (* speculative load for thread t into register [d] of [fr]; returns
+    (* speculative load for thread t into entry [d] of [fr]; returns
        the extra cycles of a cross-thread forward *)
     let spec_load (t : thread) addr ~pc fr d =
-      match Itbl.find_opt t.write_buf addr with
-      | Some v ->
-          Machine.set fr d v;
-          0
-      | None ->
-          let extra =
-            match forwarded addr (t.rank - 1) with
-            | Some v ->
-                ms.m_forwards <- ms.m_forwards + 1;
-                Machine.set fr d v;
-                config.Config.store_load_communication
-            | None ->
-                (* a misspeculated negative address traps here and
-                   squashes with the thread *)
-                Machine.set fr d (Machine.Memory.load mem addr);
-                0
-          in
-          Itbl.replace t.read_set addr pc;
-          Itbl.replace t.read_lines (line_of addr) ();
-          extra
+      let i = Spec_table.find t.write_buf addr in
+      if i >= 0 then begin
+        Spec_table.load t.write_buf i fr d;
+        0
+      end
+      else begin
+        let extra =
+          if forward addr (t.rank - 1) fr d then begin
+            ms.m_forwards <- ms.m_forwards + 1;
+            config.Config.store_load_communication
+          end
+          else begin
+            (* a misspeculated negative address traps here and squashes
+               with the thread *)
+            Machine.set fr d (Machine.Memory.load mem addr);
+            0
+          end
+        in
+        Spec_table.replace t.read_set addr pc;
+        Spec_table.add t.read_lines (line_of addr);
+        extra
+      end
     in
     (* learned synchronization: should this load wait for a producer? *)
     let must_wait (t : thread) addr ~pc =
       sync
-      && Itbl.mem sync_pcs pc
+      && Spec_table.mem sync_pcs pc
       && t.rank <> !head_rank
-      && (not (Itbl.mem t.write_buf addr))
+      && (not (Spec_table.mem t.write_buf addr))
       && not (buffered_older addr (t.rank - 1))
     in
     (* can a Waiting_addr thread resume? *)
     let wait_satisfied (t : thread) addr =
       t.rank = !head_rank || buffered_older addr (t.rank - 1)
     in
-    let spec_store (t : thread) addr v ~at =
-      Itbl.replace t.write_buf addr v;
-      Itbl.replace t.write_lines (line_of addr) ();
+    (* speculative store of entry [s] of [fr] *)
+    let spec_store (t : thread) addr fr s ~at =
+      Spec_table.store t.write_buf (Spec_table.slot t.write_buf addr) fr s;
+      Spec_table.add t.write_lines (line_of addr);
       (* violation detection against more-speculative threads *)
       let victim = ref max_int in
       for i = 0 to ncpus - 1 do
         match cpus.(i) with
         | Some th
-          when th.rank > t.rank && th.rank < !victim && Itbl.mem th.read_set addr
-          ->
+          when th.rank > t.rank && th.rank < !victim
+               && Spec_table.mem th.read_set addr ->
             victim := th.rank
         | _ -> ()
       done;
@@ -301,10 +486,10 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
           (* learn the violating load so future executions synchronize *)
           for i = 0 to ncpus - 1 do
             match cpus.(i) with
-            | Some th when th.rank >= !victim -> (
-                match Itbl.find_opt th.read_set addr with
-                | Some load_pc -> Itbl.replace sync_pcs load_pc ()
-                | None -> ())
+            | Some th when th.rank >= !victim ->
+                let j = Spec_table.find th.read_set addr in
+                if j >= 0 then
+                  Spec_table.add sync_pcs th.read_set.Spec_table.ints.(j)
             | _ -> ()
           done;
         violate_from !victim ~at
@@ -313,8 +498,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     let check_overflow (t : thread) =
       if t.rank <> !head_rank then
         if
-          Itbl.length t.read_lines > config.Config.load_buffer_lines
-          || Itbl.length t.write_lines > config.Config.store_buffer_lines
+          Spec_table.length t.read_lines > config.Config.load_buffer_lines
+          || Spec_table.length t.write_lines > config.Config.store_buffer_lines
         then begin
           t.status <- Stalled;
           if not t.stalled_once then begin
@@ -328,14 +513,13 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     in
     (* execute one instruction of thread t at time n; returns unit *)
     let step (t : thread) ~n =
-      let frame = List.hd t.frames in
-      let fidx = frame.Machine.fidx in
-      let f = p.funcs.(fidx) in
-      let ins = f.Native.code.(t.pc) in
+      let frame = t.frame in
+      let pc = t.pc in
+      let ins = t.code.(pc) in
       st.icount <- st.icount + 1;
       if st.icount > fuel then raise (Out_of_fuel fuel);
-      let cost = ref st.costs.(fidx).(t.pc) in
-      let next = t.pc + 1 in
+      let cost = ref t.costs.(pc) in
+      let next = pc + 1 in
       (try
          match ins with
          | Native.Const _ | Native.Mov _ | Native.Unop _ | Native.Binop _
@@ -345,7 +529,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
              t.pc <- next
          | Native.Ld_heap (d, a) ->
              let addr = Machine.get_int frame a in
-             let fpc = f.Native.pc_base + t.pc in
+             let fpc = t.pc_base + pc in
              if must_wait t addr ~pc:fpc then begin
                ms.m_sync_stalls <- ms.m_sync_stalls + 1;
                if Obs.Sink.enabled obs then
@@ -361,7 +545,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
              end
          | Native.St_heap (a, s) ->
              let addr = Machine.get_int frame a in
-             spec_store t addr (Machine.get frame s) ~at:n;
+             spec_store t addr frame s ~at:n;
              check_overflow t;
              t.pc <- next
          | Native.Alloc (d, nreg, kind) ->
@@ -371,7 +555,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
          | Native.Call (ret_reg, callee, args) ->
              let fr = new_frame callee next ret_reg in
              Machine.pass_args ~caller:frame ~callee:fr args;
-             t.frames <- fr :: t.frames;
+             t.callers <- frame :: t.callers;
+             set_frame t fr;
              t.pc <- 0
          | Native.Builtin (d, b, args) ->
              Machine.set frame d
@@ -385,20 +570,20 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
          | Native.Branch (r, a, b) ->
              t.pc <- (if Machine.nonzero frame r then a else b)
          | Native.Return rv -> (
-             match t.frames with
-             | [ _ ] ->
-                 (* returning out of the base frame from inside a
+             match t.callers with
+             | [] ->
+                 (* returning out of the loop frame from inside a
                     speculative thread: only reachable on a misspeculated
                     path (real exits run Tls_exit first) — trap/squash *)
                  t.status <- Trapped "speculative return past loop frame"
-             | _ :: (caller :: _ as rest) ->
+             | caller :: rest ->
                  (match (frame.Machine.ret_reg, rv) with
                  | Some d, Some r -> Machine.copy ~from:frame r ~into:caller d
                  | Some d, None -> Machine.set caller d Value.zero
                  | None, _ -> ());
                  t.pc <- frame.Machine.ret_pc;
-                 t.frames <- rest
-             | [] -> assert false)
+                 t.callers <- rest;
+                 set_frame t caller)
          | Native.Sloop _ | Native.Eloop _ | Native.Eoi _ | Native.Read_stats _
          | Native.Lwl _ | Native.Swl _ ->
              t.pc <- next
@@ -426,8 +611,11 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     in
     (* commit thread t (head): flush writes, merge reductions, output.
        Buffered addresses are distinct, so flush order is immaterial. *)
+    let flush (wb : Spec_table.t) i =
+      Machine.Memory.store mem wb.Spec_table.keys.(i) (Spec_table.box wb i)
+    in
     let commit (t : thread) =
-      Itbl.iter (fun addr v -> Machine.Memory.store mem addr v) t.write_buf;
+      Spec_table.iter t.write_buf flush;
       List.iter
         (fun (slot, op, acc) ->
           acc := Machine.reduction_merge op !acc (Machine.get t.seed (soff + slot)))
@@ -447,34 +635,31 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
           | Stalled | Waiting_addr _ | Trapped _ -> false
           | Iter_done | Exit_taken _ -> t.ready_at > !now)
     in
-    (* Step 3 of a pass: advance [now] to the next time a thread is due.
-       With [~if_idle:true], after a pass that stepped threads, advance
-       only if the next pass at [now] would do nothing else: refill no
-       CPU, step no thread and make no head transition. *)
-    let advance_time ~if_idle =
-      let next_time = ref max_int and idle = ref true in
-      for i = 0 to ncpus - 1 do
-        match cpus.(i) with
-        | None -> if Option.is_none !exit_pending then idle := false
-        | Some ({ status = Running; _ } as t) ->
-            if t.ready_at <= !now then idle := false
-            else if t.ready_at < !next_time then next_time := t.ready_at
-        | Some ({ status = Iter_done | Exit_taken _; _ } as t) ->
-            if t.ready_at > !now && t.ready_at < !next_time then
-              next_time := t.ready_at
-        | Some _ -> ()
-      done;
-      if (not if_idle) || (!idle && head_quiet ()) then
-        now := if !next_time = max_int then !now + 1 else !next_time
+    (* Step 3 of a pass reads the next time a thread is due, and whether
+       a pass at [now] would still refill a CPU or step a thread ([idle]
+       is false then). [note] folds one slot into both. *)
+    let next_time = ref max_int and idle = ref true in
+    let note = function
+      | None -> if Option.is_none !exit_pending then idle := false
+      | Some t -> (
+          match t.status with
+          | Running ->
+              if t.ready_at <= !now then idle := false
+              else if t.ready_at < !next_time then next_time := t.ready_at
+          | Iter_done | Exit_taken _ ->
+              if t.ready_at > !now && t.ready_at < !next_time then
+                next_time := t.ready_at
+          | Stalled | Waiting_addr _ | Trapped _ -> ())
     in
     (* main speculation loop *)
     let result = ref None in
     while Option.is_none !result do
       (* 0. refill free CPUs with the next iterations (optimistic spawn) *)
-      if Option.is_none !exit_pending then
+      if !free > 0 && Option.is_none !exit_pending then
         for i = 0 to ncpus - 1 do
           if Option.is_none cpus.(i) then begin
             cpus.(i) <- Some (spawn i !next_iter (!now + config.Config.loop_eoi));
+            decr free;
             rank_cpu.(!next_iter land rank_mask) <- i;
             incr next_iter
           end
@@ -503,6 +688,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
               commit t;
               (* free the CPU; the refill step spawns the next iteration *)
               cpus.(rank_cpu.(t.rank land rank_mask)) <- None;
+              incr free;
               incr head_rank
           | Exit_taken resume when t.ready_at <= !now ->
               commit t;
@@ -514,19 +700,36 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
           | _ -> ())
       | None -> ());
       if Option.is_none !result then begin
-        (* 2. execute ready threads *)
+        (* 2. execute ready threads, noting each slot after its step *)
         let progressed = ref false in
+        next_time := max_int;
+        idle := true;
+        disturbed := false;
         for i = 0 to ncpus - 1 do
-          match cpus.(i) with
+          (match cpus.(i) with
           | Some ({ status = Running; _ } as t) when t.ready_at <= !now ->
               step t ~n:!now;
               progressed := true
-          | _ -> ()
+          | _ -> ());
+          note cpus.(i)
         done;
-        (* 3. advance time; after a step, skip the pass that would only
-           advance it (under [sync] that pass may also wake threads) *)
-        if not !progressed then advance_time ~if_idle:false
-        else if not sync then advance_time ~if_idle:true
+        (* 3. advance [now] to the next time a thread is due. After a
+           step, advance in this pass only if the next pass at [now]
+           would do nothing else: refill no CPU, step no thread and make
+           no head transition (under [sync] that pass may also wake
+           threads, so it always runs). A step that disturbed a slot
+           already noted makes the notes stale: note every slot again. *)
+        if (not !progressed) || not sync then begin
+          if !disturbed then begin
+            next_time := max_int;
+            idle := true;
+            for i = 0 to ncpus - 1 do
+              note cpus.(i)
+            done
+          end;
+          if (not !progressed) || (!idle && head_quiet ()) then
+            now := if !next_time = max_int then !now + 1 else !next_time
+        end
       end
     done;
     let base_frame, resume = Option.get !result in

@@ -70,3 +70,50 @@ val run :
     from an older thread's short-lived store, traps like any other
     instruction: it reaches the caller only if the thread becomes the
     head. *)
+
+(** {2 Hydra-internal}
+
+    The table that holds each CPU slot's speculative state, exposed for
+    its tests; nothing outside [lib/hydra] and the tests uses it. *)
+
+module Spec_table : sig
+  type t = {
+    mutable keys : int array;
+    mutable stamps : int array;
+        (** slot [i] is live iff [stamps.(i) = gen] *)
+    mutable ints : int array;
+    mutable floats : float array;
+    mutable kinds : Bytes.t;
+        (** a slot's value, tagged like a {!Machine.frame}'s file *)
+    mutable live : int array;  (** the live slots, in insertion order *)
+    mutable size : int;        (** live slots: [live.(0 .. size-1)] *)
+    mutable gen : int;
+    mutable shift : int;       (** [Sys.int_size] minus log2 of the capacity *)
+  }
+  (** An int-keyed hash table with linear probing. It never holds more
+      live slots than half its capacity and doubles when it would; an
+      insert into spare capacity allocates nothing. {!clear} bumps
+      [gen], so it is O(1) at any capacity. *)
+
+  val create : int -> t
+  (** A table with room for at least [n] keys before it grows. *)
+
+  val clear : t -> unit
+  val length : t -> int
+
+  val find : t -> int -> int
+  (** The slot holding the key, or [-1]. *)
+
+  val mem : t -> int -> bool
+
+  val add : t -> int -> unit
+  (** Insert the key if absent (set membership); a new slot's value is
+      whatever the slot last held. *)
+
+  val replace : t -> int -> int -> unit
+  (** Bind the key to an int value in [ints], inserting it if absent. *)
+
+  val iter : t -> (t -> int -> unit) -> unit
+  (** [iter t f] calls [f t i] on every live slot [i] once, in insertion
+      order: the commit flush. *)
+end

@@ -115,60 +115,3 @@ let to_json t =
         [ ("pc", Json.Int pc); ("now", Json.Int now) ]
   in
   Json.Obj (("event", Json.String (label t)) :: fields)
-
-let of_json json =
-  let fail what = failwith ("Obs.Event.of_json: " ^ what) in
-  let field conv key =
-    match Option.bind (Json.member key json) conv with
-    | Some v -> v
-    | None -> fail ("missing or mistyped field " ^ key)
-  in
-  let int = field Json.to_int in
-  let float = field Json.to_float in
-  let str = field Json.to_string_opt in
-  let bool key =
-    match Json.member key json with
-    | Some (Json.Bool b) -> b
-    | _ -> fail ("missing or mistyped field " ^ key)
-  in
-  match str "event" with
-  | "phase_begin" -> Phase_begin { phase = str "phase"; at_s = float "at_s" }
-  | "phase_end" ->
-      Phase_end
-        { phase = str "phase"; at_s = float "at_s"; span_s = float "span_s" }
-  | "bank_alloc" -> Bank_alloc { stl = int "stl"; now = int "now" }
-  | "bank_starved" -> Bank_starved { stl = int "stl"; now = int "now" }
-  | "bank_release" ->
-      Bank_release
-        { stl = int "stl"; now = int "now"; overflow_freq = float "overflow_freq" }
-  | "arc_found_prev" ->
-      Arc_found { stl = int "stl"; bin = Prev; len = int "len"; pc = int "pc" }
-  | "arc_found_earlier" ->
-      Arc_found { stl = int "stl"; bin = Earlier; len = int "len"; pc = int "pc" }
-  | "overflow" ->
-      Overflow
-        {
-          stl = int "stl";
-          ld_lines = int "ld_lines";
-          st_lines = int "st_lines";
-          now = int "now";
-        }
-  | "decision" ->
-      Decision
-        {
-          stl = int "stl";
-          est_speedup = float "est_speedup";
-          spec_time = float "spec_time";
-          nested_time = float "nested_time";
-          overflow_freq = float "overflow_freq";
-          crit_prev_freq = float "crit_prev_freq";
-          crit_prev_len = float "crit_prev_len";
-          avg_thread_size = float "avg_thread_size";
-          chosen = bool "chosen";
-        }
-  | "tls_commit" -> Tls_commit { rank = int "rank"; now = int "now" }
-  | "tls_violation" -> Tls_violation { rank = int "rank"; now = int "now" }
-  | "tls_overflow_stall" ->
-      Tls_overflow_stall { rank = int "rank"; now = int "now" }
-  | "tls_sync_stall" -> Tls_sync_stall { pc = int "pc"; now = int "now" }
-  | other -> fail ("unknown event label " ^ other)

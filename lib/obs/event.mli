@@ -58,7 +58,3 @@ val all_labels : string list
 
 val to_json : t -> Json.t
 (** One flat object: [{"event": label, ...payload fields}]. *)
-
-val of_json : Json.t -> t
-(** Inverse of {!to_json}, keyed on the ["event"] label.
-    @raise Failure on an unknown label or missing field. *)

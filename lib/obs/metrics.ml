@@ -115,42 +115,6 @@ let to_json t =
             | _ -> None)) );
     ]
 
-let of_json json =
-  let t = create () in
-  let fields section =
-    match Json.member section json with
-    | Some (Json.Obj fields) -> fields
-    | Some _ -> failwith ("Obs.Metrics.of_json: " ^ section ^ " not an object")
-    | None -> []
-  in
-  let require what = function
-    | Some v -> v
-    | None -> failwith ("Obs.Metrics.of_json: bad " ^ what)
-  in
-  List.iter
-    (fun (name, v) -> incr t name ~by:(require "counter" (Json.to_int v)))
-    (fields "counters");
-  List.iter
-    (fun (name, v) -> set_gauge t name (require "gauge" (Json.to_float v)))
-    (fields "gauges");
-  List.iter
-    (fun (name, v) ->
-      let num key = Option.bind (Json.member key v) Json.to_float in
-      let count =
-        require "histogram count" (Option.bind (Json.member "count" v) Json.to_int)
-      in
-      let sum = require "histogram sum" (num "sum") in
-      let rs =
-        if count = 0 then Util.Running_stat.create ()
-        else
-          Util.Running_stat.of_parts ~count ~sum
-            ~min:(require "histogram min" (num "min"))
-            ~max:(require "histogram max" (num "max"))
-      in
-      Hashtbl.replace t.tbl name (Histogram rs))
-    (fields "histograms");
-  t
-
 let rows t =
   List.map
     (fun (name, m) ->

@@ -43,12 +43,6 @@ val to_json : t -> Json.t
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name: {count,
     sum, mean, min, max}}}] with names sorted for stable output. *)
 
-val of_json : Json.t -> t
-(** Rebuild a registry from {!to_json} output; histograms are restored
-    from their count/sum/min/max summary (the full accumulator state).
-    Missing sections are treated as empty.
-    @raise Failure on a malformed dump. *)
-
 val rows : t -> string list list
 (** [[name; kind; value]] rows for {!Util.Text_table}, sorted by name.
     Histograms render as ["n=.. mean=.. min=.. max=.."]. *)

@@ -74,9 +74,9 @@ let phase_rows t =
     spans
 
 (* Splice already-recorded events into the bounded log WITHOUT feeding
-   them through [record]: their counter/phase aggregates travel
-   separately (in a merged registry or a parsed dump), so re-recording
-   would double-count. *)
+   them through [record]: their counter/phase aggregates arrive
+   separately, in the merged registry, so re-recording would
+   double-count. *)
 let append_raw t events =
   List.iter
     (fun e ->
@@ -126,44 +126,3 @@ let to_json t =
       ("events", Json.List (List.map Event.to_json (events t)));
       ("dropped_events", Json.Int t.dropped);
     ]
-
-let of_json ?(max_events = 10_000) json =
-  let fail what = failwith ("Obs.Recorder.of_json: " ^ what) in
-  (match Option.bind (Json.member "schema_version" json) Json.to_int with
-  | Some v when v <> schema_version ->
-      fail (Printf.sprintf "unsupported schema_version %d" v)
-  | Some _ -> ()
-  | None -> fail "missing schema_version");
-  let reg =
-    match Json.member "metrics" json with
-    | Some m -> Metrics.of_json m
-    | None -> fail "missing metrics"
-  in
-  let t = { max_events; log = []; kept = 0; dropped = 0; reg; phases = [] } in
-  (match Option.bind (Json.member "phases" json) Json.to_list with
-  | None -> fail "missing phases"
-  | Some phases ->
-      List.iter
-        (fun p ->
-          let name =
-            match Option.bind (Json.member "phase" p) Json.to_string_opt with
-            | Some n -> n
-            | None -> fail "phase entry without name"
-          in
-          let spans =
-            Option.value ~default:0
-              (Option.bind (Json.member "spans" p) Json.to_int)
-          in
-          let total_s =
-            Option.value ~default:0.
-              (Option.bind (Json.member "total_s" p) Json.to_float)
-          in
-          add_phase_total t name ~spans ~total_s)
-        phases);
-  (match Option.bind (Json.member "events" json) Json.to_list with
-  | None -> fail "missing events"
-  | Some events -> append_raw t (List.map Event.of_json events));
-  (match Option.bind (Json.member "dropped_events" json) Json.to_int with
-  | Some d -> t.dropped <- t.dropped + d
-  | None -> ());
-  t

@@ -53,9 +53,3 @@ val to_json : t -> Json.t
     "spans", "total_s"}], "events": [...], "dropped_events": n}].
     The schema is documented in ARCHITECTURE.md; bump [schema_version]
     on breaking changes. *)
-
-val of_json : ?max_events:int -> Json.t -> t
-(** Rebuild a recorder from a {!to_json} dump — the read side of the
-    parallel-sweep worker protocol (workers ship recorder state as JSON;
-    the parent {!merge}s the decoded recorders in registry order).
-    @raise Failure on a malformed dump or schema-version mismatch. *)

@@ -30,8 +30,3 @@ let merge t other =
   t.total <- t.total +. other.total;
   if other.mn < t.mn then t.mn <- other.mn;
   if other.mx > t.mx then t.mx <- other.mx
-
-let of_parts ~count ~sum ~min ~max =
-  if count < 0 then invalid_arg "Running_stat.of_parts";
-  if count = 0 then create ()
-  else { n = count; total = sum; mn = min; mx = max }

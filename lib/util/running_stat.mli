@@ -21,8 +21,3 @@ val merge : t -> t -> unit
 (** [merge t other] folds [other]'s samples into [t] (count/sum add,
     min/max widen); [other] is unchanged. The result is exactly the
     accumulator that would have seen both sample streams. *)
-
-val of_parts : count:int -> sum:float -> min:float -> max:float -> t
-(** Rebuild an accumulator from an exported summary (the inverse of
-    reading [count]/[sum]/[min]/[max]); [min]/[max] are ignored when
-    [count = 0]. @raise Invalid_argument on negative [count]. *)

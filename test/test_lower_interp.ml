@@ -405,6 +405,50 @@ let test_hot_path_alloc () =
     true
     (n > 500_000 && w < 0.05)
 
+(* A speculative thread's state is unboxed too: write-buffer entries
+   hold a register's int, float and kind, loads copy them out whether
+   the hit is the thread's own buffer or an older thread's (a forward),
+   and a spawn or violation restart clears its tables in O(1) without
+   allocating. What is left is boxing each buffered value once when its
+   thread commits: 2 words per inner-loop iteration of about 36
+   instructions, so the run measures about 0.07 words per instruction.
+   Each thread of the selected [k] loop re-reads [a] while the previous
+   thread writes it, so the run forwards and violates. Boxing every
+   buffered store, forwarded load and table insert, as hashed tables of
+   boxed values do, costs this loop about 0.5. *)
+let test_speculative_alloc () =
+  let src =
+    "int[] a; int[] b;\n\
+     def main() { a = new int[200]; b = new int[200];\n\
+     for (int i = 0; i < 200; i = i + 1) { b[i] = i % 7; }\n\
+     for (int k = 0; k < 400; k = k + 1) {\n\
+     for (int i = 1; i < 200; i = i + 1) { a[i] = a[i] + b[i] * 3 + b[i-1]; } }\n\
+     print_int(a[199]); }"
+  in
+  let _, table = Compiler.Codegen.compile_source ~mode:Compiler.Codegen.Plain src in
+  (* the [k] loop: the one loop with a loop nested in it *)
+  let selected =
+    Array.to_list table.Compiler.Stl_table.stls
+    |> List.filter_map (fun (s : Compiler.Stl_table.stl) ->
+           if s.Compiler.Stl_table.height = 2 then Some s.Compiler.Stl_table.id
+           else None)
+  in
+  Alcotest.(check int) "one STL selected" 1 (List.length selected);
+  let tls, _ =
+    Compiler.Codegen.compile_source ~mode:(Compiler.Codegen.Tls { selected }) src
+  in
+  let n = (Hydra.Seq_interp.run tls).Hydra.Seq_interp.instructions in
+  let before = Gc.minor_words () in
+  let r = Hydra.Tls_sim.run tls in
+  let w = (Gc.minor_words () -. before) /. Float.of_int n in
+  let s = r.Hydra.Tls_sim.stats in
+  Alcotest.(check bool) "forwards and violations" true
+    (s.Hydra.Tls_sim.forwarded_loads > 0 && s.Hydra.Tls_sim.violations > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "speculative: %.4f minor words per instruction over %d" w n)
+    true
+    (n > 500_000 && w < 0.15)
+
 let suites =
   [
     ("interp.semantics", semantics_cases);
@@ -417,6 +461,8 @@ let suites =
       [
         Alcotest.test_case "ALU, locals and branches allocation-free" `Quick
           test_hot_path_alloc;
+        Alcotest.test_case "speculative thread state" `Quick
+          test_speculative_alloc;
       ] );
     ( "interp.machine",
       [

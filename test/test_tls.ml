@@ -491,6 +491,94 @@ let prop_tls_equiv =
       let plain, tls = compile_both src in
       outputs_of_seq plain = outputs_of_tls tls)
 
+(* ---------------- speculative state table ---------------- *)
+
+(* [Tls_sim.Spec_table] against a [Hashtbl] model. A key bound by [Add]
+   alone has no value to compare ([None] in the model). Keys mix a small
+   range, multiples of 64 (equal modulo every capacity up to 64),
+   negatives and arbitrary ints; sequences run up to 300 operations, so
+   tables grow past their 8-slot start, and the clear weight varies per
+   sequence, so some clear every few operations and reuse generations
+   many times. *)
+type table_op =
+  | Add of int
+  | Replace of int * int
+  | Find of int
+  | Mem of int
+  | Length
+  | Clear
+
+let print_table_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Length -> "length"
+  | Clear -> "clear"
+
+let table_ops_gen =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [
+        (4, int_range (-20) 20);
+        (3, map (fun m -> m * 64) (int_range (-16) 16));
+        (2, int_range 0 400);
+        (1, int);
+      ]
+  in
+  int_range 0 30 >>= fun clear_weight ->
+  list_size (int_range 0 300)
+    (frequency
+       [
+         (10, map (fun k -> Add k) key);
+         (10, map2 (fun k v -> Replace (k, v)) key int);
+         (6, map (fun k -> Find k) key);
+         (6, map (fun k -> Mem k) key);
+         (2, return Length);
+         (clear_weight, return Clear);
+       ])
+
+let prop_spec_table =
+  QCheck.Test.make ~name:"agrees with a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+       table_ops_gen)
+    (fun ops ->
+      let module T = Hydra.Tls_sim.Spec_table in
+      let t = T.create 4 in
+      let model : (int, int option) Hashtbl.t = Hashtbl.create 16 in
+      let step = function
+        | Add k ->
+            T.add t k;
+            if not (Hashtbl.mem model k) then Hashtbl.replace model k None;
+            true
+        | Replace (k, v) ->
+            T.replace t k v;
+            Hashtbl.replace model k (Some v);
+            true
+        | Find k -> (
+            let i = T.find t k in
+            match Hashtbl.find_opt model k with
+            | None -> i = -1
+            | Some None -> i >= 0 && t.T.keys.(i) = k
+            | Some (Some v) -> i >= 0 && t.T.keys.(i) = k && t.T.ints.(i) = v)
+        | Mem k -> T.mem t k = Hashtbl.mem model k
+        | Length -> T.length t = Hashtbl.length model
+        | Clear ->
+            T.clear t;
+            Hashtbl.reset model;
+            true
+      in
+      List.for_all step ops
+      &&
+      (* the commit flush's iteration: each live key exactly once *)
+      let seen = ref [] in
+      T.iter t (fun t i -> seen := t.T.keys.(i) :: !seen);
+      List.sort compare !seen
+      = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model [])
+      && T.length t = Hashtbl.length model)
+
 (* ---------------- golden simulator runs ---------------- *)
 
 (* Pins the simulator's cycle accounting on paths the default sweep
@@ -630,6 +718,7 @@ let suites =
           test_non_reentrant_nesting;
         Alcotest.test_case "empty selection" `Quick test_empty_selection;
       ] );
+    ("tls.spec_table", [ QCheck_alcotest.to_alcotest prop_spec_table ]);
     ( "tls.sync",
       [
         Alcotest.test_case "correct, fewer violations" `Quick
