@@ -976,7 +976,8 @@ let explore_cmd =
          "replay a recorded trace container under every point of a hardware \
           config grid (cartesian product over Hydra.Config axes; one forked \
           worker task per record, which decodes the record once into one \
-          tracer per distinct tracer geometry) and print the per-(config x \
+          tracer per fusion group: configs that differ only in their \
+          overflow limits share one tracer) and print the per-(config x \
           workload) verdict/speedup matrix plus the verdict flips vs the \
           default machine")
     Term.(

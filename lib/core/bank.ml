@@ -7,7 +7,7 @@
     newly-touched speculative load / store lines for the overflow
     analysis. At each end-of-iteration the per-thread values are
     accumulated into counters; at loop exit the counters are merged into
-    the per-STL {!Stats.t}. *)
+    the per-STL {!Stats.t}, with one overflow count per limit pair. *)
 
 type t = {
   (* identity fields are mutable so an eloop'd bank can be recycled for
@@ -15,7 +15,9 @@ type t = {
      sloop *)
   mutable stl : int;
   mutable stats : Stats.t;
+  mutable pair_overflow : int array;
   mutable obs : Obs.Sink.t;
+  mutable obs_on : bool;       (** [Obs.Sink.enabled obs], read per event *)
   mutable entry_time : int;
   mutable start_t : int;       (** current thread start timestamp *)
   mutable start_tm1 : int;     (** previous thread start timestamp *)
@@ -31,19 +33,26 @@ type t = {
   mutable acc_prev_len : int;
   mutable acc_earlier_count : int;
   mutable acc_earlier_len : int;
-  mutable acc_overflow : int;
+  acc_overflow : int array;
   mutable max_ld : int;
   mutable max_st : int;
+  ld_limits : int array;
+  st_limits : int array;
 }
 
-let create ?(obs = Obs.Sink.null) ?stats ~stl ~now () =
+let create ~ld_limits ~st_limits () =
+  let pairs = Array.length ld_limits in
+  if pairs = 0 || Array.length st_limits <> pairs then
+    invalid_arg "Bank.create: limit vectors must be non-empty and equal length";
   {
-    stl;
-    stats = (match stats with Some s -> s | None -> Stats.create stl);
-    obs;
-    entry_time = now;
-    start_t = now;
-    start_tm1 = now;
+    stl = -1;
+    stats = Stats.create (-1);
+    pair_overflow = Array.make pairs 0;
+    obs = Obs.Sink.null;
+    obs_on = false;
+    entry_time = 0;
+    start_t = 0;
+    start_tm1 = 0;
     cur_min_prev = max_int;
     cur_min_earlier = max_int;
     ld_lines = 0;
@@ -54,18 +63,22 @@ let create ?(obs = Obs.Sink.null) ?stats ~stl ~now () =
     acc_prev_len = 0;
     acc_earlier_count = 0;
     acc_earlier_len = 0;
-    acc_overflow = 0;
+    acc_overflow = Array.make pairs 0;
     max_ld = 0;
     max_st = 0;
+    ld_limits;
+    st_limits;
   }
 
-(* Re-arm a recycled bank for a new activation: same field-by-field
-   state as {!create}, but writing into an existing record so the
-   sloop/eloop boundary allocates nothing in steady state. *)
-let reuse t ?(obs = Obs.Sink.null) ?stats ~stl ~now () =
+(* Arm a pooled bank for a new activation, writing into the existing
+   record so the sloop/eloop boundary allocates nothing in steady
+   state. *)
+let reuse t ~obs ~stats ~pair_overflow ~stl ~now =
   t.stl <- stl;
-  t.stats <- (match stats with Some s -> s | None -> Stats.create stl);
+  t.stats <- stats;
+  t.pair_overflow <- pair_overflow;
   t.obs <- obs;
+  t.obs_on <- Obs.Sink.enabled obs;
   t.entry_time <- now;
   t.start_t <- now;
   t.start_tm1 <- now;
@@ -79,7 +92,7 @@ let reuse t ?(obs = Obs.Sink.null) ?stats ~stl ~now () =
   t.acc_prev_len <- 0;
   t.acc_earlier_count <- 0;
   t.acc_earlier_len <- 0;
-  t.acc_overflow <- 0;
+  Array.fill t.acc_overflow 0 (Array.length t.acc_overflow) 0;
   t.max_ld <- 0;
   t.max_st <- 0
 
@@ -126,34 +139,40 @@ let note_load_dep t ~store_ts ~now : arc =
   else if code = arc_earlier then To_earlier (now - store_ts)
   else No_arc
 
-(** Overflow analysis (paper Sec. 4.2.2): [in_current_thread] is column
-    (e) of Fig. 4 — the line was last touched by the current thread. *)
-(* First time the current thread's footprint crosses the limits, report
-   it (with the footprint at the crossing) to the observability sink. *)
+let over_limits t k =
+  t.ld_lines > t.ld_limits.(k) || t.st_lines > t.st_limits.(k)
+
+(* The first time the current thread's footprint crosses pair 0's
+   limits, report it (with the footprint at the crossing) to the
+   observability sink. Counting needs no per-event compare: see
+   [end_thread]. *)
 let note_overflow t ~now =
-  if (not t.overflowed) && Obs.Sink.enabled t.obs then
+  if (not t.overflowed) && over_limits t 0 then begin
     Obs.Sink.emit t.obs
       (Obs.Event.Overflow
          { stl = t.stl; ld_lines = t.ld_lines; st_lines = t.st_lines; now });
-  t.overflowed <- true
+    t.overflowed <- true
+  end
 
-let note_load_line t ~in_current_thread ~ld_limit ~st_limit ~now =
+(** Overflow analysis (paper Sec. 4.2.2): [in_current_thread] is column
+    (e) of Fig. 4 — the line was last touched by the current thread. *)
+let note_load_line t ~in_current_thread ~now =
   if not in_current_thread then begin
     t.ld_lines <- t.ld_lines + 1;
-    if t.ld_lines > ld_limit || t.st_lines > st_limit then
-      note_overflow t ~now
+    if t.obs_on then note_overflow t ~now
   end
 
-let note_store_line t ~in_current_thread ~ld_limit ~st_limit ~now =
+let note_store_line t ~in_current_thread ~now =
   if not in_current_thread then begin
     t.st_lines <- t.st_lines + 1;
-    if t.ld_lines > ld_limit || t.st_lines > st_limit then
-      note_overflow t ~now
+    if t.obs_on then note_overflow t ~now
   end
 
-(** Finalize the current thread: accumulate its critical arcs and
-    overflow flag, then shift thread-start timestamps (the [eoi]
-    operation of Table 4). *)
+(** Finalize the current thread: accumulate its critical arcs and, per
+    limit pair, its overflow, then shift thread-start timestamps (the
+    [eoi] operation of Table 4). The line counts only grow within a
+    thread, so the thread crossed pair k's limits at some event exactly
+    when its final counts exceed them. *)
 let end_thread t ~now =
   t.threads <- t.threads + 1;
   if t.cur_min_prev < max_int then begin
@@ -164,7 +183,9 @@ let end_thread t ~now =
     t.acc_earlier_count <- t.acc_earlier_count + 1;
     t.acc_earlier_len <- t.acc_earlier_len + t.cur_min_earlier
   end;
-  if t.overflowed then t.acc_overflow <- t.acc_overflow + 1;
+  for k = 0 to Array.length t.acc_overflow - 1 do
+    if over_limits t k then t.acc_overflow.(k) <- t.acc_overflow.(k) + 1
+  done;
   if t.ld_lines > t.max_ld then t.max_ld <- t.ld_lines;
   if t.st_lines > t.max_st then t.max_st <- t.st_lines;
   t.cur_min_prev <- max_int;
@@ -177,8 +198,9 @@ let end_thread t ~now =
 
 (** Merge the bank's accumulators into the per-STL statistics at loop
     exit ([eloop]). The final (partial) thread is finalized first. *)
-let merge_into t (s : Stats.t) ~now =
+let merge_into t ~now =
   end_thread t ~now;
+  let s = t.stats in
   s.Stats.threads <- s.Stats.threads + t.threads;
   s.Stats.traced_threads <- s.Stats.traced_threads + t.threads;
   s.Stats.traced_entries <- s.Stats.traced_entries + 1;
@@ -186,6 +208,9 @@ let merge_into t (s : Stats.t) ~now =
   s.Stats.crit_prev_len <- s.Stats.crit_prev_len + t.acc_prev_len;
   s.Stats.crit_earlier_count <- s.Stats.crit_earlier_count + t.acc_earlier_count;
   s.Stats.crit_earlier_len <- s.Stats.crit_earlier_len + t.acc_earlier_len;
-  s.Stats.overflow_threads <- s.Stats.overflow_threads + t.acc_overflow;
+  for k = 0 to Array.length t.acc_overflow - 1 do
+    t.pair_overflow.(k) <- t.pair_overflow.(k) + t.acc_overflow.(k)
+  done;
+  s.Stats.overflow_threads <- t.pair_overflow.(0);
   if t.max_ld > s.Stats.max_load_lines then s.Stats.max_load_lines <- t.max_ld;
   if t.max_st > s.Stats.max_store_lines then s.Stats.max_store_lines <- t.max_st

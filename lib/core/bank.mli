@@ -5,15 +5,29 @@
     ("critical") dependency arc in each bin, and per-thread speculative
     line counts for the overflow analysis. [end_thread] is the [eoi]
     operation of Table 4; [merge_into] folds the bank's accumulators
-    into the per-STL {!Stats.t} at [eloop]. *)
+    into the per-STL {!Stats.t} at [eloop].
+
+    A bank judges overflow against a vector of (load, store) line-limit
+    pairs — one per hardware point a fused tracer serves. Everything
+    else is shared by the pairs. Since the line counts only grow within
+    a thread, a thread overflowed under pair k exactly when its counts
+    at [end_thread] exceed pair k's limits: the per-event path only
+    counts lines, and decides nothing per pair. *)
 
 type t = {
   mutable stl : int;
   mutable stats : Stats.t;
       (** the per-STL statistics this bank merges into — cached here so
           the per-arc hot path never does a hashtable lookup *)
+  mutable pair_overflow : int array;
+      (** the STL's overflowing-thread totals, one per limit pair, that
+          [merge_into] adds to; pair 0's total is mirrored into
+          [stats.overflow_threads] *)
   mutable obs : Obs.Sink.t;
       (** observability sink; {!Obs.Sink.null} when off *)
+  mutable obs_on : bool;
+      (** [Obs.Sink.enabled obs], cached so the per-event path makes no
+          call when the sink is off *)
   mutable entry_time : int;
   mutable start_t : int;
   mutable start_tm1 : int;
@@ -22,29 +36,40 @@ type t = {
   mutable ld_lines : int;
   mutable st_lines : int;
   mutable overflowed : bool;
+      (** the current thread's {!Obs.Event.Overflow} was emitted *)
   mutable threads : int;
   mutable acc_prev_count : int;
   mutable acc_prev_len : int;
   mutable acc_earlier_count : int;
   mutable acc_earlier_len : int;
-  mutable acc_overflow : int;
+  acc_overflow : int array;  (** overflowing threads since entry, per pair *)
   mutable max_ld : int;
   mutable max_st : int;
+  ld_limits : int array;     (** load-buffer lines per thread, per pair *)
+  st_limits : int array;     (** store-buffer lines per thread, per pair *)
 }
 
-val create : ?obs:Obs.Sink.t -> ?stats:Stats.t -> stl:int -> now:int -> unit -> t
-(** A fresh bank for one activation of [stl] entered at cycle [now];
-    [obs] (default {!Obs.Sink.null}) receives an {!Obs.Event.Overflow}
-    the first time each thread's footprint crosses the buffer limits.
-    [stats] (default a fresh {!Stats.create}) is the per-STL record the
-    bank will merge into — pass the tracer's table entry. *)
+val create : ld_limits:int array -> st_limits:int array -> unit -> t
+(** An idle bank (STL [-1]) judging overflow against the limit pairs
+    [(ld_limits.(k), st_limits.(k))]; the arrays are shared, not
+    copied. {!reuse} arms it for an activation.
+    @raise Invalid_argument when the vectors are empty or differ in
+    length. *)
 
-val reuse : t -> ?obs:Obs.Sink.t -> ?stats:Stats.t -> stl:int -> now:int -> unit -> unit
-(** Re-arm an already-allocated bank for a new activation — identical
-    post-state to {!create}, but in place, so the tracer can pool bank
-    records through a free-list and keep the sloop/eloop loop boundary
-    allocation-free. The identity fields ([stl], [stats], [obs],
-    [entry_time]) are mutable solely for this. *)
+val reuse :
+  t ->
+  obs:Obs.Sink.t ->
+  stats:Stats.t ->
+  pair_overflow:int array ->
+  stl:int ->
+  now:int ->
+  unit
+(** Arm a bank for an activation of [stl] entered at cycle [now], in
+    place, so the tracer can pool bank records through a free-list and
+    keep the sloop/eloop boundary allocation-free. [stats] and
+    [pair_overflow] are the tracer's per-STL records the bank merges
+    into; [obs] receives an {!Obs.Event.Overflow} the first time each
+    thread's footprint crosses pair 0's limits. *)
 
 type arc = To_prev of int | To_earlier of int | No_arc
 
@@ -71,19 +96,19 @@ val classify_arc : t -> store_ts:int -> now:int -> arc
 val note_load_dep : t -> store_ts:int -> now:int -> arc
 (** [classify_arc] plus per-thread critical (shortest) arc tracking. *)
 
-val note_load_line :
-  t -> in_current_thread:bool -> ld_limit:int -> st_limit:int -> now:int -> unit
+val note_load_line : t -> in_current_thread:bool -> now:int -> unit
 (** Overflow analysis, load side (Fig. 4 column f): count a newly
     touched speculative line unless the line was already accessed by the
-    current thread; set the overflow flag past the Table 1 limits. *)
+    current thread. Allocation-free. *)
 
-val note_store_line :
-  t -> in_current_thread:bool -> ld_limit:int -> st_limit:int -> now:int -> unit
+val note_store_line : t -> in_current_thread:bool -> now:int -> unit
 (** Overflow analysis, store side — same counting over store lines. *)
 
 val end_thread : t -> now:int -> unit
-(** Finalize the current thread and shift thread-start timestamps. *)
+(** Finalize the current thread — count it as overflowing under each
+    limit pair its line counts exceed — and shift thread-start
+    timestamps. *)
 
-val merge_into : t -> Stats.t -> now:int -> unit
+val merge_into : t -> now:int -> unit
 (** Finalize the final (partial) thread and accumulate everything into
-    the per-STL statistics. *)
+    the bank's per-STL statistics and per-pair overflow totals. *)

@@ -100,9 +100,11 @@ let avg_crit_earlier_len t =
   if t.crit_earlier_count = 0 then 0.
   else Float.of_int t.crit_earlier_len /. Float.of_int t.crit_earlier_count
 
-let overflow_freq t =
+let overflow_freq_of t ~overflow_threads =
   let denom = if t.traced_threads > 0 then t.traced_threads else t.threads in
-  if denom = 0 then 0. else Float.of_int t.overflow_threads /. Float.of_int denom
+  if denom = 0 then 0. else Float.of_int overflow_threads /. Float.of_int denom
+
+let overflow_freq t = overflow_freq_of t ~overflow_threads:t.overflow_threads
 
 let pp ppf t =
   Format.fprintf ppf

@@ -70,5 +70,9 @@ val avg_crit_earlier_len : t -> float
 val overflow_freq : t -> float
 (** Fraction of traced threads predicted to overflow the buffers. *)
 
+val overflow_freq_of : t -> overflow_threads:int -> float
+(** {!overflow_freq} with [overflow_threads] in place of the record's
+    own count — a fused tracer's view under another limit pair. *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump of all counters and derived values. *)

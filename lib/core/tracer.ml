@@ -37,6 +37,11 @@ let config_of ?base (hw : Hydra.Config.t) =
 
 let default_config = config_of Hydra.Config.default
 
+(* The limits reach the rest of the tracer's state through one decision
+   only (the release test in [on_sloop]), so configs equal up to them
+   can share a run. *)
+let fusion_key c = { c with ld_limit = 0; st_limit = 0 }
+
 (* The per-event hot path (heap/local load/store, eoi) is written to be
    allocation-free in steady state — see ARCHITECTURE.md "Tracer hot
    path". The activation stack and the active-bank set are flat arrays
@@ -44,9 +49,18 @@ let default_config = config_of Hydra.Config.default
    per-event code must not): no list rebuilds, no closures, no option
    or tuple traffic per event. *)
 
+(* One STL's statistics, and its overflowing-thread count per limit
+   pair ([ovf.(0)] mirrors [st.overflow_threads]). *)
+type stl_entry = { st : Stats.t; ovf : int array }
+
 type t = {
-  config : config;
+  config : config; (* pair 0's; its limits are [ld_limits.(0)], [st_limits.(0)] *)
   obs : Obs.Sink.t;
+  (* the (load, store) line-limit pairs this run serves, and which of
+     them a diverging release decision has sent away from it *)
+  ld_limits : int array;
+  st_limits : int array;
+  departed : bool array;
   mutable banks_in_use : int;
   mutable local_reserved : int;
   (* activation stack as parallel arrays, [depth] entries live;
@@ -85,7 +99,7 @@ type t = {
   mutable ld_conflicts : int; (* live tag replaced by a different one *)
   mutable st_conflicts : int;
   local_ts : Util.Timestamp_cache.t;
-  stats_tbl : (int, Stats.t) Hashtbl.t;
+  stats_tbl : (int, stl_entry) Hashtbl.t;
   (* (parent, child) packed into one int key — see [child_key] — so the
      per-eloop accumulation allocates neither a tuple key nor an option *)
   child_tbl : (int, int) Hashtbl.t;
@@ -94,11 +108,26 @@ type t = {
   mutable events_seen : int; (* sink callbacks consumed, incl. ignored ones *)
 }
 
-let create ?(config = default_config) ?(obs = Obs.Sink.null) () =
+let create_fused ?(obs = Obs.Sink.null) configs =
+  let config =
+    match configs with
+    | [] -> invalid_arg "Tracer.create_fused: no configs"
+    | c :: rest ->
+        if List.exists (fun c' -> fusion_key c' <> fusion_key c) rest then
+          invalid_arg
+            "Tracer.create_fused: configs differ beyond ld_limit/st_limit";
+        c
+  in
+  let ld_limits = Array.of_list (List.map (fun c -> c.ld_limit) configs) in
+  let st_limits = Array.of_list (List.map (fun c -> c.st_limit) configs) in
+  let new_bank () = Bank.create ~ld_limits ~st_limits () in
   let heap_free = Array.init config.heap_fifo_lines (fun i -> i) in
   {
     config;
     obs;
+    ld_limits;
+    st_limits;
+    departed = Array.make (List.length configs) false;
     banks_in_use = 0;
     local_reserved = 0;
     act_stl = Array.make 16 0;
@@ -107,10 +136,10 @@ let create ?(config = default_config) ?(obs = Obs.Sink.null) () =
     act_nlocals = Array.make 16 0;
     act_bank = Array.make 16 (-1);
     depth = 0;
-    abanks = Array.make 16 (Bank.create ~stl:(-1) ~now:0 ());
+    abanks = Array.make 16 (new_bank ());
     n_abanks = 0;
-    dummy_bank = Bank.create ~stl:(-1) ~now:0 ();
-    bank_pool = Array.init config.banks (fun _ -> Bank.create ~stl:(-1) ~now:0 ());
+    dummy_bank = new_bank ();
+    bank_pool = Array.init config.banks (fun _ -> new_bank ());
     bank_free_sp = config.banks;
     heap_ts = Util.Timestamp_cache.create ~capacity:config.heap_fifo_lines;
     heap_pool = Array.make (config.heap_fifo_lines * config.line_words) (-1);
@@ -130,15 +159,19 @@ let create ?(config = default_config) ?(obs = Obs.Sink.null) () =
     events_seen = 0;
   }
 
-let get_stats t stl =
+let create ?(config = default_config) ?obs () = create_fused ?obs [ config ]
+
+let get_entry t stl =
   (* [Hashtbl.find] + Not_found rather than [find_opt]: the hit path
      runs per eoi and must not allocate an option *)
   match Hashtbl.find t.stats_tbl stl with
-  | s -> s
+  | e -> e
   | exception Not_found ->
-      let s = Stats.create stl in
-      Hashtbl.replace t.stats_tbl stl s;
-      s
+      let e =
+        { st = Stats.create stl; ovf = Array.make (Array.length t.departed) 0 }
+      in
+      Hashtbl.replace t.stats_tbl stl e;
+      e
 
 (* ------------------------------------------------------------------ *)
 (* Event handlers *)
@@ -158,8 +191,23 @@ let ensure_act_room t =
     t.act_bank <- grow t.act_bank (-1)
   end
 
+let pair_released e k freq =
+  Stats.overflow_freq_of e.st ~overflow_threads:e.ovf.(k) >= freq
+
+(* The release test of every pair still in this run, each over its own
+   overflow count; pair 0's answer is the run's, and a pair whose answer
+   differs departs. *)
+let release_verdict t e freq =
+  let r0 = pair_released e 0 freq in
+  for k = 1 to Array.length t.departed - 1 do
+    if (not t.departed.(k)) && pair_released e k freq <> r0 then
+      t.departed.(k) <- true
+  done;
+  r0
+
 let on_sloop t ~stl ~nlocals ~frame:_ ~now =
-  let s = get_stats t stl in
+  let e = get_entry t stl in
+  let s = e.st in
   s.Stats.entries <- s.Stats.entries + 1;
   let capped =
     match t.config.max_entries_per_stl with
@@ -175,7 +223,7 @@ let on_sloop t ~stl ~nlocals ~frame:_ ~now =
     | Some (min_entries, freq) ->
         s.Stats.entries > min_entries
         && s.Stats.threads > 0
-        && Stats.overflow_freq s >= freq
+        && release_verdict t e freq
     | None -> false
   in
   if released && Obs.Sink.enabled t.obs then
@@ -198,7 +246,7 @@ let on_sloop t ~stl ~nlocals ~frame:_ ~now =
          never empty here *)
       t.bank_free_sp <- t.bank_free_sp - 1;
       let b = t.bank_pool.(t.bank_free_sp) in
-      Bank.reuse b ~obs:t.obs ~stats:s ~stl ~now ();
+      Bank.reuse b ~obs:t.obs ~stats:s ~pair_overflow:e.ovf ~stl ~now;
       t.abanks.(t.n_abanks) <- b;
       t.n_abanks <- t.n_abanks + 1;
       t.n_abanks - 1
@@ -238,7 +286,7 @@ let on_eoi t ~stl ~now =
   if bi >= 0 then Bank.end_thread t.abanks.(bi) ~now
   else if act_index_for t.act_stl stl (t.depth - 1) >= 0 then begin
     (* no bank: still count the thread for the cycle accounting *)
-    let s = get_stats t stl in
+    let s = (get_entry t stl).st in
     s.Stats.threads <- s.Stats.threads + 1
   end
 
@@ -263,7 +311,7 @@ let rec on_eloop t ~stl ~now =
     t.depth <- t.depth - 1;
     let d = t.depth in
     let a_stl = t.act_stl.(d) in
-    let s = get_stats t a_stl in
+    let s = (get_entry t a_stl).st in
     let dur = now - t.act_entry.(d) in
     s.Stats.cycles <- s.Stats.cycles + dur;
     let key = child_key ~parent:t.act_parent.(d) ~child:a_stl in
@@ -278,7 +326,7 @@ let rec on_eloop t ~stl ~now =
     let bi = t.act_bank.(d) in
     if bi >= 0 then begin
       let b = t.abanks.(bi) in
-      Bank.merge_into b s ~now;
+      Bank.merge_into b ~now;
       t.abanks.(bi) <- t.dummy_bank;
       (* return the bank record to the free-list for the next sloop *)
       t.bank_pool.(t.bank_free_sp) <- b;
@@ -353,8 +401,7 @@ let on_heap_load t ~addr ~pc ~now =
   for i = t.n_abanks - 1 downto 0 do
     let b = t.abanks.(i) in
     let in_current = old_tag = tag && old_ts >= b.Bank.start_t in
-    Bank.note_load_line b ~in_current_thread:in_current
-      ~ld_limit:t.config.ld_limit ~st_limit:t.config.st_limit ~now
+    Bank.note_load_line b ~in_current_thread:in_current ~now
   done;
   if old_tag >= 0 && old_tag <> tag then t.ld_conflicts <- t.ld_conflicts + 1;
   t.ld_tags.(idx) <- tag;
@@ -393,8 +440,7 @@ let on_heap_store t ~addr ~now =
   for i = t.n_abanks - 1 downto 0 do
     let b = t.abanks.(i) in
     let in_current = old_tag = tag && old_ts >= b.Bank.start_t in
-    Bank.note_store_line b ~in_current_thread:in_current
-      ~ld_limit:t.config.ld_limit ~st_limit:t.config.st_limit ~now
+    Bank.note_store_line b ~in_current_thread:in_current ~now
   done;
   if old_tag >= 0 && old_tag <> tag then t.st_conflicts <- t.st_conflicts + 1;
   t.st_tags.(idx) <- tag;
@@ -473,11 +519,31 @@ let sink t : Hydra.Trace.sink =
     on_return = (fun ~now:_ -> t.events_seen <- t.events_seen + 1);
   }
 
-let stats t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.stats_tbl []
+let pairs t = Array.length t.departed
+
+let departed t =
+  List.filter (fun k -> t.departed.(k)) (List.init (pairs t) Fun.id)
+
+let check_pair t pair =
+  if pair < 0 || pair >= pairs t then
+    invalid_arg (Printf.sprintf "Tracer: no limit pair %d" pair);
+  if t.departed.(pair) then
+    invalid_arg
+      (Printf.sprintf "Tracer: limit pair %d departed at a release split" pair)
+
+(* Pair [pair]'s view of one STL: pair 0's is the shared record itself,
+   any other a copy carrying that pair's overflow count. *)
+let view e ~pair =
+  if pair = 0 then e.st else { e.st with Stats.overflow_threads = e.ovf.(pair) }
+
+let stats ?(pair = 0) t =
+  check_pair t pair;
+  Hashtbl.fold (fun k e acc -> (k, view e ~pair) :: acc) t.stats_tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let find_stats t stl = Hashtbl.find_opt t.stats_tbl stl
+let find_stats ?(pair = 0) t stl =
+  check_pair t pair;
+  Option.map (view ~pair) (Hashtbl.find_opt t.stats_tbl stl)
 
 let child_cycles t =
   Hashtbl.fold

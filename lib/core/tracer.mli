@@ -57,16 +57,50 @@ type t
 val create : ?config:config -> ?obs:Obs.Sink.t -> unit -> t
 (** A fresh tracer; [obs] (default {!Obs.Sink.null}) receives
     bank-allocation / starvation / release, dependency-arc, and
-    buffer-overflow events as the trace is consumed. *)
+    buffer-overflow events as the trace is consumed. [create ~config]
+    is [create_fused [config]]. *)
+
+(** {2 Fused runs}
+
+    One tracer run can serve several configs that differ only in
+    [ld_limit] / [st_limit] — the {e limit pairs}. The FIFO, the dedup
+    tables, the banks and the arcs are shared; each bank counts the
+    threads that overflow each pair at [eoi]
+    ({!Bank.end_thread}). The limits reach the shared state through one
+    decision only: the [release_overflowing] test at [sloop], which each
+    pair evaluates over its own overflow count. While every pair agrees
+    the run serves them all. At the first disagreement the run follows
+    pair 0, and the pairs that answered otherwise {e depart}: their
+    statistics are no longer this run's, and a caller re-runs them (for
+    example as a fused run of their own). *)
+
+val fusion_key : config -> config
+(** [config] with both limits zeroed: configs with equal keys can
+    share one run. *)
+
+val create_fused : ?obs:Obs.Sink.t -> config list -> t
+(** One run serving every config of the list, pair k being the k-th
+    config's [(ld_limit, st_limit)]. Overflow events on [obs] describe
+    pair 0.
+    @raise Invalid_argument when the list is empty or its configs'
+    {!fusion_key}s differ. *)
+
+val departed : t -> int list
+(** The pairs that departed at a diverging release decision, ascending;
+    pair 0 never departs. *)
 
 val sink : t -> Hydra.Trace.sink
 (** The event interface to plug into the sequential interpreter. *)
 
-val stats : t -> (int * Stats.t) list
-(** Per-STL accumulated statistics, sorted by STL id. *)
+val stats : ?pair:int -> t -> (int * Stats.t) list
+(** Per-STL accumulated statistics under limit pair [pair] (default 0),
+    sorted by STL id. The records of pairs other than 0 are copies that
+    share the [pc_bins] table.
+    @raise Invalid_argument when [pair] is out of range or departed. *)
 
-val find_stats : t -> int -> Stats.t option
-(** Statistics for one STL, if it was ever entered. *)
+val find_stats : ?pair:int -> t -> int -> Stats.t option
+(** Statistics for one STL, if it was ever entered, as {!stats}.
+    @raise Invalid_argument as {!stats}. *)
 
 val child_cycles : t -> ((int * int) * int) list
 (** Dynamic nesting: [((parent, child), cycles)] — cycles spent in
@@ -77,7 +111,9 @@ val max_dynamic_depth : t -> int
 (** Deepest observed STL activation nesting (paper Table 6 col. d). *)
 
 val untraced_activations : t -> int
-(** Activations that could not get a comparator bank (or local slots). *)
+(** Activations that could not get a comparator bank (or local slots).
+    Like {!child_cycles} and {!max_dynamic_depth}, it holds for every
+    pair that has not departed. *)
 
 val events_consumed : t -> int
 (** Total {!sink} callbacks this tracer has consumed, including the

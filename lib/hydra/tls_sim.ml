@@ -169,8 +169,10 @@ module Spec_table = struct
     else Value.Float t.floats.(i)
 end
 
+(* One record per CPU slot, reset by every spawn on the slot. *)
 type thread = {
-  rank : int;
+  mutable live : bool; (* false: the slot holds no thread *)
+  mutable rank : int;
   mutable pc : int;
   (* the current frame and its function's code, cost row and [pc_base]:
      they change only at [Call], [Return], spawn and restart *)
@@ -315,35 +317,47 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       t.costs <- st.costs.(fr.Machine.fidx);
       t.pc_base <- f.Native.pc_base
     in
-    let spawn slot rank now =
-      let write_buf, read_set, read_lines, write_lines = slot_tables.(slot) in
-      let seed = seeds.(slot) in
-      refill seed rank;
-      let t =
-        {
-          rank;
-          pc = plan.Native.body_start;
-          frame = seed;
-          code = loop_func.Native.code;
-          costs = st.costs.(plan.Native.plan_func);
-          pc_base = loop_func.Native.pc_base;
-          callers = [];
-          seed;
-          ready_at = now;
-          status = Running;
-          write_buf;
-          read_set;
-          read_lines;
-          write_lines;
-          pending_output = [];
-          nested = 0;
-          stalled_once = false;
-        }
-      in
-      clear_tables t;
-      t
+    let cpus =
+      Array.init ncpus (fun slot ->
+          let write_buf, read_set, read_lines, write_lines =
+            slot_tables.(slot)
+          in
+          {
+            live = false;
+            rank = -1;
+            pc = plan.Native.body_start;
+            frame = seeds.(slot);
+            code = loop_func.Native.code;
+            costs = st.costs.(plan.Native.plan_func);
+            pc_base = loop_func.Native.pc_base;
+            callers = [];
+            seed = seeds.(slot);
+            ready_at = 0;
+            status = Running;
+            write_buf;
+            read_set;
+            read_lines;
+            write_lines;
+            pending_output = [];
+            nested = 0;
+            stalled_once = false;
+          })
     in
-    let cpus : thread option array = Array.make ncpus None in
+    (* start iteration [rank] on the empty slot [t] *)
+    let spawn (t : thread) rank now =
+      refill t.seed rank;
+      t.live <- true;
+      t.rank <- rank;
+      t.pc <- plan.Native.body_start;
+      set_frame t t.seed;
+      t.callers <- [];
+      t.ready_at <- now;
+      t.status <- Running;
+      t.pending_output <- [];
+      t.nested <- 0;
+      t.stalled_once <- false;
+      clear_tables t
+    in
     let free = ref ncpus in (* slots of [cpus] holding no thread *)
     let next_iter = ref 0 in
     let head_rank = ref 0 in
@@ -362,11 +376,9 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       pow2 1 - 1
     in
     let rank_cpu = Array.make (rank_mask + 1) 0 in
-    let find_thread rank =
-      if rank >= !head_rank && rank < !next_iter then
-        cpus.(rank_cpu.(rank land rank_mask))
-      else None
-    in
+    let in_flight rank = rank >= !head_rank && rank < !next_iter in
+    (* the thread of an in-flight [rank] *)
+    let thread_of rank = cpus.(rank_cpu.(rank land rank_mask)) in
     let restart (t : thread) ~at =
       ms.m_violations <- ms.m_violations + 1;
       if Obs.Sink.enabled obs then
@@ -389,28 +401,25 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       | Some (er, _) when er >= r -> exit_pending := None
       | _ -> ());
       for i = 0 to ncpus - 1 do
-        match cpus.(i) with
-        | Some t when t.rank >= r -> restart t ~at
-        | _ -> ()
+        let t = cpus.(i) in
+        if t.live && t.rank >= r then restart t ~at
       done
     in
     let squash_younger r =
       disturbed := true;
       for i = 0 to ncpus - 1 do
-        match cpus.(i) with
-        | Some t when t.rank > r ->
-            cpus.(i) <- None;
-            incr free
-        | _ -> ()
+        let t = cpus.(i) in
+        if t.live && t.rank > r then begin
+          t.live <- false;
+          incr free
+        end
       done;
       next_iter := r + 1
     in
     (* is [addr] buffered by a thread of rank [head_rank..r]? *)
     let rec buffered_older addr r =
       r >= !head_rank
-      && ((match find_thread r with
-          | Some th -> Spec_table.mem th.write_buf addr
-          | None -> false)
+      && ((r < !next_iter && Spec_table.mem (thread_of r).write_buf addr)
          || buffered_older addr (r - 1))
     in
     (* copy the value of [addr] buffered by the youngest thread of rank
@@ -418,15 +427,15 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
        false if no such thread buffers [addr] *)
     let rec forward addr r fr d =
       r >= !head_rank
-      && ((match find_thread r with
-          | Some th ->
-              let i = Spec_table.find th.write_buf addr in
-              i >= 0
-              && begin
-                   Spec_table.load th.write_buf i fr d;
-                   true
-                 end
-          | None -> false)
+      && ((r < !next_iter
+          &&
+          let wb = (thread_of r).write_buf in
+          let i = Spec_table.find wb addr in
+          i >= 0
+          && begin
+               Spec_table.load wb i fr d;
+               true
+             end)
          || forward addr (r - 1) fr d)
     in
     (* speculative load for thread t into entry [d] of [fr]; returns
@@ -474,23 +483,22 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       (* violation detection against more-speculative threads *)
       let victim = ref max_int in
       for i = 0 to ncpus - 1 do
-        match cpus.(i) with
-        | Some th
-          when th.rank > t.rank && th.rank < !victim
-               && Spec_table.mem th.read_set addr ->
-            victim := th.rank
-        | _ -> ()
+        let th = cpus.(i) in
+        if
+          th.live && th.rank > t.rank && th.rank < !victim
+          && Spec_table.mem th.read_set addr
+        then victim := th.rank
       done;
       if !victim < max_int then begin
         if sync then
           (* learn the violating load so future executions synchronize *)
           for i = 0 to ncpus - 1 do
-            match cpus.(i) with
-            | Some th when th.rank >= !victim ->
-                let j = Spec_table.find th.read_set addr in
-                if j >= 0 then
-                  Spec_table.add sync_pcs th.read_set.Spec_table.ints.(j)
-            | _ -> ()
+            let th = cpus.(i) in
+            if th.live && th.rank >= !victim then begin
+              let j = Spec_table.find th.read_set addr in
+              if j >= 0 then
+                Spec_table.add sync_pcs th.read_set.Spec_table.ints.(j)
+            end
           done;
         violate_from !victim ~at
       end
@@ -627,29 +635,31 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
     in
     (* does the head thread have no transition to make at [now]? *)
     let head_quiet () =
-      match find_thread !head_rank with
-      | None -> true
-      | Some t -> (
-          match t.status with
-          | Running -> true
-          | Stalled | Waiting_addr _ | Trapped _ -> false
-          | Iter_done | Exit_taken _ -> t.ready_at > !now)
+      (not (in_flight !head_rank))
+      ||
+      let t = thread_of !head_rank in
+      match t.status with
+      | Running -> true
+      | Stalled | Waiting_addr _ | Trapped _ -> false
+      | Iter_done | Exit_taken _ -> t.ready_at > !now
     in
     (* Step 3 of a pass reads the next time a thread is due, and whether
        a pass at [now] would still refill a CPU or step a thread ([idle]
        is false then). [note] folds one slot into both. *)
     let next_time = ref max_int and idle = ref true in
-    let note = function
-      | None -> if Option.is_none !exit_pending then idle := false
-      | Some t -> (
-          match t.status with
-          | Running ->
-              if t.ready_at <= !now then idle := false
-              else if t.ready_at < !next_time then next_time := t.ready_at
-          | Iter_done | Exit_taken _ ->
-              if t.ready_at > !now && t.ready_at < !next_time then
-                next_time := t.ready_at
-          | Stalled | Waiting_addr _ | Trapped _ -> ())
+    let note (t : thread) =
+      if not t.live then begin
+        if Option.is_none !exit_pending then idle := false
+      end
+      else
+        match t.status with
+        | Running ->
+            if t.ready_at <= !now then idle := false
+            else if t.ready_at < !next_time then next_time := t.ready_at
+        | Iter_done | Exit_taken _ ->
+            if t.ready_at > !now && t.ready_at < !next_time then
+              next_time := t.ready_at
+        | Stalled | Waiting_addr _ | Trapped _ -> ()
     in
     (* main speculation loop *)
     let result = ref None in
@@ -657,8 +667,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       (* 0. refill free CPUs with the next iterations (optimistic spawn) *)
       if !free > 0 && Option.is_none !exit_pending then
         for i = 0 to ncpus - 1 do
-          if Option.is_none cpus.(i) then begin
-            cpus.(i) <- Some (spawn i !next_iter (!now + config.Config.loop_eoi));
+          if not cpus.(i).live then begin
+            spawn cpus.(i) !next_iter (!now + config.Config.loop_eoi);
             decr free;
             rank_cpu.(!next_iter land rank_mask) <- i;
             incr next_iter
@@ -668,16 +678,17 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
          (only learned synchronization ever parks a thread) *)
       if sync then
         for i = 0 to ncpus - 1 do
-          match cpus.(i) with
-          | Some ({ status = Waiting_addr addr; _ } as t)
-            when wait_satisfied t addr ->
-              t.status <- Running;
-              t.ready_at <- max t.ready_at !now
-          | _ -> ()
+          let t = cpus.(i) in
+          if t.live then
+            match t.status with
+            | Waiting_addr addr when wait_satisfied t addr ->
+                t.status <- Running;
+                t.ready_at <- max t.ready_at !now
+            | _ -> ()
         done;
       (* 1. head-thread state transitions *)
-      (match find_thread !head_rank with
-      | Some t -> (
+      (if in_flight !head_rank then begin
+          let t = thread_of !head_rank in
           (match t.status with
           | Stalled | Waiting_addr _ ->
               t.status <- Running (* head never stalls *)
@@ -687,7 +698,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
           | Iter_done when t.ready_at <= !now ->
               commit t;
               (* free the CPU; the refill step spawns the next iteration *)
-              cpus.(rank_cpu.(t.rank land rank_mask)) <- None;
+              t.live <- false;
               incr free;
               incr head_rank
           | Exit_taken resume when t.ready_at <= !now ->
@@ -697,8 +708,8 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
                 (fun (slot, _, acc) -> Machine.set t.seed (soff + slot) !acc)
                 red_acc;
               result := Some (t.seed, resume)
-          | _ -> ())
-      | None -> ());
+          | _ -> ()
+        end);
       if Option.is_none !result then begin
         (* 2. execute ready threads, noting each slot after its step *)
         let progressed = ref false in
@@ -706,12 +717,14 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
         idle := true;
         disturbed := false;
         for i = 0 to ncpus - 1 do
-          (match cpus.(i) with
-          | Some ({ status = Running; _ } as t) when t.ready_at <= !now ->
-              step t ~n:!now;
-              progressed := true
-          | _ -> ());
-          note cpus.(i)
+          let t = cpus.(i) in
+          (if t.live && t.ready_at <= !now then
+             match t.status with
+             | Running ->
+                 step t ~n:!now;
+                 progressed := true
+             | _ -> ());
+          note t
         done;
         (* 3. advance [now] to the next time a thread is due. After a
            step, advance in this pass only if the next pass at [now]

@@ -1,7 +1,8 @@
 (* Hardware design-space exploration: sweep a grid of Hydra.Config
    variants over a captured trace archive. Each record is decoded once
-   into one tracer per distinct geometry among the grid points, and the
-   analysis re-evaluated at every point (Replay.replay_entry_points); the
+   into one tracer per fusion group among the grid points (configs equal
+   up to their overflow limits share one run), and the analysis
+   re-evaluated at every point (Replay.replay_entry_points); the
    default point is always evaluated as the reference column and is
    byte-identical to what interpretation/sweep produced, since replaying
    under the recorded config is the replay-determinism invariant. *)
@@ -140,7 +141,8 @@ let cell_of_outcome (o : Replay.outcome) =
   }
 
 let eval_record ~src configs entry =
-  List.map cell_of_outcome (Replay.replay_entry_points ~hws:configs ~src entry)
+  List.map cell_of_outcome
+    (Replay.replay_entry_points ~hws:configs ~src entry).Replay.outcomes
 
 let eval_cell ~src config entry =
   cell_of_outcome (Replay.replay_entry ~hw:config ~src entry)
@@ -229,8 +231,8 @@ let run_entries ?jobs ~archive ~src configs entries =
     match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
   in
   (* one task per record: a decode costs its event count once per
-     tracer it feeds, so those weights put a dominant record first and
-     coalesce tiny ones *)
+     fused tracer it feeds, so those weights put a dominant record first
+     and coalesce tiny ones *)
   let per_record =
     Scheduler.map_adaptive ~jobs
       ~label:(fun _ (e : Trace_store.Index.entry) ->
@@ -238,7 +240,7 @@ let run_entries ?jobs ~archive ~src configs entries =
       ~weights:(fun _ (e : Trace_store.Index.entry) ->
         float_of_int
           (e.Trace_store.Index.events
-          * List.length (Replay.entry_geometries ~src e configs)))
+          * List.length (Replay.entry_fusion_groups ~src e configs)))
       (fun _ entry -> eval_record ~src configs entry)
       entries
   in

@@ -19,16 +19,20 @@
       {!Test_core.Analyzer.select}.
 
     So a record task ({!eval_record}) seeks its record once, reads its
-    metadata once, builds one tracer per distinct effective geometry
-    ({!Replay.geometries}), decodes the stream once into all of them,
-    and runs the analysis once per point. A [cpus] × [store_buffer]
-    grid of 3 × 3 over 26 records is 26 decodes and 78 tracer runs,
-    not 234 of each.
+    metadata once, builds one tracer per fusion group
+    ({!Replay.fusion_groups}: effective configs equal up to their
+    [ld_limit] / [st_limit], which one fused run serves as a vector of
+    limit pairs), decodes the stream once into all of them, and runs
+    the analysis once per point. A [cpus] × [store_buffer] grid of
+    3 × 3 over 26 records is 26 decodes and 26 tracer runs, not 234 of
+    each. A run whose limit pairs disagree on a bank release splits:
+    the record is decoded again for the pairs that departed (see
+    {!Replay.replay_entry_points}).
 
     The archive is mapped once ({!Trace_store.Bytesrc.map_file}) and
     indexed from the mapped tail; {!run} fans out one {!Scheduler} task
     per record over the mapping the forked workers inherit, weighted by
-    events × tracers so a dominant record dispatches first; the
+    events × fusion groups so a dominant record dispatches first; the
     per-record results are transposed into grid-order points
     afterward. The serve daemon submits the same record task to its
     persistent pool, and [jrpm explore] runs as a {!Daemon.execute}
@@ -148,7 +152,8 @@ val run_entries :
   Hydra.Config.t list -> Trace_store.Index.entry list -> t
 (** {!run}'s body for callers that already hold the parsed grid and the
     mapped container: one {!eval_record} task per entry, weighted by
-    events × tracers, [archive] naming the container in the result.
+    events × fusion groups, [archive] naming the container in the
+    result.
     {!Daemon.execute} runs explore requests through this. *)
 
 val default_point : t -> point_result

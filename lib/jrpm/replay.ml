@@ -138,28 +138,39 @@ let effective_config ~recorded_hw ~recorded hw =
   if Hydra.Config.equal hw recorded_hw then recorded
   else Test_core.Tracer.config_of ~base:recorded hw
 
-let geometries ~recorded_hw ~recorded hws =
-  List.rev
-    (List.fold_left
-       (fun acc hw ->
-         let c = effective_config ~recorded_hw ~recorded hw in
-         if List.mem c acc then acc else c :: acc)
-       [] hws)
-
-(* One decode of the current record feeds one tracer per distinct
-   geometry among [hws]; the Eq. 1 / Eq. 2 analysis then runs once per
-   point over its geometry's tracer. *)
-let replay_meta m ~hws reader (record : Trace_store.Reader.record) =
-  let effective =
-    effective_config ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config
+(* Group configs by [Tracer.fusion_key], groups and members in
+   first-use order. *)
+let group_by_key configs =
+  let keys =
+    List.fold_left
+      (fun acc c ->
+        let k = Test_core.Tracer.fusion_key c in
+        if List.mem k acc then acc else k :: acc)
+      [] configs
   in
-  let tracers =
-    List.map
-      (fun config -> (config, Test_core.Tracer.create ~config ()))
-      (geometries ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws)
+  List.rev_map
+    (fun k ->
+      List.filter (fun c -> Test_core.Tracer.fusion_key c = k) configs)
+    keys
+
+let fusion_groups ~recorded_hw ~recorded hws =
+  group_by_key
+    (List.rev
+       (List.fold_left
+          (fun acc hw ->
+            let c = effective_config ~recorded_hw ~recorded hw in
+            if List.mem c acc then acc else c :: acc)
+          [] hws))
+
+type points = { outcomes : outcome list; tracer_runs : int; splits : int }
+
+(* Decode the current record once into one fused tracer per group. *)
+let decode reader groups =
+  let runs =
+    List.map (fun g -> (g, Test_core.Tracer.create_fused g)) groups
   in
   let sink =
-    match List.map (fun (_, t) -> Test_core.Tracer.sink t) tracers with
+    match List.map (fun (_, t) -> Test_core.Tracer.sink t) runs with
     | [] -> invalid_arg "Jrpm.Replay: no hardware points"
     | first :: rest -> List.fold_left Hydra.Trace.tee first rest
   in
@@ -170,52 +181,101 @@ let replay_meta m ~hws reader (record : Trace_store.Reader.record) =
         Test_core.Tracer.events_consumed tracer
         <> stats.Trace_store.Reader.events
       then fail "tracer event-tap count disagrees with the decoder")
-    tracers;
+    runs;
+  (stats, runs)
+
+(* One decode of the current record feeds one fused tracer per fusion
+   group among [hws]. A run whose pairs disagree on a bank release
+   keeps pair 0's answer; the departed configs form a new group, and
+   the record is decoded again for all such groups until no run
+   splits. The Eq. 1 / Eq. 2 analysis then runs once per point over the
+   run and pair that served its config. *)
+let replay_meta m ~hws reader (record : Trace_store.Reader.record) =
+  let effective =
+    effective_config ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config
+  in
+  let offset = Trace_store.Reader.record_offset reader in
+  (* [served]: each config with the run and limit pair that served it *)
+  let rec settle served tracer_runs runs =
+    let served =
+      served
+      @ List.concat_map
+          (fun (g, tracer) ->
+            let gone = Test_core.Tracer.departed tracer in
+            List.filteri
+              (fun k _ -> not (List.mem k gone))
+              (List.mapi (fun k c -> (c, (tracer, k))) g))
+          runs
+    in
+    let tracer_runs = tracer_runs + List.length runs in
+    match
+      List.filter_map
+        (fun (g, tracer) ->
+          match Test_core.Tracer.departed tracer with
+          | [] -> None
+          | gone -> Some (List.map (List.nth g) gone))
+        runs
+    with
+    | [] -> (served, tracer_runs)
+    | split ->
+        ignore (Trace_store.Reader.seek_record reader ~offset);
+        settle served tracer_runs (snd (decode reader split))
+  in
+  let groups =
+    fusion_groups ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws
+  in
+  let stats, runs = decode reader groups in
+  let served, tracer_runs = settle [] 0 runs in
   let json s = Obs.Json.to_string (Report_summary.to_json s) in
   let recorded_json = json m.recorded in
-  List.map
-    (fun hw ->
-      let tracer = List.assoc (effective hw) tracers in
-      (* the analysis-owned fields are recomputed from the replayed
-         stream; everything else the trace carries verbatim in its
-         metadata *)
-      let selection =
-        Test_core.Analyzer.select ~config:hw ?cpus:m.cpus
-          ~stats:(Test_core.Tracer.stats tracer)
-          ~child_cycles:(Test_core.Tracer.child_cycles tracer)
-          ~program_cycles:m.recorded.Report_summary.opt.Report_summary.cycles
-          ()
-      in
-      let replayed =
-        {
-          m.recorded with
-          Report_summary.config_fingerprint = Hydra.Config.fingerprint hw;
-          predicted_speedup = selection.Test_core.Analyzer.predicted_speedup;
-          selected_stls = List.length selection.Test_core.Analyzer.chosen;
-          max_dynamic_depth = Test_core.Tracer.max_dynamic_depth tracer;
-        }
-      in
+  let outcome hw =
+    let tracer, pair = List.assoc (effective hw) served in
+    (* the analysis-owned fields are recomputed from the replayed
+       stream; everything else the trace carries verbatim in its
+       metadata *)
+    let selection =
+      Test_core.Analyzer.select ~config:hw ?cpus:m.cpus
+        ~stats:(Test_core.Tracer.stats ~pair tracer)
+        ~child_cycles:(Test_core.Tracer.child_cycles tracer)
+        ~program_cycles:m.recorded.Report_summary.opt.Report_summary.cycles
+        ()
+    in
+    let replayed =
       {
-        name = record.Trace_store.Reader.name;
-        recorded = m.recorded;
-        replayed;
-        chosen_stls =
-          List.sort compare
-            (List.map
-               (fun (c : Test_core.Analyzer.choice) ->
-                 c.Test_core.Analyzer.chosen_stl)
-               selection.Test_core.Analyzer.chosen);
-        matches = String.equal (json replayed) recorded_json;
-        events = stats.Trace_store.Reader.events;
-        record_bytes = stats.Trace_store.Reader.record_bytes;
-        reference_bytes = m.reference_bytes;
-      })
-    hws
+        m.recorded with
+        Report_summary.config_fingerprint = Hydra.Config.fingerprint hw;
+        predicted_speedup = selection.Test_core.Analyzer.predicted_speedup;
+        selected_stls = List.length selection.Test_core.Analyzer.chosen;
+        max_dynamic_depth = Test_core.Tracer.max_dynamic_depth tracer;
+      }
+    in
+    {
+      name = record.Trace_store.Reader.name;
+      recorded = m.recorded;
+      replayed;
+      chosen_stls =
+        List.sort compare
+          (List.map
+             (fun (c : Test_core.Analyzer.choice) ->
+               c.Test_core.Analyzer.chosen_stl)
+             selection.Test_core.Analyzer.chosen);
+      matches = String.equal (json replayed) recorded_json;
+      events = stats.Trace_store.Reader.events;
+      record_bytes = stats.Trace_store.Reader.record_bytes;
+      reference_bytes = m.reference_bytes;
+    }
+  in
+  {
+    outcomes = List.map outcome hws;
+    tracer_runs;
+    splits = tracer_runs - List.length groups;
+  }
 
 let replay_current ?hw reader record =
   let m = meta_of_record record in
   match
-    replay_meta m ~hws:[ Option.value hw ~default:m.recorded_hw ] reader record
+    (replay_meta m ~hws:[ Option.value hw ~default:m.recorded_hw ] reader record)
+      .outcomes
   with
   | [ o ] -> o
   | _ -> assert false
@@ -241,9 +301,9 @@ let replay_entry_points ~hws ~src entry =
   let reader, record = seek_entry ~src entry in
   replay_meta (meta_of_record record) ~hws reader record
 
-let entry_geometries ~src entry hws =
+let entry_fusion_groups ~src entry hws =
   let m = meta_of_record (snd (seek_entry ~src entry)) in
-  geometries ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws
+  fusion_groups ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws
 
 let record_label _ (e : Trace_store.Index.entry) =
   "record " ^ e.Trace_store.Index.name

@@ -73,21 +73,26 @@ val capture_run :
     return the report plus the finished record bytes (ready for
     {!Trace_store.Writer.container}). *)
 
-val geometries :
+val fusion_groups :
   recorded_hw:Hydra.Config.t ->
   recorded:Test_core.Tracer.config ->
   Hydra.Config.t list ->
-  Test_core.Tracer.config list
+  Test_core.Tracer.config list list
 (** The distinct tracer configs a record captured on [recorded_hw]
     under the [recorded] tracer config replays with at the given
-    points, in first-use order: the tracers one {!replay_entry_points}
-    call builds. A point's effective config is [recorded] itself when the
-    point equals [recorded_hw], otherwise
-    {!Test_core.Tracer.config_of}[ ~base:recorded hw] (geometry from
-    the point, recorded policy fields kept). Only the geometry fields
-    of {!Hydra.Config.t} reach the tracer — the Table 2 overheads and
-    the CPU count enter only the analysis — so points that differ only
-    in those share a tracer. *)
+    points, grouped by {!Test_core.Tracer.fusion_key} — groups and
+    their members in first-use order. Each group is one fused tracer
+    run of a {!replay_entry_points} call (before any release split). A
+    point's effective config is [recorded] itself when the point equals
+    [recorded_hw], otherwise {!Test_core.Tracer.config_of}[
+    ~base:recorded hw] (geometry from the point, recorded policy fields
+    kept). Only the geometry fields of {!Hydra.Config.t} reach the
+    tracer — the Table 2 overheads and the CPU count enter only the
+    analysis — so points that differ only in those share a config; and
+    configs that differ only in [ld_limit] / [st_limit] share a run. A
+    [store_buffer_lines] axis changes only [st_limit], so it fuses; a
+    [load_buffer_lines] axis also sizes the load-dedup table, so it
+    does not. *)
 
 val replay_current :
   ?hw:Hydra.Config.t ->
@@ -103,7 +108,7 @@ val replay_current :
     {!Hydra.Config.default} for records written before the field
     existed) re-evaluates the analysis at a {e different} hardware
     point: the tracer runs under the point's effective config (see
-    {!geometries}) and the analyzer with the override's overheads and
+    {!fusion_groups}) and the analyzer with the override's overheads and
     CPU count. Only the
     analysis-owned fields ([predicted_speedup], [selected_stls],
     [max_dynamic_depth]) and the [config_fingerprint] reflect the
@@ -130,32 +135,44 @@ val replay_entry :
     nothing and copies no chunk.
     @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current}. *)
 
+type points = {
+  outcomes : outcome list;  (** one per point, in [hws] order *)
+  tracer_runs : int;        (** fused tracer runs the record fed *)
+  splits : int;
+      (** runs started because a run's limit pairs disagreed on a bank
+          release: [tracer_runs] minus the {!fusion_groups} count *)
+}
+
 val replay_entry_points :
   hws:Hydra.Config.t list ->
   src:Trace_store.Bytesrc.t ->
   Trace_store.Index.entry ->
-  outcome list
+  points
 (** Replay the entry's record of a pre-mapped container (as
-    {!replay_entry}) at every hardware point of [hws], returning one
-    outcome per point in [hws] order — the per-record explore task.
-    The record's metadata is read once and its stream decoded once,
-    into one fresh tracer per distinct geometry ({!geometries} — teed
-    with {!Hydra.Trace.tee} when there are several); the Eq. 1 / Eq. 2
-    analysis then runs once per point over that point's tracer. Each
-    outcome is identical to a one-point {!replay_entry} at the same
-    point; [events] and [record_bytes] describe the shared decode.
+    {!replay_entry}) at every hardware point of [hws] — the per-record
+    explore task. The record's metadata is read once and its stream
+    decoded once, into one fused tracer per fusion group
+    ({!fusion_groups} — teed with {!Hydra.Trace.tee} when there are
+    several). When a run's limit pairs disagree on a bank release, the
+    run follows its first pair and the others depart
+    ({!Test_core.Tracer.departed}); the record is then decoded again
+    into one fused run per departed set, until no run splits. The
+    Eq. 1 / Eq. 2 analysis then runs once per point over the run and
+    pair that served it. Each outcome is identical to a one-point
+    {!replay_entry} at the same point; [events] and [record_bytes]
+    describe one decode.
     @raise Invalid_argument when [hws] is empty;
     @raise Trace_store.Reader.Corrupt / [Failure] as
     {!replay_current}. *)
 
-val entry_geometries :
+val entry_fusion_groups :
   src:Trace_store.Bytesrc.t ->
   Trace_store.Index.entry ->
   Hydra.Config.t list ->
-  Test_core.Tracer.config list
-(** {!geometries} for the entry's record, read from its metadata
-    without decoding the stream: the tracers {!replay_entry_points}
-    over these points builds.
+  Test_core.Tracer.config list list
+(** {!fusion_groups} for the entry's record, read from its metadata
+    without decoding the stream: the runs {!replay_entry_points} over
+    these points starts with.
     @raise Trace_store.Reader.Corrupt / [Failure] on a malformed
     record header or metadata. *)
 

@@ -2,11 +2,14 @@
     the paper's whole-suite tables (6, 7, Figures 6/10/11) and the
     sweep CLI need, with a JSON codec over {!Obs.Json}.
 
-    This is the report half of the parallel-sweep worker protocol:
-    workers cannot hand rich in-memory structures (STL tables, tracers)
-    across a process boundary as JSON, so they ship this summary (plus
-    recorder state) through {!Obs.Json} and the parent re-decodes it.
-    [of_json (to_json s) = s] exactly: every float is printed with
+    This is the report half of a parallel-sweep worker's outcome: a
+    worker does not hand its rich in-memory structures (STL tables,
+    tracers) back to the parent, only this summary (plus recorder state
+    and the capture), which the scheduler marshals across the process
+    boundary as part of the outcome. The JSON codec is for files and
+    the wire: [--summary-json], the regression baseline, trace
+    metadata and daemon replies. [of_json (to_json s) = s] exactly:
+    every float is printed with
     {!Obs.Json}'s round-trippable representation, including non-finite
     values (modulo [=]'s IEEE NaN semantics — a NaN field reloads as
     NaN, which [=] never calls equal; {!Regression} compares with

@@ -328,6 +328,8 @@ let rec next_record t =
         next_record t
       end)
 
+let record_offset t = t.record_start
+
 let seek_record t ~offset =
   if offset < 0 then corrupt "seek offset %d is negative" offset;
   if offset > Bytesrc.length t.src then

@@ -82,6 +82,11 @@ val seek_record : t -> offset:int -> record
     forward from there; seeking backward is allowed.
     @raise Corrupt when [offset] does not address a record. *)
 
+val record_offset : t -> int
+(** The absolute offset of the current record's begin chunk: the
+    [offset] that {!seek_record} takes to rewind to the record, so that
+    it can be replayed again. *)
+
 val replay : t -> Hydra.Trace.sink -> replay_stats
 (** Decode the current record's whole event stream into the sink, in
     capture order, verifying the end chunk. Must follow a successful

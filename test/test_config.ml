@@ -143,8 +143,10 @@ let test_grid () =
 
 (* A small capture shared by the explore tests: deltaBlue is the
    documented cpus=8 verdict flip; FourierTest and db keep their chosen
-   sets at every point of the test grid. *)
-let explore_subset = [ "deltaBlue"; "FourierTest"; "db" ]
+   sets at every point of the test grid; LuFactor's limit pairs disagree
+   on a bank release at store_buffer=4 against 64, so a fused run of
+   its record splits. *)
+let explore_subset = [ "deltaBlue"; "FourierTest"; "db"; "LuFactor" ]
 
 let captured =
   lazy
@@ -165,7 +167,7 @@ let captured =
 let test_explore_golden () =
   let outcomes, path = Lazy.force captured in
   let t = Jrpm.Explore.run ~jobs:1 ~grid:[ "cpus=8" ] ~path () in
-  (* matrix shape: 2 config points (default + cpus=8) x 3 workloads *)
+  (* matrix shape: 2 config points (default + cpus=8) x 4 workloads *)
   Alcotest.(check int) "2 config points" 2 (List.length t.Jrpm.Explore.points);
   Alcotest.(check (list string))
     "workload rows" explore_subset
@@ -292,7 +294,7 @@ let test_explore_json_roundtrip () =
         | _ -> Alcotest.fail "matrix JSON is not an object" );
     ]
 
-(* ---------------- one decode per record, one tracer per geometry -- *)
+(* ---------------- one decode per record, one tracer per fusion group *)
 
 let explore_json t = Obs.Json.to_string (Jrpm.Explore.to_json t)
 
@@ -310,8 +312,9 @@ let cell_at_a_time ~grid path =
 
 (* Per-record tasks sharing tracers must reproduce the cell-at-a-time
    matrix byte for byte, whether the grid mixes tracer-neutral axes
-   (cpus, restart) with geometry axes (store_buffer, banks) or has only
-   tracer-neutral ones. *)
+   (cpus, restart) with geometry axes (store_buffer, banks), has only
+   tracer-neutral ones, or has only limit points that fuse into one run
+   and split it. *)
 let test_explore_matches_cell_at_a_time () =
   let _, path = Lazy.force captured in
   List.iter
@@ -330,14 +333,41 @@ let test_explore_matches_cell_at_a_time () =
          another geometry's tracer shows *)
       [ "cpus=2,8"; "restart=20"; "store_buffer=2,64"; "banks=1" ];
       [ "cpus=2,8"; "restart=20,40" ];
-    ]
+      [ "store_buffer=4,16,64" ];
+    ];
+  (* one fused run per record where the limit pairs agree on every
+     release; LuFactor's pairs disagree at store_buffer=4, so its record
+     is decoded again for the pair that departed *)
+  let src = Trace_store.Bytesrc.map_file path in
+  let runs grid (e : Trace_store.Index.entry) =
+    let configs =
+      Jrpm.Explore.configs_of_grid (Jrpm.Explore.parse_grid grid)
+    in
+    (Jrpm.Replay.replay_entry_points ~hws:configs ~src e)
+      .Jrpm.Replay.tracer_runs
+  in
+  List.iter
+    (fun (e : Trace_store.Index.entry) ->
+      let name = e.Trace_store.Index.name in
+      Alcotest.(check int)
+        ("store_buffer=32,64,128 runs: " ^ name)
+        1
+        (runs [ "store_buffer=32,64,128" ] e);
+      let split = runs [ "store_buffer=4,16,64" ] e in
+      if name = "LuFactor" then
+        Alcotest.(check bool)
+          (Printf.sprintf "LuFactor splits at store_buffer=4 (%d runs)" split)
+          true (split > 1)
+      else Alcotest.(check int) ("store_buffer=4,16,64 runs: " ^ name) 1 split)
+    (Trace_store.Index.of_src src)
 
 let default_geometry = Test_core.Tracer.config_of C.default
 
 (* A record captured under a tracer config that is not [config_of] its
    machine: the default column must still replay under the recorded
    config, and a cpus-only point — tracer-neutral against the machine —
-   must get its own tracer, re-derived from the machine. *)
+   must get its own tracer, re-derived from the machine (the two differ
+   in heap_fifo_lines, so they cannot fuse). *)
 let test_explore_recorded_geometry () =
   let recorded =
     { default_geometry with Test_core.Tracer.heap_fifo_lines = 4; st_limit = 4 }
@@ -359,13 +389,17 @@ let test_explore_recorded_geometry () =
       let src = Trace_store.Bytesrc.map_file path in
       let entry = List.hd (Trace_store.Index.of_src src) in
       let expected =
-        [ recorded; Test_core.Tracer.config_of ~base:recorded (List.nth configs 1) ]
+        [
+          [ recorded ];
+          [ Test_core.Tracer.config_of ~base:recorded (List.nth configs 1) ];
+        ]
       in
       Alcotest.(check bool) "two points, two tracers" true
-        (Jrpm.Replay.entry_geometries ~src entry configs = expected);
+        (Jrpm.Replay.entry_fusion_groups ~src entry configs = expected);
       Alcotest.(check int) "the pure helper agrees" 2
         (List.length
-           (Jrpm.Replay.geometries ~recorded_hw:C.default ~recorded configs));
+           (Jrpm.Replay.fusion_groups ~recorded_hw:C.default ~recorded
+              configs));
       let t = Jrpm.Explore.run ~jobs:1 ~grid ~path () in
       Alcotest.(check string) "default column = recorded summary"
         (Obs.Json.to_string
@@ -379,25 +413,32 @@ let test_explore_recorded_geometry () =
 
 (* The decode and tracer-run counts per explore pass: the benchmark
    grid over the registry archive (captured on the default machine, so
-   every record carries the default geometry) is 26 record tasks of 3
-   tracers each — 26 decodes and 78 tracer runs, where cell-at-a-time
-   replay paid 234 of each; cpus alone needs one tracer per record. *)
+   every record carries the default geometry) is 26 record tasks of one
+   fused tracer each — its three store_buffer points differ only in
+   st_limit — so 26 decodes and 26 tracer runs, where one tracer per
+   distinct config paid 78 and cell-at-a-time replay 234 of each. A
+   load_buffer axis also sizes the load-dedup table, so it cannot fuse. *)
 let test_explore_plan_counts () =
   let count grid =
     let configs = Jrpm.Explore.configs_of_grid (Jrpm.Explore.parse_grid grid) in
-    ( List.length configs,
-      List.length
-        (Jrpm.Replay.geometries ~recorded_hw:C.default ~recorded:default_geometry
-           configs) )
+    let groups =
+      Jrpm.Replay.fusion_groups ~recorded_hw:C.default
+        ~recorded:default_geometry configs
+    in
+    (List.length configs, List.length (List.concat groups), List.length groups)
   in
   let records = List.length Workloads.Registry.all in
-  let points, tracers = count [ "cpus=2,4,8"; "store_buffer=32,64,128" ] in
+  let points, configs, runs = count [ "cpus=2,4,8"; "store_buffer=32,64,128" ] in
   Alcotest.(check int) "record tasks" 26 records;
   Alcotest.(check int) "cells" 234 (records * points);
-  Alcotest.(check int) "tracers per record" 3 tracers;
-  Alcotest.(check int) "tracer runs per pass" 78 (records * tracers);
-  Alcotest.(check int) "cpus alone: one tracer per record" 1
-    (snd (count [ "cpus=2,4,8" ]));
+  Alcotest.(check int) "distinct tracer configs per record" 3 configs;
+  Alcotest.(check int) "fused tracer runs per record" 1 runs;
+  Alcotest.(check int) "tracer runs per pass" 26 (records * runs);
+  let _, _, cpus_runs = count [ "cpus=2,4,8" ] in
+  Alcotest.(check int) "cpus alone: one tracer per record" 1 cpus_runs;
+  let _, load_configs, load_runs = count [ "load_buffer=256,512,1024" ] in
+  Alcotest.(check (pair int int)) "load_buffer does not fuse" (3, 3)
+    (load_configs, load_runs);
   (* a real default-machine capture carries exactly that geometry *)
   let _, path = Lazy.force captured in
   let src = Trace_store.Bytesrc.map_file path in
@@ -407,10 +448,16 @@ let test_explore_plan_counts () =
   in
   List.iter
     (fun (e : Trace_store.Index.entry) ->
-      Alcotest.(check int)
-        ("captured record tracers: " ^ e.Trace_store.Index.name)
-        3
-        (List.length (Jrpm.Replay.entry_geometries ~src e configs)))
+      let name = e.Trace_store.Index.name in
+      Alcotest.(check (list int))
+        ("captured record fusion groups: " ^ name)
+        [ 3 ]
+        (List.map List.length (Jrpm.Replay.entry_fusion_groups ~src e configs));
+      let p = Jrpm.Replay.replay_entry_points ~hws:configs ~src e in
+      Alcotest.(check (pair int int))
+        ("captured record runs and splits: " ^ name)
+        (1, 0)
+        (p.Jrpm.Replay.tracer_runs, p.Jrpm.Replay.splits))
     (Trace_store.Index.of_src src)
 
 (* ---------------- summary fingerprint migration ---------------- *)

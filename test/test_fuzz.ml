@@ -54,12 +54,66 @@ let prop_engines =
     QCheck.(int_range 1 1_000_000)
     engines_agree
 
+(* A fused tracer over the limit pairs {1, 2, 4, 64}, re-run for the
+   pairs that depart at a split exactly as replay re-decodes a record,
+   reports for each pair what a tracer given that pair alone reports.
+   Half the seeds release banks eagerly, so that pairs disagree. *)
+let fused_matches_separate seed =
+  let src = Fuzz_gen.gen_program seed in
+  let otac = Compiler.Opt.program (Ir.Lower.compile src) in
+  let prog =
+    Compiler.Codegen.generate
+      ~mode:(Compiler.Codegen.Annotated { optimized = true })
+      (Compiler.Stl_table.build otac) otac
+  in
+  let release = if seed land 1 = 0 then Some (1, 0.5) else Some (4, 0.9) in
+  let configs =
+    List.map
+      (fun l ->
+        {
+          Test_core.Tracer.default_config with
+          Test_core.Tracer.ld_limit = l;
+          st_limit = l;
+          release_overflowing = release;
+        })
+      [ 1; 2; 4; 64 ]
+  in
+  let run group =
+    let t = Test_core.Tracer.create_fused group in
+    ignore
+      (Hydra.Seq_interp.run ~tracing:true ~sink:(Test_core.Tracer.sink t) prog);
+    t
+  in
+  (* each config with the view of the run and pair that served it *)
+  let rec serve = function
+    | [] -> []
+    | group ->
+        let t = run group in
+        let gone = Test_core.Tracer.departed t in
+        List.concat
+          (List.mapi
+             (fun pair c ->
+               if List.mem pair gone then []
+               else [ (c, Test_tracer.pair_view t ~pair) ])
+             group)
+        @ serve (List.map (List.nth group) gone)
+  in
+  let served = serve configs in
+  List.for_all
+    (fun c -> List.assoc c served = Test_tracer.pair_view (run [ c ]) ~pair:0)
+    configs
+
 let roundtrip seed =
   let src = Fuzz_gen.gen_program seed in
   let ast1 = Ir.Parser.parse src in
   let printed = Ir.Pretty.program_to_string ast1 in
   let ast2 = Ir.Parser.parse printed in
   Ir.Pretty.strip_positions_program ast1 = Ir.Pretty.strip_positions_program ast2
+
+let prop_fused =
+  QCheck.Test.make ~name:"fused tracer = one tracer per limit pair" ~count:40
+    QCheck.(int_range 1 1_000_000)
+    fused_matches_separate
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"parse∘print∘parse is the identity" ~count:60
@@ -99,6 +153,7 @@ let suites =
     ( "fuzz.differential",
       [
         QCheck_alcotest.to_alcotest prop_engines;
+        QCheck_alcotest.to_alcotest prop_fused;
         QCheck_alcotest.to_alcotest prop_roundtrip;
         Alcotest.test_case "workloads round-trip" `Quick test_workload_roundtrip;
         Alcotest.test_case "print preserves semantics" `Quick

@@ -467,15 +467,127 @@ let test_child_cycles () =
   Alcotest.(check (option int)) "root at top" (Some 50)
     (List.assoc_opt (-1, 0) cc)
 
+(* ---------------- fused limit pairs ---------------- *)
+
+(* Everything a tracer reports for one STL, pc bins in PC order: two
+   runs agree on an STL exactly when their digests are equal. *)
+let stats_digest stats =
+  List.map
+    (fun (stl, (s : Stats.t)) ->
+      ( stl,
+        [
+          s.Stats.cycles; s.Stats.threads; s.Stats.entries;
+          s.Stats.traced_threads; s.Stats.traced_entries;
+          s.Stats.crit_prev_count; s.Stats.crit_prev_len;
+          s.Stats.crit_earlier_count; s.Stats.crit_earlier_len;
+          s.Stats.overflow_threads; s.Stats.max_load_lines;
+          s.Stats.max_store_lines;
+        ],
+        List.sort compare
+          (Hashtbl.fold
+             (fun pc (b : Stats.pc_bin) acc ->
+               (pc, b.Stats.hits, b.Stats.total_len, b.Stats.min_len,
+                b.Stats.thread_size_sum)
+               :: acc)
+             s.Stats.pc_bins []) ))
+    stats
+
+(* What the analysis reads from a tracer under one limit pair. *)
+let pair_view t ~pair =
+  ( stats_digest (Tracer.stats ~pair t),
+    Tracer.child_cycles t,
+    Tracer.max_dynamic_depth t,
+    Tracer.untraced_activations t )
+
+(* Six two-thread entries of STL 0 whose second thread writes two
+   distinct lines: half the threads overflow a one-line store buffer,
+   none a two-line one. *)
+let overflowing_entries (s : Hydra.Trace.sink) =
+  for entry = 0 to 5 do
+    let base = entry * 100 in
+    s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:base;
+    s.Hydra.Trace.on_heap_store ~addr:(base * 64) ~now:(base + 1);
+    s.Hydra.Trace.on_heap_load ~addr:(base * 64) ~pc:7 ~now:(base + 2);
+    s.Hydra.Trace.on_eoi ~stl:0 ~now:(base + 10);
+    s.Hydra.Trace.on_heap_load ~addr:(base * 64) ~pc:7 ~now:(base + 11);
+    s.Hydra.Trace.on_heap_store ~addr:((base * 64) + 4096) ~now:(base + 12);
+    s.Hydra.Trace.on_heap_store ~addr:((base * 64) + 8192) ~now:(base + 13);
+    s.Hydra.Trace.on_eloop ~stl:0 ~now:(base + 20)
+  done
+
+let run_fused configs feed =
+  let t = Tracer.create_fused configs in
+  feed (Tracer.sink t);
+  t
+
+(* Without a release, any limit vector is served by one run, and each
+   pair reports what a tracer given that pair alone reports. *)
+let test_fused_pairs_agree () =
+  let config l =
+    { Tracer.default_config with Tracer.ld_limit = l; st_limit = l;
+      release_overflowing = None }
+  in
+  let configs = List.map config [ 1; 2; 4; 64 ] in
+  let fused = run_fused configs overflowing_entries in
+  Alcotest.(check (list int)) "no pair departs" [] (Tracer.departed fused);
+  List.iteri
+    (fun pair c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pair %d = its own tracer" pair)
+        true
+        (pair_view fused ~pair
+        = pair_view (run_fused [ c ] overflowing_entries) ~pair:0))
+    configs;
+  let overflow pair =
+    (Option.get (Tracer.find_stats ~pair fused 0)).Stats.overflow_threads
+  in
+  Alcotest.(check (list int)) "overflow counts per pair" [ 6; 0; 0; 0 ]
+    (List.map overflow [ 0; 1; 2; 3 ]);
+  Alcotest.check_raises "configs that differ beyond the limits"
+    (Invalid_argument
+       "Tracer.create_fused: configs differ beyond ld_limit/st_limit")
+    (fun () ->
+      ignore
+        (Tracer.create_fused
+           [ config 1; { (config 2) with Tracer.banks = 2 } ]))
+
+(* A release decision the pairs disagree on splits the run: the run
+   follows pair 0 (released from the second entry on), the 64-line pair
+   departs and its statistics are refused, and a run of the departed
+   pair alone — what replay decodes the record again for — gives the
+   separate-tracer answer. *)
+let test_fused_release_split () =
+  let config st_limit =
+    { Tracer.default_config with Tracer.st_limit;
+      release_overflowing = Some (0, 0.5) }
+  in
+  let fused = run_fused [ config 1; config 64 ] overflowing_entries in
+  Alcotest.(check (list int)) "the 64-line pair departs" [ 1 ]
+    (Tracer.departed fused);
+  Alcotest.check_raises "departed pair's stats raise"
+    (Invalid_argument "Tracer: limit pair 1 departed at a release split")
+    (fun () -> ignore (Tracer.stats ~pair:1 fused));
+  Alcotest.check_raises "departed pair's find_stats raises"
+    (Invalid_argument "Tracer: limit pair 1 departed at a release split")
+    (fun () -> ignore (Tracer.find_stats ~pair:1 fused 0));
+  let alone st = run_fused [ config st ] overflowing_entries in
+  Alcotest.(check bool) "pair 0 = its own tracer" true
+    (pair_view fused ~pair:0 = pair_view (alone 1) ~pair:0);
+  let rerun = run_fused [ config 64 ] overflowing_entries in
+  Alcotest.(check bool) "re-run of the departed pair = its own tracer" true
+    (pair_view rerun ~pair:0 = pair_view (alone 64) ~pair:0);
+  Alcotest.(check (pair int int)) "the answers differ: untraced activations"
+    (5, 0)
+    (Tracer.untraced_activations fused, Tracer.untraced_activations rerun)
+
 (* ---------------- hot-path allocation ---------------- *)
 
 (* The tentpole invariant of the flat-cache rewrite: with observability
    disabled, heap and local load/store events (and eoi) allocate
-   nothing on the minor heap in steady state. Mirrors the null-sink
-   test in test_obs.ml; the budget leaves room for the [Gc.minor_words]
-   boxing itself. *)
-let test_hot_path_no_alloc () =
-  let t = Test_core.Tracer.create () in
+   nothing on the minor heap in steady state — with one limit pair or
+   several. Mirrors the null-sink test in test_obs.ml; the budget
+   leaves room for the [Gc.minor_words] boxing itself. *)
+let hot_path_words t =
   let s = Test_core.Tracer.sink t in
   s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:4 ~frame:1 ~now:0;
   (* warm up: fill the FIFO past capacity so the measured window runs
@@ -493,11 +605,25 @@ let test_hot_path_no_alloc () =
     s.Hydra.Trace.on_local_load ~frame:1 ~slot:(i land 3) ~pc:5 ~now:(now + 3);
     if i land 63 = 0 then s.Hydra.Trace.on_eoi ~stl:0 ~now:(now + 3)
   done;
-  let allocated = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "per-event path allocates nothing (saw %.0f words)"
-       allocated)
-    true (allocated < 256.)
+  Gc.minor_words () -. before
+
+let test_hot_path_no_alloc () =
+  let pairs =
+    List.map
+      (fun st_limit -> { Tracer.default_config with Tracer.st_limit })
+      [ 32; 64; 128 ]
+  in
+  List.iter
+    (fun (what, t) ->
+      let allocated = hot_path_words t in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: per-event path allocates nothing (saw %.0f words)"
+           what allocated)
+        true (allocated < 256.))
+    [
+      ("one pair", Tracer.create ());
+      ("three pairs", Tracer.create_fused pairs);
+    ]
 
 let suites =
   [
@@ -537,6 +663,12 @@ let suites =
       ] );
     ( "tracer.imprecision",
       [ Alcotest.test_case "figure 9 example" `Quick test_figure9_imprecision ] );
+    ( "tracer.fused",
+      [
+        Alcotest.test_case "pairs agree without a release" `Quick
+          test_fused_pairs_agree;
+        Alcotest.test_case "release split" `Quick test_fused_release_split;
+      ] );
     ( "tracer.hot_path",
       [
         Alcotest.test_case "per-event path allocation-free" `Quick
