@@ -105,37 +105,54 @@ let new_frame (f : Native.func) ~fidx ~ret_pc ~ret_reg ~uid =
     uid;
   }
 
-(** Entry [i] of [fr]'s file, boxed. *)
-let get (fr : frame) i : Value.t =
-  if Bytes.get fr.kinds i = kind_int then Value.Int fr.ints.(i)
-  else Value.Float fr.floats.(i)
+(* The register-file accessors, one set for both executors: the
+   sequential loop and the TLS thread step run them on every
+   instruction. Each is [@inline], with its trap out of line, so a use
+   compiles to a kind test and an array access. *)
 
-let set (fr : frame) i (v : Value.t) =
-  match v with
-  | Value.Int n ->
-      fr.ints.(i) <- n;
-      Bytes.set fr.kinds i kind_int
-  | Value.Float x ->
-      fr.floats.(i) <- x;
-      Bytes.set fr.kinds i kind_float
+let[@inline never] not_int () = raise (Trap "float value used as an int")
 
-(** Entry [i] of [fr]'s file as an int (an address or a size); traps on
-    a float, as {!int_operand} does. *)
-let get_int (fr : frame) i =
-  if Bytes.get fr.kinds i = kind_int then fr.ints.(i)
-  else raise (Trap "float value used as an int")
+let[@inline never] not_float () =
+  raise (Trap "int value used as a float")
 
-let set_int (fr : frame) i n =
+(** Entry [i] of [fr]'s file as an int (an address, a size or an ALU
+    operand); traps on a float, as {!int_operand} does. *)
+let[@inline] get_int (fr : frame) i =
+  if Bytes.get fr.kinds i = kind_int then fr.ints.(i) else not_int ()
+
+(** Entry [i] of [fr]'s file as a float; traps on an int, as
+    {!float_operand} does. *)
+let[@inline] get_float (fr : frame) i =
+  if Bytes.get fr.kinds i = kind_int then not_float () else fr.floats.(i)
+
+let[@inline] set_int (fr : frame) i n =
   fr.ints.(i) <- n;
   Bytes.set fr.kinds i kind_int
 
+let[@inline] set_float (fr : frame) i x =
+  fr.floats.(i) <- x;
+  Bytes.set fr.kinds i kind_float
+
+(** A comparison result: [1] or [0]. *)
+let[@inline] set_bool fr i b = set_int fr i (if b then 1 else 0)
+
 (** Is entry [i] of [fr]'s file non-zero (a taken branch)? *)
-let nonzero (fr : frame) i =
+let[@inline] nonzero (fr : frame) i =
   if Bytes.get fr.kinds i = kind_int then fr.ints.(i) <> 0
   else fr.floats.(i) <> 0.
 
+(** Entry [i] of [fr]'s file, boxed. *)
+let[@inline] get (fr : frame) i : Value.t =
+  if Bytes.get fr.kinds i = kind_int then Value.Int fr.ints.(i)
+  else Value.Float fr.floats.(i)
+
+let[@inline] set (fr : frame) i (v : Value.t) =
+  match v with
+  | Value.Int n -> set_int fr i n
+  | Value.Float x -> set_float fr i x
+
 (** Copy entry [src] of [from] to entry [dst] of [into]. *)
-let copy ~(from : frame) src ~(into : frame) dst =
+let[@inline] copy ~(from : frame) src ~(into : frame) dst =
   into.ints.(dst) <- from.ints.(src);
   into.floats.(dst) <- from.floats.(src);
   Bytes.set into.kinds dst (Bytes.get from.kinds src)

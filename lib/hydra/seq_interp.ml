@@ -12,116 +12,61 @@ type result = {
 
 exception Out_of_fuel = Machine.Out_of_fuel
 
-(* The register-file helpers of the hot loop live here, not in
-   [Machine]: the dev profile compiles with [-opaque], which turns every
-   cross-module call into an out-of-line call through the module block.
-   Kind tags are [Machine.kind_int] ('\000') and [Machine.kind_float]. *)
-
-let[@inline never] not_int () = raise (Machine.Trap "float value used as an int")
-
-let[@inline never] not_float () =
-  raise (Machine.Trap "int value used as a float")
-
-let[@inline] int_at (ints : int array) kinds i =
-  if Bytes.get kinds i = '\000' then ints.(i) else not_int ()
-
-let[@inline] float_at (floats : float array) kinds i =
-  if Bytes.get kinds i = '\000' then not_float () else floats.(i)
-
-let[@inline] set_int (ints : int array) kinds i n =
-  ints.(i) <- n;
-  Bytes.set kinds i '\000'
-
-let[@inline] set_float (floats : float array) kinds i x =
-  floats.(i) <- x;
-  Bytes.set kinds i '\001'
-
-let[@inline] set_bool ints kinds i b = set_int ints kinds i (if b then 1 else 0)
-
-let[@inline] move (ints : int array) (floats : float array) kinds ~src ~dst =
-  ints.(dst) <- ints.(src);
-  floats.(dst) <- floats.(src);
-  Bytes.set kinds dst (Bytes.get kinds src)
-
-let box (ints : int array) (floats : float array) kinds i : Value.t =
-  if Bytes.get kinds i = '\000' then Value.Int ints.(i)
-  else Value.Float floats.(i)
-
-let unbox ints floats kinds i (v : Value.t) =
-  match v with
-  | Value.Int n -> set_int ints kinds i n
-  | Value.Float x -> set_float floats kinds i x
-
 let[@inline never] negative_address () =
   raise (Machine.Trap "negative heap address")
 
 (* The frame-local instructions: [Const], [Mov], [Unop], [Binop],
-   [Ld_local] and [St_local], on the file [ints]/[floats]/[kinds] whose
-   slot 0 is at [soff]. Operand kinds are checked here, at the point of
-   use, with [Machine.eval_binop]'s trap messages. *)
-let[@inline] exec_local (ints : int array) (floats : float array) kinds soff
-    (ins : Native.instr) =
+   [Ld_local] and [St_local], on frame [fr]'s file. Operand kinds are
+   checked here, at the point of use, with [Machine.eval_binop]'s trap
+   messages. *)
+let[@inline] exec_local (fr : Machine.frame) (ins : Native.instr) =
+  let open Machine in
   match ins with
-  | Native.Const (r, Value.Int n) -> set_int ints kinds r n
-  | Native.Const (r, Value.Float x) -> set_float floats kinds r x
-  | Native.Mov (d, s) -> move ints floats kinds ~src:s ~dst:d
-  | Native.Ld_local (d, s) -> move ints floats kinds ~src:(soff + s) ~dst:d
-  | Native.St_local (s, r) -> move ints floats kinds ~src:r ~dst:(soff + s)
+  | Native.Const (r, Value.Int n) -> set_int fr r n
+  | Native.Const (r, Value.Float x) -> set_float fr r x
+  | Native.Mov (d, s) -> copy ~from:fr s ~into:fr d
+  | Native.Ld_local (d, s) -> copy ~from:fr (fr.soff + s) ~into:fr d
+  | Native.St_local (s, r) -> copy ~from:fr r ~into:fr (fr.soff + s)
   | Native.Unop (d, op, s) -> (
       match op with
-      | Tac.Neg -> set_int ints kinds d (-int_at ints kinds s)
-      | Tac.FNeg -> set_float floats kinds d (-.float_at floats kinds s)
-      | Tac.LNot -> set_bool ints kinds d (int_at ints kinds s = 0)
-      | Tac.I2F -> set_float floats kinds d (Float.of_int (int_at ints kinds s))
-      | Tac.F2I -> set_int ints kinds d (Float.to_int (float_at floats kinds s)))
+      | Tac.Neg -> set_int fr d (-get_int fr s)
+      | Tac.FNeg -> set_float fr d (-.get_float fr s)
+      | Tac.LNot -> set_bool fr d (get_int fr s = 0)
+      | Tac.I2F -> set_float fr d (Float.of_int (get_int fr s))
+      | Tac.F2I -> set_int fr d (Float.to_int (get_float fr s)))
   | Native.Binop (d, op, a, b) -> (
       match op with
-      | Tac.Add -> set_int ints kinds d (int_at ints kinds a + int_at ints kinds b)
-      | Tac.Sub -> set_int ints kinds d (int_at ints kinds a - int_at ints kinds b)
-      | Tac.Mul -> set_int ints kinds d (int_at ints kinds a * int_at ints kinds b)
+      | Tac.Add -> set_int fr d (get_int fr a + get_int fr b)
+      | Tac.Sub -> set_int fr d (get_int fr a - get_int fr b)
+      | Tac.Mul -> set_int fr d (get_int fr a * get_int fr b)
       | Tac.Div ->
-          let y = int_at ints kinds b in
-          if y = 0 then raise (Machine.Trap "integer division by zero");
-          set_int ints kinds d (int_at ints kinds a / y)
+          let y = get_int fr b in
+          if y = 0 then raise (Trap "integer division by zero");
+          set_int fr d (get_int fr a / y)
       | Tac.Rem ->
-          let y = int_at ints kinds b in
-          if y = 0 then raise (Machine.Trap "integer remainder by zero");
-          set_int ints kinds d (int_at ints kinds a mod y)
-      | Tac.BAnd ->
-          set_int ints kinds d (int_at ints kinds a land int_at ints kinds b)
-      | Tac.BOr ->
-          set_int ints kinds d (int_at ints kinds a lor int_at ints kinds b)
-      | Tac.BXor ->
-          set_int ints kinds d (int_at ints kinds a lxor int_at ints kinds b)
-      | Tac.Shl ->
-          set_int ints kinds d (int_at ints kinds a lsl int_at ints kinds b)
-      | Tac.Shr ->
-          set_int ints kinds d (int_at ints kinds a asr int_at ints kinds b)
-      | Tac.Eq -> set_bool ints kinds d (int_at ints kinds a = int_at ints kinds b)
-      | Tac.Ne -> set_bool ints kinds d (int_at ints kinds a <> int_at ints kinds b)
-      | Tac.Lt -> set_bool ints kinds d (int_at ints kinds a < int_at ints kinds b)
-      | Tac.Le -> set_bool ints kinds d (int_at ints kinds a <= int_at ints kinds b)
-      | Tac.Gt -> set_bool ints kinds d (int_at ints kinds a > int_at ints kinds b)
-      | Tac.Ge -> set_bool ints kinds d (int_at ints kinds a >= int_at ints kinds b)
-      | Tac.FAdd ->
-          set_float floats kinds d
-            (float_at floats kinds a +. float_at floats kinds b)
-      | Tac.FSub ->
-          set_float floats kinds d
-            (float_at floats kinds a -. float_at floats kinds b)
-      | Tac.FMul ->
-          set_float floats kinds d
-            (float_at floats kinds a *. float_at floats kinds b)
-      | Tac.FDiv ->
-          set_float floats kinds d
-            (float_at floats kinds a /. float_at floats kinds b)
+          let y = get_int fr b in
+          if y = 0 then raise (Trap "integer remainder by zero");
+          set_int fr d (get_int fr a mod y)
+      | Tac.BAnd -> set_int fr d (get_int fr a land get_int fr b)
+      | Tac.BOr -> set_int fr d (get_int fr a lor get_int fr b)
+      | Tac.BXor -> set_int fr d (get_int fr a lxor get_int fr b)
+      | Tac.Shl -> set_int fr d (get_int fr a lsl get_int fr b)
+      | Tac.Shr -> set_int fr d (get_int fr a asr get_int fr b)
+      | Tac.Eq -> set_bool fr d (get_int fr a = get_int fr b)
+      | Tac.Ne -> set_bool fr d (get_int fr a <> get_int fr b)
+      | Tac.Lt -> set_bool fr d (get_int fr a < get_int fr b)
+      | Tac.Le -> set_bool fr d (get_int fr a <= get_int fr b)
+      | Tac.Gt -> set_bool fr d (get_int fr a > get_int fr b)
+      | Tac.Ge -> set_bool fr d (get_int fr a >= get_int fr b)
+      | Tac.FAdd -> set_float fr d (get_float fr a +. get_float fr b)
+      | Tac.FSub -> set_float fr d (get_float fr a -. get_float fr b)
+      | Tac.FMul -> set_float fr d (get_float fr a *. get_float fr b)
+      | Tac.FDiv -> set_float fr d (get_float fr a /. get_float fr b)
       | Tac.FEq | Tac.FNe | Tac.FLt | Tac.FLe | Tac.FGt | Tac.FGe ->
           (* [Float.compare], like [Machine.eval_binop]: NaN equals
              itself and sorts below every other float *)
-          let c =
-            Float.compare (float_at floats kinds a) (float_at floats kinds b)
-          in
-          set_bool ints kinds d
+          let c = Float.compare (get_float fr a) (get_float fr b) in
+          set_bool fr d
             (match op with
             | Tac.FEq -> c = 0
             | Tac.FNe -> c <> 0
@@ -174,15 +119,11 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
       (Machine.new_frame p.funcs.(p.main) ~fidx:p.main ~ret_pc:(-1)
          ~ret_reg:None ~uid:1)
   in
-  (* the current frame's function and register file; they change only at
-     [Call], [Return] and a speculative region *)
+  (* the current frame's function; it changes only at [Call], [Return]
+     and a speculative region *)
   let cur_code = ref p.funcs.(p.main).Native.code in
   let cur_costs = ref costs.(p.main) in
   let cur_pc_base = ref p.funcs.(p.main).Native.pc_base in
-  let cur_ints = ref !frame.Machine.ints in
-  let cur_floats = ref !frame.Machine.floats in
-  let cur_kinds = ref !frame.Machine.kinds in
-  let cur_soff = ref !frame.Machine.soff in
   let pc = ref 0 in
   let running = ref true in
   while !running do
@@ -197,74 +138,63 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
     if !icount > fuel then raise (Out_of_fuel fuel);
     let cost = Array.unsafe_get !cur_costs !pc in
     cycles := !cycles + cost;
-    let ints = !cur_ints and floats = !cur_floats and kinds = !cur_kinds in
+    let fr = !frame in
     let next = !pc + 1 in
     match ins with
     | Native.Const _ | Native.Mov _ | Native.Unop _ | Native.Binop _
     | Native.Ld_local _ | Native.St_local _ ->
-        exec_local ints floats kinds !cur_soff ins;
+        exec_local fr ins;
         pc := next
     | Native.Ld_heap (d, a) ->
-        let addr = int_at ints kinds a in
+        let addr = Machine.get_int fr a in
         if addr < 0 then negative_address ();
         let cells = mem.Machine.Memory.cells in
-        (if addr >= Array.length cells then set_int ints kinds d 0
-         else unbox ints floats kinds d cells.(addr));
+        (if addr >= Array.length cells then Machine.set_int fr d 0
+         else Machine.set fr d cells.(addr));
         if tracing then
           sink.Trace.on_heap_load ~addr ~pc:(!cur_pc_base + !pc) ~now:!cycles;
         pc := next
     | Native.St_heap (a, s) ->
-        let addr = int_at ints kinds a in
+        let addr = Machine.get_int fr a in
         if addr < 0 then negative_address ();
         if addr >= Array.length mem.Machine.Memory.cells then
           Machine.Memory.ensure mem addr;
-        mem.Machine.Memory.cells.(addr) <- box ints floats kinds s;
+        mem.Machine.Memory.cells.(addr) <- Machine.get fr s;
         if tracing then sink.Trace.on_heap_store ~addr ~now:!cycles;
         pc := next
     | Native.Alloc (d, n, kind) ->
-        set_int ints kinds d
-          (Machine.Memory.alloc ~kind mem (int_at ints kinds n));
+        Machine.set_int fr d
+          (Machine.Memory.alloc ~kind mem (Machine.get_int fr n));
         pc := next
     | Native.Call (ret_reg, callee, args) ->
         if tracing then sink.Trace.on_call ~callee ~now:!cycles;
         incr frame_uid;
         let f = p.funcs.(callee) in
-        let fr =
+        let callee_fr =
           Machine.new_frame f ~fidx:callee ~ret_pc:next ~ret_reg
             ~uid:!frame_uid
         in
-        Machine.pass_args ~caller:!frame ~callee:fr args;
-        stack := !frame :: !stack;
-        frame := fr;
+        Machine.pass_args ~caller:fr ~callee:callee_fr args;
+        stack := fr :: !stack;
+        frame := callee_fr;
         cur_code := f.Native.code;
         cur_costs := costs.(callee);
         cur_pc_base := f.Native.pc_base;
-        cur_ints := fr.Machine.ints;
-        cur_floats := fr.Machine.floats;
-        cur_kinds := fr.Machine.kinds;
-        cur_soff := fr.Machine.soff;
         pc := 0
     | Native.Builtin (d, b, args) ->
-        unbox ints floats kinds d
-          (Machine.eval_builtin b
-             (List.map (fun r -> box ints floats kinds r) args));
+        Machine.set fr d
+          (Machine.eval_builtin b (List.map (fun r -> Machine.get fr r) args));
         pc := next
     | Native.Print (_, r) ->
-        st.output <- box ints floats kinds r :: st.output;
+        st.output <- Machine.get fr r :: st.output;
         pc := next
     | Native.Jump t -> pc := t
-    | Native.Branch (r, a, b) ->
-        let taken =
-          if Bytes.get kinds r = '\000' then ints.(r) <> 0
-          else floats.(r) <> 0.
-        in
-        pc := if taken then a else b
+    | Native.Branch (r, a, b) -> pc := if Machine.nonzero fr r then a else b
     | Native.Return rv -> (
         if tracing && !stack <> [] then sink.Trace.on_return ~now:!cycles;
         match !stack with
         | [] -> running := false
         | caller :: rest ->
-            let fr = !frame in
             (match (fr.Machine.ret_reg, rv) with
             | Some d, Some r -> Machine.copy ~from:fr r ~into:caller d
             | Some d, None -> Machine.set caller d Value.zero
@@ -275,15 +205,11 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
             let f = p.funcs.(caller.Machine.fidx) in
             cur_code := f.Native.code;
             cur_costs := costs.(caller.Machine.fidx);
-            cur_pc_base := f.Native.pc_base;
-            cur_ints := caller.Machine.ints;
-            cur_floats := caller.Machine.floats;
-            cur_kinds := caller.Machine.kinds;
-            cur_soff := caller.Machine.soff)
+            cur_pc_base := f.Native.pc_base)
     | Native.Sloop (stl, nlocals) ->
         loop_anno_cycles := !loop_anno_cycles + cost;
         if tracing then
-          sink.Trace.on_sloop ~stl ~nlocals ~frame:!frame.Machine.uid
+          sink.Trace.on_sloop ~stl ~nlocals ~frame:fr.Machine.uid
             ~now:!cycles;
         pc := next
     | Native.Eloop stl ->
@@ -301,28 +227,25 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
     | Native.Lwl s ->
         locals_cycles := !locals_cycles + cost;
         if tracing then
-          sink.Trace.on_local_load ~frame:!frame.Machine.uid ~slot:s
+          sink.Trace.on_local_load ~frame:fr.Machine.uid ~slot:s
             ~pc:(!cur_pc_base + !pc) ~now:!cycles;
         pc := next
     | Native.Swl s ->
         locals_cycles := !locals_cycles + cost;
         if tracing then
-          sink.Trace.on_local_store ~frame:!frame.Machine.uid ~slot:s
+          sink.Trace.on_local_store ~frame:fr.Machine.uid ~slot:s
             ~now:!cycles;
         pc := next
     | Native.Tls_enter stl -> (
         match (speculate, List.assoc_opt stl p.stl_plans) with
         | Some speculate, Some plan
-          when plan.Native.plan_func = !frame.Machine.fidx ->
+          when plan.Native.plan_func = fr.Machine.fidx ->
             st.cycles <- !cycles;
             st.icount <- !icount;
-            let fr, resume = speculate st plan !frame in
+            let fr, resume = speculate st plan fr in
             cycles := st.cycles;
             icount := st.icount;
             frame := fr;
-            cur_ints := fr.Machine.ints;
-            cur_floats := fr.Machine.floats;
-            cur_kinds := fr.Machine.kinds;
             pc := resume
         | _ -> pc := next)
     | Native.Tls_iter_end _ | Native.Tls_exit _ -> pc := next

@@ -67,11 +67,9 @@ val exec :
     frame and returns the frame and pc to continue at; any other
     [Tls_enter] is a no-op. [run] is [exec ~speculate:None]. *)
 
-val exec_local :
-  int array -> float array -> Bytes.t -> int -> Native.instr -> unit
-(** [exec_local ints floats kinds soff ins] runs a frame-local
-    instruction ([Const], [Mov], [Unop], [Binop], [Ld_local],
-    [St_local]) on a {!Machine.frame}'s file whose slot 0 is at [soff].
+val exec_local : Machine.frame -> Native.instr -> unit
+(** [exec_local fr ins] runs a frame-local instruction ([Const], [Mov],
+    [Unop], [Binop], [Ld_local], [St_local]) on [fr]'s file.
     @raise Machine.Trap on an operand of the wrong kind or a zero
     divisor, with {!Machine.eval_binop}'s messages.
     @raise Invalid_argument on any other instruction. *)

@@ -48,9 +48,7 @@ type status =
   | Exit_taken of int           (* reached Tls_exit; pc to resume after *)
   | Trapped of string           (* speculative trap; fatal only as head *)
 
-(* Speculative state is keyed by word address, line number or load PC.
-   The table lives in this module because the dev profile's [-opaque]
-   would make every call into another module an out-of-line call. *)
+(* Speculative state is keyed by word address, line number or load PC. *)
 module Spec_table = struct
   type t = {
     mutable keys : int array;
@@ -71,7 +69,7 @@ module Spec_table = struct
     t.stamps <- Array.make cap 0;
     t.ints <- Array.make cap 0;
     t.floats <- Array.make cap 0.;
-    t.kinds <- Bytes.make cap '\000';
+    t.kinds <- Bytes.make cap Machine.kind_int;
     t.live <- Array.make (cap / 2) 0;
     t.size <- 0;
     t.gen <- 1;
@@ -165,7 +163,7 @@ module Spec_table = struct
     Bytes.set fr.Machine.kinds r (Bytes.get t.kinds i)
 
   let box t i : Value.t =
-    if Bytes.get t.kinds i = '\000' then Value.Int t.ints.(i)
+    if Bytes.get t.kinds i = Machine.kind_int then Value.Int t.ints.(i)
     else Value.Float t.floats.(i)
 end
 
@@ -289,16 +287,11 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       Array.init ncpus (fun _ -> new_frame plan.Native.plan_func (-1) None)
     in
     let refill (fr : Machine.frame) rank =
-      let ints = fr.Machine.ints and floats = fr.Machine.floats in
-      let kinds = fr.Machine.kinds in
       for i = 0 to soff - 1 do
-        ints.(i) <- 0;
-        Bytes.set kinds i '\000'
+        Machine.set_int fr i 0
       done;
       for i = soff to nfile - 1 do
-        ints.(i) <- master.Machine.ints.(i);
-        floats.(i) <- master.Machine.floats.(i);
-        Bytes.set kinds i (Bytes.get master.Machine.kinds i)
+        Machine.copy ~from:master i ~into:fr i
       done;
       for j = 0 to Array.length inductors - 1 do
         let i, x0, step = inductors.(j) in
@@ -532,8 +525,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
          match ins with
          | Native.Const _ | Native.Mov _ | Native.Unop _ | Native.Binop _
          | Native.Ld_local _ | Native.St_local _ ->
-             Seq_interp.exec_local frame.Machine.ints frame.Machine.floats
-               frame.Machine.kinds frame.Machine.soff ins;
+             Seq_interp.exec_local frame ins;
              t.pc <- next
          | Native.Ld_heap (d, a) ->
              let addr = Machine.get_int frame a in

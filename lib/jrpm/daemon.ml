@@ -649,6 +649,12 @@ let compact_inbuf conn =
     conn.inpos <- 0
   end
 
+(* Largest inbound request payload. Requests are a few hundred bytes of
+   JSON; [Framing.max_frame] sizes the pool's result pipes, whose
+   capture records run to megabytes, and would let one client make the
+   server buffer a gigabyte before parsing. *)
+let max_request = 1 lsl 16
+
 (* One readable client fd: accumulate, then peel off complete frames. *)
 let feed_conn srv conn =
   let chunk = Bytes.create 65536 in
@@ -671,6 +677,7 @@ let feed_conn srv conn =
           (Buffer.sub conn.inbuf conn.inpos Framing.header_bytes)
       with
       | exception Framing.Bad_length _ -> close_conn srv conn
+      | len when len > max_request -> close_conn srv conn
       | len when have >= Framing.header_bytes + len ->
           let payload =
             Buffer.sub conn.inbuf (conn.inpos + Framing.header_bytes) len

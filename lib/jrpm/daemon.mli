@@ -53,6 +53,11 @@ module Mapping_cache : sig
       an eviction. *)
 end
 
+val max_request : int
+(** Largest request payload the server accepts, [2^16] bytes, far
+    below {!Framing.max_frame}: a longer length header closes the
+    connection without waiting for its payload. *)
+
 (** {2 Protocol model and codec} — exercised directly by the qcheck
     round-trip tests; the server and {!Client} speak through these. *)
 

@@ -2,12 +2,12 @@
     the paper's whole-suite tables (6, 7, Figures 6/10/11) and the
     sweep CLI need, with a JSON codec over {!Obs.Json}.
 
-    This is the report half of a parallel-sweep worker's outcome: a
-    worker does not hand its rich in-memory structures (STL tables,
-    tracers) back to the parent, only this summary (plus recorder state
-    and the capture), which the scheduler marshals across the process
-    boundary as part of the outcome. The JSON codec is for files and
-    the wire: [--summary-json], the regression baseline, trace
+    A parallel-sweep worker computes it beside the full
+    {!Pipeline.report} (TAC, STL table, tracer, annotated program),
+    and the scheduler marshals both back to the parent in one
+    {!Parallel_sweep.outcome}: the sweep CLI reads this summary, the
+    paper-table harness reads the report. The JSON codec is for files
+    and the wire: [--summary-json], the regression baseline, trace
     metadata and daemon replies. [of_json (to_json s) = s] exactly:
     every float is printed with
     {!Obs.Json}'s round-trippable representation, including non-finite

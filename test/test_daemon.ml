@@ -622,7 +622,9 @@ let test_pipelined_split_frames () =
 
 (* An out-of-range length header is the one framing error that closes
    a connection: the server drops that client (it reads EOF, no reply)
-   and keeps serving everyone else. *)
+   and keeps serving everyone else. A request header above
+   [D.max_request] is out of range even where [Framing] would accept
+   it. *)
 let test_oversized_header_closes_connection () =
   if not S.fork_available then ()
   else begin
@@ -636,26 +638,36 @@ let test_oversized_header_closes_connection () =
         try Sys.remove sock with Sys_error _ -> ())
       (fun () ->
         let good = connect_retry sock in
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
         Fun.protect
-          ~finally:(fun () ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            D.Client.close good)
+          ~finally:(fun () -> D.Client.close good)
           (fun () ->
-            Unix.connect fd (Unix.ADDR_UNIX sock);
-            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
-            F.write_all fd (header (F.max_frame + 1));
-            (match F.read fd with
-            | F.Eof -> ()
-            | r ->
-                Alcotest.failf "oversized client: expected EOF, got %s"
-                  (show_read r)
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-              ->
-                Alcotest.fail "connection not closed within 20s");
-            match (D.Client.rpc good D.Ping).D.rsp with
-            | Ok (Obs.Json.String "pong") -> ()
-            | _ -> Alcotest.fail "second client: ping not answered"))
+            List.iter
+              (fun len ->
+                let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                Fun.protect
+                  ~finally:(fun () ->
+                    try Unix.close fd with Unix.Unix_error _ -> ())
+                  (fun () ->
+                    Unix.connect fd (Unix.ADDR_UNIX sock);
+                    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+                    F.write_all fd (header len);
+                    match F.read fd with
+                    | F.Eof -> ()
+                    | r ->
+                        Alcotest.failf
+                          "%d-byte header: expected EOF, got %s" len
+                          (show_read r)
+                    | exception
+                        Unix.Unix_error
+                          ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                        Alcotest.failf
+                          "%d-byte header: connection not closed within 20s"
+                          len);
+                match (D.Client.rpc good D.Ping).D.rsp with
+                | Ok (Obs.Json.String "pong") -> ()
+                | _ -> Alcotest.fail "second client: ping not answered")
+              (* between the two caps, then past Framing's *)
+              [ D.max_request + 1; F.max_frame + 1 ]))
   end
 
 (* A client that shut down its receiving side makes the reply write

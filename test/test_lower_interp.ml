@@ -203,8 +203,8 @@ let test_fuel () =
 (* ---------------- ALU differential ---------------- *)
 
 (* The executors' one ALU dispatch, [Seq_interp.exec_local], works on
-   unboxed register files: the sequential loop inlines it and the TLS
-   thread step calls it. [Machine.eval_binop]/[eval_unop] are the
+   unboxed register files: the sequential loop and the TLS thread step
+   both run it. [Machine.eval_binop]/[eval_unop] are the
    [Value]-level reference that [Compiler.Opt] folds constants with. A
    one-op program [Const a; Const b; op; Print] must print what the
    reference computes, or raise the same trap, on [Seq_interp], on
