@@ -1,9 +1,10 @@
 (* Regenerates every table and figure of the paper's evaluation
-   (see DESIGN.md's experiment index), then runs one Bechamel
-   micro-benchmark per experiment kernel.
+   (see DESIGN.md's experiment index).
 
    Usage: dune exec bench/main.exe             (everything)
-          dune exec bench/main.exe -- quick    (skip bechamel timing)
+          dune exec bench/main.exe -- quick    (the same run; the name
+                                               CI's golden-file step and
+                                               older scripts pass)
           dune exec bench/main.exe -- profile  (add per-benchmark
                                                pipeline-phase times)
           dune exec bench/main.exe -- --jobs N (fan the benchmark sweep
@@ -11,14 +12,6 @@
                                                processes; default: core
                                                count; output is byte-
                                                identical for any N)
-          dune exec bench/main.exe -- tracer   (tracer hot-path micro-
-                                               benchmark: events/sec and
-                                               minor words/event per
-                                               synthetic stream; add
-                                               --smoke for the quick CI
-                                               variant that fails if an
-                                               allocation budget is
-                                               exceeded)
           dune exec bench/main.exe -- replay   (trace-store benchmark:
                                                capture real workloads, then
                                                time replaying the trace
@@ -36,11 +29,11 @@
                                                replay requests against the
                                                resident jrpm daemon's warm
                                                pool + mapping cache vs
-                                               forking a fresh replay
-                                               process per request; --smoke
-                                               is the CI variant gating the
-                                               warm-pool speedup on >= 4
-                                               cores) *)
+                                               forking a fresh one-shot
+                                               replay process per request;
+                                               --smoke is the CI variant
+                                               gating the warm-pool speedup
+                                               on >= 4 cores) *)
 
 let line = String.make 72 '='
 
@@ -591,158 +584,12 @@ let pipeline_phases () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Tracer micro-benchmark (`bench -- tracer [--smoke]`): drive the
-   per-event hot paths with synthetic streams and report events/sec and
-   minor-heap words allocated per event ([Gc.minor_words] delta). *)
-
-(* Checked-in allocation budgets (minor words per event, obs disabled).
-   The heap and local per-event paths are allocation-free in steady
-   state, so their budgets only leave room for the measurement itself.
-   deep-nest crosses sloop/eloop boundaries, which are allocation-free
-   in steady state too since banks are pooled and child-cycle keys are
-   packed ints mutated in place; what remains is first-touch table
-   growth (new STL stats, first child-cycle bindings), amortized to
-   ~0.2 words/event on this stream. The budget pins the boundary fix:
-   reintroducing a per-boundary tuple or record allocation costs ~3-4
-   words/event and fails CI's `tracer --smoke`. *)
-let tracer_budgets =
-  [ ("heap-heavy", 0.01); ("local-heavy", 0.01); ("deep-nest", 0.25) ]
-
-(* Each stream builds a tracer once and returns a runner so that
-   construction and cache warm-up stay outside the measured region.
-   Working sets deliberately exceed the FIFO / slot capacities so the
-   measurement includes steady-state eviction, not just fills. *)
-
-let heap_stream () =
-  let t = Test_core.Tracer.create () in
-  let s = Test_core.Tracer.sink t in
-  let now = ref 0 in
-  s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
-  fun n ->
-    for i = 1 to n do
-      (* 8192 words = 1024 lines: > the 192-line FIFO, constant churn *)
-      let addr = i * 7 mod 8192 in
-      incr now;
-      s.Hydra.Trace.on_heap_store ~addr ~now:!now;
-      incr now;
-      s.Hydra.Trace.on_heap_load ~addr ~pc:3 ~now:!now;
-      if i land 63 = 0 then begin
-        incr now;
-        s.Hydra.Trace.on_eoi ~stl:0 ~now:!now
-      end
-    done;
-    (2 * n) + (n / 64)
-
-let local_stream () =
-  let t = Test_core.Tracer.create () in
-  let s = Test_core.Tracer.sink t in
-  let now = ref 0 in
-  s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:8 ~frame:1 ~now:0;
-  fun n ->
-    for i = 1 to n do
-      (* 8 frames x 16 slots = 128 live keys > the 64 local slots *)
-      let frame = 1 + (i land 7) and slot = (i lsr 3) land 15 in
-      incr now;
-      s.Hydra.Trace.on_local_store ~frame ~slot ~now:!now;
-      incr now;
-      s.Hydra.Trace.on_local_load ~frame ~slot ~pc:5 ~now:!now;
-      if i land 63 = 0 then begin
-        incr now;
-        s.Hydra.Trace.on_eoi ~stl:0 ~now:!now
-      end
-    done;
-    (2 * n) + (n / 64)
-
-let nest_stream () =
-  let t = Test_core.Tracer.create () in
-  let s = Test_core.Tracer.sink t in
-  let now = ref 0 in
-  fun n ->
-    let events = ref 0 in
-    (* one repetition = a full depth-8 nest (all 8 banks live) around a
-       heap-event body; ~247 events per repetition *)
-    for _ = 1 to max 1 (n / 247) do
-      for d = 0 to 7 do
-        incr now;
-        s.Hydra.Trace.on_sloop ~stl:d ~nlocals:2 ~frame:(d + 1) ~now:!now;
-        incr events
-      done;
-      for i = 1 to 112 do
-        let addr = i * 3 mod 4096 in
-        incr now;
-        s.Hydra.Trace.on_heap_store ~addr ~now:!now;
-        incr now;
-        s.Hydra.Trace.on_heap_load ~addr ~pc:9 ~now:!now;
-        events := !events + 2;
-        if i land 15 = 0 then begin
-          incr now;
-          s.Hydra.Trace.on_eoi ~stl:7 ~now:!now;
-          incr events
-        end
-      done;
-      for d = 7 downto 0 do
-        incr now;
-        s.Hydra.Trace.on_eloop ~stl:d ~now:!now;
-        incr events
-      done
-    done;
-    !events
-
-let tracer_bench ~smoke () =
-  section
-    (if smoke then "Tracer micro-benchmark (smoke: allocation budgets)"
-     else "Tracer micro-benchmark (per-event hot path)");
-  let n = if smoke then 200_000 else 2_000_000 in
-  let streams =
-    [
-      ("heap-heavy", heap_stream);
-      ("local-heavy", local_stream);
-      ("deep-nest", nest_stream);
-    ]
-  in
-  let failed = ref false in
-  let rows =
-    List.map
-      (fun (name, setup) ->
-        let run = setup () in
-        ignore (run (n / 10) : int);
-        (* warm-up: fill caches, grow tables *)
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        let events = run n in
-        let t1 = Unix.gettimeofday () in
-        let w1 = Gc.minor_words () in
-        let words_per_event = (w1 -. w0) /. float_of_int events in
-        let budget = List.assoc name tracer_budgets in
-        let ok = words_per_event <= budget in
-        if not ok then failed := true;
-        [
-          name;
-          string_of_int events;
-          Printf.sprintf "%.1fM" (float_of_int events /. (t1 -. t0) /. 1e6);
-          Printf.sprintf "%.4f" words_per_event;
-          Printf.sprintf "%.2f" budget;
-          (if ok then "ok" else "OVER BUDGET");
-        ])
-      streams
-  in
-  Util.Text_table.print
-    ~aligns:Util.Text_table.[ Left; Right; Right; Right; Right; Left ]
-    ~header:
-      [ "stream"; "events"; "events/s"; "words/event"; "budget"; "status" ]
-    rows;
-  if !failed then begin
-    prerr_endline "tracer bench: allocation budget exceeded";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Trace-store benchmark (`bench -- replay [--smoke]`): capture real
    workloads into an in-memory container once, then time the two ways
    of producing a workload's Report_summary — the full interpretation
    pipeline ({!Jrpm.Pipeline.run}: frontend, plain + annotated + base
    runs, analysis, codegen, TLS simulation) vs replaying the recorded
-   stream into a fresh tracer + analyzer ({!Jrpm.Replay.replay_string}),
+   stream into a fresh tracer + analyzer ({!Jrpm.Replay.replay_entry}),
    which yields the byte-identical summary. Replay must win by a wide
    margin; the checked-in floor below is the CI gate, far under the
    typical measured ratio.
@@ -789,7 +636,11 @@ let replay_bench ~smoke () =
         let interp_s = time_min (fun () -> ignore (Jrpm.Pipeline.run ~name src)) in
         let outcomes = ref [] in
         let replay_s =
-          time_min (fun () -> outcomes := Jrpm.Replay.replay_string container)
+          time_min (fun () ->
+              let src = Trace_store.Bytesrc.of_string container in
+              outcomes :=
+                List.map (Jrpm.Replay.replay_entry ~src)
+                  (Trace_store.Index.of_src src))
         in
         let profile_s =
           time_min (fun () -> ignore (Jrpm.Pipeline.profile_only src))
@@ -1020,13 +871,13 @@ let serve_bench ~smoke () =
       let one_shot () =
         match Unix.fork () with
         | 0 ->
-            (match Jrpm.Replay.replay_file ~jobs path with
-            | outcomes ->
+            (match
+               Jrpm.Daemon.execute ~jobs
+                 (Jrpm.Daemon.Replay { path; record = None })
+             with
+            | result ->
                 Unix._exit
-                  (if
-                     List.for_all
-                       (fun (o : Jrpm.Replay.outcome) -> o.Jrpm.Replay.matches)
-                       outcomes
+                  (if Obs.Json.member "matches" result = Some (Obs.Json.Bool true)
                    then 0
                    else 1)
             | exception _ -> Unix._exit 1)
@@ -1120,105 +971,6 @@ let serve_bench ~smoke () =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment kernel. *)
-
-let bechamel_suite () =
-  section "Bechamel micro-benchmarks (one per experiment kernel)";
-  let open Bechamel in
-  let huffman_src =
-    (Workloads.Registry.find_exn "Huffman").Workloads.Workload.source 200
-  in
-  let small_prog, _ =
-    Compiler.Codegen.compile_source
-      ~mode:(Compiler.Codegen.Annotated { optimized = true })
-      huffman_src
-  in
-  let drive_tracer () =
-    let t = Test_core.Tracer.create () in
-    let s = Test_core.Tracer.sink t in
-    s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
-    for i = 1 to 1000 do
-      s.Hydra.Trace.on_heap_store ~addr:(i * 4) ~now:(i * 3);
-      s.Hydra.Trace.on_heap_load ~addr:((i - 1) * 4) ~pc:7 ~now:((i * 3) + 1);
-      if i mod 10 = 0 then s.Hydra.Trace.on_eoi ~stl:0 ~now:(i * 3)
-    done;
-    s.Hydra.Trace.on_eloop ~stl:0 ~now:3001
-  in
-  let mk_stats () =
-    let s = Test_core.Stats.create 0 in
-    s.Test_core.Stats.cycles <- 1_000_000;
-    s.Test_core.Stats.threads <- 1000;
-    s.Test_core.Stats.entries <- 10;
-    s.Test_core.Stats.crit_prev_count <- 500;
-    s.Test_core.Stats.crit_prev_len <- 200_000;
-    s
-  in
-  let stats = mk_stats () in
-  let tests =
-    Test.make_grouped ~name:"jrpm"
-      [
-        Test.make ~name:"table1+2 cost-model"
-          (Staged.stage (fun () ->
-               ignore
-                 (Sys.opaque_identity
-                    (Hydra.Config.default.load_buffer_lines
-                    + Hydra.Config.default.loop_startup))));
-        Test.make ~name:"fig3 tracer-dependency-events"
-          (Staged.stage drive_tracer);
-        Test.make ~name:"fig4 overflow-analysis-events"
-          (Staged.stage (fun () ->
-               let t = Test_core.Tracer.create () in
-               let s = Test_core.Tracer.sink t in
-               s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
-               for i = 1 to 1000 do
-                 s.Hydra.Trace.on_heap_load ~addr:(i * 32) ~pc:1 ~now:i
-               done;
-               s.Hydra.Trace.on_eloop ~stl:0 ~now:1001));
-        Test.make ~name:"table3 equation1-estimate"
-          (Staged.stage (fun () ->
-               ignore (Sys.opaque_identity (Test_core.Analyzer.estimate stats))));
-        Test.make ~name:"table5 transistor-model"
-          (Staged.stage (fun () ->
-               ignore (Sys.opaque_identity (Hydra.Hardware_cost.estimate ()))));
-        Test.make ~name:"table6 loop-analysis"
-          (Staged.stage (fun () ->
-               ignore (Compiler.Stl_table.build (Ir.Lower.compile huffman_src))));
-        Test.make ~name:"fig6 annotated-sequential-run"
-          (Staged.stage (fun () ->
-               ignore (Hydra.Seq_interp.run ~tracing:true small_prog)));
-        Test.make ~name:"fig10+11 selection"
-          (Staged.stage (fun () ->
-               ignore
-                 (Test_core.Analyzer.select
-                    ~stats:[ (0, stats) ]
-                    ~child_cycles:[ ((-1, 0), 1_000_000) ]
-                    ~program_cycles:1_200_000 ())));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> Printf.sprintf "%.1f" e
-          | _ -> "-"
-        in
-        [ name; ns ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  Util.Text_table.print
-    ~aligns:Util.Text_table.[ Left; Right ]
-    ~header:[ "kernel"; "ns/run" ] rows
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let has_arg a = Array.exists (String.equal a) Sys.argv in
@@ -1248,10 +1000,6 @@ let () =
               "bench: invalid --jobs %S (expected a positive integer)\n" s;
             exit 2)
   in
-  if has_arg "tracer" then begin
-    tracer_bench ~smoke:(has_arg "--smoke") ();
-    exit 0
-  end;
   if has_arg "replay" then begin
     replay_bench ~smoke:(has_arg "--smoke") ();
     exit 0
@@ -1264,7 +1012,6 @@ let () =
     serve_bench ~smoke:(has_arg "--smoke") ();
     exit 0
   end;
-  let quick = has_arg "quick" in
   observe_phases := has_arg "profile";
   sweep_jobs := jobs_arg ();
   table1 ();
@@ -1283,5 +1030,4 @@ let () =
   method_coverage ();
   ablation_sync ();
   if !observe_phases then pipeline_phases ();
-  if not quick then bechamel_suite ();
   Printf.printf "\nDone.\n"

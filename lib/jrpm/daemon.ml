@@ -3,20 +3,23 @@
    Unix-domain socket (or stdio). Protocol spec: ARCHITECTURE.md §9.
 
    A [request] is the one description of profile/replay/explore work.
-   [resolve] checks it (registry lookup, record filter, grid parse) for
-   both paths: [execute] runs the resolved work in this process — the
+   [plan] checks it (registry lookup, record filter, grid parse) and
+   turns it into one value for both paths: the labelled pool tasks
+   (Pipeline.run, Replay.replay_entry, Explore.eval_record) and the
+   [finish] that assembles their results into the result document.
+   [execute] maps the tasks over a per-call pool in this process — the
    one-shot [jrpm trace replay] / [jrpm explore] commands — and the
-   server fans the same units (Pipeline.run, Replay.replay_entry,
-   Explore.eval_record) over its warm pool. Both assemble the result
-   document with the same functions, so a one-shot run and a daemon
-   response are byte-identical by construction; only the transport
-   differs.
+   server submits them to its warm pool; both answer with the same
+   [finish], so a one-shot run and a daemon response are byte-identical
+   by construction; only the transport differs.
 
    Containers are mapped once per process and cached in an LRU
    ([Mapping_cache]): the parent maps to parse the index at request
    time, each worker maps on first touching a path (mappings made
    after the fork cannot be inherited) and then serves every later
-   request on that container from its cache. *)
+   request on that container from its cache. [execute] indexes through
+   that worker cache itself, so the per-call workers it forks afterwards
+   inherit the mapping. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -283,42 +286,25 @@ let run_task = function
       Unix.sleepf s;
       R_slept s
 
-(* ---------------- request resolution ---------------- *)
+(* The per-call schedule [execute] plans frames with: a replay record
+   costs its events, an explore record its events once per fused
+   tracer run. *)
+let task_weight = function
+  | T_profile _ | T_sleep _ -> 1.
+  | T_replay { entry; _ } -> float_of_int entry.Trace_store.Index.events
+  | T_explore_record { path; configs; entry } ->
+      Explore.record_weight
+        ~src:(Mapping_cache.get (Lazy.force worker_cache) path)
+        configs entry
 
-(* A profile/replay/explore request checked against the registry, the
-   container's index and the grid syntax: the work both the server and
-   [execute] run. *)
-type work =
-  | W_profile of string
-  | W_replay of { path : string; entries : Trace_store.Index.entry list }
-  | W_explore of {
-      path : string;
-      configs : Hydra.Config.t list;
-      entries : Trace_store.Index.entry list;
-    }
+(* ---------------- request plans ---------------- *)
 
-(* The grid is parsed before the container is touched, as in
-   [Explore.run]: a bad grid is reported whatever the path. *)
-let resolve ~index = function
-  | Profile w ->
-      if Workloads.Registry.find w = None then fail "unknown workload %S" w;
-      W_profile w
-  | Replay { path; record = None } -> W_replay { path; entries = index path }
-  | Replay { path; record = Some name } -> (
-      match
-        List.filter
-          (fun (e : Trace_store.Index.entry) -> e.Trace_store.Index.name = name)
-          (index path)
-      with
-      | [] -> fail "no record named %S in %s" name path
-      | entries -> W_replay { path; entries })
-  | Explore { path; grid } ->
-      let configs = Explore.configs_of_grid (Explore.parse_grid grid) in
-      W_explore { path; configs; entries = index path }
-  | Ping | Stats | Sleep _ | Shutdown ->
-      invalid_arg "Jrpm.Daemon: not a profile/replay/explore request"
-
-(* ---------------- result assembly ---------------- *)
+(* A request's fan-out: the labelled pool tasks, and the function that
+   assembles their results (in task order) into the result document. *)
+type plan = {
+  tasks : (string * task) list;
+  finish : task_result list -> Obs.Json.t;
+}
 
 let profile_result s = Obs.Json.Obj [ ("summary", Report_summary.to_json s) ]
 
@@ -355,20 +341,85 @@ let replay_result ~path (outcomes : Replay.outcome list) =
              outcomes) );
     ]
 
+let mismatch () = fail "internal: mismatched task result"
+
+let record_tasks entries task =
+  List.map
+    (fun (e : Trace_store.Index.entry) ->
+      ("record " ^ e.Trace_store.Index.name, task e))
+    entries
+
+(* Check a request against the registry, the container's index
+   ([index]) and the grid syntax, and plan its fan-out. The grid is
+   parsed before the container is touched, as in [Explore.run]: a bad
+   grid is reported whatever the path. *)
+let plan ~index = function
+  | Profile w ->
+      if Workloads.Registry.find w = None then fail "unknown workload %S" w;
+      {
+        tasks = [ ("workload " ^ w, T_profile w) ];
+        finish = (function [ R_summary s ] -> profile_result s | _ -> mismatch ());
+      }
+  | Replay { path; record } ->
+      let entries =
+        match record with
+        | None -> index path
+        | Some name -> (
+            match
+              List.filter
+                (fun (e : Trace_store.Index.entry) ->
+                  e.Trace_store.Index.name = name)
+                (index path)
+            with
+            | [] -> fail "no record named %S in %s" name path
+            | entries -> entries)
+      in
+      {
+        tasks = record_tasks entries (fun entry -> T_replay { path; entry });
+        finish =
+          (fun results ->
+            replay_result ~path
+              (List.map
+                 (function R_outcome o -> o | _ -> mismatch ())
+                 results));
+      }
+  | Explore { path; grid } ->
+      let configs = Explore.configs_of_grid (Explore.parse_grid grid) in
+      {
+        tasks =
+          record_tasks (index path) (fun entry ->
+              T_explore_record { path; configs; entry });
+        finish =
+          (fun results ->
+            Explore.to_json
+              (Explore.assemble_records ~archive:path ~configs
+                 (List.map
+                    (function R_cells c -> c | _ -> mismatch ())
+                    results)));
+      }
+  | Sleep s ->
+      {
+        tasks = [ (Printf.sprintf "sleep %.3fs" s, T_sleep s) ];
+        finish =
+          (function
+          | [ R_slept s ] -> Obs.Json.Obj [ ("slept", Obs.Json.Float s) ]
+          | _ -> mismatch ());
+      }
+  | Ping | Stats | Shutdown ->
+      invalid_arg "Jrpm.Daemon: not a profile/replay/explore/sleep request"
+
 (* ---------------- in-process execution ---------------- *)
 
+(* The index comes from the worker cache, so the container is mapped
+   before [map_adaptive] forks and the per-call workers inherit it. *)
 let execute ~jobs req =
-  let cache = Mapping_cache.create () in
-  match resolve ~index:(Mapping_cache.get_entries cache) req with
-  | W_profile w -> profile_result (profile w)
-  | W_replay { path; entries } ->
-      replay_result ~path
-        (Replay.replay_entries ~jobs ~src:(Mapping_cache.get cache path)
-           entries)
-  | W_explore { path; configs; entries } ->
-      Explore.to_json
-        (Explore.run_entries ~jobs ~archive:path
-           ~src:(Mapping_cache.get cache path) configs entries)
+  let p = plan ~index:(Mapping_cache.get_entries (Lazy.force worker_cache)) req in
+  p.finish
+    (Scheduler.map_adaptive ~jobs
+       ~label:(fun _ (label, _) -> label)
+       ~weights:(fun _ (_, task) -> task_weight task)
+       (fun _ (_, task) -> run_task task)
+       p.tasks)
 
 (* ---------------- server ---------------- *)
 
@@ -383,15 +434,10 @@ type conn = {
   mutable conn_closed : bool;
 }
 
-type pending_kind =
-  | K_one  (* single-task ops: profile / sleep *)
-  | K_replay of { rpath : string }
-  | K_explore of { archive : string; configs : Hydra.Config.t list }
-
 type pending = {
   preq_id : Obs.Json.t;
   pconn : conn;
-  pkind : pending_kind;
+  pfinish : task_result list -> Obs.Json.t;
   pslots : task_result option array;
   mutable premaining : int;
   mutable presponded : bool;
@@ -447,80 +493,41 @@ let close_conn srv conn =
   release conn;
   srv.conns <- List.filter (fun c -> c != conn) srv.conns
 
+let send_response srv conn ~id ~t0 ~queue_depth ~tasks rsp =
+  let elapsed_s = Unix.gettimeofday () -. t0 in
+  Obs.Metrics.observe srv.metrics "daemon.request_seconds" elapsed_s;
+  if Result.is_error rsp then
+    Obs.Metrics.incr srv.metrics "daemon.requests_failed";
+  enqueue_frame conn
+    (response_to_json { rsp_id = id; rsp; elapsed_s; queue_depth; tasks });
+  flush_conn conn
+
+let respond_now srv conn ~id ~queue_depth rsp =
+  send_response srv conn ~id ~t0:(Unix.gettimeofday ()) ~queue_depth ~tasks:0
+    rsp
+
 let respond srv (p : pending) rsp =
   if not p.presponded then begin
     p.presponded <- true;
-    let elapsed_s = Unix.gettimeofday () -. p.pt0 in
-    Obs.Metrics.observe srv.metrics "daemon.request_seconds" elapsed_s;
-    if Result.is_error rsp then
-      Obs.Metrics.incr srv.metrics "daemon.requests_failed";
-    enqueue_frame p.pconn
-      (response_to_json
-         {
-           rsp_id = p.preq_id;
-           rsp;
-           elapsed_s;
-           queue_depth = p.pqueue_depth;
-           tasks = Array.length p.pslots;
-         });
-    flush_conn p.pconn
+    send_response srv p.pconn ~id:p.preq_id ~t0:p.pt0
+      ~queue_depth:p.pqueue_depth ~tasks:(Array.length p.pslots) rsp
   end
 
-let respond_now srv conn ~id ~queue_depth rsp =
-  let p =
-    {
-      preq_id = id;
-      pconn = conn;
-      pkind = K_one;
-      pslots = [||];
-      premaining = 0;
-      presponded = false;
-      pt0 = Unix.gettimeofday ();
-      pqueue_depth = queue_depth;
-    }
-  in
-  respond srv p rsp
-
-(* The whole fan-out is in: assemble the op-specific response with the
-   same functions [execute] uses. *)
+(* The whole fan-out is in: assemble the response with the plan's
+   [finish], as [execute] does. *)
 let finish_request srv (p : pending) =
-  (* every slot through [f]; [None] when one holds the wrong kind *)
-  let collect f =
-    Array.fold_right
-      (fun r acc ->
-        match (Option.bind r f, acc) with
-        | Some x, Some l -> Some (x :: l)
-        | _ -> None)
-      p.pslots (Some [])
-  in
-  let result =
-    match p.pkind with
-    | K_one -> (
-        match p.pslots with
-        | [| Some (R_summary s) |] -> Some (profile_result s)
-        | [| Some (R_slept s) |] ->
-            Some (Obs.Json.Obj [ ("slept", Obs.Json.Float s) ])
-        | _ -> None)
-    | K_replay { rpath } ->
-        Option.map (replay_result ~path:rpath)
-          (collect (function R_outcome o -> Some o | _ -> None))
-    | K_explore { archive; configs } ->
-        Option.map
-          (fun per_record ->
-            Explore.to_json
-              (Explore.assemble_records ~archive ~configs per_record))
-          (collect (function R_cells c -> Some c | _ -> None))
-  in
   respond srv p
-    (Option.to_result ~none:"internal: mismatched task result" result)
+    (match p.pfinish (Array.to_list (Array.map Option.get p.pslots)) with
+    | json -> Ok json
+    | exception (Failure msg | Invalid_argument msg) -> Error msg)
 
-let submit_fanout srv conn ~id ~kind tasks =
-  let n = List.length tasks in
+let submit_fanout srv conn ~id (plan : plan) =
+  let n = List.length plan.tasks in
   let p =
     {
       preq_id = id;
       pconn = conn;
-      pkind = kind;
+      pfinish = plan.finish;
       pslots = Array.make n None;
       premaining = n;
       presponded = false;
@@ -535,7 +542,7 @@ let submit_fanout srv conn ~id ~kind tasks =
     (fun slot (label, task) ->
       let ticket = Scheduler.Pool.submit ~label srv.pool task in
       Hashtbl.replace srv.tickets ticket (p, slot))
-    tasks;
+    plan.tasks;
   (* a replay or explore over a container with no records fans into
      nothing *)
   if n = 0 then finish_request srv p
@@ -585,39 +592,18 @@ let handle_request srv conn json =
       respond_now srv conn ~id ~queue_depth (Error ("bad request: " ^ msg))
   | Ok { id; req } -> (
       let error msg = respond_now srv conn ~id ~queue_depth (Error msg) in
-      let record_label (e : Trace_store.Index.entry) =
-        "record " ^ e.Trace_store.Index.name
-      in
       match req with
       | Ping -> respond_now srv conn ~id ~queue_depth (Ok (Obs.Json.String "pong"))
       | Stats -> respond_now srv conn ~id ~queue_depth (Ok (stats_result srv))
       | Shutdown ->
           srv.stopping <- true;
           respond_now srv conn ~id ~queue_depth (Ok (Obs.Json.String "bye"))
-      | Sleep s ->
-          submit_fanout srv conn ~id ~kind:K_one
-            [ (Printf.sprintf "sleep %.3fs" s, T_sleep s) ]
-      | (Profile _ | Replay _ | Explore _) as req -> (
-          match resolve ~index:(Mapping_cache.get_entries srv.cache) req with
+      | (Profile _ | Replay _ | Explore _ | Sleep _) as req -> (
+          match plan ~index:(Mapping_cache.get_entries srv.cache) req with
           | exception Trace_store.Reader.Corrupt msg ->
               error ("corrupt container: " ^ msg)
           | exception (Failure msg | Invalid_argument msg) -> error msg
-          | W_profile w ->
-              submit_fanout srv conn ~id ~kind:K_one
-                [ ("workload " ^ w, T_profile w) ]
-          | W_replay { path; entries } ->
-              submit_fanout srv conn ~id ~kind:(K_replay { rpath = path })
-                (List.map
-                   (fun entry -> (record_label entry, T_replay { path; entry }))
-                   entries)
-          | W_explore { path; configs; entries } ->
-              submit_fanout srv conn ~id
-                ~kind:(K_explore { archive = path; configs })
-                (List.map
-                   (fun entry ->
-                     ( record_label entry,
-                       T_explore_record { path; configs; entry } ))
-                   entries)))
+          | plan -> submit_fanout srv conn ~id plan))
 
 (* A completed pool ticket: slot the result; when the whole fan-out is
    in, assemble the response. A worker death (or task error) fails

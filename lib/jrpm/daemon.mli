@@ -8,15 +8,17 @@
     semantics — is specified in ARCHITECTURE.md §9.
 
     {b One request path.} A {!request} is the one description of
-    profile/replay/explore work. {!execute} runs it in this process —
-    what the one-shot [jrpm trace replay] and [jrpm explore] commands
-    do — and the server fans the same units over its pool; both check
-    the request with one resolver (registry lookup, record filter,
-    grid parse) and assemble the result document with the same
-    functions. [jrpm] renders each result kind with one renderer
-    whichever way the document arrived, so one-shot and [jrpm client]
-    output are byte-identical by construction; CI's [cmp] gates now
-    test the transport.
+    profile/replay/explore work, and one plan is its fan-out: the
+    request is checked once (registry lookup, record filter, grid
+    parse) and turned into labelled pool tasks plus the function that
+    assembles their results into the result document. {!execute} maps
+    those tasks over a per-call pool in this process — what the
+    one-shot [jrpm trace replay] and [jrpm explore] commands do — and
+    the server submits the same tasks to its resident pool; both answer
+    with the same assembly. [jrpm] renders each result kind with one
+    renderer whichever way the document arrived, so one-shot and
+    [jrpm client] output are byte-identical by construction; CI's [cmp]
+    gates now test the transport.
 
     {b Failure isolation.} A worker SIGKILLed mid-request errors only
     the request whose task it was running; the pool forks a
@@ -93,15 +95,19 @@ val response_of_json : Obs.Json.t -> response
 (** {2 In-process execution} *)
 
 val execute : jobs:int -> request -> Obs.Json.t
-(** Run a [Profile], [Replay] or [Explore] request in this process and
-    return the [result] document the server sends for it: [profile] →
-    [{"summary": …}], [replay] → path, [matches], per-record rows and
-    summaries, [explore] → {!Explore.to_json}. [jobs] is the worker
-    count replay and explore fan out over.
+(** Run a [Profile], [Replay], [Explore] or [Sleep] request in this
+    process and return the [result] document the server sends for it:
+    [profile] → [{"summary": …}], [replay] → path, [matches],
+    per-record rows and summaries, [explore] → {!Explore.to_json},
+    [sleep] → [{"slept": s}]. The request's tasks — one per record for
+    replay and explore — run under {!Scheduler.map_adaptive} over
+    [jobs] workers, weighted by record events (times the
+    {!Explore.record_weight} fusion groups for explore); the container
+    is mapped before the workers fork, and they inherit it.
     @raise Failure on an unknown workload, a missing record, a
     malformed grid spec, or a failed task;
     @raise Invalid_argument on an out-of-range grid point, and for
-    [Ping] / [Stats] / [Sleep] / [Shutdown];
+    [Ping] / [Stats] / [Shutdown];
     @raise Trace_store.Reader.Corrupt on an unreadable container. The
     server answers the same inputs with the exception's message
     ([corrupt container: ] prefixed for [Corrupt]). *)

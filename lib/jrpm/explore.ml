@@ -185,8 +185,8 @@ let cell_tasks configs entries =
 (* Regroup a flat config-major cell list (the [cell_tasks] order) into
    per-point results: each config point owns the next [records] cells,
    in archive record order — exactly what eval-point-at-a-time built.
-   Shared by [run] and the serve daemon, which evaluates the same
-   tasks through its persistent pool and reassembles here. *)
+   Reached through [assemble_records] by [run] and the daemon's explore
+   plan, which evaluate the same record tasks. *)
 let assemble ~archive ~configs ~records cells =
   let rec take n l =
     if n = 0 then ([], l)
@@ -226,33 +226,31 @@ let assemble_records ~archive ~configs per_record =
        (List.init width (fun i ->
             Array.to_list (Array.map (fun r -> r.(i)) rows))))
 
-let run_entries ?jobs ~archive ~src configs entries =
-  let jobs =
-    match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
-  in
-  (* one task per record: a decode costs its event count once per
-     fused tracer it feeds, so those weights put a dominant record first
-     and coalesce tiny ones *)
-  let per_record =
-    Scheduler.map_adaptive ~jobs
-      ~label:(fun _ (e : Trace_store.Index.entry) ->
-        "record " ^ e.Trace_store.Index.name)
-      ~weights:(fun _ (e : Trace_store.Index.entry) ->
-        float_of_int
-          (e.Trace_store.Index.events
-          * List.length (Replay.entry_fusion_groups ~src e configs)))
-      (fun _ entry -> eval_record ~src configs entry)
-      entries
-  in
-  assemble_records ~archive ~configs per_record
+(* A decode costs its event count once per fused tracer it feeds, so
+   these weights put a dominant record first and coalesce tiny ones. *)
+let record_weight ~src configs (e : Trace_store.Index.entry) =
+  float_of_int
+    (e.Trace_store.Index.events
+    * List.length (Replay.entry_fusion_groups ~src e configs))
 
 let run ?jobs ~grid ~path () =
   let configs = configs_of_grid (parse_grid grid) in
+  let jobs =
+    match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
+  in
   (* map the archive once; workers inherit the read-only pages across
      fork, so a record's handoff is just the index entry's (offset,
      length) — no per-task container open or header read *)
   let src = Trace_store.Bytesrc.map_file path in
-  run_entries ?jobs ~archive:path ~src configs (Trace_store.Index.of_src src)
+  let per_record =
+    Scheduler.map_adaptive ~jobs
+      ~label:(fun _ (e : Trace_store.Index.entry) ->
+        "record " ^ e.Trace_store.Index.name)
+      ~weights:(fun _ e -> record_weight ~src configs e)
+      (fun _ entry -> eval_record ~src configs entry)
+      (Trace_store.Index.of_src src)
+  in
+  assemble_records ~archive:path ~configs per_record
 
 let default_point t =
   match t.points with

@@ -32,18 +32,19 @@
     The archive is mapped once ({!Trace_store.Bytesrc.map_file}) and
     indexed from the mapped tail; {!run} fans out one {!Scheduler} task
     per record over the mapping the forked workers inherit, weighted by
-    events × fusion groups so a dominant record dispatches first; the
-    per-record results are transposed into grid-order points
-    afterward. The serve daemon submits the same record task to its
-    persistent pool, and [jrpm explore] runs as a {!Daemon.execute}
-    request through {!run_entries}. Either way the result is the
-    {!to_json} document; both [jrpm explore] and [jrpm client explore]
-    print {!render} of its {!of_json}.
+    events × fusion groups ({!record_weight}) so a dominant record
+    dispatches first; the per-record results are transposed into
+    grid-order points afterward ({!assemble_records}). [jrpm explore]
+    and [jrpm client explore] are one {!Daemon} explore request, whose
+    plan holds the same record tasks: {!Daemon.execute} maps them over
+    a per-call pool with the same weights, the server submits them to
+    its persistent pool. Either way the result is the {!to_json}
+    document, and both commands print {!render} of its {!of_json}.
 
     Simulation-derived summary fields ([tls_cycles], [actual_speedup],
     violation/stall counts) pass through from the capture machine —
     only the analysis verdicts and predictions respond to the config
-    (see {!Replay.replay_current}). *)
+    (see {!Replay.replay_entry}). *)
 
 type axis = { field : string; values : int list }
 
@@ -103,7 +104,7 @@ val eval_record :
 (** Replay one record of a pre-mapped container at every given config
     point ({!Replay.replay_entry_points}), returning one cell per point
     in the given order — the grid's unit of work, shared by {!run} and
-    the serve daemon's pool.
+    the {!Daemon} explore plan.
     @raise Trace_store.Reader.Corrupt / [Failure] as
     {!Replay.replay_entry_points}. *)
 
@@ -113,7 +114,7 @@ val eval_cell :
 (** One record at one config point: the one-point case of
     {!eval_record} ({!Replay.replay_entry} with [?hw]).
     @raise Trace_store.Reader.Corrupt / [Failure] as
-    {!Replay.replay_current}. *)
+    {!Replay.replay_entry}. *)
 
 val cell_tasks :
   Hydra.Config.t list -> Trace_store.Index.entry list ->
@@ -138,23 +139,24 @@ val assemble_records :
     order.
     @raise Failure when a record's list is not one cell per config. *)
 
+val record_weight :
+  src:Trace_store.Bytesrc.t -> Hydra.Config.t list ->
+  Trace_store.Index.entry -> float
+(** The schedule weight of one {!eval_record} task: the record's events
+    times its {!Replay.entry_fusion_groups} count over the points, read
+    from the metadata without decoding — the work of the task's decodes
+    before any release split. {!run} and {!Daemon.execute} weight
+    record tasks with it. *)
+
 val run : ?jobs:int -> grid:string list -> path:string -> unit -> t
 (** Parse [grid], evaluate {!configs_of_grid} over the container at
     [path] — one {!eval_record} scheduler task per record across [jobs]
-    workers (default {!Parallel_sweep.default_jobs}) — and report
+    workers (default {!Parallel_sweep.default_jobs}), weighted by
+    {!record_weight} — and report
     verdict flips. Output is byte-identical for any [jobs], and to
     {!assemble} over [List.map eval_cell (cell_tasks …)].
     @raise Failure on grid errors or worker failures;
     @raise Trace_store.Reader.Corrupt / [Sys_error] on a bad archive. *)
-
-val run_entries :
-  ?jobs:int -> archive:string -> src:Trace_store.Bytesrc.t ->
-  Hydra.Config.t list -> Trace_store.Index.entry list -> t
-(** {!run}'s body for callers that already hold the parsed grid and the
-    mapped container: one {!eval_record} task per entry, weighted by
-    events × fusion groups, [archive] naming the container in the
-    result.
-    {!Daemon.execute} runs explore requests through this. *)
 
 val default_point : t -> point_result
 val default_summaries : t -> Report_summary.t list

@@ -87,8 +87,9 @@ val run :
     [capture] tees the {e optimized} profiling run's raw annotation
     event stream — the stream the tracer itself consumes — into a
     {!Trace_store.Writer} sink. The caller owns the writer and calls
-    {!Trace_store.Writer.finish} afterwards ({!Replay.meta_of_report}
-    builds the record metadata that makes the trace self-describing).
+    {!Trace_store.Writer.finish} afterwards ({!Replay.capture_run}
+    does both, with the record metadata that makes the trace
+    self-describing).
     The base profiling run and the TLS run are never captured.
     @raise the usual front-end exceptions on bad source. *)
 

@@ -271,7 +271,13 @@ let replay_meta m ~hws reader (record : Trace_store.Reader.record) =
     splits = tracer_runs - List.length groups;
   }
 
-let replay_current ?hw reader record =
+let seek_entry ~src (entry : Trace_store.Index.entry) =
+  let reader = Trace_store.Reader.of_src src in
+  (reader,
+   Trace_store.Reader.seek_record reader ~offset:entry.Trace_store.Index.offset)
+
+let replay_entry ?hw ~src entry =
+  let reader, record = seek_entry ~src entry in
   let m = meta_of_record record in
   match
     (replay_meta m ~hws:[ Option.value hw ~default:m.recorded_hw ] reader record)
@@ -280,23 +286,6 @@ let replay_current ?hw reader record =
   | [ o ] -> o
   | _ -> assert false
 
-let replay_all ?hw reader =
-  let rec go acc =
-    match Trace_store.Reader.next_record reader with
-    | None -> List.rev acc
-    | Some record -> go (replay_current ?hw reader record :: acc)
-  in
-  go []
-
-let seek_entry ~src (entry : Trace_store.Index.entry) =
-  let reader = Trace_store.Reader.of_src src in
-  (reader,
-   Trace_store.Reader.seek_record reader ~offset:entry.Trace_store.Index.offset)
-
-let replay_entry ?hw ~src entry =
-  let reader, record = seek_entry ~src entry in
-  replay_current ?hw reader record
-
 let replay_entry_points ~hws ~src entry =
   let reader, record = seek_entry ~src entry in
   replay_meta (meta_of_record record) ~hws reader record
@@ -304,32 +293,3 @@ let replay_entry_points ~hws ~src entry =
 let entry_fusion_groups ~src entry hws =
   let m = meta_of_record (snd (seek_entry ~src entry)) in
   fusion_groups ~recorded_hw:m.recorded_hw ~recorded:m.recorded_config hws
-
-let record_label _ (e : Trace_store.Index.entry) =
-  "record " ^ e.Trace_store.Index.name
-
-(* The pre-mapped entry point: callers that already hold a mapping
-   (the daemon's LRU of open containers) fan the given entries over
-   the pool without re-mapping or re-indexing. Records are
-   self-contained, so each worker seeks straight to its record and
-   replays it in isolation; results return in entry order, keeping the
-   summary output byte-identical to a sequential pass at any [jobs]. *)
-let replay_entries ?hw ?(jobs = 1) ~src entries =
-  if jobs <= 1 || not Scheduler.fork_available then
-    List.map (replay_entry ?hw ~src) entries
-  else
-    Scheduler.map_adaptive ~jobs ~label:record_label
-      ~weights:(fun _ (e : Trace_store.Index.entry) ->
-        float_of_int e.Trace_store.Index.events)
-      (fun _ entry -> replay_entry ?hw ~src entry)
-      entries
-
-(* Zero-copy handoff: the parent maps the container once and parses
-   the index from the mapped tail; forked workers inherit the read-only
-   pages, so a task is just (offset, length) into the shared source —
-   no per-task open, header read, or chunk copy. *)
-let replay_file ?hw ?(jobs = 1) path =
-  let src = Trace_store.Bytesrc.map_file path in
-  replay_entries ?hw ~jobs ~src (Trace_store.Index.of_src src)
-
-let replay_string ?hw s = replay_all ?hw (Trace_store.Reader.of_string s)

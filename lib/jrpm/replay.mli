@@ -14,11 +14,15 @@
     interpreter: that equality is the replay-determinism gate CI
     enforces.
 
-    There is one read path: a container file is mapped once
-    ({!Trace_store.Bytesrc.map_file}), indexed from the mapping
+    There is one read path: a container is mapped once
+    ({!Trace_store.Bytesrc.map_file}, or {!Trace_store.Bytesrc.of_string}
+    for bytes in memory), indexed from the mapping
     ({!Trace_store.Index.of_src}), and each record replays in place
-    from its offset ({!replay_entry}) — sequentially, or fanned out
-    over forked workers that inherit the mapping.
+    from its offset ({!replay_entry}, {!replay_entry_points}). Fanning
+    records out over forked workers that inherit the mapping is the
+    caller's plan: {!Daemon.execute} and the server for
+    [jrpm trace replay] / [explore] requests, {!Explore.run} for a
+    whole grid.
 
     Metadata schema (JSON object, all fields required unless noted):
     - ["summary"]: {!Report_summary.to_json} of the interpreted run;
@@ -48,17 +52,6 @@ type outcome = {
   reference_bytes : int;          (** uncompressed size [1 + 8·fields] per event *)
 }
 
-val meta_of_report :
-  ?tracer_config:Test_core.Tracer.config ->
-  ?cpus:int ->
-  writer:Trace_store.Writer.t ->
-  Pipeline.report ->
-  Obs.Json.t
-(** Build the record metadata for a capture: pass the same
-    [tracer_config]/[cpus] the {!Pipeline.run} call used (defaults
-    meaning the defaults), and the writer that captured it, {e before}
-    calling {!Trace_store.Writer.finish}. *)
-
 val capture_run :
   ?hw:Hydra.Config.t ->
   ?tracer_config:Test_core.Tracer.config ->
@@ -71,7 +64,8 @@ val capture_run :
   Pipeline.report * string
 (** Run the full pipeline on one workload source with capture on and
     return the report plus the finished record bytes (ready for
-    {!Trace_store.Writer.container}). *)
+    {!Trace_store.Writer.container}). The record's metadata carries
+    the same [tracer_config] / [cpus] the {!Pipeline.run} call used. *)
 
 val fusion_groups :
   recorded_hw:Hydra.Config.t ->
@@ -94,15 +88,22 @@ val fusion_groups :
     [load_buffer_lines] axis also sizes the load-dedup table, so it
     does not. *)
 
-val replay_current :
+val replay_entry :
   ?hw:Hydra.Config.t ->
-  Trace_store.Reader.t ->
-  Trace_store.Reader.record ->
+  src:Trace_store.Bytesrc.t ->
+  Trace_store.Index.entry ->
   outcome
-(** Replay the reader's current record (the one the given
-    {!Trace_store.Reader.next_record} result described) through a fresh
-    tracer + analyzer and compare against the recorded summary: the
-    one-point case of {!replay_entry_points}, on the same code path.
+(** Replay exactly one record of an already-materialized byte source
+    through a fresh tracer + analyzer and compare against the recorded
+    summary: build a cheap cursor ({!Trace_store.Reader.of_src}),
+    {!Trace_store.Reader.seek_record} to the entry's offset, replay in
+    place — the one-point case of {!replay_entry_points}, on the same
+    code path. Records are self-contained, so the outcome does not
+    depend on which other records are replayed, or in which process.
+    With [src] a {!Trace_store.Bytesrc.map_file} mapping established
+    before the scheduler forks, this is the zero-copy worker task — the
+    record handoff is the (offset, length) pair in [entry]; the worker
+    opens nothing and copies no chunk.
 
     [hw] (default: the record's own ["hw_config"], itself defaulting to
     {!Hydra.Config.default} for records written before the field
@@ -118,22 +119,6 @@ val replay_current :
     only meaningful without an override.
     @raise Trace_store.Reader.Corrupt on a malformed stream;
     @raise Failure on malformed metadata. *)
-
-val replay_entry :
-  ?hw:Hydra.Config.t ->
-  src:Trace_store.Bytesrc.t ->
-  Trace_store.Index.entry ->
-  outcome
-(** Replay exactly one record of an already-materialized byte source:
-    build a cheap cursor ({!Trace_store.Reader.of_src}),
-    {!Trace_store.Reader.seek_record} to the entry's offset, replay in
-    place. Records are self-contained, so the outcome is identical to
-    the same record's outcome in a sequential {!replay_file} pass. With
-    [src] a {!Trace_store.Bytesrc.map_file} mapping established before
-    the scheduler forks, this is the zero-copy worker task — the record
-    handoff is the (offset, length) pair in [entry]; the worker opens
-    nothing and copies no chunk.
-    @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current}. *)
 
 type points = {
   outcomes : outcome list;  (** one per point, in [hws] order *)
@@ -163,7 +148,7 @@ val replay_entry_points :
     describe one decode.
     @raise Invalid_argument when [hws] is empty;
     @raise Trace_store.Reader.Corrupt / [Failure] as
-    {!replay_current}. *)
+    {!replay_entry}. *)
 
 val entry_fusion_groups :
   src:Trace_store.Bytesrc.t ->
@@ -175,39 +160,3 @@ val entry_fusion_groups :
     these points starts with.
     @raise Trace_store.Reader.Corrupt / [Failure] on a malformed
     record header or metadata. *)
-
-val replay_entries :
-  ?hw:Hydra.Config.t ->
-  ?jobs:int ->
-  src:Trace_store.Bytesrc.t ->
-  Trace_store.Index.entry list ->
-  outcome list
-(** Replay the given records of an already-mapped container, returning
-    outcomes in entry order. This is {!replay_file}'s body split out
-    for callers that hold the mapping themselves: {!Daemon.execute}
-    runs [jrpm trace replay] through it over the record-filtered index.
-    [jobs > 1] fans out over the {!Scheduler}
-    with event-count weights; output is byte-identical at any [jobs].
-    @raise Trace_store.Reader.Corrupt / [Failure] as
-    {!replay_current}. *)
-
-val replay_file : ?hw:Hydra.Config.t -> ?jobs:int -> string -> outcome list
-(** Map a container ({!Trace_store.Bytesrc.map_file}), index it, and
-    replay every record, returning outcomes in container order; [hw]
-    overrides the hardware point as in {!replay_current}. [jobs > 1]
-    shards records across that many forked decoder workers via the
-    {!Scheduler}: the workers inherit the parent's read-only mapping
-    and run {!replay_entry} tasks planned by {!Scheduler.plan_frames}
-    with the index's per-record event counts as weights (giant records
-    dispatch first and alone, tiny records coalesce into shared
-    frames). The outcome list — and thus all summary output — is
-    byte-identical to [jobs = 1].
-    @raise Trace_store.Reader.Corrupt / [Failure] as {!replay_current},
-    and naming the path when it cannot be read. *)
-
-val replay_string : ?hw:Hydra.Config.t -> string -> outcome list
-(** {!replay_file} over in-memory container bytes. *)
-
-val replay_all : ?hw:Hydra.Config.t -> Trace_store.Reader.t -> outcome list
-(** Replay every remaining record of an open reader, as
-    {!replay_file}. *)

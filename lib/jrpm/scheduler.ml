@@ -56,17 +56,19 @@ let core_count () = try Domain.recommended_domain_count () with _ -> 1
    lighter, so it cannot land last and serialize the tail. Lighter
    items accumulate into one frame until it reaches the target, turning
    a long run of tiny records into a single handout. *)
-let plan_frames ~jobs ?(frames_per_worker = 4) weights =
+let frames_per_worker = 4
+
+let plan_frames ~jobs weights =
   let n = Array.length weights in
   if n = 0 then []
   else begin
-    let jobs = max 1 jobs and fpw = max 1 frames_per_worker in
+    let jobs = max 1 jobs in
     let w i = Float.max 0. weights.(i) in
     let total = ref 0. in
     for i = 0 to n - 1 do
       total := !total +. w i
     done;
-    let target = !total /. float_of_int (jobs * fpw) in
+    let target = !total /. float_of_int (jobs * frames_per_worker) in
     let order =
       List.stable_sort
         (fun i j -> if w i <> w j then compare (w j) (w i) else compare i j)
@@ -541,15 +543,10 @@ let map_stats ?(jobs = 1) ?(label = default_label) f items =
 
 let map ?jobs ?label f items = fst (map_stats ?jobs ?label f items)
 
-let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ?frames_per_worker
-    ~weights f items =
+let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ~weights f items =
   let warr = Array.of_list (List.mapi weights items) in
-  let frames =
-    plan_frames
-      ~jobs:(max 1 (min jobs (Array.length warr)))
-      ?frames_per_worker warr
-  in
+  let frames = plan_frames ~jobs:(max 1 (min jobs (Array.length warr))) warr in
   run_frames ~frames ~jobs ~label f items
 
-let map_adaptive ?jobs ?label ?frames_per_worker ~weights f items =
-  fst (map_adaptive_stats ?jobs ?label ?frames_per_worker ~weights f items)
+let map_adaptive ?jobs ?label ~weights f items =
+  fst (map_adaptive_stats ?jobs ?label ~weights f items)

@@ -58,13 +58,12 @@ val fork_available : bool
     asserting parallel speedups. *)
 val core_count : unit -> int
 
-(** [plan_frames ~jobs ?frames_per_worker weights] is the adaptive
-    granularity plan [map_adaptive_stats] executes: a partition of
+(** [plan_frames ~jobs weights] is the adaptive granularity plan
+    [map_adaptive_stats] executes: a partition of
     [0 .. Array.length weights - 1] into dispatch-ordered frames.
     Negative weights are clamped to [0]. With [total] the weight sum,
-    the coalesce target is [total / (jobs * frames_per_worker)]
-    ([frames_per_worker] defaults to [4] — enough frames per worker for
-    the dynamic queue to rebalance a bad estimate). Items are planned
+    the coalesce target is [total / (4 * jobs)] — four frames per
+    worker, enough for the dynamic queue to rebalance a bad estimate. Items are planned
     heaviest first (ties by ascending index, so the plan is
     deterministic): an item at or above the target becomes a singleton
     frame — the split threshold keeping one giant task from sharing (or
@@ -72,8 +71,7 @@ val core_count : unit -> int
     until it reaches the target. All-zero weights degrade to singleton
     frames in input order, i.e. FIFO. Every index appears in exactly
     one frame. *)
-val plan_frames :
-  jobs:int -> ?frames_per_worker:int -> float array -> int list list
+val plan_frames : jobs:int -> float array -> int list list
 
 (** [map ?jobs ?label f items] maps [f] over [items] on a forked worker
     pool with dynamic (work-stealing) handout of singleton frames in
@@ -98,13 +96,13 @@ val map_stats :
     schedule — results are still slotted by index, so output is
     identical to [map] for a deterministic [f]. *)
 val map_adaptive_stats :
-  ?jobs:int -> ?label:(int -> 'a -> string) -> ?frames_per_worker:int ->
+  ?jobs:int -> ?label:(int -> 'a -> string) ->
   weights:(int -> 'a -> float) -> (int -> 'a -> 'b) ->
   'a list -> 'b list * stats
 
 (** [map_adaptive_stats] without the stats. *)
 val map_adaptive :
-  ?jobs:int -> ?label:(int -> 'a -> string) -> ?frames_per_worker:int ->
+  ?jobs:int -> ?label:(int -> 'a -> string) ->
   weights:(int -> 'a -> float) -> (int -> 'a -> 'b) ->
   'a list -> 'b list
 

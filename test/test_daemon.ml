@@ -352,10 +352,10 @@ let test_server_end_to_end () =
         let oneshot =
           Obs.Json.to_string
             (Obs.Json.List
-               (List.map
-                  (fun (o : Jrpm.Replay.outcome) ->
-                    Jrpm.Report_summary.to_json o.Jrpm.Replay.replayed)
-                  (Jrpm.Replay.replay_file ~jobs:1 container)))
+               (jlist "summaries"
+                  (Obs.Json.member "summaries"
+                     (D.execute ~jobs:1
+                        (D.Replay { path = container; record = None })))))
         in
         let id1 =
           D.Client.send c1 (D.Replay { path = container; record = None })

@@ -202,12 +202,13 @@ let test_killed_worker_names_task () =
 let test_frame_failures () =
   if not S.fork_available then ()
   else begin
-    (* equal weights, frames_per_worker 1 → two 4-item frames; an error
-       inside a coalesced frame still names the erring task itself *)
-    let items = List.init 8 Fun.id in
+    (* 32 equal weights at jobs 2 → a target of 32 / (4 frames × 2
+       workers) = 4, so eight 4-item frames; an error inside a coalesced
+       frame still names the erring task itself *)
+    let items = List.init 32 Fun.id in
     let weights _ _ = 1. in
     (match
-       S.map_adaptive ~jobs:2 ~frames_per_worker:1 ~weights
+       S.map_adaptive ~jobs:2 ~weights
          (fun i x -> if i = 2 then failwith "boom" else x)
          items
      with
@@ -220,7 +221,7 @@ let test_frame_failures () =
     (* a worker killed mid-frame is blamed on the frame's first task,
        with the coalesced stowaways counted *)
     match
-      S.map_adaptive ~jobs:2 ~frames_per_worker:1 ~weights
+      S.map_adaptive ~jobs:2 ~weights
         (fun i x ->
           if i = 0 then Unix.kill (Unix.getpid ()) Sys.sigkill;
           x)

@@ -354,12 +354,13 @@ let test_replay_jobs_identity () =
       output_string oc container;
       close_out oc;
       let json jobs =
-        Obs.Json.to_string
-          (Obs.Json.List
-             (List.map
-                (fun (o : Jrpm.Replay.outcome) ->
-                  Jrpm.Report_summary.to_json o.Jrpm.Replay.replayed)
-                (Jrpm.Replay.replay_file ~jobs path)))
+        match
+          Obs.Json.member "summaries"
+            (Jrpm.Daemon.execute ~jobs
+               (Jrpm.Daemon.Replay { path; record = None }))
+        with
+        | Some summaries -> Obs.Json.to_string summaries
+        | None -> Alcotest.fail "replay result has no summaries"
       in
       let j1 = json 1 in
       List.iter

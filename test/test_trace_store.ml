@@ -733,7 +733,10 @@ let test_replayed_sweep_matches_golden () =
     | Some c -> c
     | None -> Alcotest.fail "capture sweep produced no container"
   in
-  let replayed = Jrpm.Replay.replay_string container in
+  let replayed =
+    let src = Trace_store.Bytesrc.of_string container in
+    List.map (Jrpm.Replay.replay_entry ~src) (Trace_store.Index.of_src src)
+  in
   Alcotest.(check int) "record per workload" (List.length workloads)
     (List.length replayed);
   List.iter

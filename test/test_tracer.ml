@@ -607,6 +607,77 @@ let hot_path_words t =
   done;
   Gc.minor_words () -. before
 
+(* Streams past the steady state [hot_path_words] covers. Each builds a
+   tracer once and returns a runner: [run n] drives about [n] events
+   and returns how many it sent. *)
+
+(* 8 frames x 16 slots = 128 live keys > the 64 local slots: every
+   local event may evict. *)
+let local_evicting_stream () =
+  let s = Test_core.Tracer.sink (Test_core.Tracer.create ()) in
+  let now = ref 0 in
+  s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:8 ~frame:1 ~now:0;
+  fun n ->
+    for i = 1 to n do
+      let frame = 1 + (i land 7) and slot = (i lsr 3) land 15 in
+      incr now;
+      s.Hydra.Trace.on_local_store ~frame ~slot ~now:!now;
+      incr now;
+      s.Hydra.Trace.on_local_load ~frame ~slot ~pc:5 ~now:!now;
+      if i land 63 = 0 then begin
+        incr now;
+        s.Hydra.Trace.on_eoi ~stl:0 ~now:!now
+      end
+    done;
+    (2 * n) + (n / 64)
+
+(* A depth-8 sloop/eloop nest (all 8 banks live) around a heap-event
+   body, ~247 events per repetition. Banks are pooled and child-cycle
+   keys are packed ints mutated in place; the stream still reads a
+   steady 0.0648 words/event (2 words per sloop: the default
+   bank-release test boxes the float [Stats.overflow_freq_of]
+   returns), so its budget sits between that and the 0.16 that one
+   3-word tuple per sloop adds up to. *)
+let deep_nest_stream () =
+  let s = Test_core.Tracer.sink (Test_core.Tracer.create ()) in
+  let now = ref 0 in
+  fun n ->
+    let events = ref 0 in
+    for _ = 1 to max 1 (n / 247) do
+      for d = 0 to 7 do
+        incr now;
+        s.Hydra.Trace.on_sloop ~stl:d ~nlocals:2 ~frame:(d + 1) ~now:!now;
+        incr events
+      done;
+      for i = 1 to 112 do
+        let addr = i * 3 mod 4096 in
+        incr now;
+        s.Hydra.Trace.on_heap_store ~addr ~now:!now;
+        incr now;
+        s.Hydra.Trace.on_heap_load ~addr ~pc:9 ~now:!now;
+        events := !events + 2;
+        if i land 15 = 0 then begin
+          incr now;
+          s.Hydra.Trace.on_eoi ~stl:7 ~now:!now;
+          incr events
+        end
+      done;
+      for d = 7 downto 0 do
+        incr now;
+        s.Hydra.Trace.on_eloop ~stl:d ~now:!now;
+        incr events
+      done
+    done;
+    !events
+
+(* Minor words per event of 200k events after a 20k-event warm-up. *)
+let stream_words_per_event stream =
+  let run = stream () in
+  ignore (run 20_000 : int);
+  let before = Gc.minor_words () in
+  let events = run 200_000 in
+  (Gc.minor_words () -. before) /. float_of_int events
+
 let test_hot_path_no_alloc () =
   let pairs =
     List.map
@@ -623,6 +694,18 @@ let test_hot_path_no_alloc () =
     [
       ("one pair", Tracer.create ());
       ("three pairs", Tracer.create_fused pairs);
+    ];
+  (* budgets in minor words per event: an evicting local slot costs
+     nothing; a tuple per sloop on the nest reads 0.16 *)
+  List.iter
+    (fun (what, stream, budget) ->
+      let words = stream_words_per_event stream in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f words/event within %.2f" what words budget)
+        true (words <= budget))
+    [
+      ("local slots evicting", local_evicting_stream, 0.01);
+      ("depth-8 nest", deep_nest_stream, 0.10);
     ]
 
 let suites =
