@@ -19,7 +19,7 @@ let resolve_pc (p : Hydra.Native.program) pc =
   !found
 
 let of_stats (p : Hydra.Native.program) (s : Stats.t) : entry list =
-  Hashtbl.fold
+  Stats.fold_pc_bins
     (fun pc (bin : Stats.pc_bin) acc ->
       let func_name, func_offset = resolve_pc p pc in
       let avg_len = Float.of_int bin.total_len /. Float.of_int (max 1 bin.hits) in
@@ -39,8 +39,11 @@ let of_stats (p : Hydra.Native.program) (s : Stats.t) : entry list =
         limiting = avg_len < 0.75 *. Stats.avg_thread_size s;
       }
       :: acc)
-    s.pc_bins []
-  |> List.sort (fun a b -> compare b.hits a.hits)
+    s []
+  (* most arcs first; equal counts by PC, so the order does not depend
+     on the table's slot order *)
+  |> List.sort (fun a b ->
+         match compare b.hits a.hits with 0 -> compare a.pc b.pc | c -> c)
 
 let pp ppf entries =
   Format.fprintf ppf "@[<v>%-20s %8s %10s %8s %s@," "load site" "arcs"

@@ -19,6 +19,19 @@ type pc_bin = {
       (** thread size at each hit, to compare arc length vs. thread size *)
 }
 
+(* PC -> bin, open-addressed with linear probing: [pcs] and [bins] are
+   parallel arrays of a power-of-two slot count kept at most half full.
+   A slot is empty when its bin has no hits — a recorded bin always has
+   at least one — so the test survives [Marshal], which a physical
+   sentinel would not. The per-arc lookup hashes the PC with one
+   multiply instead of calling the polymorphic hash. Slots are
+   allocated at the first arc: most STLs never record one. *)
+type pc_bins = {
+  mutable pcs : int array;
+  mutable bins : pc_bin array;
+  mutable count : int;
+}
+
 type t = {
   stl : int;
   mutable cycles : int;
@@ -33,7 +46,7 @@ type t = {
   mutable overflow_threads : int;
   mutable max_load_lines : int;
   mutable max_store_lines : int;
-  pc_bins : (int, pc_bin) Hashtbl.t;
+  pc_bins : pc_bins;
 }
 
 let create stl =
@@ -51,24 +64,70 @@ let create stl =
     overflow_threads = 0;
     max_load_lines = 0;
     max_store_lines = 0;
-    pc_bins = Hashtbl.create 16;
+    pc_bins = { pcs = [||]; bins = [||]; count = 0 };
   }
 
+let fresh_bin () =
+  { hits = 0; total_len = 0; min_len = max_int; thread_size_sum = 0 }
+
+(* The slot holding [pc], or the empty slot where it would go. *)
+let[@inline] pc_slot tb pc =
+  let pcs = tb.pcs and bins = tb.bins in
+  let mask = Array.length pcs - 1 in
+  let i = ref (((pc * 0x2545F4914F6CDD1D) lsr 32) land mask) in
+  while
+    (Array.unsafe_get bins !i).hits > 0 && Array.unsafe_get pcs !i <> pc
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* Rehash into [slots] (a power of two) slots. *)
+let resize tb slots =
+  let pcs = tb.pcs and bins = tb.bins in
+  let empty = fresh_bin () in
+  tb.pcs <- Array.make slots 0;
+  tb.bins <- Array.make slots empty;
+  Array.iteri
+    (fun j b ->
+      if b.hits > 0 then begin
+        let i = pc_slot tb pcs.(j) in
+        tb.pcs.(i) <- pcs.(j);
+        tb.bins.(i) <- b
+      end)
+    bins
+
+(* A new, still hitless bin for [pc], which has none yet. *)
+let add_bin tb pc =
+  if 2 * (tb.count + 1) > Array.length tb.pcs then
+    resize tb (max 8 (2 * Array.length tb.pcs));
+  let i = pc_slot tb pc in
+  let b = fresh_bin () in
+  tb.pcs.(i) <- pc;
+  tb.bins.(i) <- b;
+  tb.count <- tb.count + 1;
+  b
+
 let record_pc_hit t ~pc ~len ~thread_size =
-  (* [Hashtbl.find] rather than [find_opt]: the steady-state hit (bin
-     already present) must not allocate an option on the per-arc path *)
+  let tb = t.pc_bins in
   let bin =
-    match Hashtbl.find t.pc_bins pc with
-    | b -> b
-    | exception Not_found ->
-        let b = { hits = 0; total_len = 0; min_len = max_int; thread_size_sum = 0 } in
-        Hashtbl.replace t.pc_bins pc b;
-        b
+    if tb.count = 0 then add_bin tb pc
+    else
+      let b = Array.unsafe_get tb.bins (pc_slot tb pc) in
+      if b.hits > 0 then b else add_bin tb pc
   in
   bin.hits <- bin.hits + 1;
   bin.total_len <- bin.total_len + len;
   if len < bin.min_len then bin.min_len <- len;
   bin.thread_size_sum <- bin.thread_size_sum + thread_size
+
+let fold_pc_bins f t acc =
+  let tb = t.pc_bins in
+  let acc = ref acc in
+  Array.iteri
+    (fun i b -> if b.hits > 0 then acc := f tb.pcs.(i) b !acc)
+    tb.bins;
+  !acc
 
 (* ---------------- Derived values (Figure 3, bottom table) ------------- *)
 
@@ -100,7 +159,7 @@ let avg_crit_earlier_len t =
   if t.crit_earlier_count = 0 then 0.
   else Float.of_int t.crit_earlier_len /. Float.of_int t.crit_earlier_count
 
-let overflow_freq_of t ~overflow_threads =
+let[@inline] overflow_freq_of t ~overflow_threads =
   let denom = if t.traced_threads > 0 then t.traced_threads else t.threads in
   if denom = 0 then 0. else Float.of_int overflow_threads /. Float.of_int denom
 

@@ -23,6 +23,10 @@ type pc_bin = {
   mutable thread_size_sum : int;
 }
 
+type pc_bins
+(** The per-load-PC bins of one STL: an int-keyed open-addressed table,
+    read through {!fold_pc_bins}. *)
+
 type t = {
   stl : int;
   mutable cycles : int;
@@ -37,7 +41,7 @@ type t = {
   mutable overflow_threads : int;
   mutable max_load_lines : int;
   mutable max_store_lines : int;
-  pc_bins : (int, pc_bin) Hashtbl.t;
+  pc_bins : pc_bins;
 }
 
 val create : int -> t
@@ -45,6 +49,9 @@ val create : int -> t
 
 val record_pc_hit : t -> pc:int -> len:int -> thread_size:int -> unit
 (** Extended TEST: bin one detected dependency arc by its load PC. *)
+
+val fold_pc_bins : (int -> pc_bin -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the recorded [(pc, bin)] pairs, in no specified order. *)
 
 (** {2 Derived values (paper Fig. 3)} *)
 

@@ -96,6 +96,11 @@ type t = {
   ld_tss : int array;
   st_tags : int array;
   st_tss : int array;
+  (* log2 of [line_words], [ld_dedup_entries] and [st_dedup_entries],
+     or -1 for one that is not a power of two — see [quot] *)
+  lw_shift : int;
+  ld_shift : int;
+  st_shift : int;
   mutable ld_conflicts : int; (* live tag replaced by a different one *)
   mutable st_conflicts : int;
   local_ts : Util.Timestamp_cache.t;
@@ -107,6 +112,10 @@ type t = {
   mutable untraced : int;
   mutable events_seen : int; (* sink callbacks consumed, incl. ignored ones *)
 }
+
+let pow2_shift n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  if n > 0 && n land (n - 1) = 0 then go 0 else -1
 
 let create_fused ?(obs = Obs.Sink.null) configs =
   let config =
@@ -149,6 +158,9 @@ let create_fused ?(obs = Obs.Sink.null) configs =
     ld_tss = Array.make config.ld_dedup_entries 0;
     st_tags = Array.make config.st_dedup_entries (-1);
     st_tss = Array.make config.st_dedup_entries 0;
+    lw_shift = pow2_shift config.line_words;
+    ld_shift = pow2_shift config.ld_dedup_entries;
+    st_shift = pow2_shift config.st_dedup_entries;
     ld_conflicts = 0;
     st_conflicts = 0;
     local_ts = Util.Timestamp_cache.create ~capacity:config.local_slots;
@@ -191,7 +203,7 @@ let ensure_act_room t =
     t.act_bank <- grow t.act_bank (-1)
   end
 
-let pair_released e k freq =
+let[@inline] pair_released e k freq =
   Stats.overflow_freq_of e.st ~overflow_threads:e.ovf.(k) >= freq
 
 (* The release test of every pair still in this run, each over its own
@@ -342,21 +354,30 @@ let on_read_stats _t ~stl:_ ~now:_ = ()
 
 (* -- heap events -- *)
 
-(* OCaml [/] and [mod] round toward zero, so a negative address would
-   produce a negative word/line index and a read outside the dedup and
-   line arrays; the simulator never emits one, so treat it as a trace
-   corruption and fail loudly. *)
-let check_addr addr =
-  if addr < 0 then
-    invalid_arg (Printf.sprintf "Tracer: negative heap address %d" addr)
+(* A negative address has no line: OCaml [/] and [mod] round toward
+   zero, giving a negative word/line index and a read outside the
+   dedup and line arrays, and a shift gives a huge one. The simulator
+   never emits one, so treat it as a trace corruption and fail
+   loudly. *)
+let[@inline never] negative_addr addr =
+  invalid_arg (Printf.sprintf "Tracer: negative heap address %d" addr)
 
-let line_of t addr =
-  check_addr addr;
-  addr / t.config.line_words
+let[@inline] check_addr addr = if addr < 0 then negative_addr addr
 
-let word_of t addr =
+(* [x / d] and [x mod d] for [x >= 0], by a shift and a mask when
+   [shift = log2 d] — the default machine and every power-of-two
+   geometry, which the hardware indexes by address bits — and by
+   division otherwise. *)
+let[@inline] quot ~shift ~d x = if shift >= 0 then x lsr shift else x / d
+let[@inline] rem ~shift ~d x = if shift >= 0 then x land (d - 1) else x mod d
+
+let[@inline] line_of t addr =
   check_addr addr;
-  addr mod t.config.line_words
+  quot ~shift:t.lw_shift ~d:t.config.line_words addr
+
+let[@inline] word_of t addr =
+  check_addr addr;
+  rem ~shift:t.lw_shift ~d:t.config.line_words addr
 
 let thread_elapsed (b : Bank.t) ~now = now - b.Bank.start_t
 
@@ -395,8 +416,8 @@ let on_heap_load t ~addr ~pc ~now =
       note_arc t b ~pc ~store_ts ~now (Bank.note_load_dep_code b ~store_ts ~now)
     done;
   (* overflow analysis: load-line dedup *)
-  let idx = line mod t.config.ld_dedup_entries in
-  let tag = line / t.config.ld_dedup_entries in
+  let idx = rem ~shift:t.ld_shift ~d:t.config.ld_dedup_entries line in
+  let tag = quot ~shift:t.ld_shift ~d:t.config.ld_dedup_entries line in
   let old_tag = t.ld_tags.(idx) and old_ts = t.ld_tss.(idx) in
   for i = t.n_abanks - 1 downto 0 do
     let b = t.abanks.(i) in
@@ -434,8 +455,8 @@ let on_heap_store t ~addr ~now =
     Util.Timestamp_cache.set t.heap_ts line idx
   end;
   (* overflow analysis: store-line dedup *)
-  let idx = line mod t.config.st_dedup_entries in
-  let tag = line / t.config.st_dedup_entries in
+  let idx = rem ~shift:t.st_shift ~d:t.config.st_dedup_entries line in
+  let tag = quot ~shift:t.st_shift ~d:t.config.st_dedup_entries line in
   let old_tag = t.st_tags.(idx) and old_ts = t.st_tss.(idx) in
   for i = t.n_abanks - 1 downto 0 do
     let b = t.abanks.(i) in

@@ -287,12 +287,12 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       Array.init ncpus (fun _ -> new_frame plan.Native.plan_func (-1) None)
     in
     let refill (fr : Machine.frame) rank =
-      for i = 0 to soff - 1 do
-        Machine.set_int fr i 0
-      done;
-      for i = soff to nfile - 1 do
-        Machine.copy ~from:master i ~into:fr i
-      done;
+      Array.fill fr.Machine.ints 0 soff 0;
+      Bytes.fill fr.Machine.kinds 0 soff Machine.kind_int;
+      Array.blit master.Machine.ints soff fr.Machine.ints soff (nfile - soff);
+      Array.blit master.Machine.floats soff fr.Machine.floats soff
+        (nfile - soff);
+      Bytes.blit master.Machine.kinds soff fr.Machine.kinds soff (nfile - soff);
       for j = 0 to Array.length inductors - 1 do
         let i, x0, step = inductors.(j) in
         Machine.set_int fr i (x0 + (rank * step))

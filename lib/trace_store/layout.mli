@@ -4,7 +4,7 @@
     for anything an old reader would misparse).
 
     A container is [magic] + a version byte + a varint-length-prefixed
-    header-extension area (empty in version 1; readers skip it
+    header-extension area (empty in every version so far; readers skip it
     unparsed), followed by framed chunks: one tag byte, a varint payload
     length, then the payload. Chunk framing is the forward-compat
     boundary — a reader must skip any unknown tag by its declared
@@ -23,7 +23,9 @@ val magic : string
 (** ["JTRC"] — the first four bytes of every container. *)
 
 val version : int
-(** Format version byte, currently 1. Readers reject other values. *)
+(** Format version byte, currently 2 (version 2 changed the record
+    checksum to {!checksum}'s word-at-a-time rule). Readers reject
+    other values. *)
 
 (** {2 Chunk tags} *)
 
@@ -43,8 +45,8 @@ val tag_events : int
 
 val tag_record_end : int
 (** [0x03]: payload is [varint event_count · signed-varint final_now ·
-    4-byte little-endian FNV-1a-32 checksum of every event-chunk
-    payload of this record, in order]. [final_now] is the last event's
+    4-byte little-endian {!checksum} of every event-chunk payload of
+    this record, in order]. [final_now] is the last event's
     timestamp, or [-1] when the record is empty. Readers must verify
     all three. *)
 
@@ -160,16 +162,15 @@ val p_local_store_slot : int
 val p_call_callee : int
 val pred_count : int
 
-val fnv32 : int -> string -> int
-(** [fnv32 h s] folds [s] into a running 32-bit FNV-1a hash (seed
-    {!fnv32_init}); the record checksum chains this over every
-    event-chunk payload. *)
+val checksum_init : int
+(** [0x811c9dc5], the FNV-1a-32 offset basis: the checksum state at a
+    record's begin chunk. *)
 
-val fnv32_src : int -> Bytesrc.t -> pos:int -> len:int -> int
-(** {!fnv32} over a byte-source range — how the reader checksums an
-    event chunk in place from a mapped container without copying it.
-    [pos]/[len] must be in range (unchecked, like {!fnv32}'s use of the
-    whole string). *)
-
-val fnv32_init : int
-(** [0x811c9dc5], the FNV-1a-32 offset basis. *)
+val checksum : int -> Bytesrc.t -> pos:int -> len:int -> int
+(** [checksum h b ~pos ~len] folds one events payload, the [len] bytes
+    of [b] at [pos], into the running record checksum [h]: FNV-1a's
+    step [h := (h lxor w) * 0x01000193] over the payload's 32-bit
+    little-endian words, then over its 0–3 tail bytes one at a time,
+    reduced mod 2{^32} once at the end. The record checksum chains this
+    over every event-chunk payload of the record, from
+    {!checksum_init}. [pos]/[len] must be in range (unchecked). *)

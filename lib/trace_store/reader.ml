@@ -102,7 +102,7 @@ let init src =
       seg_len = 0;
       record_start = 0;
       events = 0;
-      checksum = Layout.fnv32_init;
+      checksum = Layout.checksum_init;
     }
   in
   let magic = read_exact t (String.length Layout.magic) "magic" in
@@ -314,7 +314,7 @@ let rec next_record t =
         t.seg_off <- 0;
         t.seg_len <- 0;
         t.events <- 0;
-        t.checksum <- Layout.fnv32_init;
+        t.checksum <- Layout.checksum_init;
         t.record_start <- frame_start;
         t.cursor <- In_record;
         Some r
@@ -380,7 +380,7 @@ let replay t sink =
          offset; nothing is materialized per chunk or per task *)
       let start = t.off in
       skip_exact t len "event chunk";
-      t.checksum <- Layout.fnv32_src t.checksum t.src ~pos:start ~len;
+      t.checksum <- Layout.checksum t.checksum t.src ~pos:start ~len;
       decode_payload t t.src start (start + len) sink;
       go ()
     end

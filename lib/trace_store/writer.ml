@@ -21,7 +21,7 @@ let create () =
     repeats = 0;
     events = 0;
     ref_bytes = 0;
-    checksum = Layout.fnv32_init;
+    checksum = Layout.checksum_init;
     finished = false;
   }
 
@@ -34,7 +34,9 @@ let seal_chunk t =
   if Buffer.length t.chunk > 0 then begin
     let payload = Buffer.contents t.chunk in
     Buffer.clear t.chunk;
-    t.checksum <- Layout.fnv32 t.checksum payload;
+    t.checksum <-
+      Layout.checksum t.checksum (Bytesrc.Str payload) ~pos:0
+        ~len:(String.length payload);
     Buffer.add_char t.chunks (Char.chr Layout.tag_events);
     Varint.write_unsigned t.chunks (String.length payload);
     Buffer.add_string t.chunks payload

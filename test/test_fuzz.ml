@@ -148,6 +148,68 @@ let test_print_preserves_semantics () =
         (run src) (run printed))
     [ 3; 1417; 99991 ]
 
+(* The tracer on geometries that are not powers of two — 3-word lines
+   and 100/48 or 5/3 load/store dedup entries — where the line and dedup
+   arithmetic divides instead of shifting. The 5/3 geometry also
+   overflows (its load limit is 5 lines) and conflicts in both dedup
+   tables. Pinned per seed: the total cycles, arcs and overflowing
+   threads over all STLs, the load/store dedup conflicts, and an MD5 of
+   [Test_tracer.stats_digest] and [Tracer.child_cycles] in full. *)
+let odd_geometry_view ~load_buffer ~cacheline_ts seed =
+  let otac = Compiler.Opt.program (Ir.Lower.compile (Fuzz_gen.gen_program seed)) in
+  let prog =
+    Compiler.Codegen.generate
+      ~mode:(Compiler.Codegen.Annotated { optimized = true })
+      (Compiler.Stl_table.build otac) otac
+  in
+  let config =
+    Test_core.Tracer.config_of
+      {
+        Hydra.Config.default with
+        Hydra.Config.line_words = 3;
+        load_buffer_lines = load_buffer;
+        cacheline_ts_lines = cacheline_ts;
+      }
+  in
+  let t = Test_core.Tracer.create ~config () in
+  ignore (Hydra.Seq_interp.run ~tracing:true ~sink:(Test_core.Tracer.sink t) prog);
+  let stats = Test_core.Tracer.stats t in
+  let sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 stats in
+  Printf.sprintf
+    "seed %d: cycles %d arcs %d overflow %d conflicts %d/%d digest %s" seed
+    (sum (fun s -> s.Test_core.Stats.cycles))
+    (sum (fun s -> s.Test_core.Stats.crit_prev_count + s.crit_earlier_count))
+    (sum (fun s -> s.Test_core.Stats.overflow_threads))
+    (Test_core.Tracer.ld_dedup_conflicts t)
+    (Test_core.Tracer.st_dedup_conflicts t)
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string
+             (Test_tracer.stats_digest stats, Test_core.Tracer.child_cycles t)
+             [])))
+
+let odd_seeds = [ 4; 44; 230; 343 ]
+
+let test_odd_geometry_pinned () =
+  Alcotest.(check (list string))
+    "line_words=3 load_buffer=100 cacheline_ts=48"
+    [
+      "seed 4: cycles 37292 arcs 165 overflow 0 conflicts 0/0 digest b2fb00c735e6e50879043a2671e93acd";
+      "seed 44: cycles 29898 arcs 135 overflow 0 conflicts 0/0 digest 85873eb090153630934266f7d17c4c99";
+      "seed 230: cycles 37334 arcs 136 overflow 0 conflicts 0/0 digest b3d1247df03a457479c94e98a5f0fd94";
+      "seed 343: cycles 60382 arcs 137 overflow 0 conflicts 0/0 digest 9a0a2be46c118927bc642cddbb80102b";
+    ]
+    (List.map (odd_geometry_view ~load_buffer:100 ~cacheline_ts:48) odd_seeds);
+  Alcotest.(check (list string))
+    "line_words=3 load_buffer=5 cacheline_ts=3"
+    [
+      "seed 4: cycles 37292 arcs 165 overflow 38 conflicts 501/38 digest 1e5d15c4bc385483968e53054d5ebe75";
+      "seed 44: cycles 29898 arcs 135 overflow 0 conflicts 41/134 digest 5ba410e61a47d74e38e4c4eeb5a340b5";
+      "seed 230: cycles 37334 arcs 136 overflow 18 conflicts 233/109 digest 37d44d56624690678bf7d1ecb13d68b0";
+      "seed 343: cycles 60382 arcs 137 overflow 30 conflicts 291/154 digest bd820e7c82286901fddb8d16c967a863";
+    ]
+    (List.map (odd_geometry_view ~load_buffer:5 ~cacheline_ts:3) odd_seeds)
+
 let suites =
   [
     ( "fuzz.differential",
@@ -158,5 +220,7 @@ let suites =
         Alcotest.test_case "workloads round-trip" `Quick test_workload_roundtrip;
         Alcotest.test_case "print preserves semantics" `Quick
           test_print_preserves_semantics;
+        Alcotest.test_case "tracer pinned on a non-power-of-two geometry"
+          `Quick test_odd_geometry_pinned;
       ] );
   ]

@@ -11,6 +11,12 @@ module E = Trace_store.Event
 module W = Trace_store.Writer
 module R = Trace_store.Reader
 
+(* magic, this version's byte, an empty header extension *)
+let container_header =
+  Trace_store.Layout.magic
+  ^ String.make 1 (Char.chr Trace_store.Layout.version)
+  ^ "\x00"
+
 (* ---------------- varint primitives ---------------- *)
 
 let encode_u n =
@@ -217,7 +223,7 @@ let test_corrupt_inputs () =
       drain ("XTRC" ^ String.sub good 4 (String.length good - 4)));
   expect_corrupt "future version" (fun () ->
       let b = Bytes.of_string good in
-      Bytes.set b 4 '\x02';
+      Bytes.set b 4 (Char.chr (Trace_store.Layout.version + 1));
       drain (Bytes.to_string b));
   (* truncation at any interior byte must be detected, not misread *)
   List.iter
@@ -236,13 +242,146 @@ let test_corrupt_inputs () =
   expect_corrupt "flipped byte" (fun () -> drain flipped);
   expect_corrupt "trailing garbage" (fun () -> drain (good ^ "\x00"))
 
+(* ---------------- record checksum ---------------- *)
+
+module L = Trace_store.Layout
+
+(* The checksum rule as ARCHITECTURE.md §7 states it, one masked FNV-1a
+   step per unsigned little-endian word, then per tail byte. *)
+let reference_checksum h s =
+  let step h w = (h lxor w) * 0x01000193 land 0xffffffff in
+  let n = String.length s in
+  let h = ref h in
+  for k = 0 to (n / 4) - 1 do
+    let byte j = Char.code s.[(4 * k) + j] in
+    h :=
+      step !h
+        (byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24))
+  done;
+  for i = n land lnot 3 to n - 1 do
+    h := step !h (Char.code s.[i])
+  done;
+  !h
+
+let bigstring_of_string s =
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (String.length s) in
+  String.iteri (fun i c -> Bigarray.Array1.set b i c) s;
+  b
+
+(* Both backends, at every alignment and tail length, chained from a
+   running state, agree with the stated rule. *)
+let test_checksum_rule () =
+  let rng = Util.Rng.create ~seed:24 in
+  let text = String.init 96 (fun _ -> Char.chr (Util.Rng.int rng 256)) in
+  let srcs =
+    [ ("string", Trace_store.Bytesrc.Str text);
+      ("bigstring", Trace_store.Bytesrc.Big (bigstring_of_string text)) ]
+  in
+  List.iter
+    (fun (what, src) ->
+      for pos = 0 to 3 do
+        for len = 0 to 40 do
+          let payload = String.sub text pos len in
+          List.iter
+            (fun h ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s pos %d len %d from 0x%x" what pos len h)
+                (reference_checksum h payload)
+                (L.checksum h src ~pos ~len))
+            [ L.checksum_init; 0; 0xffffffff; 0x1234567 ]
+        done
+      done)
+    srcs
+
+(* The [(start, len)] of every events payload in a container. *)
+let events_payloads s =
+  let pos = ref (String.length container_header) in
+  let rec go acc =
+    let tag = Char.code s.[!pos] in
+    incr pos;
+    let len = V.read_unsigned s pos in
+    let acc = if tag = L.tag_events then (!pos, len) :: acc else acc in
+    pos := !pos + len;
+    if tag = L.tag_container_end then List.rev acc else go acc
+  in
+  go []
+
+(* Every single-byte change inside an events payload is caught, by the
+   decoder or by the checksum: the checksum's word steps are bijections,
+   so a changed word always changes the result. *)
+let test_every_payload_byte_flip () =
+  let good =
+    encode_container
+      (loop_events ~iters:5 ~body:4
+      @ [ E.Heap_store { addr = 1 lsl 40; now = 500 }; E.Return { now = 501 } ])
+  in
+  drain good;
+  let payloads = events_payloads good in
+  Alcotest.(check bool) "has an events payload" true (payloads <> []);
+  List.iter
+    (fun (start, len) ->
+      for i = start to start + len - 1 do
+        List.iter
+          (fun mask ->
+            let b = Bytes.of_string good in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+            expect_corrupt
+              (Printf.sprintf "byte %d xor 0x%02x" i mask)
+              (fun () -> drain (Bytes.to_string b)))
+          [ 0x01; 0x80; 0xff ]
+      done)
+    payloads
+
+(* A container of the previous format version is refused by name. *)
+let test_v1_refused () =
+  let b = Bytes.of_string (encode_container (loop_events ~iters:3 ~body:2)) in
+  Bytes.set b 4 '\x01';
+  match drain (Bytes.to_string b) with
+  | () -> Alcotest.fail "a version-1 container was accepted"
+  | exception R.Corrupt msg ->
+      let want = "unsupported trace format version 1" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the version" msg)
+        true
+        (String.length msg >= String.length want
+        && String.sub msg 0 (String.length want) = want)
+
+let hex_bytes h =
+  String.concat ""
+    (List.map
+       (fun b -> String.make 1 (Char.chr (int_of_string ("0x" ^ b))))
+       (String.split_on_char ' ' h))
+
+(* ARCHITECTURE.md §7's worked example, byte for byte. *)
+let test_worked_example () =
+  let events =
+    E.Sloop { stl = 2; nlocals = 1; frame = 0; now = 5 }
+    :: List.map (fun now -> E.Eoi { stl = 2; now }) [ 9; 13; 17; 21 ]
+    @ [ E.Eloop { stl = 2; now = 23 } ]
+  in
+  let want =
+    hex_bytes
+      (String.concat " "
+         [ "4A 54 52 43"; "02"; "00";
+           "04 06"; "01"; "01 77"; "00 25 06";
+           "01 05"; "01 77"; "02 7B 7D";
+           "02 14"; "0B 08"; "01 0A 04 02 00"; "02 08 04";
+             "0B 03"; "02 08 00"; "00 02"; "03 04 04";
+           "03 06"; "06"; "2E"; "2A AB E3 A6";
+           "00 00" ])
+  in
+  let got = encode_container ~name:"w" ~meta:(Obs.Json.Obj []) events in
+  Alcotest.(check int) "53 bytes" 53 (String.length got);
+  Alcotest.(check string) "container bytes" (String.escaped want)
+    (String.escaped got)
+
 let test_unknown_chunk_skipped () =
   (* insert an unknown chunk kind (tag 0x7f) between the header and the
-     first record: a v1 reader must skip it by length (§7 forward
+     first record: a reader must skip it by length (§7 forward
      compatibility), not reject the file *)
   let _, record = encode_record ~name:"x" [ E.Return { now = 3 } ] in
   let b = Buffer.create 256 in
-  Buffer.add_string b "JTRC\x01\x00";
+  Buffer.add_string b container_header;
   Buffer.add_char b '\x7f';
   V.write_unsigned b 4;
   Buffer.add_string b "souq";
@@ -305,7 +444,7 @@ let three_records () =
    every writer produced before the index chunk existed *)
 let legacy_container records =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "JTRC\x01\x00";
+  Buffer.add_string b container_header;
   List.iter (Buffer.add_string b) records;
   Buffer.add_string b "\x00\x00";
   Buffer.contents b
@@ -393,7 +532,7 @@ let test_lying_index_rejected () =
   let entry = { I.name = "x"; offset = 1; bytes = String.length record; events = 1 } in
   let payload = I.chunk_payload [ entry ] in
   let b = Buffer.create 256 in
-  Buffer.add_string b "JTRC\x01\x00";
+  Buffer.add_string b container_header;
   Buffer.add_char b '\x04';
   V.write_unsigned b (String.length payload);
   Buffer.add_string b payload;
@@ -403,7 +542,7 @@ let test_lying_index_rejected () =
       I.of_string (Buffer.contents b));
   (* a truncated index payload is also rejected *)
   let b2 = Buffer.create 256 in
-  Buffer.add_string b2 "JTRC\x01\x00";
+  Buffer.add_string b2 container_header;
   Buffer.add_char b2 '\x04';
   V.write_unsigned b2 2;
   Buffer.add_string b2 (String.sub payload 0 2);
@@ -586,7 +725,7 @@ let test_mapped_file_index_and_reader () =
   in
   let payload = I.chunk_payload [ entry ] in
   let b = Buffer.create 256 in
-  Buffer.add_string b "JTRC\x01\x00";
+  Buffer.add_string b container_header;
   Buffer.add_char b '\x04';
   V.write_unsigned b (String.length payload);
   Buffer.add_string b payload;
@@ -779,6 +918,17 @@ let suites =
           test_replay_twice_rejected;
         Alcotest.test_case "writer finish is final" `Quick
           test_writer_finish_is_final;
+        Alcotest.test_case "every events-payload byte flip is caught" `Quick
+          test_every_payload_byte_flip;
+        Alcotest.test_case "version-1 container refused" `Quick
+          test_v1_refused;
+      ] );
+    ( "trace_store.checksum",
+      [
+        Alcotest.test_case "word-at-a-time rule, both backends" `Quick
+          test_checksum_rule;
+        Alcotest.test_case "ARCHITECTURE.md worked example" `Quick
+          test_worked_example;
       ] );
     ( "trace_store.wiring",
       [
