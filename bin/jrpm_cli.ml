@@ -285,16 +285,23 @@ let deps_cmd =
         let { Jrpm.Pipeline.tracer; table; annotated_program; _ } =
           Jrpm.Pipeline.profile_only ~hw:(hw_of_banks banks) (read_file file)
         in
+        let stats = Test_core.Tracer.stats tracer in
+        let printed = ref false in
         List.iter
           (fun (stl, st) ->
             let entries =
               Test_core.Dep_profile.of_stats annotated_program st
             in
             if entries <> [] then begin
+              printed := true;
               print_stl_header table stl;
               Format.printf "%a@." Test_core.Dep_profile.pp entries
             end)
-          (Test_core.Tracer.stats tracer))
+          stats;
+        (* an empty profile says so, unlike a run that traced nothing *)
+        if not !printed then
+          Printf.printf "no dependency arcs recorded (%d STLs traced)\n"
+            (List.length stats))
   in
   Cmd.v
     (Cmd.info "deps"
@@ -819,25 +826,14 @@ let trace_info_cmd =
              the units the sharded parallel decoder fans out — instead of \
              decoding and checksumming every record")
   in
-  (* container size and index-chunk framing, from the mapped header +
-     tail only — what tells an operator whether `--jobs` decode will
-     shard via the embedded index or fall back to a frame scan *)
   let print_container_line file =
     let src = Trace_store.Bytesrc.map_file file in
-    (match Trace_store.Index.embedded_chunk_size src with
-    | Some n ->
-        Printf.printf "container: %d bytes, index chunk: %d bytes\n"
-          (Trace_store.Bytesrc.length src)
-          n
-    | None ->
-        Printf.printf "container: %d bytes, index chunk: none (frame scan)\n"
-          (Trace_store.Bytesrc.length src));
+    Printf.printf "container: %d bytes\n" (Trace_store.Bytesrc.length src);
     src
   in
   let print_index file =
     fail_trace_errors (fun () ->
-        (* the embedded index touches only the header, the index chunk
-           and one byte per record of the mapping — never the body *)
+        (* the index walk reads chunk frames only, never an event *)
         let entries = Trace_store.Index.of_src (print_container_line file) in
         Util.Text_table.print
           ~aligns:Util.Text_table.[ Right; Right; Right; Right; Left ]

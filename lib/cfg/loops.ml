@@ -118,11 +118,6 @@ let analyze (f : Ir.Tac.func) =
   in
   { graph = g; doms; loops }
 
-let loop_of_header t h =
-  let found = ref None in
-  Array.iteri (fun i l -> if l.header = h then found := Some i) t.loops;
-  !found
-
 let in_loop t i b = List.mem b t.loops.(i).body
 
 let innermost_containing t b =

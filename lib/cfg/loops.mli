@@ -23,9 +23,6 @@ type t = {
 
 val analyze : Ir.Tac.func -> t
 
-val loop_of_header : t -> Ir.Tac.label -> int option
-(** Index of the loop whose header is the given block, if any. *)
-
 val innermost_containing : t -> Ir.Tac.label -> int option
 (** Index of the smallest loop whose body contains the block. *)
 

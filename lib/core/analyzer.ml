@@ -181,6 +181,3 @@ let select ?(config = Hydra.Config.default) ?cpus ?(obs = Obs.Sink.null) ~stats
        else Float.of_int program_cycles /. predicted_cycles);
     serial_cycles;
   }
-
-let estimate_of_selection sel stl =
-  List.find_opt (fun c -> c.chosen_stl = stl) sel.chosen

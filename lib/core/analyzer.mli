@@ -61,5 +61,3 @@ val select :
     estimated STL carrying the Eq. 1 / Eq. 2 inputs that justified the
     speculate-or-nest verdict. *)
 
-val estimate_of_selection : selection -> int -> choice option
-(** The {!choice} for [stl] if Equation 2 selected it, else [None]. *)

@@ -96,8 +96,6 @@ let reuse t ~obs ~stats ~pair_overflow ~stl ~now =
   t.max_ld <- 0;
   t.max_st <- 0
 
-type arc = To_prev of int | To_earlier of int | No_arc
-
 let arc_none = 0
 let arc_prev = 1
 let arc_earlier = 2
@@ -113,8 +111,8 @@ let classify_code t ~store_ts =
   else arc_none
 
 (* The arc length for any classified arc is [now - store_ts]; the code
-   carries no payload so the tracer's per-event path allocates no
-   variant block. *)
+   carries no payload, so the tracer's per-event path allocates
+   nothing. *)
 let note_load_dep_code t ~store_ts ~now =
   let code = classify_code t ~store_ts in
   (if code = arc_prev then begin
@@ -126,18 +124,6 @@ let note_load_dep_code t ~store_ts ~now =
      if len < t.cur_min_earlier then t.cur_min_earlier <- len
    end);
   code
-
-let classify_arc t ~store_ts ~now : arc =
-  let code = classify_code t ~store_ts in
-  if code = arc_prev then To_prev (now - store_ts)
-  else if code = arc_earlier then To_earlier (now - store_ts)
-  else No_arc
-
-let note_load_dep t ~store_ts ~now : arc =
-  let code = note_load_dep_code t ~store_ts ~now in
-  if code = arc_prev then To_prev (now - store_ts)
-  else if code = arc_earlier then To_earlier (now - store_ts)
-  else No_arc
 
 let over_limits t k =
   t.ld_lines > t.ld_limits.(k) || t.st_lines > t.st_limits.(k)

@@ -71,30 +71,21 @@ val reuse :
     into; [obs] receives an {!Obs.Event.Overflow} the first time each
     thread's footprint crosses pair 0's limits. *)
 
-type arc = To_prev of int | To_earlier of int | No_arc
-
-(** {2 Unboxed arc codes} — the per-event path uses these instead of
-    the [arc] variant so that classifying a dependency allocates
-    nothing; the arc length is always [now - store_ts]. *)
+(** {2 Arc codes} — unboxed ints, so that classifying a dependency on
+    the per-event path allocates nothing; the arc length is always
+    [now - store_ts]. *)
 
 val arc_none : int
 val arc_prev : int
 val arc_earlier : int
 
 val note_load_dep_code : t -> store_ts:int -> now:int -> int
-(** Arc classification plus per-thread critical (shortest) arc
-    tracking, returning {!arc_none} / {!arc_prev} / {!arc_earlier}.
-    Allocation-free. *)
-
-val classify_arc : t -> store_ts:int -> now:int -> arc
-(** Dependency-arc identification (paper Sec. 4.2.1): a store timestamp
-    within the current thread is not an arc; within the previous thread
-    it is a [To_prev] arc; after loop entry but before the previous
-    thread a [To_earlier] arc; before loop entry it is an input, not a
-    dependency. Arc length is [now - store_ts]. *)
-
-val note_load_dep : t -> store_ts:int -> now:int -> arc
-(** [classify_arc] plus per-thread critical (shortest) arc tracking. *)
+(** Dependency-arc identification (paper Sec. 4.2.1) plus per-thread
+    critical (shortest) arc tracking. A store timestamp within the
+    current thread is not an arc ({!arc_none}); within the previous
+    thread it is an {!arc_prev} arc; after loop entry but before the
+    previous thread an {!arc_earlier} arc; before loop entry it is an
+    input, not a dependency ({!arc_none}). Allocation-free. *)
 
 val note_load_line : t -> in_current_thread:bool -> now:int -> unit
 (** Overflow analysis, load side (Fig. 4 column f): count a newly

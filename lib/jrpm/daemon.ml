@@ -260,6 +260,10 @@ type task_result =
   | R_outcome of Replay.outcome
   | R_cells of Explore.cell list
   | R_slept of float
+  (* a record raised [Corrupt]: carried as a result, not as a worker's
+     exception text, so the request fails with the typed error at every
+     [jobs] *)
+  | R_corrupt of string
 
 (* Per-worker mapping cache: forked workers cannot inherit mappings
    the parent established after the fork, so each worker maps a
@@ -274,17 +278,20 @@ let profile name =
       Report_summary.of_report
         (Pipeline.run ~name (Workloads.Registry.default_source w))
 
-let run_task = function
-  | T_profile name -> R_summary (profile name)
-  | T_replay { path; entry } ->
-      let src = Mapping_cache.get (Lazy.force worker_cache) path in
-      R_outcome (Replay.replay_entry ~src entry)
-  | T_explore_record { path; configs; entry } ->
-      let src = Mapping_cache.get (Lazy.force worker_cache) path in
-      R_cells (Explore.eval_record ~src configs entry)
-  | T_sleep s ->
-      Unix.sleepf s;
-      R_slept s
+let run_task task =
+  try
+    match task with
+    | T_profile name -> R_summary (profile name)
+    | T_replay { path; entry } ->
+        let src = Mapping_cache.get (Lazy.force worker_cache) path in
+        R_outcome (Replay.replay_entry ~src entry)
+    | T_explore_record { path; configs; entry } ->
+        let src = Mapping_cache.get (Lazy.force worker_cache) path in
+        R_cells (Explore.eval_record ~src configs entry)
+    | T_sleep s ->
+        Unix.sleepf s;
+        R_slept s
+  with Trace_store.Reader.Corrupt msg -> R_corrupt msg
 
 (* The per-call schedule [execute] plans frames with: a replay record
    costs its events, an explore record its events once per fused
@@ -305,6 +312,15 @@ type plan = {
   tasks : (string * task) list;
   finish : task_result list -> Obs.Json.t;
 }
+
+(* Assemble a fan-out's results; the first corrupt record, in task
+   order, fails the request with [Corrupt] whichever worker ran it. *)
+let finish plan results =
+  List.iter
+    (function
+      | R_corrupt msg -> raise (Trace_store.Reader.Corrupt msg) | _ -> ())
+    results;
+  plan.finish results
 
 let profile_result s = Obs.Json.Obj [ ("summary", Report_summary.to_json s) ]
 
@@ -414,7 +430,7 @@ let plan ~index = function
    before [map_adaptive] forks and the per-call workers inherit it. *)
 let execute ~jobs req =
   let p = plan ~index:(Mapping_cache.get_entries (Lazy.force worker_cache)) req in
-  p.finish
+  finish p
     (Scheduler.map_adaptive ~jobs
        ~label:(fun _ (label, _) -> label)
        ~weights:(fun _ (_, task) -> task_weight task)
@@ -513,12 +529,14 @@ let respond srv (p : pending) rsp =
       ~queue_depth:p.pqueue_depth ~tasks:(Array.length p.pslots) rsp
   end
 
-(* The whole fan-out is in: assemble the response with the plan's
-   [finish], as [execute] does. *)
+(* The whole fan-out is in: assemble the response with [finish], as
+   [execute] does, and answer its errors as [handle_request] does. *)
 let finish_request srv (p : pending) =
   respond srv p
     (match p.pfinish (Array.to_list (Array.map Option.get p.pslots)) with
     | json -> Ok json
+    | exception Trace_store.Reader.Corrupt msg ->
+        Error ("corrupt container: " ^ msg)
     | exception (Failure msg | Invalid_argument msg) -> Error msg)
 
 let submit_fanout srv conn ~id (plan : plan) =
@@ -527,7 +545,7 @@ let submit_fanout srv conn ~id (plan : plan) =
     {
       preq_id = id;
       pconn = conn;
-      pfinish = plan.finish;
+      pfinish = finish plan;
       pslots = Array.make n None;
       premaining = n;
       presponded = false;

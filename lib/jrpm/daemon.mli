@@ -108,8 +108,10 @@ val execute : jobs:int -> request -> Obs.Json.t
     malformed grid spec, or a failed task;
     @raise Invalid_argument on an out-of-range grid point, and for
     [Ping] / [Stats] / [Shutdown];
-    @raise Trace_store.Reader.Corrupt on an unreadable container. The
-    server answers the same inputs with the exception's message
+    @raise Trace_store.Reader.Corrupt on an unreadable container, or
+    on a corrupt record whichever worker decoded it (the first in
+    record order, with the same message at every [jobs]). The server
+    answers the same inputs with the exception's message
     ([corrupt container: ] prefixed for [Corrupt]). *)
 
 (** {2 Server} *)

@@ -69,9 +69,8 @@ val run :
 
 val container : outcome list -> string option
 (** Assemble the outcomes' captured records (in list order) into one
-    trace-store container ({!Trace_store.Writer.container}, including
-    its per-record index chunk); [None] when the sweep ran without
-    [capture]. *)
+    trace-store container ({!Trace_store.Writer.container}); [None]
+    when the sweep ran without [capture]. *)
 
 val merged_recorder : outcome list -> Obs.Recorder.t option
 (** Fold every per-workload recorder into one fresh recorder (in list

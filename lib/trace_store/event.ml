@@ -63,9 +63,3 @@ let pp ppf = function
       Format.fprintf ppf "local_store frame=%d slot=%d @%d" frame slot now
   | Call { callee; now } -> Format.fprintf ppf "call callee=%d @%d" callee now
   | Return { now } -> Format.fprintf ppf "return @%d" now
-
-let field_count = function
-  | Sloop _ | Local_load _ -> 4
-  | Heap_load _ | Local_store _ -> 3
-  | Eoi _ | Eloop _ | Read_stats _ | Heap_store _ | Call _ -> 2
-  | Return _ -> 1

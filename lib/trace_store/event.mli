@@ -43,9 +43,3 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** One-line rendering ([sloop stl=3 nlocals=2 frame=1 @120]) for test
     failure messages and [jrpm trace info] samples. *)
-
-val field_count : t -> int
-(** Number of integer operands carried by the event, [now] included —
-    the basis of the reference (uncompressed) size [1 + 8·field_count]
-    bytes/event that the [trace.compression_ratio] metric and the §7
-    spec measure the codec against. *)

@@ -5,7 +5,6 @@ let tag_container_end = 0x00
 let tag_record_begin = 0x01
 let tag_events = 0x02
 let tag_record_end = 0x03
-let tag_index = 0x04
 
 let op_repeat = 0x00
 let op_sloop = 0x01

@@ -50,18 +50,9 @@ val tag_record_end : int
     timestamp, or [-1] when the record is empty. Readers must verify
     all three. *)
 
-val tag_index : int
-(** [0x04]: optional per-record index chunk, emitted by
-    {!Writer.container} immediately after the container header. Payload
-    is [varint count], then per record [varint n · n name bytes ·
-    varint offset · varint bytes · varint event_count], in container
-    order, where [offset] is relative to the first byte after this
-    chunk (so the chunk does not describe its own length) and [bytes]
-    is the record's framed size, begin chunk through end chunk. The
-    chunk is a pure accelerator: it carries nothing that cannot be
-    recovered by scanning the record frames ({!Index.scan_string}), it
-    is skipped by pre-index readers under the unknown-tag rule, and its
-    absence (any v1 container written before it existed) is legal. *)
+(* Tag [0x04] is reserved: version-2 writers before the index walk
+   embedded a per-record index chunk right after the header. Readers
+   skip it by length like any unknown tag; nothing writes it now. *)
 
 (** {2 Event opcodes}
 

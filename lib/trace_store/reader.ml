@@ -19,104 +19,104 @@ type cursor = Header_done | In_record | Record_done | Container_done
 
 type t = {
   src : Bytesrc.t;
-  mutable off : int;  (* bytes consumed so far, container start = 0 *)
+  (* bytes consumed so far, container start = 0. One ref per reader,
+     shared by the cursor and the event decoder, so that no decode call
+     allocates a position of its own. *)
+  pos : int ref;
   mutable cursor : cursor;
   state : Layout.state;
-  (* reference segment for op_repeat, as a span into [seg_src];
-     seg_len = 0 means none is set (framed segments are never empty) *)
-  mutable seg_src : Bytesrc.t;
+  (* reference segment for op_repeat, as a span into [src], and the
+     events it holds; seg_len = 0 means none is set (framed segments
+     are never empty) *)
   mutable seg_off : int;
   mutable seg_len : int;
+  mutable seg_events : int;
   mutable record_start : int;
   mutable events : int;
+  (* the event count the current record's end chunk declares, read
+     before decoding: repeats may not replay past it *)
+  mutable declared : int;
   mutable checksum : int;
 }
 
-(* sanity bounds against absurd corrupt lengths/counts: no legitimate
-   writer output comes near them *)
+(* sanity bound against absurd corrupt lengths: no legitimate writer
+   output comes near it *)
 let max_chunk = 1 lsl 30
-let max_repeat = 1 lsl 40
 
-(* ---------------- byte source ---------------- *)
-
-let read_byte_opt t =
-  if t.off >= Bytesrc.length t.src then None
-  else begin
-    let v = Char.code (Bytesrc.unsafe_get t.src t.off) in
-    t.off <- t.off + 1;
-    Some v
-  end
+(* ---------------- the cursor's primitives ---------------- *)
 
 let read_byte t what =
-  match read_byte_opt t with
-  | Some b -> b
-  | None -> corrupt "truncated container (EOF in %s)" what
+  let p = !(t.pos) in
+  if p >= Bytesrc.length t.src then
+    corrupt "truncated container (EOF in %s)" what;
+  t.pos := p + 1;
+  Char.code (Bytesrc.unsafe_get t.src p)
 
-(* Skip [n] payload bytes without materializing them — skipping a
-   record is free on a mapping. *)
-let skip_exact t n what =
-  if n > max_chunk then corrupt "%s length %d is implausible" what n;
-  if t.off + n > Bytesrc.length t.src then
-    corrupt "truncated container (EOF in %s)" what
-  else t.off <- t.off + n
-
-let read_exact t n what =
-  let pos = t.off in
-  skip_exact t n what;
-  Bytesrc.sub_string t.src ~pos ~len:n
-
-let read_uvarint t what =
-  let rec go acc shift =
-    if shift > 56 then corrupt "varint too long in %s" what;
-    let b = read_byte t what in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  let v = go 0 0 in
-  if v < 0 then corrupt "varint overflow in %s" what;
-  v
-
-(* in-payload varints: bounds/overflow failures are corruption, and the
-   narrow handlers here must not catch anything a sink callback raises *)
-let rd_signed b ~limit pos =
-  try Varint.read_signed_src b ~limit pos with
-  | Varint.Overflow -> corrupt "varint overflow in event payload"
-  | Invalid_argument _ -> corrupt "truncated varint in event payload"
-
-let rd_unsigned b ~limit pos =
+(* Varints through the one decoder: bounds and overflow failures are
+   corruption, and the narrow handlers here must not catch anything a
+   sink callback raises. *)
+let uvarint b ~limit pos what =
   try Varint.read_unsigned_src b ~limit pos with
-  | Varint.Overflow -> corrupt "varint overflow in event payload"
-  | Invalid_argument _ -> corrupt "truncated varint in event payload"
+  | Varint.Overflow -> corrupt "varint overflow in %s" what
+  | Invalid_argument _ -> corrupt "truncated varint in %s" what
+
+let svarint b ~limit pos what =
+  try Varint.read_signed_src b ~limit pos with
+  | Varint.Overflow -> corrupt "varint overflow in %s" what
+  | Invalid_argument _ -> corrupt "truncated varint in %s" what
+
+(* One chunk frame: returns the tag and its payload length, leaving
+   [t.pos] at the payload, which is checked to lie inside the source. *)
+let read_frame t =
+  let tag = read_byte t "chunk tag" in
+  let len = uvarint t.src ~limit:(Bytesrc.length t.src) t.pos "chunk length" in
+  if len > max_chunk then corrupt "chunk length %d is implausible" len;
+  if len > Bytesrc.length t.src - !(t.pos) then
+    corrupt "truncated container (EOF in a 0x%02x chunk payload)" tag;
+  (tag, len)
+
+(* A length-prefixed string inside a chunk payload ending at [stop]. *)
+let read_string t ~stop what =
+  let n = uvarint t.src ~limit:stop t.pos what in
+  let p = !(t.pos) in
+  if n > stop - p then corrupt "%s overruns its chunk" what;
+  t.pos := p + n;
+  Bytesrc.sub_string t.src ~pos:p ~len:n
 
 (* ---------------- open ---------------- *)
 
-let init src =
+let of_src src =
   let t =
     {
       src;
-      off = 0;
+      pos = ref 0;
       cursor = Header_done;
       state = Layout.create_state ();
-      seg_src = Bytesrc.Str "";
       seg_off = 0;
       seg_len = 0;
+      seg_events = 0;
       record_start = 0;
       events = 0;
+      declared = 0;
       checksum = Layout.checksum_init;
     }
   in
-  let magic = read_exact t (String.length Layout.magic) "magic" in
+  let mlen = String.length Layout.magic in
+  if Bytesrc.length src < mlen then corrupt "truncated container (EOF in magic)";
+  let magic = Bytesrc.sub_string src ~pos:0 ~len:mlen in
   if not (String.equal magic Layout.magic) then
     corrupt "bad magic %S (not a trace container)" magic;
+  t.pos := mlen;
   let v = read_byte t "version" in
   if v <> Layout.version then
     corrupt "unsupported trace format version %d (this reader speaks %d)" v
       Layout.version;
-  let ext = read_uvarint t "header extension" in
-  skip_exact t ext "header extension";
+  let ext = uvarint src ~limit:(Bytesrc.length src) t.pos "header extension" in
+  if ext > Bytesrc.length src - !(t.pos) then
+    corrupt "truncated container (EOF in header extension)";
+  t.pos := !(t.pos) + ext;
   t
 
-let of_src = init
 let of_string s = of_src (Bytesrc.Str s)
 let of_bigstring b = of_src (Bytesrc.Big b)
 
@@ -213,9 +213,10 @@ let decode_event t op b pos limit sink =
   else if op = Layout.op_return then sink.Hydra.Trace.on_return ~now
   else corrupt "unknown event opcode 0x%02x" op
 
-(* a framed segment contains bare event ops only *)
-let decode_bare t b start stop sink =
-  let pos = ref start in
+(* A framed segment contains bare event ops only. Both loops decode at
+   the reader's own [pos] ref, which ends at [stop]. *)
+let decode_bare t b stop sink =
+  let pos = t.pos in
   while !pos < stop do
     let op = Char.code (Bytesrc.unsafe_get b !pos) in
     incr pos;
@@ -224,109 +225,122 @@ let decode_bare t b start stop sink =
     decode_event t op b pos stop sink
   done
 
-let decode_payload t b start stop sink =
-  let pos = ref start in
+let decode_payload t stop sink =
+  let b = t.src and pos = t.pos in
   while !pos < stop do
     let op = Char.code (Bytesrc.unsafe_get b !pos) in
     incr pos;
     if op = Layout.op_seg then begin
-      let slen = rd_unsigned b ~limit:stop pos in
-      if !pos + slen > stop then corrupt "segment overruns its event chunk";
-      let soff = !pos in
-      pos := soff + slen;
-      decode_bare t b soff (soff + slen) sink;
+      let slen = uvarint b ~limit:stop pos "segment length" in
+      if slen > stop - !pos then corrupt "segment overruns its event chunk";
+      let soff = !pos and before = t.events in
+      decode_bare t b (soff + slen) sink;
       (* zero-copy reference: the span stays addressable because the
-         chunk bytes (mapped pages or the chunk string) outlive it *)
-      t.seg_src <- b;
+         source (mapped pages or the container string) outlives it *)
       t.seg_off <- soff;
-      t.seg_len <- slen
+      t.seg_len <- slen;
+      t.seg_events <- t.events - before
     end
     else if op = Layout.op_repeat then begin
-      let count = rd_unsigned b ~limit:stop pos in
-      if count = 0 || count > max_repeat then
-        corrupt "implausible repeat count %d" count;
+      let count = uvarint b ~limit:stop pos "repeat count" in
+      if count = 0 then corrupt "repeat count 0";
       if t.seg_len = 0 then corrupt "repeat op with no reference segment";
+      (* the one place a few bytes expand into many events: bound the
+         work by the record's declared count, not by the count byte *)
+      if count > (t.declared - t.events) / t.seg_events then
+        corrupt "repeat count %d overruns the record's %d declared events"
+          count t.declared;
+      let resume = !pos in
       for _ = 1 to count do
-        decode_bare t t.seg_src t.seg_off (t.seg_off + t.seg_len) sink
-      done
+        pos := t.seg_off;
+        decode_bare t b (t.seg_off + t.seg_len) sink
+      done;
+      pos := resume
     end
     else decode_event t op b pos stop sink
   done
 
 (* ---------------- cursor ---------------- *)
 
-let skip_rest_of_record t =
-  let rec go () =
-    let tag = read_byte t "chunk tag" in
-    let len = read_uvarint t "chunk length" in
-    skip_exact t len "skipped chunk";
-    if tag = Layout.tag_record_end then ()
-    else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then
-      corrupt "record not terminated before tag 0x%02x" tag
-    else go ()
-  in
-  go ()
+(* Walk the current record's remaining frames up to and including its
+   end chunk, without decoding events; returns the event count the end
+   chunk declares. *)
+let rec skip_to_record_end t =
+  let tag, len = read_frame t in
+  let stop = !(t.pos) + len in
+  if tag = Layout.tag_record_end then begin
+    let events = uvarint t.src ~limit:stop t.pos "record event count" in
+    t.pos := stop;
+    events
+  end
+  else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then
+    corrupt "record not terminated before tag 0x%02x" tag
+  else begin
+    t.pos := stop;
+    skip_to_record_end t
+  end
 
-let parse_record_begin payload =
-  let pos = ref 0 in
-  let take what =
-    let n = rd_unsigned (Bytesrc.Str payload) ~limit:(String.length payload) pos in
-    if !pos + n > String.length payload then
-      corrupt "%s overruns the record-begin chunk" what;
-    let s = String.sub payload !pos n in
-    pos := !pos + n;
-    s
-  in
-  let name = take "record name" in
-  let meta_s = take "record metadata" in
-  let meta =
-    match Obs.Json.parse meta_s with
-    | Ok j -> j
-    | Error e -> corrupt "record metadata is not valid JSON: %s" e
-  in
-  { name; meta }
+let require_record t what =
+  match t.cursor with
+  | In_record -> ()
+  | _ ->
+      invalid_arg
+        ("Trace_store.Reader." ^ what
+       ^ ": no current record (call next_record first)")
 
-let rec next_record t =
+let skip_record t =
+  require_record t "skip_record";
+  let events = skip_to_record_end t in
+  t.cursor <- Record_done;
+  { events; record_bytes = !(t.pos) - t.record_start }
+
+let parse_meta s =
+  match Obs.Json.parse s with
+  | Ok j -> j
+  | Error e -> corrupt "record metadata is not valid JSON: %s" e
+
+let rec next_record ?(meta = true) t =
   match t.cursor with
   | Container_done -> None
   | In_record ->
-      skip_rest_of_record t;
-      t.cursor <- Record_done;
-      next_record t
-  | Header_done | Record_done -> (
-      let frame_start = t.off in
-      let tag = read_byte t "chunk tag" in
+      ignore (skip_record t : replay_stats);
+      next_record ~meta t
+  | Header_done | Record_done ->
+      let frame_start = !(t.pos) in
+      let tag, len = read_frame t in
+      let stop = !(t.pos) + len in
       if tag = Layout.tag_container_end then begin
-        let len = read_uvarint t "chunk length" in
-        skip_exact t len "container-end chunk";
-        (match read_byte_opt t with
-        | Some b -> corrupt "trailing byte 0x%02x after the container end" b
-        | None -> ());
+        t.pos := stop;
+        if stop < Bytesrc.length t.src then
+          corrupt "trailing byte 0x%02x after the container end"
+            (Char.code (Bytesrc.unsafe_get t.src stop));
         t.cursor <- Container_done;
         None
       end
       else if tag = Layout.tag_record_begin then begin
-        let len = read_uvarint t "chunk length" in
-        let payload = read_exact t len "record-begin chunk" in
-        let r = parse_record_begin payload in
+        let name = read_string t ~stop "record name" in
+        let meta =
+          if meta then parse_meta (read_string t ~stop "record metadata")
+          else Obs.Json.Null
+        in
+        t.pos := stop;
         Layout.reset_state t.state;
-        t.seg_src <- Bytesrc.Str "";
         t.seg_off <- 0;
         t.seg_len <- 0;
+        t.seg_events <- 0;
         t.events <- 0;
         t.checksum <- Layout.checksum_init;
         t.record_start <- frame_start;
         t.cursor <- In_record;
-        Some r
+        Some { name; meta }
       end
       else if tag = Layout.tag_events || tag = Layout.tag_record_end then
         corrupt "chunk tag 0x%02x outside a record" tag
       else begin
         (* unknown chunk kind: skip by declared length (forward compat) *)
-        let len = read_uvarint t "chunk length" in
-        skip_exact t len "unknown chunk";
-        next_record t
-      end)
+        t.pos := stop;
+        next_record ~meta t
+      end
 
 let record_offset t = t.record_start
 
@@ -334,28 +348,27 @@ let seek_record t ~offset =
   if offset < 0 then corrupt "seek offset %d is negative" offset;
   if offset > Bytesrc.length t.src then
     corrupt "seek offset %d is past the container end" offset;
-  t.off <- offset;
+  t.pos := offset;
   t.cursor <- Record_done;
   match next_record t with
   | Some r -> r
   | None -> corrupt "no record at offset %d" offset
 
-let verify_record_end t payload =
-  let b = Bytesrc.Str payload in
-  let limit = String.length payload in
-  let pos = ref 0 in
-  let count = rd_unsigned b ~limit pos in
-  let final_now = rd_signed b ~limit pos in
-  if !pos + 4 > String.length payload then
-    corrupt "record-end chunk too short for its checksum";
-  let byte i = Char.code payload.[!pos + i] in
+(* The end chunk's payload, [start, stop): count, final timestamp and
+   checksum must match what was decoded. *)
+let verify_record_end t start stop =
+  let pos = t.pos in
+  pos := start;
+  let count = uvarint t.src ~limit:stop pos "record event count" in
+  let final_now = svarint t.src ~limit:stop pos "record final timestamp" in
+  if stop - !pos < 4 then corrupt "record-end chunk too short for its checksum";
+  let byte i = Char.code (Bytesrc.unsafe_get t.src (!pos + i)) in
   let declared =
     byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
   in
-  pos := !pos + 4;
-  if !pos <> String.length payload then
-    corrupt "%d trailing bytes in the record-end chunk"
-      (String.length payload - !pos);
+  if !pos + 4 <> stop then
+    corrupt "%d trailing bytes in the record-end chunk" (stop - !pos - 4);
+  pos := stop;
   if count <> t.events then
     corrupt "event count mismatch: end chunk declares %d, decoded %d" count
       t.events;
@@ -366,35 +379,32 @@ let verify_record_end t payload =
     corrupt "checksum mismatch: end chunk declares 0x%08x, computed 0x%08x"
       declared t.checksum
 
+let rec replay_chunks t sink =
+  let tag, len = read_frame t in
+  let start = !(t.pos) in
+  if tag = Layout.tag_events then begin
+    (* zero-copy: checksum and decode the chunk at its container
+       offset; nothing is materialized per chunk or per task *)
+    t.checksum <- Layout.checksum t.checksum t.src ~pos:start ~len;
+    decode_payload t (start + len) sink;
+    replay_chunks t sink
+  end
+  else if tag = Layout.tag_record_end then begin
+    verify_record_end t start (start + len);
+    t.cursor <- Record_done
+  end
+  else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then
+    corrupt "record not terminated before tag 0x%02x" tag
+  else begin
+    t.pos := start + len;
+    replay_chunks t sink
+  end
+
 let replay t sink =
-  (match t.cursor with
-  | In_record -> ()
-  | _ ->
-      invalid_arg
-        "Trace_store.Reader.replay: no current record (call next_record first)");
-  let rec go () =
-    let tag = read_byte t "chunk tag" in
-    let len = read_uvarint t "chunk length" in
-    if tag = Layout.tag_events then begin
-      (* zero-copy: checksum and decode the chunk at its container
-         offset; nothing is materialized per chunk or per task *)
-      let start = t.off in
-      skip_exact t len "event chunk";
-      t.checksum <- Layout.checksum t.checksum t.src ~pos:start ~len;
-      decode_payload t t.src start (start + len) sink;
-      go ()
-    end
-    else if tag = Layout.tag_record_end then begin
-      let payload = read_exact t len "record-end chunk" in
-      verify_record_end t payload;
-      t.cursor <- Record_done
-    end
-    else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then
-      corrupt "record not terminated before tag 0x%02x" tag
-    else begin
-      skip_exact t len "unknown chunk";
-      go ()
-    end
-  in
-  go ();
-  { events = t.events; record_bytes = t.off - t.record_start }
+  require_record t "replay";
+  (* read the declared count up front, then come back to decode *)
+  let start = !(t.pos) in
+  t.declared <- skip_to_record_end t;
+  t.pos := start;
+  replay_chunks t sink;
+  { events = t.events; record_bytes = !(t.pos) - t.record_start }

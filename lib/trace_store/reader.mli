@@ -1,30 +1,34 @@
-(** Replay side of the trace store: stream a container's records back
-    into any {!Hydra.Trace.sink} — typically a fresh
-    [Test_core.Tracer], which then cannot tell replay from live
-    interpretation.
+(** Replay side of the trace store, and its one container parser:
+    stream a container's records back into any {!Hydra.Trace.sink} —
+    typically a fresh [Test_core.Tracer], which then cannot tell replay
+    from live interpretation — and walk its chunk frames for {!Index}.
 
     A reader is a cursor over the container: {!next_record} yields the
     next record's name and metadata (skipping the rest of the current
     record if its events were not consumed), {!replay} decodes the
-    current record's event stream into a sink.
+    current record's event stream into a sink, and {!skip_record} walks
+    past it without decoding. {!Index.of_src} is these three steps
+    (metadata unparsed, events skipped), so the header check, the frame
+    reader and the record parse exist once.
 
     A reader decodes in place over a {!Bytesrc.t} ({!of_src}, or
     {!of_string} / {!of_bigstring}): the inlined-varint hot path reads
-    the source directly, allocation-free per event, and skipping a
-    record just advances an offset. Files are read through
-    {!Bytesrc.map_file}, which maps the container (or reads it whole
-    where mapping fails). That is the zero-copy handoff path: the
-    parent maps the container once, forked workers inherit the
-    read-only pages, and each worker builds a cheap cursor with
-    {!of_src} + {!seek_record} — no per-task file open, header read,
-    or chunk copy. Every structural
-    violation — bad magic or version, truncation, an unknown opcode, a
-    varint overflowing the native int, an [op_repeat] with no reference
-    segment, or an end-chunk event-count / final-timestamp / checksum
-    mismatch — raises {!Corrupt} with a description; {!Corrupt} is the
-    *only* error a well-typed caller must handle for hostile input.
-    Unknown {e chunk tags} are skipped by their declared length, as the
-    §7 forward-compat rule requires.
+    the source directly, allocation-free per event (a test pins the
+    minor words per replayed event), and skipping a record just
+    advances an offset. Files are read through {!Bytesrc.map_file},
+    which maps the container (or reads it whole where mapping fails).
+    That is the zero-copy handoff path: the parent maps the container
+    once, forked workers inherit the read-only pages, and each worker
+    builds a cheap cursor with {!of_src} + {!seek_record} — no per-task
+    file open, header read, or chunk copy. Every structural violation —
+    bad magic or version, truncation, an unknown opcode, a varint
+    overflowing the native int, a length running past its chunk, an
+    [op_repeat] with no reference segment, or an end-chunk event-count /
+    final-timestamp / checksum mismatch — raises {!Corrupt} with a
+    description; {!Corrupt} is the *only* error a well-typed caller must
+    handle for hostile input. Unknown {e chunk tags} (the retired index
+    chunk, tag 0x04, among them) are skipped by their declared length,
+    as the §7 forward-compat rule requires.
 
     Versioning contract: this reader accepts exactly
     {!Layout.version}. A future writer that changes anything an old
@@ -66,11 +70,19 @@ val of_src : Bytesrc.t -> t
 val of_bigstring : Bytesrc.bigstring -> t
 (** [of_src (Bytesrc.Big b)]. *)
 
-val next_record : t -> record option
+val next_record : ?meta:bool -> t -> record option
 (** Advance to the next record and return its identity, or [None] at
     the container end (which must be the explicit end chunk — EOF
     before it raises {!Corrupt}). Undecoded events of the current
-    record are skipped frame-by-frame without checksum verification. *)
+    record are skipped as by {!skip_record}. With [~meta:false] the
+    metadata JSON is neither parsed nor checked and [meta] is [Null]:
+    the index walk. *)
+
+val skip_record : t -> replay_stats
+(** Walk past the rest of the current record frame by frame, without
+    decoding events or verifying the checksum. [events] is the count
+    the record's end chunk declares, [record_bytes] its framed size.
+    Must follow a successful {!next_record}, like {!replay}. *)
 
 val seek_record : t -> offset:int -> record
 (** Position the cursor at the record whose begin chunk starts at the

@@ -14,44 +14,30 @@ let write_raw buf n =
   in
   go n
 
-let read_raw s pos =
-  let rec go acc shift =
-    if shift > 56 then raise Overflow;
-    let b = Char.code s.[!pos] in
-    incr pos;
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  go 0 0
-
 let write_unsigned buf n =
   if n < 0 then invalid_arg "Trace_store.Varint.write_unsigned: negative";
   write_raw buf n
 
-let read_unsigned s pos =
-  let v = read_raw s pos in
-  if v < 0 then raise Overflow;
-  v
-
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
 let write_signed buf n = write_raw buf (zigzag n)
-let read_signed s pos = unzigzag (read_raw s pos)
 
-(* Same readers over a byte source, bounded by an explicit [limit] so
-   chunk-relative decodes cannot run past their frame. *)
-
+(* The one bounded decoder, a plain loop: no closure is built per call,
+   so framing varints on the replay path allocate nothing. *)
 let read_raw_src b ~limit pos =
-  let rec go acc shift =
-    if shift > 56 then raise Overflow;
-    if !pos >= limit then
+  let acc = ref 0 and shift = ref 0 and p = ref !pos and more = ref true in
+  while !more do
+    if !shift > 56 then raise Overflow;
+    if !p >= limit then
       invalid_arg "Trace_store.Varint: truncated varint in byte source";
-    let c = Char.code (Bytesrc.unsafe_get b !pos) in
-    incr pos;
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  go 0 0
+    let c = Char.code (Bytesrc.unsafe_get b !p) in
+    incr p;
+    acc := !acc lor ((c land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    more := c land 0x80 <> 0
+  done;
+  pos := !p;
+  !acc
 
 let read_unsigned_src b ~limit pos =
   let v = read_raw_src b ~limit pos in

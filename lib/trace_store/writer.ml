@@ -211,13 +211,9 @@ let container records =
   Buffer.add_string out Layout.magic;
   Buffer.add_char out (Char.chr Layout.version);
   Varint.write_unsigned out 0;
-  (* record index: an accelerator chunk pre-index readers skip by
-     length; offsets are relative to the end of this chunk *)
-  frame out Layout.tag_index (Index.chunk_payload (Index.of_records records));
   List.iter (Buffer.add_string out) records;
   Buffer.add_char out (Char.chr Layout.tag_container_end);
   Varint.write_unsigned out 0;
   Buffer.contents out
 
-let write_container oc records = output_string oc (container records)
 let to_file ~path records = Atomic_io.write_string ~path (container records)

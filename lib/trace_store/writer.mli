@@ -7,7 +7,7 @@
     capture is a bystander, not a stage), then {!finish} to obtain the
     complete record bytes — begin chunk, event chunks, end chunk with
     count/final-timestamp/checksum. Records from independent writers
-    are concatenated into a container with {!write_container}; that
+    are concatenated into a container with {!container}; that
     byte-copy composition is what lets the parallel sweep's forked
     workers each capture their own workloads and ship the record
     strings back for the parent to assemble in registry order.
@@ -46,12 +46,10 @@ val reference_bytes : t -> int
     [trace.compression_ratio] metric, fixed by the §7 spec so the
     ratio is comparable across PRs. *)
 
-val write_container : out_channel -> string list -> unit
-(** Write a complete container: header, each record's bytes in the
-    given order, container-end chunk. *)
-
 val container : string list -> string
-(** {!write_container} into a string, for tests and in-memory use. *)
+(** A complete container: the header, each record's bytes in the given
+    order, and the container-end chunk. Nothing else: readers find the
+    records by walking the chunk frames ({!Index.of_src}). *)
 
 val to_file : path:string -> string list -> unit
 (** Write a complete container to [path] atomically

@@ -444,6 +444,22 @@ let test_server_end_to_end () =
                  | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)))
   end
 
+(* [container] with one byte flipped in the middle of its first
+   record's first events payload. *)
+let flip_events_byte container =
+  let src = Trace_store.Bytesrc.of_string container in
+  let limit = String.length container in
+  let e = List.hd (Trace_store.Index.of_string container) in
+  (* the record-begin frame, then the first events frame *)
+  let pos = ref (e.Trace_store.Index.offset + 1) in
+  let begin_len = Trace_store.Varint.read_unsigned_src src ~limit pos in
+  pos := !pos + begin_len + 1;
+  let events_len = Trace_store.Varint.read_unsigned_src src ~limit pos in
+  let b = Bytes.of_string container in
+  let i = !pos + (events_len / 2) in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x55));
+  Bytes.to_string b
+
 (* One request path: [execute] in this process returns, byte for byte,
    the result the socket server sends for the same request, and fails
    on bad input with exactly the server's error text. *)
@@ -462,6 +478,10 @@ let test_execute_equals_server () =
     let empty = Filename.temp_file "jrpm_execute_empty" ".jtrc" in
     Trace_store.Atomic_io.write_string ~path:empty
       (Trace_store.Writer.container []);
+    let corrupt = Filename.temp_file "jrpm_execute_corrupt" ".jtrc" in
+    Trace_store.Atomic_io.write_string ~path:corrupt
+      (flip_events_byte
+         (In_channel.with_open_bin container In_channel.input_all));
     let daemon_pid, sock = spawn_daemon ~jobs:2 in
     Fun.protect
       ~finally:(fun () ->
@@ -469,19 +489,25 @@ let test_execute_equals_server () =
         (try ignore (Unix.waitpid [] daemon_pid) with Unix.Unix_error _ -> ());
         List.iter
           (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ container; empty; sock ])
+          [ container; empty; corrupt; sock ])
       (fun () ->
         let c = connect_retry sock in
         let server req =
           Result.map Obs.Json.to_string (D.Client.rpc c req).D.rsp
         in
-        let local req =
-          match D.execute ~jobs:2 req with
+        let local ?(jobs = 2) req =
+          match D.execute ~jobs req with
           | json -> Ok (Obs.Json.to_string json)
           | exception Trace_store.Reader.Corrupt msg ->
               Error ("corrupt container: " ^ msg)
           | exception (Failure msg | Invalid_argument msg) -> Error msg
         in
+        (* a corrupt record fails with the typed error whichever worker
+           decoded it: the same [Corrupt] at one job and at two *)
+        let corrupt_replay = D.Replay { path = corrupt; record = None } in
+        Alcotest.(check (result string string))
+          "corrupt record: jobs 2 = jobs 1" (local ~jobs:1 corrupt_replay)
+          (local corrupt_replay);
         List.iter
           (fun (what, ok, req) ->
             let expected = server req in
@@ -518,6 +544,10 @@ let test_execute_equals_server () =
               true,
               D.Explore { path = empty; grid = [ "cpus=8" ] } );
             ("replay, no records", true, D.Replay { path = empty; record = None });
+            ("corrupt record", false, corrupt_replay);
+            ( "explore, corrupt record",
+              false,
+              D.Explore { path = corrupt; grid = [ "cpus=8" ] } );
           ];
         match D.execute ~jobs:1 D.Ping with
         | _ -> Alcotest.fail "execute must refuse ping"

@@ -122,6 +122,45 @@ let test_cli_banks_rejected () =
           [ "0"; "-1" ])
   end
 
+(* `deps` on a program whose loops carry no dependency says so in one
+   line and exits 0, so an empty profile reads differently from a
+   program with no loop at all. *)
+let test_cli_deps_empty_profile () =
+  let jrpm = "../bin/jrpm_cli.exe" in
+  if Sys.file_exists jrpm then begin
+    let src = Filename.temp_file "jrpm_deps" ".jvl" in
+    let outfile = Filename.temp_file "jrpm_deps" ".out" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
+          [ src; outfile ])
+      (fun () ->
+        let deps program =
+          Out_channel.with_open_bin src (fun oc -> output_string oc program);
+          let code =
+            Sys.command
+              (Printf.sprintf "%s deps %s >%s 2>&1" jrpm (Filename.quote src)
+                 (Filename.quote outfile))
+          in
+          Alcotest.(check int) "exit" 0 code;
+          In_channel.with_open_bin outfile In_channel.input_all
+        in
+        Alcotest.(check string) "independent loop"
+          "no dependency arcs recorded (1 STLs traced)\n"
+          (deps
+             {|int[] a;
+def main() {
+  a = new int[64];
+  for (int i = 0; i < 64; i = i + 1) { a[i] = i * 2; }
+  print_int(a[63]);
+}
+|});
+        Alcotest.(check string) "no loop"
+          "no dependency arcs recorded (0 STLs traced)\n"
+          (deps "def main() { print_int(1); }"))
+  end
+
 (* A program that never terminates is a user error: `run` stops it at
    the fuel limit with a runtime-trap message and exit 2, not an escaped
    exception. *)
@@ -235,6 +274,8 @@ let suites =
         Alcotest.test_case "dataset sensitivity" `Slow test_dataset_sensitivity;
         Alcotest.test_case "deps and profile reject bad --banks" `Quick
           test_cli_banks_rejected;
+        Alcotest.test_case "deps reports an empty profile" `Quick
+          test_cli_deps_empty_profile;
         Alcotest.test_case "run stops a non-terminating program" `Quick
           test_cli_out_of_fuel;
         Alcotest.test_case "unwritable summary JSON" `Quick

@@ -29,6 +29,15 @@ let encode_s n =
   V.write_signed b n;
   Buffer.contents b
 
+(* the decoders read a byte source in place, bounded by [limit] *)
+let read_u s pos =
+  V.read_unsigned_src (Trace_store.Bytesrc.of_string s) ~limit:(String.length s)
+    pos
+
+let read_s s pos =
+  V.read_signed_src (Trace_store.Bytesrc.of_string s) ~limit:(String.length s)
+    pos
+
 let test_varint_encodings () =
   Alcotest.(check string) "0" "\x00" (encode_u 0);
   Alcotest.(check string) "127" "\x7f" (encode_u 127);
@@ -51,7 +60,7 @@ let test_varint_extremes () =
       Alcotest.(check int)
         (Printf.sprintf "signed round-trip %d" n)
         n
-        (V.read_signed s (ref 0));
+        (read_s s (ref 0));
       Alcotest.(check bool) "at most 9 bytes" true (String.length s <= 9))
     [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1; 1 lsl 40 ];
   List.iter
@@ -60,14 +69,27 @@ let test_varint_extremes () =
       Alcotest.(check int)
         (Printf.sprintf "unsigned round-trip %d" n)
         n
-        (V.read_unsigned s (ref 0)))
-    [ 0; 1; 127; 128; 16384; max_int ]
+        (read_u s (ref 0)))
+    [ 0; 1; 127; 128; 16384; max_int ];
+  (* ten groups overflow a native int; a varint cut by [limit] is
+     truncated, even when the source goes on *)
+  Alcotest.(check bool) "ten-byte varint overflows" true
+    (match read_u (String.make 9 '\x80' ^ "\x01") (ref 0) with
+    | _ -> false
+    | exception V.Overflow -> true);
+  Alcotest.(check bool) "varint cut by its limit" true
+    (match
+       V.read_unsigned_src (Trace_store.Bytesrc.of_string "\x80\x01") ~limit:1
+         (ref 0)
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let prop_varint_roundtrip =
   QCheck.Test.make ~name:"varint signed round-trip on arbitrary ints"
     ~count:500
     QCheck.(frequency [ (4, small_signed_int); (1, int) ])
-    (fun n -> V.read_signed (encode_s n) (ref 0) = n)
+    (fun n -> read_s (encode_s n) (ref 0) = n)
 
 (* ---------------- event stream codec ---------------- *)
 
@@ -299,7 +321,7 @@ let events_payloads s =
   let rec go acc =
     let tag = Char.code s.[!pos] in
     incr pos;
-    let len = V.read_unsigned s pos in
+    let len = read_u s pos in
     let acc = if tag = L.tag_events then (!pos, len) :: acc else acc in
     pos := !pos + len;
     if tag = L.tag_container_end then List.rev acc else go acc
@@ -352,28 +374,54 @@ let hex_bytes h =
        (fun b -> String.make 1 (Char.chr (int_of_string ("0x" ^ b))))
        (String.split_on_char ' ' h))
 
-(* ARCHITECTURE.md §7's worked example, byte for byte. *)
+(* ARCHITECTURE.md §7's worked example: six events of record "w". *)
+let worked_events =
+  E.Sloop { stl = 2; nlocals = 1; frame = 0; now = 5 }
+  :: List.map (fun now -> E.Eoi { stl = 2; now }) [ 9; 13; 17; 21 ]
+  @ [ E.Eloop { stl = 2; now = 23 } ]
+
+let worked_record =
+  [ "01 05"; "01 77"; "02 7B 7D";
+    "02 14"; "0B 08"; "01 0A 04 02 00"; "02 08 04";
+      "0B 03"; "02 08 00"; "00 02"; "03 04 04";
+    "03 06"; "06"; "2E"; "2A AB E3 A6" ]
+
+(* The worked example byte for byte: header, the record, container end. *)
 let test_worked_example () =
-  let events =
-    E.Sloop { stl = 2; nlocals = 1; frame = 0; now = 5 }
-    :: List.map (fun now -> E.Eoi { stl = 2; now }) [ 9; 13; 17; 21 ]
-    @ [ E.Eloop { stl = 2; now = 23 } ]
-  in
   let want =
     hex_bytes
       (String.concat " "
-         [ "4A 54 52 43"; "02"; "00";
-           "04 06"; "01"; "01 77"; "00 25 06";
-           "01 05"; "01 77"; "02 7B 7D";
-           "02 14"; "0B 08"; "01 0A 04 02 00"; "02 08 04";
-             "0B 03"; "02 08 00"; "00 02"; "03 04 04";
-           "03 06"; "06"; "2E"; "2A AB E3 A6";
-           "00 00" ])
+         ([ "4A 54 52 43"; "02"; "00" ] @ worked_record @ [ "00 00" ]))
   in
-  let got = encode_container ~name:"w" ~meta:(Obs.Json.Obj []) events in
-  Alcotest.(check int) "53 bytes" 53 (String.length got);
+  let got = encode_container ~name:"w" ~meta:(Obs.Json.Obj []) worked_events in
+  Alcotest.(check int) "45 bytes" 45 (String.length got);
   Alcotest.(check string) "container bytes" (String.escaped want)
     (String.escaped got)
+
+(* The same example as earlier version-2 writers wrote it, with the
+   per-record index chunk (tag 0x04: one entry, "w" at relative offset
+   0, 37 bytes, 6 events) after the header. The chunk is skipped like
+   any unknown chunk: the record indexes at absolute offset 14 and
+   replays the same six events. *)
+let old_worked_example =
+  hex_bytes
+    (String.concat " "
+       ([ "4A 54 52 43"; "02"; "00"; "04 06"; "01"; "01 77"; "00 25 06" ]
+       @ worked_record @ [ "00 00" ]))
+
+let test_old_worked_example () =
+  Alcotest.(check int) "53 bytes" 53 (String.length old_worked_example);
+  Alcotest.(check bool) "indexes past the index chunk" true
+    (Trace_store.Index.of_string old_worked_example
+    = [ { Trace_store.Index.name = "w"; offset = 14; bytes = 37; events = 6 } ]);
+  let replayed bytes =
+    let _, stats, got = decode_single bytes in
+    (stats.R.events, got)
+  in
+  Alcotest.(check bool) "replays the same six events" true
+    (replayed old_worked_example
+     = replayed (encode_container ~name:"w" ~meta:(Obs.Json.Obj []) worked_events)
+    && snd (replayed old_worked_example) = worked_events)
 
 let test_unknown_chunk_skipped () =
   (* insert an unknown chunk kind (tag 0x7f) between the header and the
@@ -440,48 +488,55 @@ let three_records () =
   let _, r3 = encode_record ~name:"c" (loop_events ~iters:3 ~body:2) in
   [ r1; r2; r3 ]
 
-(* a container in the pre-index layout: header, records, end — what
-   every writer produced before the index chunk existed *)
-let legacy_container records =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b container_header;
-  List.iter (Buffer.add_string b) records;
-  Buffer.add_string b "\x00\x00";
+(* The layout of earlier version-2 writers: an index chunk (tag 0x04)
+   between the header and the first record. Readers skip it by length
+   whatever it holds, so a garbage payload stands in for a real one
+   (the 53-byte worked example keeps a real one). *)
+let with_index_chunk ?(payload = "\x03not an index") container =
+  let h = String.length container_header in
+  let b = Buffer.create (String.length container + 32) in
+  Buffer.add_string b (String.sub container 0 h);
+  Buffer.add_char b '\x04';
+  V.write_unsigned b (String.length payload);
+  Buffer.add_string b payload;
+  Buffer.add_string b (String.sub container h (String.length container - h));
   Buffer.contents b
 
 let shape entries =
   List.map (fun (e : I.entry) -> (e.I.name, e.I.bytes, e.I.events)) entries
 
-let test_index_embedded_and_scan_agree () =
+let test_index_walk () =
   let records = three_records () in
-  let embedded = W.container records in
-  let legacy = legacy_container records in
-  (* the embedded chunk and a frame scan of the same container agree
-     exactly; the legacy container differs only by the offset shift the
-     index chunk itself introduces *)
-  let from_chunk = I.of_string embedded in
-  Alcotest.(check bool) "embedded index = scan of same bytes" true
-    (from_chunk = I.scan_string embedded);
-  Alcotest.(check bool) "legacy scan has the same shape" true
-    (shape from_chunk = shape (I.of_string legacy));
+  let container = W.container records in
+  Alcotest.(check string) "header, records, end: no index chunk"
+    (String.escaped (container_header ^ String.concat "" records ^ "\x00\x00"))
+    (String.escaped container);
+  let entries = I.of_string container in
   Alcotest.(check (list string))
     "container order" [ "a"; "b"; "c" ]
-    (List.map (fun (e : I.entry) -> e.I.name) from_chunk);
+    (List.map (fun (e : I.entry) -> e.I.name) entries);
   Alcotest.(check (list int))
     "declared event counts" [ 25; 1; 9 ]
-    (List.map (fun (e : I.entry) -> e.I.events) from_chunk);
+    (List.map (fun (e : I.entry) -> e.I.events) entries);
   (* every offset points at a record-begin tag and every length covers
      the record exactly *)
   List.iter2
     (fun (e : I.entry) record ->
       Alcotest.(check char)
         ("offset points at record begin: " ^ e.I.name)
-        '\x01' embedded.[e.I.offset];
+        '\x01' container.[e.I.offset];
       Alcotest.(check string)
         ("entry spans the record bytes: " ^ e.I.name)
         record
-        (String.sub embedded e.I.offset e.I.bytes))
-    from_chunk records
+        (String.sub container e.I.offset e.I.bytes))
+    entries records;
+  (* an earlier writer's index chunk only shifts the offsets *)
+  let old = with_index_chunk container in
+  let shift = String.length old - String.length container in
+  Alcotest.(check bool) "index chunk skipped" true
+    (I.of_string old
+    = List.map (fun (e : I.entry) -> { e with I.offset = e.I.offset + shift })
+        entries)
 
 let test_seek_record_decodes_in_isolation () =
   let container = W.container (three_records ()) in
@@ -524,33 +579,6 @@ let test_seek_record_decodes_in_isolation () =
   expect_corrupt "seek into the middle of a chunk" (fun () ->
       R.seek_record (R.of_string container) ~offset:(e1.I.offset + 1))
 
-let test_lying_index_rejected () =
-  (* hand-build a container whose index chunk points one byte past the
-     real record: of_string must detect the lie and raise, not shard on
-     garbage offsets *)
-  let _, record = encode_record ~name:"x" [ E.Return { now = 3 } ] in
-  let entry = { I.name = "x"; offset = 1; bytes = String.length record; events = 1 } in
-  let payload = I.chunk_payload [ entry ] in
-  let b = Buffer.create 256 in
-  Buffer.add_string b container_header;
-  Buffer.add_char b '\x04';
-  V.write_unsigned b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.add_string b record;
-  Buffer.add_string b "\x00\x00";
-  expect_corrupt "lying index offset" (fun () ->
-      I.of_string (Buffer.contents b));
-  (* a truncated index payload is also rejected *)
-  let b2 = Buffer.create 256 in
-  Buffer.add_string b2 container_header;
-  Buffer.add_char b2 '\x04';
-  V.write_unsigned b2 2;
-  Buffer.add_string b2 (String.sub payload 0 2);
-  Buffer.add_string b2 record;
-  Buffer.add_string b2 "\x00\x00";
-  expect_corrupt "truncated index payload" (fun () ->
-      I.of_string (Buffer.contents b2))
-
 (* ---------------- byte-source backends: string / bigstring / file ---- *)
 
 module B = Trace_store.Bytesrc
@@ -578,30 +606,22 @@ let collect_record src ~offset =
 (* Byte-merged container: records lifted out of two independently
    captured containers and concatenated into one (the §7 merge
    operation — records are self-contained, so a merge is a byte copy).
-   The merged file has no index chunk; both backends must scan it,
-   seek any record, and decode exactly what the source captures held. *)
+   Both backends must index it, seek any record, and decode exactly
+   what the source captures held. *)
 let test_merged_captures_both_backends () =
   let capture_a = W.container [ snd (encode_record ~name:"a1" (loop_events ~iters:4 ~body:3));
                                 snd (encode_record ~name:"a2" [ E.Return { now = 5 } ]) ]
   and capture_b = W.container [ snd (encode_record ~name:"b1" (loop_events ~iters:2 ~body:5)) ] in
   let lift c = List.map (fun (e : I.entry) -> String.sub c e.I.offset e.I.bytes)
       (I.of_string c) in
-  let merged = legacy_container (lift capture_a @ lift capture_b) in
+  let merged = W.container (lift capture_a @ lift capture_b) in
   List.iter
     (fun (backend, src) ->
-      Alcotest.(check bool)
-        (backend ^ ": merged container has no index chunk")
-        true
-        (I.embedded_chunk_size src = None);
       let entries = I.of_src src in
       Alcotest.(check (list string))
         (backend ^ ": merged order is concatenation order")
         [ "a1"; "a2"; "b1" ]
         (List.map (fun (e : I.entry) -> e.I.name) entries);
-      Alcotest.(check bool)
-        (backend ^ ": scan agrees with of_src")
-        true
-        (entries = I.scan_src src);
       (* each merged record decodes byte-identically to its decode out
          of the original capture *)
       let from_original name =
@@ -623,24 +643,18 @@ let test_merged_captures_both_backends () =
         entries)
     (both_backends merged)
 
-(* A legacy (pre-index-chunk) container with the index chunk present in
-   a sibling: entry shapes agree across layouts and across backends,
-   and seek+replay out of the indexed container matches over both. *)
+(* Entries agree across backends, and with an earlier writer's index
+   chunk present; seek+replay agrees over both backends. *)
 let test_index_backends_agree () =
   let records = three_records () in
-  let indexed = W.container records in
-  let legacy = legacy_container records in
-  let reference = I.of_string indexed in
+  let current = W.container records in
+  let reference = I.of_string current in
   List.iter
     (fun (backend, src) ->
       Alcotest.(check bool)
-        (backend ^ ": embedded index parses identically")
+        (backend ^ ": index agrees with the string backend")
         true
         (I.of_src src = reference);
-      Alcotest.(check bool)
-        (backend ^ ": index chunk size agrees")
-        true
-        (I.embedded_chunk_size src <> None);
       List.iter
         (fun (e : I.entry) ->
           let name, events, got = collect_record src ~offset:e.I.offset in
@@ -651,18 +665,18 @@ let test_index_backends_agree () =
             true
             (got
             = (let _, _, ref_events =
-                 collect_record (B.of_string indexed) ~offset:e.I.offset
+                 collect_record (B.of_string current) ~offset:e.I.offset
                in
                ref_events)))
         reference)
-    (both_backends indexed);
+    (both_backends current);
   List.iter
     (fun (backend, src) ->
       Alcotest.(check bool)
-        (backend ^ ": legacy scan shape matches indexed")
+        (backend ^ ": index chunk layout has the same shape")
         true
         (shape (I.of_src src) = shape reference))
-    (both_backends legacy)
+    (both_backends (with_index_chunk current))
 
 let with_temp_container bytes f =
   let path = Filename.temp_file "jrpm_test" ".jtrc" in
@@ -676,16 +690,16 @@ let with_temp_container bytes f =
       f path)
 
 (* Indexing a file is [Index.of_src] over its mapping: it must agree
-   exactly with the in-memory parse, on both the indexed and the legacy
-   layout; a lying on-disk index must raise through the same path; and
-   the reader over the mapping must decode a real file identically to
-   the string backend. *)
+   exactly with the in-memory parse, with and without an earlier
+   writer's index chunk; a corrupt file must raise through the same
+   path; and the reader over the mapping must decode a real file
+   identically to the string backend. *)
 let index_file path = I.of_src (B.map_file path)
 
 let test_mapped_file_index_and_reader () =
   let records = three_records () in
   let indexed = W.container records in
-  let legacy = legacy_container records in
+  let old = with_index_chunk indexed in
   with_temp_container indexed (fun path ->
       Alcotest.(check bool)
         "mapped index = of_string (indexed)" true
@@ -714,25 +728,15 @@ let test_mapped_file_index_and_reader () =
       Alcotest.(check bool)
         "mapped drain = string drain" true
         (drain (R.of_src mapped) = drain (R.of_string indexed)));
-  with_temp_container legacy (fun path ->
+  with_temp_container old (fun path ->
       Alcotest.(check bool)
-        "mapped index = of_string (legacy, scan fallback)" true
-        (index_file path = I.of_string legacy));
-  (* lying index on disk: offset points one byte past the record *)
-  let _, record = encode_record ~name:"x" [ E.Return { now = 3 } ] in
-  let entry =
-    { I.name = "x"; offset = 1; bytes = String.length record; events = 1 }
-  in
-  let payload = I.chunk_payload [ entry ] in
-  let b = Buffer.create 256 in
-  Buffer.add_string b container_header;
-  Buffer.add_char b '\x04';
-  V.write_unsigned b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.add_string b record;
-  Buffer.add_string b "\x00\x00";
-  with_temp_container (Buffer.contents b) (fun path ->
-      expect_corrupt "lying on-disk index" (fun () -> index_file path))
+        "mapped index = of_string (index chunk skipped)" true
+        (index_file path = I.of_string old));
+  (* a record cut short on disk: its end chunk is missing *)
+  with_temp_container
+    (String.sub indexed 0 (String.length indexed - 4) ^ "\x00\x00")
+    (fun path ->
+      expect_corrupt "record cut short on disk" (fun () -> index_file path))
 
 (* ---------------- on-disk robustness: truncation, special files,
    atomic writes ---------------- *)
@@ -855,6 +859,299 @@ let test_atomic_io () =
         "to_file container loads" [ "atomic" ]
         (List.map (fun (e : I.entry) -> e.I.name) entries))
 
+(* ---------------- hostile containers ---------------- *)
+
+(* Containers from the codec generator: one to three records, each a
+   random event stream or a loop-shaped one (framed segments and
+   repeats). *)
+let gen_container =
+  QCheck.Gen.(
+    let record =
+      oneofl [ "a"; "bb"; "workload" ] >>= fun name ->
+      small_nat >>= fun k ->
+      frequency
+        [
+          (1, list_size (int_range 0 40) gen_event);
+          ( 2,
+            int_range 1 12 >>= fun iters ->
+            int_range 1 4 >|= fun body -> loop_events ~iters ~body );
+        ]
+      >|= fun events ->
+      snd (encode_record ~name ~meta:(Obs.Json.Obj [ ("k", Obs.Json.Int k) ]) events)
+    in
+    list_size (int_range 1 3) record >|= W.container)
+
+(* The chunk frames of a well-formed container, after its header:
+   (frame start, tag, payload start, payload length). *)
+let frames s =
+  let src = B.of_string s and limit = String.length s in
+  let rec go pos acc =
+    if pos >= limit then List.rev acc
+    else begin
+      let p = ref (pos + 1) in
+      let len = V.read_unsigned_src src ~limit p in
+      go (!p + len) ((pos, Char.code s.[pos], !p, len) :: acc)
+    end
+  in
+  go (String.length container_header) []
+
+let cut s i j = String.sub s i (j - i)
+
+(* [v] as a LEB128 varint [extra] groups longer than it needs: still
+   [v] to a decoder. *)
+let padded_varint v ~extra =
+  let b = Bytes.of_string (encode_u v) in
+  let last = Bytes.length b - 1 in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lor 0x80));
+  Bytes.to_string b ^ String.make (extra - 1) '\x80' ^ "\x00"
+
+(* ten groups: more than a native int holds *)
+let overflowing_varint = String.make 9 '\x80' ^ "\x01"
+
+(* Frame [f] of [s] with its length encoded as [len_bytes]. *)
+let with_length s (pos, tag, poff, _) len_bytes =
+  cut s 0 pos ^ String.make 1 (Char.chr tag) ^ len_bytes
+  ^ cut s poff (String.length s)
+
+(* The record-end frame [f] of [s] with its event count encoded as
+   [count_bytes]. *)
+let with_count s (pos, tag, poff, len) count_bytes =
+  let p = ref poff in
+  ignore (V.read_unsigned_src (B.of_string s) ~limit:(poff + len) p : int);
+  let payload = count_bytes ^ cut s !p (poff + len) in
+  cut s 0 pos ^ String.make 1 (Char.chr tag)
+  ^ encode_u (String.length payload)
+  ^ payload
+  ^ cut s (poff + len) (String.length s)
+
+let insert_chunk s at tag payload =
+  cut s 0 at ^ String.make 1 (Char.chr tag)
+  ^ encode_u (String.length payload)
+  ^ payload
+  ^ cut s at (String.length s)
+
+type mutation =
+  | Flip of int * int  (** byte index, xor mask *)
+  | Splice of int * int  (** this container's prefix, the other's suffix *)
+  | Swap_records  (** the records in reverse order *)
+  | Pad_length of int * int  (** frame, extra groups *)
+  | Overflow_length of int  (** frame *)
+  | Pad_count of int * int  (** record-end frame, extra groups *)
+  | Overflow_count of int  (** record-end frame *)
+  | Dangling_repeat of int  (** record: an [op_repeat] opens it *)
+  | Index_chunk of int * string  (** frame boundary, garbage payload *)
+
+let pp_mutation = function
+  | Flip (i, m) -> Printf.sprintf "flip byte %d ^ 0x%02x" i m
+  | Splice (i, j) -> Printf.sprintf "splice at %d / %d" i j
+  | Swap_records -> "records reversed"
+  | Pad_length (f, k) -> Printf.sprintf "frame %d length +%d groups" f k
+  | Overflow_length f -> Printf.sprintf "frame %d length overflows" f
+  | Pad_count (f, k) -> Printf.sprintf "end frame %d count +%d groups" f k
+  | Overflow_count f -> Printf.sprintf "end frame %d count overflows" f
+  | Dangling_repeat r -> Printf.sprintf "record %d opens with op_repeat" r
+  | Index_chunk (f, p) -> Printf.sprintf "index chunk before frame %d: %S" f p
+
+let gen_mutation =
+  QCheck.Gen.(
+    let pick = int_bound 1_000_000 in
+    frequency
+      [
+        (4, map2 (fun i m -> Flip (i, m)) pick (int_range 1 255));
+        (2, map2 (fun i j -> Splice (i, j)) pick pick);
+        (1, return Swap_records);
+        (1, map2 (fun f k -> Pad_length (f, k)) pick (int_range 1 3));
+        (1, map (fun f -> Overflow_length f) pick);
+        (1, map2 (fun f k -> Pad_count (f, k)) pick (int_range 1 3));
+        (1, map (fun f -> Overflow_count f) pick);
+        (1, map (fun r -> Dangling_repeat r) pick);
+        ( 1,
+          map2 (fun f p -> Index_chunk (f, p)) pick
+            (string_size ~gen:char (int_range 0 12)) );
+      ])
+
+(* The mutated bytes, and whether the mutation keeps the container
+   well-formed: then it must read back as the original does (records
+   reversed for [Swap_records]). *)
+let mutate s other m =
+  let n = String.length s in
+  let fs = Array.of_list (frames s) in
+  let nth_frame k = fs.(k mod Array.length fs) in
+  let tagged t =
+    Array.of_list
+      (List.filter (fun (_, tag, _, _) -> tag = t) (Array.to_list fs))
+  in
+  let begins = tagged L.tag_record_begin and ends = tagged L.tag_record_end in
+  match m with
+  | Flip (i, mask) ->
+      let b = Bytes.of_string s in
+      let i = i mod n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+      (Bytes.to_string b, false)
+  | Splice (i, j) ->
+      let j = j mod String.length other in
+      (cut s 0 (i mod n) ^ cut other j (String.length other), false)
+  | Swap_records ->
+      let records =
+        List.map
+          (fun (e : I.entry) -> String.sub s e.I.offset e.I.bytes)
+          (I.of_string s)
+      in
+      (W.container (List.rev records), true)
+  | Pad_length (k, extra) ->
+      let (_, _, _, len) as f = nth_frame k in
+      (with_length s f (padded_varint len ~extra), true)
+  | Overflow_length k -> (with_length s (nth_frame k) overflowing_varint, false)
+  | Pad_count (k, extra) ->
+      let ((_, _, poff, len) as f) = ends.(k mod Array.length ends) in
+      let count =
+        V.read_unsigned_src (B.of_string s) ~limit:(poff + len) (ref poff)
+      in
+      (with_count s f (padded_varint count ~extra), true)
+  | Overflow_count k ->
+      (with_count s ends.(k mod Array.length ends) overflowing_varint, false)
+  | Dangling_repeat r ->
+      let _, _, poff, len = begins.(r mod Array.length begins) in
+      (insert_chunk s (poff + len) L.tag_events "\x00\x03", false)
+  | Index_chunk (k, payload) ->
+      let pos, _, _, _ = nth_frame k in
+      (insert_chunk s pos 0x04 payload, true)
+
+(* Far more events than a generated container holds: a replay that
+   runs past it has let a few mutated bytes expand without bound. *)
+let max_replayed = 10_000
+
+(* What a reader makes of a container: its index, and each record's
+   events through a full drain — or [Corrupt]. Any other exception
+   escapes and fails the property. *)
+let read_back s =
+  let index =
+    match I.of_string s with
+    | entries -> Ok (List.map (fun (e : I.entry) -> (e.I.name, e.I.events)) entries)
+    | exception R.Corrupt _ -> Error ()
+  in
+  let records =
+    match
+      let r = R.of_string s in
+      let rec go acc =
+        match R.next_record r with
+        | None -> List.rev acc
+        | Some record ->
+            let events = ref [] and n = ref 0 in
+            let sink =
+              E.handler (fun e ->
+                  incr n;
+                  if !n > max_replayed then
+                    QCheck.Test.fail_reportf "replay ran past %d events"
+                      max_replayed;
+                  events := e :: !events)
+            in
+            ignore (R.replay r sink : R.replay_stats);
+            go ((record.R.name, List.rev !events) :: acc)
+      in
+      go []
+    with
+    | records -> Ok records
+    | exception R.Corrupt _ -> Error ()
+  in
+  (index, records)
+
+(* Allocation bound for indexing plus a null-sink drain: at most
+   [alloc_per_byte] words per container byte, plus a fixed allowance
+   for the reader, the exception message and the measurement itself. *)
+let alloc_per_byte = 8.
+let alloc_fixed = 4096.
+
+(* Words allocated by indexing and draining [s], minor and major. A
+   minor collection on each side flushes the major heap's counters,
+   which otherwise lag direct major allocations. *)
+let alloc_words s =
+  Gc.minor ();
+  let q0 = Gc.quick_stat () and m0 = Gc.minor_words () in
+  (try ignore (I.of_string s : I.entry list) with R.Corrupt _ -> ());
+  (try drain s with R.Corrupt _ -> ());
+  let m1 = Gc.minor_words () in
+  Gc.minor ();
+  let q1 = Gc.quick_stat () in
+  m1 -. m0
+  +. (q1.Gc.major_words -. q0.Gc.major_words)
+  -. (q1.Gc.promoted_words -. q0.Gc.promoted_words)
+
+let prop_hostile_containers =
+  QCheck.Test.make ~name:"hostile containers: Corrupt only, bounded allocation"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, _, ms) ->
+         Printf.sprintf "%d-byte container %S; %s" (String.length s) s
+           (String.concat ", " (List.map pp_mutation ms)))
+       QCheck.Gen.(
+         triple gen_container gen_container
+           (list_size (int_range 1 4) gen_mutation)))
+    (fun (s, other, ms) ->
+      let original = read_back s in
+      (* a strict prefix is never a container *)
+      for keep = 0 to String.length s - 1 do
+        if read_back (String.sub s 0 keep) <> (Error (), Error ()) then
+          QCheck.Test.fail_reportf "prefix of %d bytes was accepted" keep
+      done;
+      List.for_all
+        (fun m ->
+          let mutated, keeps_form = mutate s other m in
+          let got = read_back mutated in
+          let expected =
+            if m <> Swap_records then original
+            else
+              let index, records = original in
+              (Result.map List.rev index, Result.map List.rev records)
+          in
+          if keeps_form && got <> expected then
+            QCheck.Test.fail_reportf "%s changed what reads back" (pp_mutation m);
+          let words = alloc_words mutated in
+          let bound =
+            (alloc_per_byte *. float_of_int (String.length mutated))
+            +. alloc_fixed
+          in
+          if words > bound then
+            QCheck.Test.fail_reportf "%s: %.0f words allocated, bound %.0f"
+              (pp_mutation m) words bound;
+          true)
+        ms)
+
+(* ---------------- replay hot path ---------------- *)
+
+(* A record with every framing the replay loop meets: distinct
+   iterations framed as [op_seg], constant-stride runs collapsed into
+   [op_repeat], and enough of both to span several events chunks. *)
+let framed_stream ~iters =
+  let now = ref 0 and addr = ref 0 in
+  let iteration stride =
+    addr := !addr + stride;
+    now := !now + 3;
+    [ E.Heap_load { addr = !addr; pc = 100; now = !now };
+      E.Heap_store { addr = !addr + 8; now = !now + 1 };
+      E.Eoi { stl = 1; now = !now + 2 } ]
+  in
+  List.concat
+    (List.init iters (fun i ->
+         if i mod 16 = 0 then List.concat (List.init 8 (fun _ -> iteration 64))
+         else iteration (8 * (1 + (i * i mod 97)))))
+
+(* Replaying into the null sink allocates nothing per event: no
+   closure per framing varint, no position ref per segment. *)
+let test_replay_allocation_free () =
+  let container = encode_container ~name:"hot" (framed_stream ~iters:40_000) in
+  Alcotest.(check bool) "several events chunks" true
+    (List.length (events_payloads container) >= 2);
+  let r = R.of_string container in
+  ignore (R.next_record r : R.record option);
+  let before = Gc.minor_words () in
+  let stats = R.replay r Hydra.Trace.null_sink in
+  let words = (Gc.minor_words () -. before) /. float_of_int stats.R.events in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words/event over %d events within 0.01" words
+       stats.R.events)
+    true (words <= 0.01)
+
 (* ---------------- replay determinism vs the golden sweep ---------------- *)
 
 (* The same subset test_sweep checks against the sweep pin: capture
@@ -922,6 +1219,7 @@ let suites =
           test_every_payload_byte_flip;
         Alcotest.test_case "version-1 container refused" `Quick
           test_v1_refused;
+        QCheck_alcotest.to_alcotest prop_hostile_containers;
       ] );
     ( "trace_store.checksum",
       [
@@ -938,12 +1236,12 @@ let suites =
       ] );
     ( "trace_store.index",
       [
-        Alcotest.test_case "embedded index, scan, and legacy agree" `Quick
-          test_index_embedded_and_scan_agree;
+        Alcotest.test_case "index walk: offsets, spans, counts" `Quick
+          test_index_walk;
         Alcotest.test_case "seek_record decodes in isolation" `Quick
           test_seek_record_decodes_in_isolation;
-        Alcotest.test_case "lying or truncated index rejected" `Quick
-          test_lying_index_rejected;
+        Alcotest.test_case "old worked example: index chunk skipped" `Quick
+          test_old_worked_example;
       ] );
     ( "trace_store.bytesrc",
       [
@@ -962,6 +1260,11 @@ let suites =
           test_map_file_special_paths;
         Alcotest.test_case "atomic writes survive a crashing writer" `Quick
           test_atomic_io;
+      ] );
+    ( "trace_store.hot_path",
+      [
+        Alcotest.test_case "replay into the null sink allocation-free" `Quick
+          test_replay_allocation_free;
       ] );
     ( "trace_store.replay",
       [
