@@ -203,10 +203,11 @@ let reports :
     (string * (Jrpm.Pipeline.report * Obs.Recorder.t option)) list Lazy.t =
   lazy
     (List.map
-       (fun (o : Jrpm.Parallel_sweep.outcome) ->
-         (o.Jrpm.Parallel_sweep.workload.Workloads.Workload.name,
-          (o.Jrpm.Parallel_sweep.report, o.Jrpm.Parallel_sweep.recorder)))
-       (Jrpm.Parallel_sweep.run ~jobs:!sweep_jobs ~observe:!observe_phases ()))
+       (fun (o : Jrpm.Daemon.outcome) ->
+         (o.Jrpm.Daemon.workload.Workloads.Workload.name,
+          (Option.get o.Jrpm.Daemon.report, o.Jrpm.Daemon.recorder)))
+       (Jrpm.Daemon.sweep ~jobs:!sweep_jobs ~observe:!observe_phases
+          ~report:true Workloads.Registry.all))
 
 let report name = fst (List.assoc name (Lazy.force reports))
 
@@ -873,7 +874,7 @@ let serve_bench ~smoke () =
         | 0 ->
             (match
                Jrpm.Daemon.execute ~jobs
-                 (Jrpm.Daemon.Replay { path; record = None })
+                 (Jrpm.Daemon.Request (Jrpm.Daemon.Replay { path; record = None }))
              with
             | result ->
                 Unix._exit
@@ -991,7 +992,7 @@ let () =
      and non-numbers are user errors, not requests for the default *)
   let jobs_arg () =
     match string_arg "--jobs" "" with
-    | "" -> Jrpm.Parallel_sweep.default_jobs ()
+    | "" -> Jrpm.Scheduler.default_jobs ()
     | s -> (
         match int_of_string_opt s with
         | Some n when n > 0 -> n

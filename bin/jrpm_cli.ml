@@ -112,12 +112,12 @@ let positive_int =
   Arg.conv (parse, Format.pp_print_int)
 
 (* resolved here, once: an unset --jobs means JRPM_JOBS or the core
-   count (Parallel_sweep.default_jobs, which warns on a bad JRPM_JOBS) *)
+   count (Scheduler.default_jobs, which warns on a bad JRPM_JOBS) *)
 let jobs_arg =
   Term.(
     const (function
       | Some n -> n
-      | None -> Jrpm.Parallel_sweep.default_jobs ())
+      | None -> Jrpm.Scheduler.default_jobs ())
     $ Arg.(
         value
         & opt (some positive_int) None
@@ -438,20 +438,23 @@ let auto_cmd =
       const auto $ file_arg $ banks_arg $ verbose_arg $ sync_arg $ profile_arg
       $ profile_json_arg)
 
+let registered name =
+  match Workloads.Registry.find name with
+  | Some w -> w
+  | None ->
+      Printf.eprintf "unknown benchmark %s; try `jrpm list`\n" name;
+      exit 1
+
 let bench_cmd =
   let bench name size banks verbose sync profile profile_json =
-    match Workloads.Registry.find name with
-    | None ->
-        Printf.eprintf "unknown benchmark %s; try `jrpm list`\n" name;
-        exit 1
-    | Some w ->
-        let n = Option.value ~default:w.Workloads.Workload.default_size size in
-        with_frontend_errors (fun () ->
-            let r =
-              run_observed ~profile ~profile_json ~banks ~sync ~name
-                (w.Workloads.Workload.source n)
-            in
-            print_report verbose r)
+    let w = registered name in
+    let n = Option.value ~default:w.Workloads.Workload.default_size size in
+    with_frontend_errors (fun () ->
+        let r =
+          run_observed ~profile ~profile_json ~banks ~sync ~name
+            (w.Workloads.Workload.source n)
+        in
+        print_report verbose r)
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"run a bundled benchmark through the whole cycle")
@@ -512,19 +515,26 @@ type replay_row = {
   replayed : Jrpm.Report_summary.t;
 }
 
+let json_list key json =
+  match Obs.Json.member key json with
+  | Some (Obs.Json.List l) -> l
+  | _ -> malformed "no %s" key
+
+(* The "summaries" of a sweep or replay result document. *)
+let result_summaries json =
+  List.map
+    (fun sj ->
+      try Jrpm.Report_summary.of_json sj with Failure msg -> malformed "%s" msg)
+    (json_list "summaries" json)
+
 (* The rows of a replay result document (Daemon.replay_result). *)
 let replay_rows json =
-  let list key =
-    match Obs.Json.member key json with
-    | Some (Obs.Json.List l) -> l
-    | _ -> malformed "no %s" key
-  in
-  let records = list "records" and summaries = list "summaries" in
+  let records = json_list "records" json and summaries = result_summaries json in
   if List.length records <> List.length summaries then
     malformed "%d records, %d summaries" (List.length records)
       (List.length summaries);
   List.map2
-    (fun rj sj ->
+    (fun rj replayed ->
       let int key =
         match Option.bind (Obs.Json.member key rj) Obs.Json.to_int with
         | Some n -> n
@@ -535,9 +545,7 @@ let replay_rows json =
         record_bytes = int "record_bytes";
         reference_bytes = int "reference_bytes";
         matches = Obs.Json.member "matches" rj = Some (Obs.Json.Bool true);
-        replayed =
-          (try Jrpm.Report_summary.of_json sj
-           with Failure msg -> malformed "%s" msg);
+        replayed;
       })
     records summaries
 
@@ -645,24 +653,23 @@ let sweep_cmd =
     let t0 = Unix.gettimeofday () in
     let outcomes =
       with_frontend_errors (fun () ->
-          Jrpm.Parallel_sweep.run ~jobs ~observe ~capture:(trace <> None) ())
+          Jrpm.Daemon.sweep ~jobs ~observe ~capture:(trace <> None)
+            Workloads.Registry.all)
     in
     let wall_s = Unix.gettimeofday () -. t0 in
-    (match (trace, Jrpm.Parallel_sweep.container outcomes) with
+    (match (trace, Jrpm.Daemon.container outcomes) with
     | Some file, Some bytes ->
         write_file ~what:"trace container" ~file bytes;
         Printf.eprintf "jrpm: trace container %s: %d workloads, %d bytes\n"
           file (List.length outcomes) (String.length bytes)
     | _ -> ());
     let summaries =
-      List.map
-        (fun (o : Jrpm.Parallel_sweep.outcome) -> o.Jrpm.Parallel_sweep.summary)
-        outcomes
+      List.map (fun (o : Jrpm.Daemon.outcome) -> o.Jrpm.Daemon.summary) outcomes
     in
     print_sweep ~summary_json summaries;
     Printf.eprintf "sweep: %d benchmarks, %d jobs, %.2fs wall-clock\n%!"
       (List.length outcomes) jobs wall_s;
-    (match Jrpm.Parallel_sweep.merged_recorder outcomes with
+    (match Jrpm.Daemon.merged_recorder outcomes with
     | None -> ()
     | Some merged ->
         if profile then prerr_phase_table merged;
@@ -725,30 +732,17 @@ let trace_record_cmd =
   in
   let record file names jobs =
     let workloads =
-      match names with
-      | [] -> Workloads.Registry.all
-      | names ->
-          List.map
-            (fun n ->
-              match Workloads.Registry.find n with
-              | Some w -> w
-              | None ->
-                  Printf.eprintf "unknown benchmark %s; try `jrpm list`\n" n;
-                  exit 1)
-            names
+      if names = [] then Workloads.Registry.all else List.map registered names
     in
     let outcomes =
       with_frontend_errors (fun () ->
-          Jrpm.Parallel_sweep.run ~jobs ~capture:true ~workloads ())
+          Jrpm.Daemon.sweep ~jobs ~capture:true workloads)
     in
-    match Jrpm.Parallel_sweep.container outcomes with
-    | None ->
-        Printf.eprintf "jrpm: capture produced no records\n";
-        exit 1
-    | Some bytes ->
-        write_file ~what:"trace container" ~file bytes;
-        Printf.eprintf "jrpm: recorded %d workloads, %d bytes -> %s\n"
-          (List.length outcomes) (String.length bytes) file
+    (* every workload captures a record, so the container exists *)
+    let bytes = Option.get (Jrpm.Daemon.container outcomes) in
+    write_file ~what:"trace container" ~file bytes;
+    Printf.eprintf "jrpm: recorded %d workloads, %d bytes -> %s\n"
+      (List.length outcomes) (String.length bytes) file
   in
   Cmd.v
     (Cmd.info "record"
@@ -799,7 +793,7 @@ let trace_replay_cmd =
     let result =
       fail_trace_errors (fun () ->
           Jrpm.Daemon.execute ~jobs
-            (Jrpm.Daemon.Replay { path = file; record = None }))
+            (Jrpm.Daemon.Request (Jrpm.Daemon.Replay { path = file; record = None })))
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     print_replay ~summary_json
@@ -958,7 +952,8 @@ let explore_cmd =
       fail_trace_errors (fun () ->
           try
             Jrpm.Daemon.execute ~jobs
-              (Jrpm.Daemon.Explore { path = file; grid = grid @ grid_pos })
+              (Jrpm.Daemon.Request
+                 (Jrpm.Daemon.Explore { path = file; grid = grid @ grid_pos }))
           with Invalid_argument msg ->
             (* an out-of-range grid point (validate) is a usage error *)
             Printf.eprintf "jrpm: %s\n" msg;
@@ -1053,26 +1048,19 @@ let with_client socket f =
             Printf.eprintf "jrpm: %s\n" msg;
             exit 1)
 
-(* One blocking round-trip; a daemon-side error is fatal to the client
-   (the daemon itself keeps serving). *)
-let client_rpc c req =
-  let r = Jrpm.Daemon.Client.rpc c req in
+(* A daemon-side error is fatal to the client (the daemon itself keeps
+   serving). *)
+let client_result r =
   match r.Jrpm.Daemon.rsp with
-  | Ok json -> (json, r)
+  | Ok json -> json
   | Error msg ->
       Printf.eprintf "jrpm: daemon error: %s\n" msg;
       exit 1
 
-let summary_of_member ~what json =
-  match Obs.Json.member "summary" json with
-  | Some sj -> (
-      try Jrpm.Report_summary.of_json sj
-      with Failure msg ->
-        Printf.eprintf "jrpm: %s: %s\n" what msg;
-        exit 1)
-  | None ->
-      Printf.eprintf "jrpm: %s: malformed daemon result\n" what;
-      exit 1
+(* One blocking round-trip. *)
+let client_rpc c req =
+  let r = Jrpm.Daemon.Client.rpc c req in
+  (client_result r, r)
 
 let client_ping_cmd =
   let ping socket =
@@ -1114,33 +1102,11 @@ let client_profile_cmd =
       exit 2
     end;
     with_client socket (fun c ->
-        (* pipeline every request up front; the daemon's pool runs them
-           concurrently and responds out of order — match by id *)
-        let ids =
-          List.map (fun n -> (Jrpm.Daemon.Client.send c (Jrpm.Daemon.Profile n), n))
-            names
-        in
-        let responses = Hashtbl.create 16 in
-        List.iter
-          (fun _ ->
-            let r = Jrpm.Daemon.Client.recv c in
-            Hashtbl.replace responses r.Jrpm.Daemon.rsp_id r)
-          ids;
-        let summaries =
-          List.map
-            (fun (id, n) ->
-              match Hashtbl.find_opt responses id with
-              | None ->
-                  Printf.eprintf "jrpm: no response for workload %s\n" n;
-                  exit 1
-              | Some { Jrpm.Daemon.rsp = Error msg; _ } ->
-                  Printf.eprintf "jrpm: %s: %s\n" n msg;
-                  exit 1
-              | Some { Jrpm.Daemon.rsp = Ok json; _ } ->
-                  summary_of_member ~what:n json)
-            ids
-        in
-        print_sweep ~summary_json summaries)
+        (* one sweep request; the daemon's pool runs its workload tasks
+           concurrently and answers with the summaries in list order *)
+        ignore (Jrpm.Daemon.Client.send c (Jrpm.Daemon.Sweep names) : Obs.Json.t);
+        print_sweep ~summary_json
+          (result_summaries (client_result (Jrpm.Daemon.Client.recv c))))
   in
   Cmd.v
     (Cmd.info "profile"

@@ -68,41 +68,49 @@ let fields : (string * (t -> int)) list =
     ("num_cpus", fun c -> c.num_cpus);
   ]
 
+(* Bounds, inclusive: sizes from 1, overheads from 0, each up to its
+   maximum. The maxima keep every table a config sizes allocatable (the
+   tracer preallocates its heap write history, the dedup tables and the
+   local slots; the TLS simulator keeps per-CPU state) while sitting far
+   above every machine the paper, the tests and the explore grids use.
+   The tracer's heap history holds [heap_ts_fifo_lines * line_words]
+   words up front, so that product has its own cap. *)
+let size_max = 1 lsl 20
+let width_max = 4096
+let overhead_max = 1_000_000
+let heap_history_words_max = 1 lsl 24
+
+let bounds (c : t) =
+  [
+    ("comparator_banks", c.comparator_banks, 1, width_max);
+    ("heap_ts_fifo_lines", c.heap_ts_fifo_lines, 1, size_max);
+    ("cacheline_ts_lines", c.cacheline_ts_lines, 1, size_max);
+    ("local_ts_slots", c.local_ts_slots, 1, size_max);
+    ("load_buffer_lines", c.load_buffer_lines, 1, size_max);
+    ("store_buffer_lines", c.store_buffer_lines, 1, size_max);
+    ("line_words", c.line_words, 1, width_max);
+    ("loop_startup", c.loop_startup, 0, overhead_max);
+    ("loop_shutdown", c.loop_shutdown, 0, overhead_max);
+    ("loop_eoi", c.loop_eoi, 0, overhead_max);
+    ("violation_restart", c.violation_restart, 0, overhead_max);
+    ("store_load_communication", c.store_load_communication, 0, overhead_max);
+    ("num_cpus", c.num_cpus, 1, width_max);
+  ]
+
 let validate (c : t) =
-  let positive =
-    [
-      ("comparator_banks", c.comparator_banks);
-      ("heap_ts_fifo_lines", c.heap_ts_fifo_lines);
-      ("cacheline_ts_lines", c.cacheline_ts_lines);
-      ("local_ts_slots", c.local_ts_slots);
-      ("load_buffer_lines", c.load_buffer_lines);
-      ("store_buffer_lines", c.store_buffer_lines);
-      ("line_words", c.line_words);
-      ("num_cpus", c.num_cpus);
-    ]
-  in
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Hydra.Config: " ^ m)) fmt in
   List.iter
-    (fun (name, v) ->
-      if v <= 0 then
-        invalid_arg
-          (Printf.sprintf "Hydra.Config: %s must be positive (got %d)" name v))
-    positive;
-  let non_negative =
-    [
-      ("loop_startup", c.loop_startup);
-      ("loop_shutdown", c.loop_shutdown);
-      ("loop_eoi", c.loop_eoi);
-      ("violation_restart", c.violation_restart);
-      ("store_load_communication", c.store_load_communication);
-    ]
-  in
-  List.iter
-    (fun (name, v) ->
-      if v < 0 then
-        invalid_arg
-          (Printf.sprintf "Hydra.Config: %s must be non-negative (got %d)" name
-             v))
-    non_negative;
+    (fun (name, v, lo, hi) ->
+      if v < lo then
+        fail "%s must be %s (got %d)" name
+          (if lo = 0 then "non-negative" else "positive")
+          v
+      else if v > hi then fail "%s must be at most %d (got %d)" name hi v)
+    (bounds c);
+  if c.heap_ts_fifo_lines * c.line_words > heap_history_words_max then
+    fail
+      "heap_ts_fifo_lines * line_words must be at most %d words (got %d * %d)"
+      heap_history_words_max c.heap_ts_fifo_lines c.line_words;
   c
 
 (* ---------------- JSON codec (lib/obs schema) ---------------- *)

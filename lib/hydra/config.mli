@@ -34,10 +34,28 @@ val default : t
 
 val equal : t -> t -> bool
 
+val size_max : int
+(** [2^20]: the largest [heap_ts_fifo_lines], [cacheline_ts_lines],
+    [local_ts_slots], [load_buffer_lines] and [store_buffer_lines]. *)
+
+val width_max : int
+(** [4096]: the largest [comparator_banks], [line_words] and
+    [num_cpus]. *)
+
+val overhead_max : int
+(** [1_000_000] cycles: the largest value of each Table 2 overhead. *)
+
+val heap_history_words_max : int
+(** [2^24]: the largest [heap_ts_fifo_lines * line_words], the words of
+    write history the tracer allocates up front (128 MB). *)
+
 val validate : t -> t
 (** Returns the config unchanged, or @raise Invalid_argument naming the
-    first field that is out of range (sizes must be positive, overheads
-    non-negative). *)
+    first field that is out of range: sizes from 1 and overheads from 0,
+    each up to its maximum above, and the heap history within
+    {!heap_history_words_max}. The maxima are far above the paper's
+    machine ({!default}) and every grid the tests and docs use; they
+    keep each table a config sizes allocatable. *)
 
 val to_json : t -> Obs.Json.t
 (** Flat object of integer fields, one per record field. *)

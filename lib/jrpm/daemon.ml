@@ -2,24 +2,25 @@
    Scheduler.Pool, fed by length-framed JSON requests over a
    Unix-domain socket (or stdio). Protocol spec: ARCHITECTURE.md §9.
 
-   A [request] is the one description of profile/replay/explore work.
+   An [op] is the one description of profile/sweep/replay/explore work.
    [plan] checks it (registry lookup, record filter, grid parse) and
    turns it into one value for both paths: the labelled pool tasks
-   (Pipeline.run, Replay.replay_entry, Explore.eval_record) and the
+   (run_workload, Replay.replay_entry, Explore.eval_record) and the
    [finish] that assembles their results into the result document.
    [execute] maps the tasks over a per-call pool in this process — the
    one-shot [jrpm trace replay] / [jrpm explore] commands — and the
    server submits them to its warm pool; both answer with the same
    [finish], so a one-shot run and a daemon response are byte-identical
-   by construction; only the transport differs.
+   by construction; only the transport differs. [sweep] runs workload
+   tasks through [execute]'s runner and returns the typed outcomes.
 
-   Containers are mapped once per process and cached in an LRU
-   ([Mapping_cache]): the parent maps to parse the index at request
-   time, each worker maps on first touching a path (mappings made
-   after the fork cannot be inherited) and then serves every later
-   request on that container from its cache. [execute] indexes through
-   that worker cache itself, so the per-call workers it forks afterwards
-   inherit the mapping. *)
+   Containers are cached per process in an LRU ([Mapping_cache]) keyed
+   by path: the server parent keeps only each container's index, which
+   it needs at request time; each worker maps on first touching a path
+   (mappings made after the fork cannot be inherited) and then serves
+   every later request on that container from its cache. [execute]
+   indexes through that worker cache itself, so the per-call workers it
+   forks afterwards inherit the mapping. *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -27,7 +28,7 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 module Mapping_cache = struct
   type entry = {
-    src : Trace_store.Bytesrc.t;
+    src : Trace_store.Bytesrc.t option;  (* [None] in an index-only cache *)
     entries : Trace_store.Index.entry list;
     size : int;
     mtime : float;
@@ -35,15 +36,16 @@ module Mapping_cache = struct
 
   type t = {
     capacity : int;
+    index_only : bool;
     mutable items : (string * entry) list;  (* most-recent first *)
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
   }
 
-  let create ?(capacity = 8) () =
-    { capacity = max 1 capacity; items = []; hits = 0; misses = 0;
-      evictions = 0 }
+  let create ?(capacity = 8) ?(index_only = false) () =
+    { capacity = max 1 capacity; index_only; items = []; hits = 0;
+      misses = 0; evictions = 0 }
 
   let cached t = List.map fst t.items
   let stats t = (t.hits, t.misses, t.evictions)
@@ -60,10 +62,21 @@ module Mapping_cache = struct
           (Trace_store.Reader.Corrupt
              (path ^ ": cannot stat: " ^ Unix.error_message err))
 
-  let load path =
+  (* An index-only cache drops the mapping once the walk is done and
+     collects it at once: an unreachable mapping stays mapped, with the
+     pages the walk faulted in resident, until the GC finalizes it. *)
+  let load ~index_only path =
     let size, mtime = fresh_stat path in
-    let src = Trace_store.Bytesrc.map_file path in
-    { src; entries = Trace_store.Index.of_src src; size; mtime }
+    if index_only then begin
+      let entries =
+        Trace_store.Index.of_src (Trace_store.Bytesrc.map_file path)
+      in
+      Gc.full_major ();
+      { src = None; entries; size; mtime }
+    end
+    else
+      let src = Trace_store.Bytesrc.map_file path in
+      { src = Some src; entries = Trace_store.Index.of_src src; size; mtime }
 
   let lookup t path =
     let size, mtime = fresh_stat path in
@@ -75,7 +88,7 @@ module Mapping_cache = struct
         e
     | stale ->
         t.misses <- t.misses + 1;
-        let e = load path in
+        let e = load ~index_only:t.index_only path in
         let rest = List.filter (fun (p, _) -> p <> path) t.items in
         let rest =
           if stale = None && List.length rest >= t.capacity then begin
@@ -88,7 +101,7 @@ module Mapping_cache = struct
         t.items <- (path, e) :: rest;
         e
 
-  let get t path = (lookup t path).src
+  let get t path = Option.get (lookup t path).src
   let get_entries t path = (lookup t path).entries
 end
 
@@ -119,32 +132,35 @@ type request =
   | Sleep of float
   | Shutdown
 
+type op = Request of request | Sweep of string list
+
 type envelope = { id : Obs.Json.t; req : request }
 
-let request_to_json { id; req } =
+let strings l = Obs.Json.List (List.map (fun g -> Obs.Json.String g) l)
+
+let op_to_json ~id op =
   let open Obs.Json in
   let fields =
-    match req with
-    | Ping -> [ ("op", String "ping") ]
-    | Profile w -> [ ("op", String "profile"); ("workload", String w) ]
-    | Replay { path; record } ->
+    match op with
+    | Sweep ws -> [ ("op", String "sweep"); ("workloads", strings ws) ]
+    | Request Ping -> [ ("op", String "ping") ]
+    | Request (Profile w) -> [ ("op", String "profile"); ("workload", String w) ]
+    | Request (Replay { path; record }) ->
         [ ("op", String "replay"); ("path", String path) ]
         @ (match record with
           | Some r -> [ ("record", String r) ]
           | None -> [])
-    | Explore { path; grid } ->
-        [
-          ("op", String "explore");
-          ("path", String path);
-          ("grid", List (List.map (fun g -> String g) grid));
-        ]
-    | Stats -> [ ("op", String "stats") ]
-    | Sleep s -> [ ("op", String "sleep"); ("seconds", Float s) ]
-    | Shutdown -> [ ("op", String "shutdown") ]
+    | Request (Explore { path; grid }) ->
+        [ ("op", String "explore"); ("path", String path); ("grid", strings grid) ]
+    | Request Stats -> [ ("op", String "stats") ]
+    | Request (Sleep s) -> [ ("op", String "sleep"); ("seconds", Float s) ]
+    | Request Shutdown -> [ ("op", String "shutdown") ]
   in
   Obj (("id", id) :: fields)
 
-let request_of_json json =
+let request_to_json { id; req } = op_to_json ~id (Request req)
+
+let op_of_json json =
   let open Obs.Json in
   let id = Option.value (member "id" json) ~default:Null in
   let str key =
@@ -152,40 +168,44 @@ let request_of_json json =
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "missing or mistyped field %S" key)
   in
+  let strs key =
+    match Option.bind (member key json) to_list with
+    | None -> Error (Printf.sprintf "missing or mistyped field %S" key)
+    | Some items ->
+        let l = List.filter_map to_string_opt items in
+        if List.length l = List.length items then Ok l
+        else Error (Printf.sprintf "non-string entry in %S" key)
+  in
   let ( let* ) = Result.bind in
-  let req =
+  let op =
     match Option.bind (member "op" json) to_string_opt with
     | None -> Error "missing or mistyped field \"op\""
-    | Some "ping" -> Ok Ping
-    | Some "stats" -> Ok Stats
-    | Some "shutdown" -> Ok Shutdown
+    | Some "ping" -> Ok (Request Ping)
+    | Some "stats" -> Ok (Request Stats)
+    | Some "shutdown" -> Ok (Request Shutdown)
     | Some "profile" ->
         let* w = str "workload" in
-        Ok (Profile w)
+        Ok (Request (Profile w))
+    | Some "sweep" ->
+        let* ws = strs "workloads" in
+        Ok (Sweep ws)
     | Some "replay" ->
         let* path = str "path" in
         let record =
           Option.bind (member "record" json) to_string_opt
         in
-        Ok (Replay { path; record })
+        Ok (Request (Replay { path; record }))
     | Some "explore" ->
         let* path = str "path" in
-        let* grid =
-          match Option.bind (member "grid" json) to_list with
-          | None -> Error "missing or mistyped field \"grid\""
-          | Some items -> (
-              let specs = List.filter_map to_string_opt items in
-              if List.length specs = List.length items then Ok specs
-              else Error "non-string entry in \"grid\"")
-        in
-        Ok (Explore { path; grid })
+        let* grid = strs "grid" in
+        Ok (Request (Explore { path; grid }))
     | Some "sleep" -> (
         match Option.bind (member "seconds" json) to_float with
-        | Some s when Float.is_finite s && s >= 0. -> Ok (Sleep s)
+        | Some s when Float.is_finite s && s >= 0. -> Ok (Request (Sleep s))
         | Some _ | None -> Error "missing or mistyped field \"seconds\"")
     | Some op -> Error (Printf.sprintf "unknown op %S" op)
   in
-  Result.map (fun req -> { id; req }) req
+  Result.map (fun op -> (id, op)) op
 
 type response = {
   rsp_id : Obs.Json.t;
@@ -245,8 +265,21 @@ let response_of_json json =
 
 (* ---------------- pool tasks ---------------- *)
 
+type outcome = {
+  workload : Workloads.Workload.t;
+  summary : Report_summary.t;
+  report : Pipeline.report option;
+  recorder : Obs.Recorder.t option;
+  trace : string option;
+}
+
 type task =
-  | T_profile of string
+  | T_workload of {
+      workload : Workloads.Workload.t;
+      capture : bool;
+      observe : bool;
+      report : bool;
+    }
   | T_replay of { path : string; entry : Trace_store.Index.entry }
   | T_explore_record of {
       path : string;
@@ -256,8 +289,8 @@ type task =
   | T_sleep of float
 
 type task_result =
-  | R_summary of Report_summary.t
-  | R_outcome of Replay.outcome
+  | R_workload of outcome
+  | R_replay of Replay.outcome
   | R_cells of Explore.cell list
   | R_slept of float
   (* a record raised [Corrupt]: carried as a result, not as a worker's
@@ -271,20 +304,34 @@ type task_result =
    its own LRU. *)
 let worker_cache = lazy (Mapping_cache.create ())
 
-let profile name =
-  match Workloads.Registry.find name with
-  | None -> fail "unknown workload %S" name
-  | Some w ->
-      Report_summary.of_report
-        (Pipeline.run ~name (Workloads.Registry.default_source w))
+(* The one place a workload runs. The full report goes back only when
+   asked: it is tens of kilobytes to marshal, and only the paper tables
+   read it. *)
+let run_workload ~capture ~observe ~report (w : Workloads.Workload.t) =
+  let recorder = if observe then Some (Obs.Recorder.create ()) else None in
+  let obs = Option.fold ~none:Obs.Sink.null ~some:Obs.Recorder.sink recorder in
+  let name = w.Workloads.Workload.name in
+  let src = Workloads.Registry.default_source w in
+  let r, trace =
+    if capture then
+      let r, record = Replay.capture_run ~obs ~name src in
+      (r, Some record)
+    else (Pipeline.run ~obs ~name src, None)
+  in
+  Option.iter
+    (fun rc -> Pipeline.record_report_metrics (Obs.Recorder.metrics rc) r)
+    recorder;
+  let report = if report then Some r else None in
+  { workload = w; summary = Report_summary.of_report r; report; recorder; trace }
 
 let run_task task =
   try
     match task with
-    | T_profile name -> R_summary (profile name)
+    | T_workload { workload; capture; observe; report } ->
+        R_workload (run_workload ~capture ~observe ~report workload)
     | T_replay { path; entry } ->
         let src = Mapping_cache.get (Lazy.force worker_cache) path in
-        R_outcome (Replay.replay_entry ~src entry)
+        R_replay (Replay.replay_entry ~src entry)
     | T_explore_record { path; configs; entry } ->
         let src = Mapping_cache.get (Lazy.force worker_cache) path in
         R_cells (Explore.eval_record ~src configs entry)
@@ -293,11 +340,12 @@ let run_task task =
         R_slept s
   with Trace_store.Reader.Corrupt msg -> R_corrupt msg
 
-(* The per-call schedule [execute] plans frames with: a replay record
-   costs its events, an explore record its events once per fused
-   tracer run. *)
+(* The per-call schedule plans frames with these: a replay record costs
+   its events, an explore record its events once per fused tracer run.
+   Workload tasks weigh nothing, so a sweep's frames are singletons in
+   registry order (FIFO); a sleep is always alone. *)
 let task_weight = function
-  | T_profile _ | T_sleep _ -> 1.
+  | T_workload _ | T_sleep _ -> 0.
   | T_replay { entry; _ } -> float_of_int entry.Trace_store.Index.events
   | T_explore_record { path; configs; entry } ->
       Explore.record_weight
@@ -322,7 +370,10 @@ let finish plan results =
     results;
   plan.finish results
 
-let profile_result s = Obs.Json.Obj [ ("summary", Report_summary.to_json s) ]
+let workload_task ?(capture = false) ?(observe = false) ?(report = false)
+    (w : Workloads.Workload.t) =
+  ("workload " ^ w.Workloads.Workload.name,
+   T_workload { workload = w; capture; observe; report })
 
 let replay_result ~path (outcomes : Replay.outcome list) =
   let open Obs.Json in
@@ -359,24 +410,38 @@ let replay_result ~path (outcomes : Replay.outcome list) =
 
 let mismatch () = fail "internal: mismatched task result"
 
+(* A profile or sweep: one task per registered workload; [finish] gets
+   their summaries in order. *)
+let workloads_plan names finish =
+  let task w =
+    match Workloads.Registry.find w with
+    | Some w -> workload_task w
+    | None -> fail "unknown workload %S" w
+  in
+  let summary = function
+    | R_workload o -> Report_summary.to_json o.summary
+    | _ -> mismatch ()
+  in
+  { tasks = List.map task names; finish = (fun rs -> finish (List.map summary rs)) }
+
 let record_tasks entries task =
   List.map
     (fun (e : Trace_store.Index.entry) ->
       ("record " ^ e.Trace_store.Index.name, task e))
     entries
 
-(* Check a request against the registry, the container's index
-   ([index]) and the grid syntax, and plan its fan-out. The grid is
-   parsed before the container is touched, as in [Explore.run]: a bad
-   grid is reported whatever the path. *)
+(* Check an op against the registry, the container's index ([index])
+   and the grid syntax, and plan its fan-out. The grid is parsed before
+   the container is touched, as in [Explore.run]: a bad grid is
+   reported whatever the path. *)
 let plan ~index = function
-  | Profile w ->
-      if Workloads.Registry.find w = None then fail "unknown workload %S" w;
-      {
-        tasks = [ ("workload " ^ w, T_profile w) ];
-        finish = (function [ R_summary s ] -> profile_result s | _ -> mismatch ());
-      }
-  | Replay { path; record } ->
+  | Request (Profile w) ->
+      workloads_plan [ w ] (function
+        | [ s ] -> Obs.Json.Obj [ ("summary", s) ]
+        | _ -> mismatch ())
+  | Sweep ws ->
+      workloads_plan ws (fun ss -> Obs.Json.Obj [ ("summaries", Obs.Json.List ss) ])
+  | Request (Replay { path; record }) ->
       let entries =
         match record with
         | None -> index path
@@ -396,10 +461,10 @@ let plan ~index = function
           (fun results ->
             replay_result ~path
               (List.map
-                 (function R_outcome o -> o | _ -> mismatch ())
+                 (function R_replay o -> o | _ -> mismatch ())
                  results));
       }
-  | Explore { path; grid } ->
+  | Request (Explore { path; grid }) ->
       let configs = Explore.configs_of_grid (Explore.parse_grid grid) in
       {
         tasks =
@@ -413,7 +478,7 @@ let plan ~index = function
                     (function R_cells c -> c | _ -> mismatch ())
                     results)));
       }
-  | Sleep s ->
+  | Request (Sleep s) ->
       {
         tasks = [ (Printf.sprintf "sleep %.3fs" s, T_sleep s) ];
         finish =
@@ -421,21 +486,44 @@ let plan ~index = function
           | [ R_slept s ] -> Obs.Json.Obj [ ("slept", Obs.Json.Float s) ]
           | _ -> mismatch ());
       }
-  | Ping | Stats | Shutdown ->
-      invalid_arg "Jrpm.Daemon: not a profile/replay/explore/sleep request"
+  | Request (Ping | Stats | Shutdown) ->
+      invalid_arg
+        "Jrpm.Daemon: not a profile/sweep/replay/explore/sleep request"
 
 (* ---------------- in-process execution ---------------- *)
 
+(* The one per-call runner: labelled tasks over a pool of [jobs]
+   forked workers, results in task order. *)
+let run_tasks ~jobs tasks =
+  Scheduler.map_adaptive ~jobs
+    ~label:(fun _ (label, _) -> label)
+    ~weights:(fun _ (_, task) -> task_weight task)
+    (fun _ (_, task) -> run_task task)
+    tasks
+
 (* The index comes from the worker cache, so the container is mapped
-   before [map_adaptive] forks and the per-call workers inherit it. *)
-let execute ~jobs req =
-  let p = plan ~index:(Mapping_cache.get_entries (Lazy.force worker_cache)) req in
-  finish p
-    (Scheduler.map_adaptive ~jobs
-       ~label:(fun _ (label, _) -> label)
-       ~weights:(fun _ (_, task) -> task_weight task)
-       (fun _ (_, task) -> run_task task)
-       p.tasks)
+   before [run_tasks] forks and the per-call workers inherit it. *)
+let execute ~jobs op =
+  let p = plan ~index:(Mapping_cache.get_entries (Lazy.force worker_cache)) op in
+  finish p (run_tasks ~jobs p.tasks)
+
+let sweep ~jobs ?capture ?observe ?report workloads =
+  List.map
+    (function R_workload o -> o | _ -> mismatch ())
+    (run_tasks ~jobs (List.map (workload_task ?capture ?observe ?report) workloads))
+
+let container outcomes =
+  match List.filter_map (fun o -> o.trace) outcomes with
+  | [] -> None
+  | records -> Some (Trace_store.Writer.container records)
+
+let merged_recorder outcomes =
+  match List.filter_map (fun o -> o.recorder) outcomes with
+  | [] -> None
+  | recorders ->
+      let merged = Obs.Recorder.create () in
+      List.iter (Obs.Recorder.merge merged) recorders;
+      Some merged
 
 (* ---------------- server ---------------- *)
 
@@ -602,22 +690,22 @@ let stats_result srv =
 let handle_request srv conn json =
   Obs.Metrics.incr srv.metrics "daemon.requests";
   let queue_depth = Scheduler.Pool.pending srv.pool in
-  match request_of_json json with
+  match op_of_json json with
   | Error msg ->
       let id =
         Option.value (Obs.Json.member "id" json) ~default:Obs.Json.Null
       in
       respond_now srv conn ~id ~queue_depth (Error ("bad request: " ^ msg))
-  | Ok { id; req } -> (
+  | Ok (id, op) -> (
       let error msg = respond_now srv conn ~id ~queue_depth (Error msg) in
-      match req with
-      | Ping -> respond_now srv conn ~id ~queue_depth (Ok (Obs.Json.String "pong"))
-      | Stats -> respond_now srv conn ~id ~queue_depth (Ok (stats_result srv))
-      | Shutdown ->
+      match op with
+      | Request Ping -> respond_now srv conn ~id ~queue_depth (Ok (Obs.Json.String "pong"))
+      | Request Stats -> respond_now srv conn ~id ~queue_depth (Ok (stats_result srv))
+      | Request Shutdown ->
           srv.stopping <- true;
           respond_now srv conn ~id ~queue_depth (Ok (Obs.Json.String "bye"))
-      | (Profile _ | Replay _ | Explore _ | Sleep _) as req -> (
-          match plan ~index:(Mapping_cache.get_entries srv.cache) req with
+      | Request (Profile _ | Replay _ | Explore _ | Sleep _) | Sweep _ -> (
+          match plan ~index:(Mapping_cache.get_entries srv.cache) op with
           | exception Trace_store.Reader.Corrupt msg ->
               error ("corrupt container: " ^ msg)
           | exception (Failure msg | Invalid_argument msg) -> error msg
@@ -747,7 +835,7 @@ let serve ?(jobs = 1) transport =
   let srv =
     {
       pool;
-      cache = Mapping_cache.create ();
+      cache = Mapping_cache.create ~index_only:true ();
       metrics = Obs.Metrics.create ();
       tickets = Hashtbl.create 64;
       conns = conns0;
@@ -855,7 +943,7 @@ module Client = struct
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-  let send ?id t req =
+  let send ?id t op =
     let id =
       match id with
       | Some id -> id
@@ -864,7 +952,7 @@ module Client = struct
           t.next_id <- n + 1;
           Obs.Json.Int n
     in
-    write_frame t.fd (request_to_json { id; req });
+    write_frame t.fd (op_to_json ~id op);
     id
 
   let recv t =
@@ -873,7 +961,7 @@ module Client = struct
     | None -> fail "Jrpm.Daemon.Client: server closed the connection"
 
   let rpc ?id t req =
-    let id = send ?id t req in
+    let id = send ?id t (Request req) in
     let rec await () =
       let r = recv t in
       if r.rsp_id = id then r else await ()

@@ -236,7 +236,7 @@ let record_weight ~src configs (e : Trace_store.Index.entry) =
 let run ?jobs ~grid ~path () =
   let configs = configs_of_grid (parse_grid grid) in
   let jobs =
-    match jobs with Some n -> max 1 n | None -> Parallel_sweep.default_jobs ()
+    match jobs with Some n -> max 1 n | None -> Scheduler.default_jobs ()
   in
   (* map the archive once; workers inherit the read-only pages across
      fork, so a record's handoff is just the index entry's (offset,

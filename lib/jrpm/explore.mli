@@ -149,9 +149,11 @@ val record_weight :
     record tasks with it. *)
 
 val run : ?jobs:int -> grid:string list -> path:string -> unit -> t
-(** Parse [grid], evaluate {!configs_of_grid} over the container at
+(** Kept for the benchmark ([perfbench/main.ml]); the commands run
+    explore as a {!Daemon.execute} plan, and the benchmark change of
+    ROADMAP item 2 deletes this. Parse [grid], evaluate {!configs_of_grid} over the container at
     [path] — one {!eval_record} scheduler task per record across [jobs]
-    workers (default {!Parallel_sweep.default_jobs}), weighted by
+    workers (default {!Scheduler.default_jobs}), weighted by
     {!record_weight} — and report
     verdict flips. Output is byte-identical for any [jobs], and to
     {!assemble} over [List.map eval_cell (cell_tasks …)].

@@ -2,10 +2,10 @@
     the paper's whole-suite tables (6, 7, Figures 6/10/11) and the
     sweep CLI need, with a JSON codec over {!Obs.Json}.
 
-    A parallel-sweep worker computes it beside the full
-    {!Pipeline.report} (TAC, STL table, tracer, annotated program),
-    and the scheduler marshals both back to the parent in one
-    {!Parallel_sweep.outcome}: the sweep CLI reads this summary, the
+    A sweep's workload task computes it from the full
+    {!Pipeline.report} (TAC, STL table, tracer, annotated program) and
+    marshals it back in a {!Daemon.outcome}, with the report only when
+    asked: the sweep CLI and the daemon read this summary, the
     paper-table harness reads the report. The JSON codec is for files
     and the wire: [--summary-json], the regression baseline, trace
     metadata and daemon replies. [of_json (to_json s) = s] exactly:

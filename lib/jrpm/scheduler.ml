@@ -13,10 +13,10 @@
    The map variants are a [Pool] per call whose task is one *frame* — a
    batch of item indices. Only indices cross the task pipe: workers are
    forks of this executable, so the item array and the task closure are
-   already in the child's address space. [map] dispatches singleton
-   frames in input order (plain FIFO); [map_adaptive_stats] plans frames
-   from per-task weight estimates — heaviest first, tiny tasks coalesced
-   — via [plan_frames]. The parent writes results into a slot array
+   already in the child's address space. [map_adaptive_stats] plans
+   frames from per-task weight estimates — heaviest first, tiny tasks
+   coalesced — via [plan_frames]; all-zero weights give singleton frames
+   in input order (plain FIFO). The parent writes results into a slot array
    keyed by item index, so the returned list is in input order no
    matter which worker finished first or how tasks were batched into
    frames — downstream output stays byte-identical at any [jobs].
@@ -40,6 +40,21 @@ let fork_available = not Sys.win32
 let default_label i _item = Printf.sprintf "task %d" i
 
 let core_count () = try Domain.recommended_domain_count () with _ -> 1
+
+let default_jobs () =
+  match Sys.getenv_opt "JRPM_JOBS" with
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> n
+      | Some _ | None ->
+          (* an invalid override must not silently change the worker
+             count — behave as if unset, but say so *)
+          Printf.eprintf
+            "jrpm: ignoring invalid JRPM_JOBS=%S (expected a positive \
+             integer); using the core count\n%!"
+            s;
+          core_count ())
+  | None -> core_count ()
 
 (* ---------------- adaptive frame planning ---------------- *)
 
@@ -536,13 +551,6 @@ let run_frames ~frames ~jobs ~label f items =
           } ))
   end
 
-let map_stats ?(jobs = 1) ?(label = default_label) f items =
-  run_frames
-    ~frames:(List.init (List.length items) (fun i -> [ i ]))
-    ~jobs ~label f items
-
-let map ?jobs ?label f items = fst (map_stats ?jobs ?label f items)
-
 let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ~weights f items =
   let warr = Array.of_list (List.mapi weights items) in
   let frames = plan_frames ~jobs:(max 1 (min jobs (Array.length warr))) warr in
@@ -550,3 +558,5 @@ let map_adaptive_stats ?(jobs = 1) ?(label = default_label) ~weights f items =
 
 let map_adaptive ?jobs ?label ~weights f items =
   fst (map_adaptive_stats ?jobs ?label ~weights f items)
+
+let map_stats ?jobs ?label f = map_adaptive_stats ?jobs ?label ~weights:(fun _ _ -> 0.) f

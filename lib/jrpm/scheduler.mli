@@ -14,8 +14,7 @@
     across requests. A map's pool task is one {e frame} — a batch of
     item indices. Workers are forks of the calling process, so the item
     list and the task closure never cross a pipe — only indices and
-    results do. [map] dispatches singleton frames in input order (plain
-    FIFO stealing). [map_adaptive_stats] plans frames from
+    results do. [map_adaptive_stats] plans frames from
     caller-supplied per-task weights via {!plan_frames}: heaviest tasks
     first (LPT), tiny tasks coalesced into shared frames, so neither a
     giant task at the tail nor per-task handout overhead on thousands
@@ -52,6 +51,11 @@ val idle_fraction : stats -> float
     in-process. *)
 val fork_available : bool
 
+(** Default worker count: {!core_count}; the [JRPM_JOBS] environment
+    variable overrides it. An invalid override (not a positive integer)
+    is diagnosed on stderr and treated as unset. *)
+val default_jobs : unit -> int
+
 (** Available hardware parallelism ([Domain.recommended_domain_count],
     [1] when that is unavailable) — the default worker count for CLI
     [--jobs 0] style requests and the gate benchmarks use before
@@ -73,28 +77,27 @@ val core_count : unit -> int
     one frame. *)
 val plan_frames : jobs:int -> float array -> int list list
 
-(** [map ?jobs ?label f items] maps [f] over [items] on a forked worker
-    pool with dynamic (work-stealing) handout of singleton frames in
-    input order, returning results in input order. [jobs <= 1], a
-    singleton/empty list, or a platform without fork all degrade to an
-    in-process [List.mapi f]. [label] names a task for failure reports
-    (default ["task %d"]).
-    @raise Failure if a worker dies or any task raises. *)
-val map :
-  ?jobs:int -> ?label:(int -> 'a -> string) -> (int -> 'a -> 'b) ->
-  'a list -> 'b list
-
-(** [map_stats] is [map] plus pool-utilization measurements. *)
+(** [map_stats ?jobs ?label f items] is [map_adaptive_stats] with zero
+    weights: singleton frames handed out in input order (plain FIFO
+    work stealing), plus pool-utilization measurements. Kept for the
+    benchmarks ([bench/main.ml]'s scheduler bench, [perfbench/main.ml]);
+    the benchmark change of ROADMAP item 2 deletes it. *)
 val map_stats :
   ?jobs:int -> ?label:(int -> 'a -> string) -> (int -> 'a -> 'b) ->
   'a list -> 'b list * stats
 
-(** [map_adaptive_stats ~weights f items] is [map_stats] with the frame
-    plan of {!plan_frames} over [List.mapi weights items] instead of
-    FIFO singletons: longest-processing-time-first dispatch, tiny tasks
-    coalesced, one frame handout per batch. Weights only shape the
-    schedule — results are still slotted by index, so output is
-    identical to [map] for a deterministic [f]. *)
+(** [map_adaptive_stats ?jobs ?label ~weights f items] maps [f] over
+    [items] on a forked worker pool with dynamic (work-stealing) handout
+    of the frames {!plan_frames} plans over [List.mapi weights items]:
+    longest-processing-time-first dispatch, tiny tasks coalesced, one
+    frame handout per batch; all-zero weights give FIFO singletons.
+    Weights only shape the schedule — results are slotted by index and
+    returned in input order, so output is [List.mapi f items] for a
+    deterministic [f] whatever the weights. [jobs <= 1], a
+    singleton/empty list, or a platform without fork all degrade to an
+    in-process [List.mapi f]. [label] names a task for failure reports
+    (default ["task %d"]).
+    @raise Failure if a worker dies or any task raises. *)
 val map_adaptive_stats :
   ?jobs:int -> ?label:(int -> 'a -> string) ->
   weights:(int -> 'a -> float) -> (int -> 'a -> 'b) ->

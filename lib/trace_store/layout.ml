@@ -5,6 +5,7 @@ let tag_container_end = 0x00
 let tag_record_begin = 0x01
 let tag_events = 0x02
 let tag_record_end = 0x03
+let tag_padding = 0x05
 
 let op_repeat = 0x00
 let op_sloop = 0x01
@@ -21,6 +22,7 @@ let op_seg = 0x0B
 
 let seg_cap = 1 lsl 16
 let chunk_cap = 1 lsl 18
+let max_events_per_byte = 64
 
 type state = { mutable last_now : int; preds : int array }
 

@@ -264,13 +264,17 @@ let decode_payload t stop sink =
 
 (* Walk the current record's remaining frames up to and including its
    end chunk, without decoding events; returns the event count the end
-   chunk declares. *)
+   chunk declares, once it is within the cap for the record's size. *)
 let rec skip_to_record_end t =
   let tag, len = read_frame t in
   let stop = !(t.pos) + len in
   if tag = Layout.tag_record_end then begin
     let events = uvarint t.src ~limit:stop t.pos "record event count" in
     t.pos := stop;
+    let bytes = stop - t.record_start in
+    if events > Layout.max_events_per_byte * bytes then
+      corrupt "record declares %d events in %d bytes (at most %d per byte)"
+        events bytes Layout.max_events_per_byte;
     events
   end
   else if tag = Layout.tag_record_begin || tag = Layout.tag_container_end then

@@ -192,6 +192,11 @@ let finish ~name ~meta t =
   in
   frame out Layout.tag_record_begin begin_payload;
   Buffer.add_buffer out t.chunks;
+  let framed_size len =
+    let b = Buffer.create 10 in
+    Varint.write_unsigned b len;
+    1 + Buffer.length b + len
+  in
   let end_payload =
     let b = Buffer.create 16 in
     Varint.write_unsigned b t.events;
@@ -203,6 +208,18 @@ let finish ~name ~meta t =
     Buffer.add_char b (Char.chr ((c lsr 24) land 0xff));
     Buffer.contents b
   in
+  (* lengthen a record denser than readers accept up to the cap *)
+  let short =
+    ((t.events + Layout.max_events_per_byte - 1) / Layout.max_events_per_byte)
+    - (Buffer.length out + framed_size (String.length end_payload))
+  in
+  if short > 0 then begin
+    let n = ref (max 0 (short - 11)) in
+    while framed_size !n < short do
+      incr n
+    done;
+    frame out Layout.tag_padding (String.make !n '\000')
+  end;
   frame out Layout.tag_record_end end_payload;
   Buffer.contents out
 

@@ -78,7 +78,51 @@ let test_validate () =
   Alcotest.(check bool) "zero overhead is legal" true
     (match C.validate { C.default with C.loop_eoi = 0 } with
     | (_ : C.t) -> true
-    | exception Invalid_argument _ -> false)
+    | exception Invalid_argument _ -> false);
+  (* every field has a maximum: at it is legal, past it is not *)
+  let at_field name v =
+    C.of_json
+      (Obs.Json.Obj
+         (List.map
+            (fun (n, get) ->
+              (n, Obs.Json.Int (if n = name then v else get C.default)))
+            C.fields))
+  in
+  List.iter
+    (fun (name, _) ->
+      let max =
+        match name with
+        | "comparator_banks" | "line_words" | "num_cpus" -> C.width_max
+        | "loop_startup" | "loop_shutdown" | "loop_eoi" | "violation_restart"
+        | "store_load_communication" ->
+            C.overhead_max
+        | _ -> C.size_max
+      in
+      let max =
+        if name = "heap_ts_fifo_lines" then
+          min max (C.heap_history_words_max / C.default.C.line_words)
+        else max
+      in
+      Alcotest.(check bool) (name ^ " at its maximum is legal") true
+        (match at_field name max with
+        | (_ : C.t) -> true
+        | exception Invalid_argument _ -> false);
+      match at_field name (max + 1) with
+      | (_ : C.t) -> Alcotest.failf "%s past its maximum must be rejected" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) ("names the field: " ^ msg) true
+            (Test_scheduler.contains ~needle:name msg))
+    C.fields;
+  Alcotest.(check bool) "4e9 heap history lines rejected" true
+    (rejects { C.default with C.heap_ts_fifo_lines = 4_000_000_000 });
+  Alcotest.(check bool) "heap history words capped jointly" true
+    (rejects { C.default with C.heap_ts_fifo_lines = C.size_max; line_words = 64 });
+  (* the largest geometries the docs explore stay legal *)
+  Alcotest.(check bool) "ROADMAP geometry grid is legal" true
+    (List.for_all
+       (fun c -> not (rejects c))
+       [ { C.default with C.comparator_banks = 64; heap_ts_fifo_lines = 100000;
+           cacheline_ts_lines = 100000 } ])
 
 (* ---------------- fingerprint + label ---------------- *)
 
@@ -151,9 +195,9 @@ let explore_subset = [ "deltaBlue"; "FourierTest"; "db"; "LuFactor" ]
 let captured =
   lazy
     (let workloads = List.map Workloads.Registry.find_exn explore_subset in
-     let outcomes = Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~capture:true () in
+     let outcomes = Jrpm.Daemon.sweep ~jobs:1 ~capture:true workloads in
      let container =
-       match Jrpm.Parallel_sweep.container outcomes with
+       match Jrpm.Daemon.container outcomes with
        | Some c -> c
        | None -> Alcotest.fail "capture sweep produced no container"
      in
@@ -178,11 +222,11 @@ let test_explore_golden () =
   (* the default column is byte-identical to the interpreted sweep
      summaries — the replay-determinism invariant under explore *)
   List.iter2
-    (fun (o : Jrpm.Parallel_sweep.outcome) (s : Jrpm.Report_summary.t) ->
+    (fun (o : Jrpm.Daemon.outcome) (s : Jrpm.Report_summary.t) ->
       Alcotest.(check string)
         ("default column matches sweep: " ^ s.Jrpm.Report_summary.name)
         (Obs.Json.to_string
-           (Jrpm.Report_summary.to_json o.Jrpm.Parallel_sweep.summary))
+           (Jrpm.Report_summary.to_json o.Jrpm.Daemon.summary))
         (Obs.Json.to_string (Jrpm.Report_summary.to_json s)))
     outcomes
     (Jrpm.Explore.default_summaries t);
@@ -209,6 +253,28 @@ let test_explore_golden () =
    chosen STL set changes from {1,2} to {0,1} while FourierTest and db
    keep theirs. Pinned so an analyzer or config-threading change that
    silently stops responding to num_cpus fails loudly. *)
+(* An over-maximum grid point is a usage error before any table is
+   allocated: exit 2 with the field named, not an out-of-memory crash. *)
+let test_explore_over_max_grid () =
+  let jrpm = "../bin/jrpm_cli.exe" in
+  if Sys.file_exists jrpm then begin
+    let _, path = Lazy.force captured in
+    let errfile = Filename.temp_file "jrpm_explore_max" ".err" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove errfile with Sys_error _ -> ())
+      (fun () ->
+        let code =
+          Sys.command
+            (Printf.sprintf "%s explore %s heap_ts_fifo_lines=4000000000 >/dev/null 2>%s"
+               jrpm (Filename.quote path) (Filename.quote errfile))
+        in
+        Alcotest.(check int) "exit 2" 2 code;
+        Alcotest.(check string) "the message"
+          "jrpm: Hydra.Config: heap_ts_fifo_lines must be at most 1048576 (got \
+           4000000000)\n"
+          (In_channel.with_open_bin errfile In_channel.input_all))
+  end
+
 let test_explore_verdict_flip () =
   let _, path = Lazy.force captured in
   let t = Jrpm.Explore.run ~jobs:1 ~grid:[ "cpus=8" ] ~path () in
@@ -510,5 +576,7 @@ let suites =
           test_explore_recorded_geometry;
         Alcotest.test_case "decode and tracer-run counts" `Quick
           test_explore_plan_counts;
+        Alcotest.test_case "over-maximum grid point exits 2" `Quick
+          test_explore_over_max_grid;
       ] );
   ]

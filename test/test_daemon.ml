@@ -121,23 +121,33 @@ let gen_request =
         return D.Shutdown;
       ])
 
-let gen_envelope =
-  QCheck.Gen.map2 (fun id req -> { D.id; req }) gen_id gen_request
+let gen_op =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun req -> D.Request req) gen_request;
+        map (fun ws -> D.Sweep ws) (small_list gen_name);
+      ])
 
 let arb_envelope =
   QCheck.make
-    ~print:(fun env -> Obs.Json.to_string (D.request_to_json env))
-    gen_envelope
+    ~print:(fun (id, op) -> Obs.Json.to_string (D.op_to_json ~id op))
+    QCheck.Gen.(pair gen_id gen_op)
 
 (* through the JSON tree AND through the serialized bytes a frame
-   carries — the full parse path a server-side request takes *)
+   carries — the full parse path a server-side request takes; a
+   [request] envelope encodes as its op *)
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"request codec round-trips" ~count:300 arb_envelope
-    (fun env ->
-      let j = D.request_to_json env in
-      D.request_of_json j = Ok env
-      && D.request_of_json (Obs.Json.parse_exn (Obs.Json.to_string j))
-         = Ok env)
+    (fun (id, op) ->
+      let j = D.op_to_json ~id op in
+      D.op_of_json j = Ok (id, op)
+      && D.op_of_json (Obs.Json.parse_exn (Obs.Json.to_string j))
+         = Ok (id, op)
+      &&
+      match op with
+      | D.Request req -> D.request_to_json { D.id; req } = j
+      | D.Sweep _ -> true)
 
 let gen_result_json =
   QCheck.Gen.(
@@ -181,7 +191,7 @@ let prop_response_roundtrip =
 
 let test_bad_requests_rejected () =
   let rejected what j =
-    match D.request_of_json j with
+    match D.op_of_json j with
     | Ok _ -> Alcotest.fail (what ^ ": must be rejected")
     | Error _ -> ()
   in
@@ -191,6 +201,9 @@ let test_bad_requests_rejected () =
   rejected "unknown op" (Obj [ ("id", Int 1); ("op", String "frobnicate") ]);
   rejected "profile without workload" (Obj [ ("id", Int 1); ("op", String "profile") ]);
   rejected "replay without path" (Obj [ ("id", Int 1); ("op", String "replay") ]);
+  rejected "sweep without workloads" (Obj [ ("id", Int 1); ("op", String "sweep") ]);
+  rejected "sweep with a non-string workload"
+    (Obj [ ("id", Int 1); ("op", String "sweep"); ("workloads", List [ Int 3 ]) ]);
   rejected "negative sleep"
     (Obj [ ("id", Int 1); ("op", String "sleep"); ("seconds", Float (-1.)) ]);
   rejected "NaN sleep"
@@ -224,7 +237,8 @@ let test_mapping_cache_lru () =
     ~finally:(fun () ->
       List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ a; b; c ])
     (fun () ->
-      let cache = D.Mapping_cache.create ~capacity:2 () in
+      (* the server parent's cache: indexes only, no mappings *)
+      let cache = D.Mapping_cache.create ~capacity:2 ~index_only:true () in
       let get p = ignore (D.Mapping_cache.get_entries cache p) in
       get a;
       get b;
@@ -251,6 +265,9 @@ let test_mapping_cache_lru () =
       Alcotest.(check int) "stale remap is a miss" (misses + 1) misses';
       Alcotest.(check int) "stale remap is no eviction" evictions evictions';
       Alcotest.(check int) "plus the one pre-rewrite hit" (hits + 1) hits';
+      (match D.Mapping_cache.get cache a with
+      | _ -> Alcotest.fail "an index-only cache holds no mapping"
+      | exception Invalid_argument _ -> ());
       (* a deleted container surfaces as Corrupt, naming the path *)
       Sys.remove b;
       match D.Mapping_cache.get_entries cache b with
@@ -355,13 +372,13 @@ let test_server_end_to_end () =
                (jlist "summaries"
                   (Obs.Json.member "summaries"
                      (D.execute ~jobs:1
-                        (D.Replay { path = container; record = None })))))
+                        (D.Request (D.Replay { path = container; record = None }))))))
         in
         let id1 =
-          D.Client.send c1 (D.Replay { path = container; record = None })
+          D.Client.send c1 (D.Request (D.Replay { path = container; record = None }))
         in
         let id2 =
-          D.Client.send c2 (D.Replay { path = container; record = None })
+          D.Client.send c2 (D.Request (D.Replay { path = container; record = None }))
         in
         let summaries_of (r : D.response) =
           match r.D.rsp with
@@ -391,7 +408,7 @@ let test_server_end_to_end () =
         | Error msg -> Alcotest.fail ("explore failed: " ^ msg));
         Alcotest.(check int) "one explore task per record" 1 r.D.tasks;
         (* a worker SIGKILLed mid-request errors only that request *)
-        let sleep_id = D.Client.send c1 (D.Sleep 30.) in
+        let sleep_id = D.Client.send c1 (D.Request (D.Sleep 30.)) in
         let busy_pid =
           let rec find tries =
             if tries = 0 then Alcotest.fail "no busy worker appeared"
@@ -466,6 +483,8 @@ let flip_events_byte container =
 let test_execute_equals_server () =
   if not S.fork_available then ()
   else begin
+    let sweep_names = [ "fft"; "db" ] in
+    let req r = D.Request r in
     let container = Filename.temp_file "jrpm_execute" ".jtrc" in
     Trace_store.Writer.to_file ~path:container
       (List.map
@@ -492,11 +511,15 @@ let test_execute_equals_server () =
           [ container; empty; corrupt; sock ])
       (fun () ->
         let c = connect_retry sock in
-        let server req =
-          Result.map Obs.Json.to_string (D.Client.rpc c req).D.rsp
+        let call op =
+          let id = D.Client.send c op in
+          let r = D.Client.recv c in
+          Alcotest.(check bool) "response id echoed" true (r.D.rsp_id = id);
+          r
         in
-        let local ?(jobs = 2) req =
-          match D.execute ~jobs req with
+        let server op = Result.map Obs.Json.to_string (call op).D.rsp in
+        let local ?(jobs = 2) op =
+          match D.execute ~jobs op with
           | json -> Ok (Obs.Json.to_string json)
           | exception Trace_store.Reader.Corrupt msg ->
               Error ("corrupt container: " ^ msg)
@@ -504,7 +527,9 @@ let test_execute_equals_server () =
         in
         (* a corrupt record fails with the typed error whichever worker
            decoded it: the same [Corrupt] at one job and at two *)
-        let corrupt_replay = D.Replay { path = corrupt; record = None } in
+        let corrupt_replay =
+          D.Request (D.Replay { path = corrupt; record = None })
+        in
         Alcotest.(check (result string string))
           "corrupt record: jobs 2 = jobs 1" (local ~jobs:1 corrupt_replay)
           (local corrupt_replay);
@@ -515,41 +540,74 @@ let test_execute_equals_server () =
               (Result.is_ok expected);
             Alcotest.(check (result string string)) what expected (local req))
           [
-            ("profile", true, D.Profile "fft");
-            ("replay", true, D.Replay { path = container; record = None });
+            ("profile", true, req @@ D.Profile "fft");
+            ("sweep", true, D.Sweep sweep_names);
+            ("sweep, unknown workload", false, D.Sweep [ "fft"; "no-such-workload" ]);
+            ("sweep, no workloads", true, D.Sweep []);
+            ("replay", true, req @@ D.Replay { path = container; record = None });
             ( "replay one record",
               true,
-              D.Replay { path = container; record = Some "fft" } );
+              req @@ D.Replay { path = container; record = Some "fft" } );
             ( "explore",
               true,
-              D.Explore
+              req @@ D.Explore
                 { path = container; grid = [ "cpus=2,8"; "store_buffer=32" ] }
             );
-            ("unknown workload", false, D.Profile "no-such-workload");
+            ("unknown workload", false, req @@ D.Profile "no-such-workload");
             ( "missing record",
               false,
-              D.Replay { path = container; record = Some "no-such-record" } );
+              req @@ D.Replay { path = container; record = Some "no-such-record" } );
             ( "malformed grid",
               false,
-              D.Explore { path = container; grid = [ "cpus" ] } );
+              req @@ D.Explore { path = container; grid = [ "cpus" ] } );
+            ( "over-maximum grid point",
+              false,
+              req @@ D.Explore
+                { path = container; grid = [ "heap_ts_fifo_lines=4000000000" ] } );
             ( "out-of-range grid point",
               false,
-              D.Explore { path = container; grid = [ "cpus=0" ] } );
+              req @@ D.Explore { path = container; grid = [ "cpus=0" ] } );
             ( "missing container",
               false,
-              D.Replay { path = container ^ ".missing"; record = None } );
+              req @@ D.Replay { path = container ^ ".missing"; record = None } );
             (* a fan-out of zero tasks must still be answered, with an
                empty result as the one-shot commands print *)
             ( "explore, no records",
               true,
-              D.Explore { path = empty; grid = [ "cpus=8" ] } );
-            ("replay, no records", true, D.Replay { path = empty; record = None });
+              req @@ D.Explore { path = empty; grid = [ "cpus=8" ] } );
+            ("replay, no records", true, req @@ D.Replay { path = empty; record = None });
             ("corrupt record", false, corrupt_replay);
             ( "explore, corrupt record",
               false,
-              D.Explore { path = corrupt; grid = [ "cpus=8" ] } );
+              req @@ D.Explore { path = corrupt; grid = [ "cpus=8" ] } );
           ];
-        match D.execute ~jobs:1 D.Ping with
+        (* a sweep request is one task per workload, and its summaries
+           are exactly [Daemon.sweep]'s at every jobs *)
+        Alcotest.(check int) "sweep response: one task per workload"
+          (List.length sweep_names)
+          (call (D.Sweep sweep_names)).D.tasks;
+        let typed =
+          Obs.Json.to_string
+            (Obs.Json.Obj
+               [
+                 ( "summaries",
+                   Obs.Json.List
+                     (List.map
+                        (fun (o : D.outcome) ->
+                          Jrpm.Report_summary.to_json o.D.summary)
+                        (D.sweep ~jobs:1
+                           (List.map Workloads.Registry.find_exn sweep_names)))
+                 );
+               ])
+        in
+        List.iter
+          (fun jobs ->
+            Alcotest.(check (result string string))
+              (Printf.sprintf "execute sweep = Daemon.sweep at jobs %d" jobs)
+              (Ok typed)
+              (local ~jobs (D.Sweep sweep_names)))
+          [ 1; 2 ];
+        match D.execute ~jobs:1 (D.Request D.Ping) with
         | _ -> Alcotest.fail "execute must refuse ping"
         | exception Invalid_argument _ -> ())
   end
@@ -791,7 +849,7 @@ let test_released_conn_never_written () =
         Unix.sleepf 0.3;
         let fresh = connect_retry sock in
         Unix.sleepf 0.6;
-        let id = D.Client.send fresh D.Ping in
+        let id = D.Client.send fresh (D.Request D.Ping) in
         let r = D.Client.recv fresh in
         Alcotest.(check string) "the new client's reply carries its id"
           (Obs.Json.to_string id)
@@ -826,7 +884,7 @@ let test_no_orphans_after_daemon_sigkill () =
         in
         Alcotest.(check int) "two workers" 2 (List.length workers);
         (* keep one worker mid-task so the EPIPE path is exercised too *)
-        ignore (D.Client.send c (D.Sleep 1.0));
+        ignore (D.Client.send c (D.Request (D.Sleep 1.0)));
         Unix.sleepf 0.1;
         Unix.kill daemon_pid Sys.sigkill;
         ignore (Unix.waitpid [] daemon_pid);

@@ -272,8 +272,8 @@ def main() {
 
 let summaries ~jobs =
   List.map
-    (fun (o : Jrpm.Parallel_sweep.outcome) -> o.Jrpm.Parallel_sweep.summary)
-    (Jrpm.Parallel_sweep.run ~jobs ~workloads ~observe:false ())
+    (fun (o : Jrpm.Daemon.outcome) -> o.Jrpm.Daemon.summary)
+    (Jrpm.Daemon.sweep ~jobs workloads)
 
 let test_sweep_vs_self () =
   let baseline = summaries ~jobs:1 in

@@ -1,10 +1,16 @@
-(* The work-stealing scheduler: [Scheduler.map ~jobs f xs] must be
-   observably [List.mapi f xs] — same results, same order — for any
-   worker count, task mix, or completion order; failures (task
-   exceptions, killed workers) surface as [Failure] naming the task
-   that was running; and no worker outlives a map call. *)
+(* The work-stealing scheduler: [Scheduler.map_adaptive ~jobs ~weights
+   f xs] must be observably [List.mapi f xs] — same results, same order
+   — for any worker count, weights, task mix, or completion order;
+   failures (task exceptions, killed workers) surface as [Failure]
+   naming the task that was running; and no worker outlives a map
+   call. *)
 
 module S = Jrpm.Scheduler
+
+(* The zero-weight schedule every sweep runs: singleton frames handed
+   out in input order (FIFO). *)
+let fifo ?jobs ?label f xs =
+  S.map_adaptive ?jobs ?label ~weights:(fun _ _ -> 0.) f xs
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -27,7 +33,7 @@ let prop_map_equals_mapi =
     QCheck.(
       pair (int_range 1 8) (list_of_size Gen.(int_range 0 20) (int_range 0 1000)))
     (fun (jobs, items) ->
-      S.map ~jobs slow_double items = List.mapi slow_double items)
+      fifo ~jobs slow_double items = List.mapi slow_double items)
 
 let test_order_with_skew () =
   (* the first task is far heavier than the rest: its result must still
@@ -40,18 +46,18 @@ let test_order_with_skew () =
   Alcotest.(check (list int))
     "input order preserved under skew"
     (List.init 12 Fun.id)
-    (S.map ~jobs:4 f items)
+    (fifo ~jobs:4 f items)
 
 let test_edges () =
   let id _ x = x in
-  Alcotest.(check (list int)) "empty" [] (S.map ~jobs:4 id []);
-  Alcotest.(check (list int)) "singleton" [ 7 ] (S.map ~jobs:4 id [ 7 ]);
+  Alcotest.(check (list int)) "empty" [] (fifo ~jobs:4 id []);
+  Alcotest.(check (list int)) "singleton" [ 7 ] (fifo ~jobs:4 id [ 7 ]);
   Alcotest.(check (list int))
     "more workers than tasks" [ 1; 2 ]
-    (S.map ~jobs:16 id [ 1; 2 ]);
+    (fifo ~jobs:16 id [ 1; 2 ]);
   Alcotest.(check (list int))
     "jobs 0 treated as sequential" [ 5; 6 ]
-    (S.map ~jobs:0 id [ 5; 6 ])
+    (fifo ~jobs:0 id [ 5; 6 ])
 
 let test_stats_accounting () =
   let items = List.init 8 Fun.id in
@@ -151,7 +157,7 @@ let test_adaptive_stats_frames () =
 
 let test_task_error_names_task () =
   let f i x = if i = 5 then failwith "boom" else x in
-  match S.map ~jobs:3 f (List.init 9 Fun.id) with
+  match fifo ~jobs:3 f (List.init 9 Fun.id) with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
       Alcotest.(check bool)
@@ -166,7 +172,7 @@ let test_task_error_names_task () =
 let test_custom_labels () =
   let f i x = if i = 1 then failwith "nope" else x in
   match
-    S.map ~jobs:2
+    fifo ~jobs:2
       ~label:(fun _ x -> "item " ^ string_of_int x)
       f [ 10; 20; 30 ]
   with
@@ -187,7 +193,7 @@ let test_killed_worker_names_task () =
       if i = 2 then Unix.kill (Unix.getpid ()) Sys.sigkill;
       x
     in
-    match S.map ~jobs:2 f (List.init 8 Fun.id) with
+    match fifo ~jobs:2 f (List.init 8 Fun.id) with
     | _ -> Alcotest.fail "expected Failure after a killed worker"
     | exception Failure msg ->
         Alcotest.(check bool)
@@ -308,13 +314,13 @@ let test_no_worker_outlives_map () =
           (Some before) (children ())
       in
       check "successful map" ~fails:false (fun () ->
-          S.map ~jobs:3 (fun _ x -> x) items);
+          fifo ~jobs:3 (fun _ x -> x) items);
       check "raising task" ~fails:true (fun () ->
-          S.map ~jobs:3
+          fifo ~jobs:3
             (fun i x -> if i = 4 then failwith "boom" else x)
             items);
       check "killed worker" ~fails:true (fun () ->
-          S.map ~jobs:3
+          fifo ~jobs:3
             (fun i x ->
               if i = 4 then Unix.kill (Unix.getpid ()) Sys.sigkill;
               x)

@@ -52,14 +52,14 @@ let workloads = [ w_fib; w_sum; w_scale ]
 (* ---------------- report-summary codec ---------------- *)
 
 let test_summary_roundtrip () =
-  let outcomes = Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~observe:false () in
+  let outcomes = Jrpm.Daemon.sweep ~jobs:1 ~report:true workloads in
   List.iter
-    (fun (o : Jrpm.Parallel_sweep.outcome) ->
-      let s = o.Jrpm.Parallel_sweep.summary in
+    (fun (o : Jrpm.Daemon.outcome) ->
+      let s = o.Jrpm.Daemon.summary in
       Alcotest.(check bool)
         ("summary derives from report: " ^ s.Jrpm.Report_summary.name)
         true
-        (s = Jrpm.Report_summary.of_report o.Jrpm.Parallel_sweep.report);
+        (s = Jrpm.Report_summary.of_report (Option.get o.Jrpm.Daemon.report));
       let json = Jrpm.Report_summary.to_json s in
       let reparsed =
         Jrpm.Report_summary.of_json
@@ -233,28 +233,30 @@ let histogram_shape m =
 let section m name = Obs.Json.member name (Obs.Metrics.to_json m)
 
 let test_parallel_equals_sequential () =
-  let seq = Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~observe:true () in
-  let par = Jrpm.Parallel_sweep.run ~jobs:2 ~workloads ~observe:true () in
+  let seq = Jrpm.Daemon.sweep ~jobs:1 ~observe:true ~report:true workloads in
+  let par = Jrpm.Daemon.sweep ~jobs:2 ~observe:true ~report:true workloads in
   Alcotest.(check int) "same workload count" (List.length seq)
     (List.length par);
   List.iter2
-    (fun (s : Jrpm.Parallel_sweep.outcome) (p : Jrpm.Parallel_sweep.outcome) ->
-      let name = s.Jrpm.Parallel_sweep.summary.Jrpm.Report_summary.name in
+    (fun (s : Jrpm.Daemon.outcome) (p : Jrpm.Daemon.outcome) ->
+      let name = s.Jrpm.Daemon.summary.Jrpm.Report_summary.name in
       Alcotest.(check bool) ("registry order preserved: " ^ name) true
-        (name = p.Jrpm.Parallel_sweep.summary.Jrpm.Report_summary.name);
+        (name = p.Jrpm.Daemon.summary.Jrpm.Report_summary.name);
       Alcotest.(check bool) ("summaries identical: " ^ name) true
-        (s.Jrpm.Parallel_sweep.summary = p.Jrpm.Parallel_sweep.summary);
-      (* the full report crossed the process boundary intact *)
+        (s.Jrpm.Daemon.summary = p.Jrpm.Daemon.summary);
+      (* the full report, asked for, crossed the process boundary
+         intact *)
+      let sr = Option.get s.Jrpm.Daemon.report
+      and pr = Option.get p.Jrpm.Daemon.report in
       Alcotest.(check bool) ("report outputs identical: " ^ name) true
-        (List.for_all2 Ir.Value.equal
-           s.Jrpm.Parallel_sweep.report.Jrpm.Pipeline.plain_output
-           p.Jrpm.Parallel_sweep.report.Jrpm.Pipeline.plain_output);
+        (List.for_all2 Ir.Value.equal sr.Jrpm.Pipeline.plain_output
+           pr.Jrpm.Pipeline.plain_output);
       Alcotest.(check int) ("report stats identical: " ^ name)
-        (List.length s.Jrpm.Parallel_sweep.report.Jrpm.Pipeline.stats)
-        (List.length p.Jrpm.Parallel_sweep.report.Jrpm.Pipeline.stats))
+        (List.length sr.Jrpm.Pipeline.stats)
+        (List.length pr.Jrpm.Pipeline.stats))
     seq par;
-  let rc_seq = Option.get (Jrpm.Parallel_sweep.merged_recorder seq) in
-  let rc_par = Option.get (Jrpm.Parallel_sweep.merged_recorder par) in
+  let rc_seq = Option.get (Jrpm.Daemon.merged_recorder seq) in
+  let rc_par = Option.get (Jrpm.Daemon.merged_recorder par) in
   let ms = Obs.Recorder.metrics rc_seq and mp = Obs.Recorder.metrics rc_par in
   (* every deterministic metric agrees; only wall-clock histogram sums
      may differ between the two runs *)
@@ -296,10 +298,10 @@ let pinned_json =
 
 let test_golden_summaries () =
   let workloads = List.map Workloads.Registry.find_exn golden_subset in
-  let outcomes = Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~observe:false () in
+  let outcomes = Jrpm.Daemon.sweep ~jobs:1 workloads in
   List.iter
-    (fun (o : Jrpm.Parallel_sweep.outcome) ->
-      let s = o.Jrpm.Parallel_sweep.summary in
+    (fun (o : Jrpm.Daemon.outcome) ->
+      let s = o.Jrpm.Daemon.summary in
       let name = s.Jrpm.Report_summary.name in
       Alcotest.(check string)
         ("summary JSON matches golden: " ^ name)
@@ -314,16 +316,16 @@ let test_golden_summaries () =
 
 let test_sweep_jobs_identity () =
   let run jobs =
-    let outcomes = Jrpm.Parallel_sweep.run ~jobs ~workloads ~capture:true () in
+    let outcomes = Jrpm.Daemon.sweep ~jobs ~capture:true workloads in
     let json =
       Obs.Json.to_string
         (Obs.Json.List
            (List.map
-              (fun (o : Jrpm.Parallel_sweep.outcome) ->
-                Jrpm.Report_summary.to_json o.Jrpm.Parallel_sweep.summary)
+              (fun (o : Jrpm.Daemon.outcome) ->
+                Jrpm.Report_summary.to_json o.Jrpm.Daemon.summary)
               outcomes))
     in
-    match Jrpm.Parallel_sweep.container outcomes with
+    match Jrpm.Daemon.container outcomes with
     | Some c -> (json, c)
     | None -> Alcotest.fail "capture sweep produced no container"
   in
@@ -340,9 +342,9 @@ let test_sweep_jobs_identity () =
     [ 4; 16 ]
 
 let test_replay_jobs_identity () =
-  let outcomes = Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~capture:true () in
+  let outcomes = Jrpm.Daemon.sweep ~jobs:1 ~capture:true workloads in
   let container =
-    match Jrpm.Parallel_sweep.container outcomes with
+    match Jrpm.Daemon.container outcomes with
     | Some c -> c
     | None -> Alcotest.fail "capture sweep produced no container"
   in
@@ -357,7 +359,7 @@ let test_replay_jobs_identity () =
         match
           Obs.Json.member "summaries"
             (Jrpm.Daemon.execute ~jobs
-               (Jrpm.Daemon.Replay { path; record = None }))
+               (Jrpm.Daemon.Request (Jrpm.Daemon.Replay { path; record = None })))
         with
         | Some summaries -> Obs.Json.to_string summaries
         | None -> Alcotest.fail "replay result has no summaries"
@@ -372,13 +374,20 @@ let test_replay_jobs_identity () =
 
 let test_worker_failure_surfaces () =
   let bad = tiny "t-bad" "def main( { this does not parse" in
-  match
-    Jrpm.Parallel_sweep.run ~jobs:2 ~workloads:[ w_sum; bad ] ~observe:false ()
-  with
+  match Jrpm.Daemon.sweep ~jobs:2 [ w_sum; bad ] with
   | _ -> Alcotest.fail "sweep over a broken workload should fail"
   | exception Failure msg ->
-      Alcotest.(check bool) "failure names the worker error" true
-        (String.length msg > 0)
+      let contains needle =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length msg
+          && (String.sub msg i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        ("failure names the workload: " ^ msg)
+        true (contains "workload t-bad")
 
 let suites =
   [

@@ -439,6 +439,74 @@ let test_unknown_chunk_skipped () =
   Alcotest.(check string) "record survives" "x" record.R.name;
   Alcotest.(check bool) "payload survives" true (got = [ E.Return { now = 3 } ])
 
+(* ---------------- replay work bounded by container size ---------------- *)
+
+(* A well-formed 47-byte container whose one record declares 2^40 + 1
+   events: a one-event reference segment (an eoi, Δnow = 1, Δstl = 0)
+   repeated 2^40 times, with the matching final timestamp and checksum.
+   Read without the events-per-byte cap it indexes at once and replays
+   for hours. *)
+let dense_container =
+  let n = (1 lsl 40) + 1 in
+  let seg = "\x02" ^ encode_s 1 ^ encode_s 0 in
+  let payload =
+    "\x0B" ^ encode_u (String.length seg) ^ seg ^ "\x00" ^ encode_u (n - 1)
+  in
+  let c =
+    L.checksum L.checksum_init (Trace_store.Bytesrc.of_string payload) ~pos:0
+      ~len:(String.length payload)
+  in
+  let frame tag p =
+    String.make 1 (Char.chr tag) ^ encode_u (String.length p) ^ p
+  in
+  container_header
+  ^ frame L.tag_record_begin "\x01w\x02{}"
+  ^ frame L.tag_events payload
+  ^ frame L.tag_record_end
+      (encode_u n ^ encode_s n
+      ^ String.init 4 (fun i -> Char.chr ((c lsr (8 * i)) land 0xff)))
+  ^ "\x00\x00"
+
+let test_dense_record_refused () =
+  Alcotest.(check int) "47 bytes" 47 (String.length dense_container);
+  let t0 = Unix.gettimeofday () in
+  (match Trace_store.Index.of_string dense_container with
+  | _ -> Alcotest.fail "a record over the events-per-byte cap must not index"
+  | exception R.Corrupt msg ->
+      Alcotest.(check bool) ("names the cap: " ^ msg) true
+        (Test_scheduler.contains ~needle:"per byte" msg));
+  expect_corrupt "replay" (fun () -> drain dense_container);
+  Alcotest.(check bool) "refused at once" true
+    (Unix.gettimeofday () -. t0 < 1.);
+  let jrpm = "../bin/jrpm_cli.exe" in
+  if Sys.file_exists jrpm then begin
+    let path = Filename.temp_file "jrpm_dense" ".jtrc" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Trace_store.Atomic_io.write_string ~path dense_container;
+        Alcotest.(check int) "jrpm trace info exits 1" 1
+          (Sys.command
+             (Printf.sprintf "%s trace info %s >/dev/null 2>&1" jrpm
+                (Filename.quote path))))
+  end
+
+(* A loop whose iterations repeat byte for byte compresses past the
+   cap; the writer pads its record up to it, and it reads back. *)
+let test_dense_loop_padded () =
+  let events = loop_events ~iters:20_000 ~body:1 in
+  let _, record = encode_record events in
+  let n = List.length events in
+  let least = (n + L.max_events_per_byte - 1) / L.max_events_per_byte in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d events padded to %d bytes (least %d)" n
+       (String.length record) least)
+    true
+    (String.length record >= least && String.length record <= least + 1);
+  let _, stats, got = decode_single (W.container [ record ]) in
+  Alcotest.(check int) "every event replays" n stats.R.events;
+  Alcotest.(check bool) "round-trips" true (List.for_all2 E.equal got events)
+
 let test_replay_twice_rejected () =
   let r = R.of_string (encode_container [ E.Return { now = 1 } ]) in
   ignore (R.next_record r : R.record option);
@@ -1162,10 +1230,10 @@ let test_replayed_sweep_matches_golden () =
     List.map Workloads.Registry.find_exn Test_sweep.golden_subset
   in
   let outcomes =
-    Jrpm.Parallel_sweep.run ~jobs:1 ~workloads ~capture:true ()
+    Jrpm.Daemon.sweep ~jobs:1 ~capture:true workloads
   in
   let container =
-    match Jrpm.Parallel_sweep.container outcomes with
+    match Jrpm.Daemon.container outcomes with
     | Some c -> c
     | None -> Alcotest.fail "capture sweep produced no container"
   in
@@ -1220,6 +1288,10 @@ let suites =
         Alcotest.test_case "version-1 container refused" `Quick
           test_v1_refused;
         QCheck_alcotest.to_alcotest prop_hostile_containers;
+        Alcotest.test_case "record over the events-per-byte cap refused"
+          `Quick test_dense_record_refused;
+        Alcotest.test_case "dense loop record padded to the cap" `Quick
+          test_dense_loop_padded;
       ] );
     ( "trace_store.checksum",
       [
