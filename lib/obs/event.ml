@@ -23,6 +23,7 @@ type t =
   | Tls_violation of { rank : int; now : int }
   | Tls_overflow_stall of { rank : int; now : int }
   | Tls_sync_stall of { pc : int; now : int }
+  | Tls_work of { passes : int; steps : int; run_ahead : int }
 
 let label = function
   | Phase_begin _ -> "phase_begin"
@@ -38,6 +39,7 @@ let label = function
   | Tls_violation _ -> "tls_violation"
   | Tls_overflow_stall _ -> "tls_overflow_stall"
   | Tls_sync_stall _ -> "tls_sync_stall"
+  | Tls_work _ -> "tls_work"
 
 let all_labels =
   [
@@ -113,5 +115,11 @@ let to_json t =
         [ ("rank", Json.Int rank); ("now", Json.Int now) ]
     | Tls_sync_stall { pc; now } ->
         [ ("pc", Json.Int pc); ("now", Json.Int now) ]
+    | Tls_work { passes; steps; run_ahead } ->
+        [
+          ("passes", Json.Int passes);
+          ("steps", Json.Int steps);
+          ("run_ahead", Json.Int run_ahead);
+        ]
   in
   Json.Obj (("event", Json.String (label t)) :: fields)

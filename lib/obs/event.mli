@@ -47,14 +47,21 @@ type t =
   | Tls_overflow_stall of { rank : int; now : int }
   | Tls_sync_stall of { pc : int; now : int }
       (** learned synchronization delayed the load at [pc] *)
+  | Tls_work of { passes : int; steps : int; run_ahead : int }
+      (** one simulator run's host work, emitted once at its end:
+          scheduler passes, thread steps the scheduler made, and
+          frame-private instructions threads ran ahead. {!Recorder}
+          adds them into the counters [tls.passes], [tls.steps] and
+          [tls.run_ahead]; it neither logs nor counts the event. *)
 
 val label : t -> string
 (** Stable snake_case tag, also used as the JSON ["event"] field and as
     the per-event counter name under [events.] in {!Recorder}. *)
 
 val all_labels : string list
-(** Every label {!label} can return, in declaration order — used to
-    pre-seed zero counters so exported dumps have a stable shape. *)
+(** Every label {!label} can return for a logged event, in declaration
+    order — used to pre-seed zero counters so exported dumps have a
+    stable shape. [Tls_work] is not logged, so its label is not here. *)
 
 val to_json : t -> Json.t
 (** One flat object: [{"event": label, ...payload fields}]. *)

@@ -11,28 +11,35 @@ type t = {
 let schema_version = 1
 
 let record t (e : Event.t) =
-  Metrics.incr t.reg ("events." ^ Event.label e);
-  (match e with
-  | Event.Phase_end { phase; span_s; _ } ->
-      Metrics.observe t.reg ("phase." ^ phase ^ ".seconds") span_s;
-      let spans, total =
-        match
-          List.find_opt (fun (name, _, _) -> name = phase) t.phases
-        with
-        | Some (_, spans, total) -> (spans, total)
-        | None ->
-            let spans = ref 0 and total = ref 0. in
-            t.phases <- (phase, spans, total) :: t.phases;
-            (spans, total)
-      in
-      incr spans;
-      total := !total +. span_s
-  | _ -> ());
-  if t.kept < t.max_events then begin
-    t.log <- e :: t.log;
-    t.kept <- t.kept + 1
-  end
-  else t.dropped <- t.dropped + 1
+  match e with
+  | Event.Tls_work { passes; steps; run_ahead } ->
+      (* work counters, not an event of the log *)
+      Metrics.incr t.reg "tls.passes" ~by:passes;
+      Metrics.incr t.reg "tls.steps" ~by:steps;
+      Metrics.incr t.reg "tls.run_ahead" ~by:run_ahead
+  | _ ->
+      Metrics.incr t.reg ("events." ^ Event.label e);
+      (match e with
+      | Event.Phase_end { phase; span_s; _ } ->
+          Metrics.observe t.reg ("phase." ^ phase ^ ".seconds") span_s;
+          let spans, total =
+            match
+              List.find_opt (fun (name, _, _) -> name = phase) t.phases
+            with
+            | Some (_, spans, total) -> (spans, total)
+            | None ->
+                let spans = ref 0 and total = ref 0. in
+                t.phases <- (phase, spans, total) :: t.phases;
+                (spans, total)
+          in
+          incr spans;
+          total := !total +. span_s
+      | _ -> ());
+      if t.kept < t.max_events then begin
+        t.log <- e :: t.log;
+        t.kept <- t.kept + 1
+      end
+      else t.dropped <- t.dropped + 1
 
 let create ?(max_events = 10_000) () =
   let t =

@@ -5,6 +5,9 @@
     - every event bumps the counter [events.<label>] (so arc and
       overflow totals survive even when the raw log is truncated);
     - [Phase_end] also feeds the histogram [phase.<name>.seconds];
+    - [Tls_work] only adds its counts into [tls.passes], [tls.steps]
+      and [tls.run_ahead]: it is neither counted nor logged as an
+      event;
     - the raw event log keeps the first [max_events] events; later ones
       are dropped (but still counted) and reported via
       {!dropped_events}.
