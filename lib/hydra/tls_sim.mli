@@ -54,9 +54,17 @@ val run :
     {!Config.default}): CPU count, Table-1 buffer limits, and Table-2
     overheads all come from it.
     @param fuel maximum dynamic instructions across all CPUs, master
-    and speculative threads in one budget (default 2 billion).
+    and speculative threads in one budget (default 2 billion). A
+    speculative thread executes the frame-private instructions after
+    each of its steps ahead of simulated time, and they count when they
+    execute: those that a later violation restart or squash throws away
+    count too (0.9% more instructions over the default 26-workload
+    sweep), so a run can exhaust its fuel slightly earlier than the
+    instructions it simulates would.
     @param obs observability sink (default {!Obs.Sink.null}): receives
-    per-thread commit / violation / overflow-stall / sync-stall events.
+    per-thread commit / violation / overflow-stall / sync-stall events,
+    and one {!Obs.Event.Tls_work} with the run's scheduler passes,
+    thread steps and run-ahead instructions when the run ends.
     @param sync enable learned synchronization (default false): the
     hardware remembers the PCs of loads whose data was later overwritten
     by a less-speculative store (a violation) and, on later executions,
