@@ -31,6 +31,9 @@ type ctx = {
   buf : pre list ref;
   mutable emitted : int;
   block_start : int array;
+  (* optimized annotation: pc of an [Lwl] -> later loads of its slot in
+     its block, which only the base build annotates *)
+  lwl_extra : (int, int) Hashtbl.t;
 }
 
 let fresh_reg ctx =
@@ -294,12 +297,19 @@ let translate_instr ctx b ~annotated_loads (i : Tac.instr) : N.instr list =
           if slot_needs_annotation ctx b s then begin
             let annotate =
               match ctx.mode with
-              | Annotated { optimized = true } ->
-                  if Hashtbl.mem annotated_loads s then false
-                  else begin
-                    Hashtbl.replace annotated_loads s ();
-                    true
-                  end
+              | Annotated { optimized = true } -> (
+                  match Hashtbl.find_opt annotated_loads s with
+                  | Some lwl_pc ->
+                      let n =
+                        Option.value ~default:0
+                          (Hashtbl.find_opt ctx.lwl_extra lwl_pc)
+                      in
+                      Hashtbl.replace ctx.lwl_extra lwl_pc (n + 1);
+                      false
+                  | None ->
+                      (* the [Lwl] is the next instruction emitted *)
+                      Hashtbl.replace annotated_loads s ctx.emitted;
+                      true)
               | _ -> true
             in
             if annotate then [ N.Lwl s; N.Ld_local (r, s) ]
@@ -344,6 +354,7 @@ let make_ctx ~mode ~table (f : Tac.func) : ctx =
     buf = ref [];
     emitted = 0;
     block_start = Array.make (Array.length f.blocks) (-1);
+    lwl_extra = Hashtbl.create 8;
   }
 let emit_func ctx ~carried_addr ~func_idx =
   Hashtbl.iter (fun k v -> Hashtbl.replace ctx.carried_addr k v) carried_addr;
@@ -390,6 +401,7 @@ let emit_func ctx ~carried_addr ~func_idx =
         emit ctx (PReturn rv)
   done;
   (* Emit stubs. *)
+  let first_stub = ctx.emitted in
   let stub_start = Array.make !n_stubs (-1) in
   List.iter
     (fun (id, instrs, v) ->
@@ -412,6 +424,8 @@ let emit_func ctx ~carried_addr ~func_idx =
            | PReturn rv -> N.Return rv)
          !(ctx.buf))
   in
+  let lwl_extra = Array.make (Array.length code) 0 in
+  Hashtbl.iter (fun pc n -> lwl_extra.(pc) <- n) ctx.lwl_extra;
   let header_pcs =
     match ctx.loops with
     | None -> []
@@ -427,6 +441,8 @@ let emit_func ctx ~carried_addr ~func_idx =
       nregs = ctx.next_reg;
       code;
       pc_base = 0 (* assigned at program assembly *);
+      stub_start = first_stub;
+      lwl_extra;
     },
     header_pcs )
 

@@ -16,7 +16,16 @@
       locals are globalized to reserved heap cells (loads/stores inside
       the loop body rewritten to heap accesses), inductor / reduction /
       invariant metadata is emitted as an {!Hydra.Native.stl_plan}, and
-      TLS region markers are placed on loop entry / back / exit edges. *)
+      TLS region markers are placed on loop entry / back / exit edges.
+
+    Annotations and TLS markers on a control-flow edge go in a stub
+    that ends in a jump to the edge's target; every function's stubs
+    follow all its blocks, from {!Hydra.Native.func}'s [stub_start].
+    An optimized annotated build also records, at each [lwl], how many
+    later loads of the slot in its block the base build annotates
+    ([lwl_extra]). The three builds of one program differ in nothing
+    else, so one traced run of the optimized build gives the cycles of
+    all three ({!Hydra.Seq_interp.result}). *)
 
 type mode =
   | Plain

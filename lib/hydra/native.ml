@@ -47,6 +47,13 @@ type func = {
   nregs : int;
   code : instr array;
   pc_base : int;
+  stub_start : int;
+      (** first pc of the edge stubs, which the code generator emits
+          after every block; [Array.length code] when there are none *)
+  lwl_extra : int array;
+      (** per pc: at an [Lwl] of an optimized-annotation build, how many
+          later loads of the same slot in its block the base build also
+          annotates; 0 everywhere else *)
 }
 
 (** Recompilation plan for one selected STL (built by the TLS code

@@ -8,6 +8,9 @@ type result = {
   locals_cycles : int;
   read_stats_cycles : int;
   loop_anno_cycles : int;
+  stub_cycles : int;
+  eloops : int;
+  lwl_extra : int;
 }
 
 exception Out_of_fuel = Machine.Out_of_fuel
@@ -112,6 +115,10 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
   (* the annotation cycles of paper Figure 6, by kind *)
   let locals_cycles = ref 0 and read_stats_cycles = ref 0 in
   let loop_anno_cycles = ref 0 in
+  (* what the plain and base-annotation builds would run differently:
+     edge-stub jumps, [eloop]s and the loads only the base build
+     annotates ([Native.func]'s [stub_start] and [lwl_extra]) *)
+  let stub_cycles = ref 0 and eloops = ref 0 and lwl_extra = ref 0 in
   let frame_uid = ref 1 in
   let stack = ref [] in
   let frame =
@@ -124,6 +131,8 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
   let cur_code = ref p.funcs.(p.main).Native.code in
   let cur_costs = ref costs.(p.main) in
   let cur_pc_base = ref p.funcs.(p.main).Native.pc_base in
+  let cur_stub_start = ref p.funcs.(p.main).Native.stub_start in
+  let cur_lwl_extra = ref p.funcs.(p.main).Native.lwl_extra in
   let pc = ref 0 in
   let running = ref true in
   while !running do
@@ -180,6 +189,8 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
         cur_code := f.Native.code;
         cur_costs := costs.(callee);
         cur_pc_base := f.Native.pc_base;
+        cur_stub_start := f.Native.stub_start;
+        cur_lwl_extra := f.Native.lwl_extra;
         pc := 0
     | Native.Builtin (d, b, args) ->
         Machine.set fr d
@@ -188,7 +199,9 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
     | Native.Print (_, r) ->
         st.output <- Machine.get fr r :: st.output;
         pc := next
-    | Native.Jump t -> pc := t
+    | Native.Jump t ->
+        if !pc >= !cur_stub_start then stub_cycles := !stub_cycles + cost;
+        pc := t
     | Native.Branch (r, a, b) -> pc := if Machine.nonzero fr r then a else b
     | Native.Return rv -> (
         if tracing && !stack <> [] then sink.Trace.on_return ~now:!cycles;
@@ -205,7 +218,9 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
             let f = p.funcs.(caller.Machine.fidx) in
             cur_code := f.Native.code;
             cur_costs := costs.(caller.Machine.fidx);
-            cur_pc_base := f.Native.pc_base)
+            cur_pc_base := f.Native.pc_base;
+            cur_stub_start := f.Native.stub_start;
+            cur_lwl_extra := f.Native.lwl_extra)
     | Native.Sloop (stl, nlocals) ->
         loop_anno_cycles := !loop_anno_cycles + cost;
         if tracing then
@@ -214,6 +229,7 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
         pc := next
     | Native.Eloop stl ->
         loop_anno_cycles := !loop_anno_cycles + cost;
+        incr eloops;
         if tracing then sink.Trace.on_eloop ~stl ~now:!cycles;
         pc := next
     | Native.Eoi stl ->
@@ -226,6 +242,7 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
         pc := next
     | Native.Lwl s ->
         locals_cycles := !locals_cycles + cost;
+        lwl_extra := !lwl_extra + (!cur_lwl_extra).(!pc);
         if tracing then
           sink.Trace.on_local_load ~frame:fr.Machine.uid ~slot:s
             ~pc:(!cur_pc_base + !pc) ~now:!cycles;
@@ -253,7 +270,8 @@ let exec ~sink ~tracing ~fuel ~speculate (p : Native.program) : result =
   { cycles = !cycles; output = List.rev st.output; memory = mem;
     instructions = !icount; locals_cycles = !locals_cycles;
     read_stats_cycles = !read_stats_cycles;
-    loop_anno_cycles = !loop_anno_cycles }
+    loop_anno_cycles = !loop_anno_cycles; stub_cycles = !stub_cycles;
+    eloops = !eloops; lwl_extra = !lwl_extra }
 
 let run ?(sink = Trace.null_sink) ?(tracing = false) ?(fuel = 500_000_000) p =
   exec ~sink ~tracing ~fuel ~speculate:None p

@@ -15,10 +15,26 @@ type result = {
   locals_cycles : int;           (** cycles of [lwl]/[swl] annotations *)
   read_stats_cycles : int;       (** cycles of statistics-read routines *)
   loop_anno_cycles : int;        (** cycles of [sloop]/[eloop]/[eoi] *)
+  stub_cycles : int;
+      (** cycles of the jumps that end edge stubs (the [Jump]s at or
+          past {!Native.func}'s [stub_start]) *)
+  eloops : int;                  (** [eloop]s executed *)
+  lwl_extra : int;
+      (** the [lwl_extra] weights of the [lwl]s executed: the loads a
+          base-annotation build would annotate on top of this build's *)
 }
 (** The three annotation components split the profiling slowdown as in
     paper Figure 6. Annotations cost cycles only under [~tracing:true],
-    so all three are 0 for an untraced run. *)
+    so all three are 0 for an untraced run.
+
+    The last three fields let one traced run of an optimized-annotation
+    build stand for the two other builds of the same program. The plain
+    build lacks the annotations and the stub jumps, so it takes
+    [cycles - locals_cycles - read_stats_cycles - loop_anno_cycles -
+    stub_cycles] cycles and prints the same [output]. The base build
+    also annotates the [lwl_extra] loads and reads statistics after
+    every [eloop]; [Jrpm.Pipeline] derives both. They are counted in
+    the arms of [Jump], [Eloop] and [Lwl] only. *)
 
 exception Out_of_fuel of int
 (** {!Machine.Out_of_fuel}, re-exported. *)

@@ -545,7 +545,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
         violate_from !victim ~at
       end
     in
-    let check_overflow (t : thread) =
+    let check_overflow (t : thread) ~n =
       if t.rank <> !head_rank then
         if
           Spec_table.length t.read_lines > config.Config.load_buffer_lines
@@ -557,7 +557,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
             ms.m_stalls <- ms.m_stalls + 1;
             if Obs.Sink.enabled obs then
               Obs.Sink.emit obs
-                (Obs.Event.Tls_overflow_stall { rank = t.rank; now = st.cycles })
+                (Obs.Event.Tls_overflow_stall { rank = t.rank; now = n })
           end
         end
     in
@@ -589,13 +589,13 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
              end
              else begin
                cost := !cost + spec_load t addr ~pc:fpc frame d;
-               check_overflow t;
+               check_overflow t ~n;
                t.pc <- next
              end
          | Native.St_heap (a, s) ->
              let addr = Machine.get_int frame a in
              spec_store t addr frame s ~at:n;
-             check_overflow t;
+             check_overflow t ~n;
              t.pc <- next
          | Native.Alloc (d, nreg, kind) ->
              Machine.set_int frame d
@@ -709,7 +709,7 @@ let run ?(config = Config.default) ?(fuel = 2_000_000_000) ?(sync = false)
       st.output <- t.pending_output @ st.output;
       ms.m_committed <- ms.m_committed + 1;
       if Obs.Sink.enabled obs then
-        Obs.Sink.emit obs (Obs.Event.Tls_commit { rank = t.rank; now = st.cycles })
+        Obs.Sink.emit obs (Obs.Event.Tls_commit { rank = t.rank; now = !now })
     in
     (* does the head thread have no transition to make at [now]? *)
     let head_quiet () =

@@ -35,70 +35,65 @@ type report = {
 
 (* Pipeline phase names, shared with ARCHITECTURE.md's JSON schema. *)
 let phase_frontend = "frontend"
-let phase_plain = "plain-run"
-let phase_profile_base = "profile-base"
 let phase_profile_opt = "profile-opt"
 let phase_analyze = "analyze"
 let phase_recompile = "recompile-tls"
 let phase_tls = "tls-run"
 
 let phases =
-  [
-    phase_frontend;
-    phase_plain;
-    phase_profile_base;
-    phase_profile_opt;
-    phase_analyze;
-    phase_recompile;
-    phase_tls;
-  ]
+  [ phase_frontend; phase_profile_opt; phase_analyze; phase_recompile; phase_tls ]
 
-(* An annotated build run with tracing on. The annotation cycles that
-   split the slowdown (Figure 6) come from the interpreter, so [sink]
-   only matters to a caller that consumes the events. *)
-let annotated_run ?fuel ?sink ~optimized ~plain_cycles table tac =
-  let prog =
-    Compiler.Codegen.generate ~mode:(Compiler.Codegen.Annotated { optimized })
-      table tac
+let frontend ~obs ~optimize src =
+  Obs.Sink.phase obs phase_frontend (fun () ->
+      let tac = Ir.Lower.compile src in
+      let tac = if optimize then Compiler.Opt.program tac else tac in
+      (tac, Compiler.Stl_table.build tac))
+
+(* The plain and the base-annotation builds differ from the traced
+   optimized build only in annotation instructions and in the jumps that
+   end edge stubs, so its counts give their cycles: the plain build runs
+   none of them, and the base build annotates the [lwl_extra] loads too
+   and reads statistics after every [eloop]. *)
+let derive (r : Hydra.Seq_interp.result) =
+  let loop_anno_cycles = r.loop_anno_cycles in
+  (* an annotated build's cycles less its annotations' *)
+  let untraced =
+    r.cycles - r.locals_cycles - r.read_stats_cycles - loop_anno_cycles
   in
-  let r = Hydra.Seq_interp.run ?fuel ~tracing:true ?sink prog in
-  let run =
+  let plain_cycles = untraced - r.stub_cycles in
+  let anno_run ~locals_cycles ~read_stats_cycles =
+    let cycles =
+      untraced + locals_cycles + read_stats_cycles + loop_anno_cycles
+    in
     {
-      cycles = r.Hydra.Seq_interp.cycles;
-      slowdown =
-        Float.of_int r.Hydra.Seq_interp.cycles /. Float.of_int (max 1 plain_cycles);
-      locals_cycles = r.Hydra.Seq_interp.locals_cycles;
-      read_stats_cycles = r.Hydra.Seq_interp.read_stats_cycles;
-      loop_anno_cycles = r.Hydra.Seq_interp.loop_anno_cycles;
+      cycles;
+      slowdown = Float.of_int cycles /. Float.of_int (max 1 plain_cycles);
+      locals_cycles;
+      read_stats_cycles;
+      loop_anno_cycles;
     }
   in
-  (run, prog)
-
-(* The [frontend] and [plain-run] phases both entry points start with. *)
-let compile_and_run_plain ?fuel ~obs ~optimize src =
-  let tac, table =
-    Obs.Sink.phase obs phase_frontend (fun () ->
-        let tac = Ir.Lower.compile src in
-        let tac = if optimize then Compiler.Opt.program tac else tac in
-        (tac, Compiler.Stl_table.build tac))
+  let base =
+    anno_run
+      ~locals_cycles:
+        (r.locals_cycles + (r.lwl_extra * Hydra.Cost.cost_anno_local))
+      ~read_stats_cycles:(r.eloops * Hydra.Cost.cost_read_stats)
   in
-  let pr =
-    Obs.Sink.phase obs phase_plain (fun () ->
-        let plain =
-          Compiler.Codegen.generate ~mode:Compiler.Codegen.Plain table tac
-        in
-        Hydra.Seq_interp.run ?fuel plain)
+  let opt =
+    anno_run ~locals_cycles:r.locals_cycles
+      ~read_stats_cycles:r.read_stats_cycles
   in
-  (tac, table, pr)
+  (plain_cycles, base, opt)
 
-(* The [profile-opt] phase: the one traced run, which feeds the analyzer.
-   An explicit [tracer_config] wins (tests exercise odd geometries);
-   otherwise the tracer models the same machine the analysis targets.
-   [wrap] sits between the interpreter and the tracer; the capture tee
-   wraps outermost, so the writer records the raw interpreter stream,
-   which is what replay must feed back. *)
-let profile_opt ?fuel ~hw ?tracer_config ~obs ?capture ?(wrap = Fun.id)
-    ~plain_cycles table tac =
+(* The [profile-opt] phase: the one sequential interpretation of a
+   pipeline run, the traced optimized-annotation build, which feeds the
+   analyzer. An explicit [tracer_config] wins (tests exercise odd
+   geometries); otherwise the tracer models the same machine the
+   analysis targets. [wrap] sits between the interpreter and the tracer;
+   the capture tee wraps outermost, so the writer records the raw
+   interpreter stream, which is what replay must feed back. *)
+let profile_opt ?fuel ~hw ?tracer_config ~obs ?capture ?(wrap = Fun.id) table
+    tac =
   Obs.Sink.phase obs phase_profile_opt (fun () ->
       let config =
         Option.value tracer_config ~default:(Test_core.Tracer.config_of hw)
@@ -109,10 +104,16 @@ let profile_opt ?fuel ~hw ?tracer_config ~obs ?capture ?(wrap = Fun.id)
         Option.fold capture ~none:sink ~some:(fun w ->
             Hydra.Trace.tee sink (Trace_store.Writer.sink w))
       in
-      let run, prog =
-        annotated_run ?fuel ~sink ~optimized:true ~plain_cycles table tac
+      let prog =
+        Compiler.Codegen.generate
+          ~mode:(Compiler.Codegen.Annotated { optimized = true })
+          table tac
       in
-      (run, tracer, prog))
+      let r = Hydra.Seq_interp.run ?fuel ~tracing:true ~sink prog in
+      if Obs.Sink.enabled obs then
+        Obs.Sink.emit obs
+          (Obs.Event.Interp_work { instructions = r.Hydra.Seq_interp.instructions });
+      (r, tracer, prog))
 
 type profile = {
   tracer : Test_core.Tracer.t;
@@ -123,30 +124,26 @@ type profile = {
 
 let profile_only ?(hw = Hydra.Config.default) ?tracer_config ?fuel
     ?(obs = Obs.Sink.null) ?(optimize = true) ?capture src =
-  let tac, table, pr = compile_and_run_plain ?fuel ~obs ~optimize src in
-  let plain_cycles = pr.Hydra.Seq_interp.cycles in
-  let _, tracer, annotated_program =
-    profile_opt ?fuel ~hw ?tracer_config ~obs ?capture ~plain_cycles table tac
+  let tac, table = frontend ~obs ~optimize src in
+  let r, tracer, annotated_program =
+    profile_opt ?fuel ~hw ?tracer_config ~obs ?capture table tac
   in
+  let plain_cycles, _, _ = derive r in
   { tracer; plain_cycles; table; annotated_program }
 
 let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     ?(obs = Obs.Sink.null) ?(optimize = true) ?capture ~name src : report =
-  (* 1. plain sequential baseline *)
-  let tac, table, pr = compile_and_run_plain ?fuel ~obs ~optimize src in
-  let plain_cycles = pr.Hydra.Seq_interp.cycles in
-  (* 2. profiling runs. The base run is untraced: only its cycle split
-     is read, and the interpreter counts that itself. *)
-  let base, _ =
-    Obs.Sink.phase obs phase_profile_base (fun () ->
-        annotated_run ?fuel ~optimized:false ~plain_cycles table tac)
-  in
+  (* 1. compile; 2. the one profiling run, which also gives the plain
+     baseline and the base-annotation split *)
+  let tac, table = frontend ~obs ~optimize src in
   let methods = Test_core.Method_profile.create () in
-  let opt, tracer, annotated_program =
+  let r, tracer, annotated_program =
     profile_opt ?fuel ~hw ?tracer_config ~obs ?capture
       ~wrap:(Test_core.Method_profile.wrap methods)
-      ~plain_cycles table tac
+      table tac
   in
+  let plain_cycles, base, opt = derive r in
+  let plain_output = r.Hydra.Seq_interp.output in
   (* 3. analyze & select *)
   let stats, estimates, selection =
     Obs.Sink.phase obs phase_analyze (fun () ->
@@ -186,7 +183,7 @@ let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     name;
     hw;
     plain_cycles;
-    plain_output = pr.Hydra.Seq_interp.output;
+    plain_output;
     base;
     opt;
     stats;
@@ -197,7 +194,7 @@ let run ?(hw = Hydra.Config.default) ?tracer_config ?cpus ?fuel ?sync
     actual_speedup =
       Float.of_int plain_cycles /. Float.of_int (max 1 tr.Hydra.Tls_sim.cycles);
     outputs_match =
-      (try List.for_all2 Ir.Value.equal pr.Hydra.Seq_interp.output tr.Hydra.Tls_sim.output
+      (try List.for_all2 Ir.Value.equal plain_output tr.Hydra.Tls_sim.output
        with Invalid_argument _ -> false);
     spec_stats = tr.Hydra.Tls_sim.stats;
     loop_count = Compiler.Stl_table.loop_count table;

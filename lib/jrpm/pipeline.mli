@@ -1,9 +1,9 @@
 (** The full Jrpm life cycle over one Javelin program (paper Fig. 1):
 
     1. compile the source, identify potential STLs;
-    2. run natively with base and with optimized annotations; only the
-       optimized run is traced, and its TEST statistics feed the
-       analyzer;
+    2. run the optimized-annotation build once, traced; its TEST
+       statistics feed the analyzer, and its counts give the plain and
+       the base-annotation cycle counts;
     3. estimate per-STL speedups (Equation 1), pick decompositions
        (Equation 2);
     4. recompile the chosen STLs into speculative threads;
@@ -21,15 +21,21 @@ type anno_run = {
   read_stats_cycles : int;
   loop_anno_cycles : int;         (** sloop/eloop/eoi component *)
 }
-(** One annotated run. The three components are the interpreter's own
-    counts ({!Hydra.Seq_interp.result}), so a run needs no tracer to
-    report them. *)
+(** One annotated build's cycles and their Figure 6 split. Both builds
+    are read off the one traced run ({!Hydra.Seq_interp.result}): the
+    optimized build is that run, and the base build adds the loads it
+    alone annotates ([lwl_extra] × the [lwl] cost) and a statistics read
+    after every [eloop] ([eloops] × the read-statistics cost); the
+    [sloop]/[eloop]/[eoi] component is the same in both. *)
 
 type report = {
   name : string;
   hw : Hydra.Config.t;            (** hardware point this report describes *)
   plain_cycles : int;
+      (** the traced run's cycles less its annotation and stub-jump
+          cycles: what the plain build takes *)
   plain_output : Ir.Value.t list;
+      (** the traced run's output, which is the plain build's *)
   base : anno_run;                (** base annotations *)
   opt : anno_run;                 (** optimized annotations *)
   stats : (int * Test_core.Stats.t) list;
@@ -76,13 +82,16 @@ val run :
     {!Compiler.Opt} scalar passes before analysis and code generation.
     [obs] (default {!Obs.Sink.null}) observes the run: every phase is
     bracketed in [Phase_begin]/[Phase_end] events (phases [frontend],
-    [plain-run], [profile-base], [profile-opt], [analyze],
-    [recompile-tls], [tls-run]) and the sink is threaded into the
+    [profile-opt], [analyze], [recompile-tls], [tls-run]), the
+    [profile-opt] run reports its instruction count once
+    ({!Obs.Event.Interp_work}), and the sink is threaded into the
     tracer, the analyzer, and the TLS simulator.
 
-    The base-annotation run ([profile-base]) is not traced: it feeds no
-    tracer and no sink, and its cycle split comes from the interpreter.
-    The optimized run is the one traced run.
+    [profile-opt] is the run's one sequential interpretation: the plain
+    baseline ([plain_cycles], [plain_output]) and [base] are derived
+    from its counts, not run. A [fuel] limit applies to that run alone,
+    so a program that fits it is no longer stopped because its longer
+    base build would not.
 
     [capture] tees the {e optimized} profiling run's raw annotation
     event stream — the stream the tracer itself consumes — into a
@@ -90,12 +99,13 @@ val run :
     {!Trace_store.Writer.finish} afterwards ({!Replay.capture_run}
     does both, with the record metadata that makes the trace
     self-describing).
-    The base profiling run and the TLS run are never captured.
+    The TLS run is never captured.
     @raise the usual front-end exceptions on bad source. *)
 
 type profile = {
   tracer : Test_core.Tracer.t;    (** the optimized run's tracer *)
-  plain_cycles : int;             (** plain sequential cycle count *)
+  plain_cycles : int;
+      (** plain sequential cycle count, derived as in {!run} *)
   table : Compiler.Stl_table.t;
   annotated_program : Hydra.Native.program;
       (** the traced build, which maps load PCs back to source
@@ -111,11 +121,11 @@ val profile_only :
   ?capture:Trace_store.Writer.t ->
   string ->
   profile
-(** The first steps of {!run} and nothing after them: compile, run
-    plain, and trace the optimized-annotation build once, with the same
-    [hw]/[tracer_config] rules. [obs] observes the [frontend],
-    [plain-run], and [profile-opt] phases and the tracer. [capture] tees
-    the profiling event stream exactly as in {!run}. *)
+(** The first steps of {!run} and nothing after them: compile and
+    trace the optimized-annotation build once, with the same
+    [hw]/[tracer_config] rules. [obs] observes the [frontend] and
+    [profile-opt] phases, the run's instruction count and the tracer.
+    [capture] tees the profiling event stream exactly as in {!run}. *)
 
 val phases : string list
 (** The phase names {!run} brackets, in pipeline order — the vocabulary

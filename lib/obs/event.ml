@@ -24,6 +24,7 @@ type t =
   | Tls_overflow_stall of { rank : int; now : int }
   | Tls_sync_stall of { pc : int; now : int }
   | Tls_work of { passes : int; steps : int; run_ahead : int }
+  | Interp_work of { instructions : int }
 
 let label = function
   | Phase_begin _ -> "phase_begin"
@@ -40,6 +41,7 @@ let label = function
   | Tls_overflow_stall _ -> "tls_overflow_stall"
   | Tls_sync_stall _ -> "tls_sync_stall"
   | Tls_work _ -> "tls_work"
+  | Interp_work _ -> "interp_work"
 
 let all_labels =
   [
@@ -121,5 +123,6 @@ let to_json t =
           ("steps", Json.Int steps);
           ("run_ahead", Json.Int run_ahead);
         ]
+    | Interp_work { instructions } -> [ ("instructions", Json.Int instructions) ]
   in
   Json.Obj (("event", Json.String (label t)) :: fields)

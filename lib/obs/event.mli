@@ -53,6 +53,11 @@ type t =
           frame-private instructions threads ran ahead. {!Recorder}
           adds them into the counters [tls.passes], [tls.steps] and
           [tls.run_ahead]; it neither logs nor counts the event. *)
+  | Interp_work of { instructions : int }
+      (** one sequential interpretation's instruction count, emitted
+          once at its end. {!Recorder} adds it into the counter
+          [interp.instructions]; it neither logs nor counts the
+          event. *)
 
 val label : t -> string
 (** Stable snake_case tag, also used as the JSON ["event"] field and as
@@ -61,7 +66,8 @@ val label : t -> string
 val all_labels : string list
 (** Every label {!label} can return for a logged event, in declaration
     order — used to pre-seed zero counters so exported dumps have a
-    stable shape. [Tls_work] is not logged, so its label is not here. *)
+    stable shape. [Tls_work] and [Interp_work] are not logged, so their
+    labels are not here. *)
 
 val to_json : t -> Json.t
 (** One flat object: [{"event": label, ...payload fields}]. *)

@@ -17,6 +17,8 @@ let record t (e : Event.t) =
       Metrics.incr t.reg "tls.passes" ~by:passes;
       Metrics.incr t.reg "tls.steps" ~by:steps;
       Metrics.incr t.reg "tls.run_ahead" ~by:run_ahead
+  | Event.Interp_work { instructions } ->
+      Metrics.incr t.reg "interp.instructions" ~by:instructions
   | _ ->
       Metrics.incr t.reg ("events." ^ Event.label e);
       (match e with

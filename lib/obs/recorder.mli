@@ -6,7 +6,8 @@
       overflow totals survive even when the raw log is truncated);
     - [Phase_end] also feeds the histogram [phase.<name>.seconds];
     - [Tls_work] only adds its counts into [tls.passes], [tls.steps]
-      and [tls.run_ahead]: it is neither counted nor logged as an
+      and [tls.run_ahead], and [Interp_work] its count into
+      [interp.instructions]: neither is counted nor logged as an
       event;
     - the raw event log keeps the first [max_events] events; later ones
       are dropped (but still counted) and reported via

@@ -259,6 +259,8 @@ let alu_program ~spec a b (op : Hydra.Native.instr) : Hydra.Native.program =
           nregs = 3;
           code = Array.of_list code;
           pc_base = 0;
+          stub_start = List.length code;
+          lwl_extra = Array.make (List.length code) 0;
         };
       |];
     main = 0;

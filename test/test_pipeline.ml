@@ -87,6 +87,69 @@ let test_anno_components_sum () =
   check "base" r.base;
   check "opt" r.opt
 
+(* The differential gate of the one-run pipeline: the plain baseline and
+   the base-annotation split [Pipeline.run] derives from its traced run
+   equal real runs of the plain and the base-annotated builds, and the
+   run interprets the program once. *)
+let check_derived what ~optimize src =
+  let rc = Obs.Recorder.create () in
+  let r =
+    Jrpm.Pipeline.run ~obs:(Obs.Recorder.sink rc) ~optimize ~name:what src
+  in
+  let gen mode =
+    Compiler.Codegen.generate ~mode r.Jrpm.Pipeline.table r.Jrpm.Pipeline.tac
+  in
+  let plain = Hydra.Seq_interp.run (gen Compiler.Codegen.Plain) in
+  let annotated optimized =
+    Hydra.Seq_interp.run ~tracing:true
+      (gen (Compiler.Codegen.Annotated { optimized }))
+  in
+  let base = annotated false and opt = annotated true in
+  let what = Printf.sprintf "%s (optimize %b)" what optimize in
+  Alcotest.(check int) (what ^ ": plain cycles") plain.Hydra.Seq_interp.cycles
+    r.plain_cycles;
+  Alcotest.(check bool) (what ^ ": plain output") true
+    (List.equal Ir.Value.equal plain.Hydra.Seq_interp.output r.plain_output);
+  let check_anno which (real : Hydra.Seq_interp.result)
+      (a : Jrpm.Pipeline.anno_run) =
+    let check field want got =
+      Alcotest.(check int) (Printf.sprintf "%s: %s %s" what which field) want got
+    in
+    check "cycles" real.cycles a.cycles;
+    check "locals" real.locals_cycles a.locals_cycles;
+    check "read stats" real.read_stats_cycles a.read_stats_cycles;
+    check "loop annotations" real.loop_anno_cycles a.loop_anno_cycles;
+    Alcotest.(check (float 0.)) (what ^ ": " ^ which ^ " slowdown")
+      (Float.of_int real.cycles /. Float.of_int (max 1 plain.cycles))
+      a.slowdown
+  in
+  check_anno "base" base r.base;
+  check_anno "opt" opt r.opt;
+  (* one sequential interpretation: the traced optimized build's *)
+  Alcotest.(check int) (what ^ ": interp.instructions")
+    opt.Hydra.Seq_interp.instructions
+    (Obs.Metrics.counter (Obs.Recorder.metrics rc) "interp.instructions");
+  Alcotest.(check (list string)) (what ^ ": phases") Jrpm.Pipeline.phases
+    (List.map (fun (p, _, _) -> p) (Obs.Recorder.phase_spans rc))
+
+let test_derived_registry () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let src = Workloads.Registry.default_source w in
+      List.iter
+        (fun optimize -> check_derived w.Workloads.Workload.name ~optimize src)
+        [ true; false ])
+    Workloads.Registry.all
+
+let test_derived_fuzz () =
+  for seed = 1 to 50 do
+    let src = Fuzz_gen.gen_program seed in
+    List.iter
+      (fun optimize ->
+        check_derived (Printf.sprintf "seed %d" seed) ~optimize src)
+      [ true; false ]
+  done
+
 (* `deps` validates --banks like `profile`: the same message and exit 2,
    not an escaped exception or an empty report. *)
 let test_cli_banks_rejected () =
@@ -280,5 +343,12 @@ let suites =
           test_cli_out_of_fuel;
         Alcotest.test_case "unwritable summary JSON" `Quick
           test_cli_summary_json_unwritable;
+      ] );
+    ( "pipeline.derived",
+      [
+        Alcotest.test_case "registry baselines equal real runs" `Slow
+          test_derived_registry;
+        Alcotest.test_case "generated baselines equal real runs" `Quick
+          test_derived_fuzz;
       ] );
   ]

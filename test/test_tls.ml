@@ -790,30 +790,95 @@ let golden_tls_runs () =
       "}";
     ]
 
-(* The simulator's host work on two registry builds at default
-   hardware, as the recorder's [tls.*] counters. Before threads ran
-   ahead through frame-private instructions the counts were
-   fft 199_340 passes / 483_257 steps and monteCarlo 157_465 / 360_005
-   (and 0 run ahead). *)
+(* The host work of a default-hardware pipeline run of two registry
+   workloads, as the recorder's [interp.*] and [tls.*] counters. Before
+   threads ran ahead through frame-private instructions the TLS counts
+   were fft 199_340 passes / 483_257 steps and monteCarlo 157_465 /
+   360_005 (and 0 run ahead). Before the plain baseline and the
+   base-annotation split were derived from the traced run, the pipeline
+   interpreted fft 1_044_591 instructions (plain 338_086, base 353_868,
+   traced 352_637) and monteCarlo 1_086_052 (354_014, 366_019,
+   366_019). *)
 let test_work_counters () =
   List.iter
-    (fun (name, passes, steps, run_ahead) ->
+    (fun (name, instructions, passes, steps, run_ahead) ->
       let rc = Obs.Recorder.create () in
-      ignore (Hydra.Tls_sim.run ~obs:(Obs.Recorder.sink rc) (tls_program name));
+      let w = Workloads.Registry.find_exn name in
+      ignore
+        (Jrpm.Pipeline.run ~obs:(Obs.Recorder.sink rc) ~name
+           (Workloads.Registry.default_source w));
       let m = Obs.Recorder.metrics rc in
-      let check what want =
-        Alcotest.(check int) (name ^ " " ^ what) want
-          (Obs.Metrics.counter m ("tls." ^ what))
+      let check counter want =
+        Alcotest.(check int) (name ^ " " ^ counter) want
+          (Obs.Metrics.counter m counter)
       in
-      check "passes" passes;
-      check "steps" steps;
-      check "run_ahead" run_ahead;
+      check "interp.instructions" instructions;
+      check "tls.passes" passes;
+      check "tls.steps" steps;
+      check "tls.run_ahead" run_ahead;
       (* counters only: nothing reaches the event log or [events.*] *)
-      Alcotest.(check bool) (name ^ " no tls_work event") true
+      Alcotest.(check bool) (name ^ " no work event") true
         (List.for_all
-           (fun e -> Obs.Event.label e <> "tls_work")
+           (fun e ->
+             let l = Obs.Event.label e in
+             l <> "tls_work" && l <> "interp_work")
            (Obs.Recorder.events rc)))
-    [ ("fft", 77_313, 132_527, 361_563); ("monteCarlo", 23_996, 24_002, 336_003) ]
+    [
+      ("fft", 352_637, 77_313, 132_527, 361_563);
+      ("monteCarlo", 366_019, 23_996, 24_002, 336_003);
+    ]
+
+(* [Tls_commit] carries the cycle of the scheduler pass that commits the
+   thread, the clock [Tls_violation] uses too: over fft's default run
+   every event's [now] is at least the one before, and each speculative
+   region's commits (ranks restart at 0) span more than one cycle and
+   end before the next region's first commit. Two commits can share a
+   cycle: a thread that finished while waiting to become head commits
+   in the pass right after its predecessor's, at the same [now]. *)
+let test_commit_stamps () =
+  let rc = Obs.Recorder.create ~max_events:max_int () in
+  ignore (Hydra.Tls_sim.run ~obs:(Obs.Recorder.sink rc) (tls_program "fft"));
+  let events = Obs.Recorder.events rc in
+  let stamp = function
+    | Obs.Event.Tls_commit { now; _ } | Obs.Event.Tls_violation { now; _ } ->
+        now
+    | e -> Alcotest.failf "unexpected %s event" (Obs.Event.label e)
+  in
+  ignore
+    (List.fold_left
+       (fun prev e ->
+         let now = stamp e in
+         if now < prev then
+           Alcotest.failf "%s at %d after an event at %d" (Obs.Event.label e)
+             now prev;
+         now)
+       0 events);
+  let regions =
+    List.fold_left
+      (fun acc e ->
+        match (e, acc) with
+        | Obs.Event.Tls_commit { rank = 0; now }, _ -> [ now ] :: acc
+        | Obs.Event.Tls_commit { now; _ }, r :: rest -> (now :: r) :: rest
+        | _ -> acc)
+      [] events
+    |> List.rev_map List.rev
+  in
+  Alcotest.(check int) "one commit group per region entered" 514
+    (List.length regions);
+  let first r = List.hd r and last r = List.hd (List.rev r) in
+  List.iteri
+    (fun i r ->
+      if List.length r > 1 && last r <= first r then
+        Alcotest.failf "region %d: all commits at %d" i (first r))
+    regions;
+  ignore
+    (List.fold_left
+       (fun prev r ->
+         if first r <= prev then
+           Alcotest.failf "a region's first commit at %d, the last before at %d"
+             (first r) prev;
+         last r)
+       (-1) regions)
 
 let test_golden_tls_runs () =
   let golden =
@@ -843,6 +908,8 @@ let suites =
         Alcotest.test_case "runs at cpus, buffers and sync points" `Quick
           test_golden_tls_runs;
         Alcotest.test_case "work counters" `Quick test_work_counters;
+        Alcotest.test_case "commit stamps follow the pass clock" `Quick
+          test_commit_stamps;
       ] );
     ( "tls.structure",
       [
