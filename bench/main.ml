@@ -633,22 +633,26 @@ let replay_bench ~smoke () =
         (* capture once, untimed; both timed paths below produce the
            same Report_summary from scratch *)
         let _report, record = Jrpm.Replay.capture_run ~name src in
-        let container = Trace_store.Writer.container [ record ] in
+        (* the container's one byte source, built untimed *)
+        let container =
+          Trace_store.Bytesrc.of_string
+            (Trace_store.Writer.container [ record ])
+        in
         let interp_s = time_min (fun () -> ignore (Jrpm.Pipeline.run ~name src)) in
         let outcomes = ref [] in
         let replay_s =
           time_min (fun () ->
-              let src = Trace_store.Bytesrc.of_string container in
               outcomes :=
-                List.map (Jrpm.Replay.replay_entry ~src)
-                  (Trace_store.Index.of_src src))
+                List.map
+                  (Jrpm.Replay.replay_entry ~src:container)
+                  (Trace_store.Index.of_src container))
         in
         let profile_s =
           time_min (fun () -> ignore (Jrpm.Pipeline.profile_only src))
         in
         let decode_s =
           time_min (fun () ->
-              let rd = Trace_store.Reader.of_string container in
+              let rd = Trace_store.Reader.of_src container in
               ignore (Trace_store.Reader.next_record rd);
               ignore
                 (Trace_store.Reader.replay rd Hydra.Trace.null_sink
@@ -739,8 +743,12 @@ let sched_bench ~smoke () =
   in
   let copies = 4 in
   let records = List.concat (List.init copies (fun _ -> base_records)) in
-  let container = Trace_store.Writer.container records in
-  let entries = Trace_store.Index.of_string container in
+  (* one byte source, built before timing and before the workers fork:
+     each forked task reads the pages it inherits *)
+  let container =
+    Trace_store.Bytesrc.of_string (Trace_store.Writer.container records)
+  in
+  let entries = Trace_store.Index.of_src container in
   let total_events =
     List.fold_left
       (fun acc (e : Trace_store.Index.entry) -> acc + e.Trace_store.Index.events)
@@ -748,7 +756,7 @@ let sched_bench ~smoke () =
   in
   let seq_s =
     time_min (fun () ->
-        let rd = Trace_store.Reader.of_string container in
+        let rd = Trace_store.Reader.of_src container in
         let rec loop () =
           match Trace_store.Reader.next_record rd with
           | None -> ()
@@ -761,7 +769,7 @@ let sched_bench ~smoke () =
         loop ())
   in
   let decode_entry _ (e : Trace_store.Index.entry) =
-    let rd = Trace_store.Reader.of_string container in
+    let rd = Trace_store.Reader.of_src container in
     ignore (Trace_store.Reader.seek_record rd ~offset:e.Trace_store.Index.offset);
     (Trace_store.Reader.replay rd Hydra.Trace.null_sink).Trace_store.Reader
       .events

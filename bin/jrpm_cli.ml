@@ -753,8 +753,9 @@ let trace_record_cmd =
 
 let trace_replay_cmd =
   (* replay gauges from the result rows and this command's own wall
-     clock, so throughput is events over elapsed time at any --jobs *)
-  let print_profile ~profile ~profile_json ~wall_s rows =
+     clock, so throughput is events over elapsed time at any --jobs;
+     [rc] already holds the replayed records' work counters *)
+  let print_profile ~profile ~profile_json ~wall_s rc rows =
     let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
     let events = sum (fun r -> r.events) in
     let bytes = sum (fun r -> r.record_bytes) in
@@ -781,7 +782,6 @@ let trace_replay_cmd =
            (List.map (fun (g, v) -> [ g; Printf.sprintf "%.2f" v ]) gauges));
     Option.iter
       (fun out ->
-        let rc = Obs.Recorder.create () in
         List.iter
           (fun (g, v) -> Obs.Metrics.set_gauge (Obs.Recorder.metrics rc) g v)
           gauges;
@@ -789,15 +789,16 @@ let trace_replay_cmd =
       profile_json
   in
   let replay file summary_json profile profile_json jobs =
+    let rc = Obs.Recorder.create () in
     let t0 = Unix.gettimeofday () in
     let result =
       fail_trace_errors (fun () ->
-          Jrpm.Daemon.execute ~jobs
+          Jrpm.Daemon.execute ~obs:(Obs.Recorder.sink rc) ~jobs
             (Jrpm.Daemon.Request (Jrpm.Daemon.Replay { path = file; record = None })))
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     print_replay ~summary_json
-      ~profile:(print_profile ~profile ~profile_json ~wall_s)
+      ~profile:(print_profile ~profile ~profile_json ~wall_s rc)
       result
   in
   Cmd.v
@@ -947,11 +948,13 @@ let explore_cmd =
              byte-identical to it for the same workloads (the \
              replay-determinism gate)")
   in
-  let explore file grid grid_pos jobs matrix_json default_summary_json =
+  let explore file grid grid_pos jobs matrix_json default_summary_json
+      profile_json =
+    let rc = Obs.Recorder.create () in
     let result =
       fail_trace_errors (fun () ->
           try
-            Jrpm.Daemon.execute ~jobs
+            Jrpm.Daemon.execute ~obs:(Obs.Recorder.sink rc) ~jobs
               (Jrpm.Daemon.Request
                  (Jrpm.Daemon.Explore { path = file; grid = grid @ grid_pos }))
           with Invalid_argument msg ->
@@ -959,7 +962,11 @@ let explore_cmd =
             Printf.eprintf "jrpm: %s\n" msg;
             exit 2)
     in
-    print_explore ~summary_json:matrix_json ~default_summary_json result
+    print_explore ~summary_json:matrix_json ~default_summary_json result;
+    Option.iter
+      (fun out ->
+        write_json_file ~what:"profile JSON" out (Obs.Recorder.to_json rc))
+      profile_json
   in
   Cmd.v
     (Cmd.info "explore"
@@ -973,7 +980,7 @@ let explore_cmd =
           default machine")
     Term.(
       const explore $ trace_file_arg $ grid_arg $ grid_pos_arg $ jobs_arg
-      $ matrix_json_arg $ default_summary_json_arg)
+      $ matrix_json_arg $ default_summary_json_arg $ profile_json_arg)
 
 (* ---------------- serve / client: profiling as a service ---------- *)
 

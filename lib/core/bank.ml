@@ -101,29 +101,27 @@ let arc_prev = 1
 let arc_earlier = 2
 
 (** Dependency-arc identification (paper Sec. 4.2.1) as an unboxed int
-    code: compare a retrieved store timestamp against the thread-start
-    timestamps. Stores from before the loop entry are inputs, not
-    inter-thread dependencies. *)
-let classify_code t ~store_ts =
+    code, with per-thread critical (shortest) arc tracking: compare a
+    retrieved store timestamp against the thread-start timestamps.
+    Stores from before the loop entry are inputs, not inter-thread
+    dependencies. The arc length for any classified arc is
+    [now - store_ts]; the code carries no payload, so the tracer's
+    per-event path allocates nothing. Inlined into the tracer's load
+    paths, where a same-thread store, the common case, costs one
+    compare. *)
+let[@inline] note_load_dep_code t ~store_ts ~now =
   if store_ts >= t.start_t then arc_none (* same thread *)
-  else if store_ts >= t.start_tm1 && t.start_tm1 < t.start_t then arc_prev
-  else if store_ts >= t.entry_time && t.start_t > t.entry_time then arc_earlier
+  else if store_ts >= t.start_tm1 && t.start_tm1 < t.start_t then begin
+    let len = now - store_ts in
+    if len < t.cur_min_prev then t.cur_min_prev <- len;
+    arc_prev
+  end
+  else if store_ts >= t.entry_time && t.start_t > t.entry_time then begin
+    let len = now - store_ts in
+    if len < t.cur_min_earlier then t.cur_min_earlier <- len;
+    arc_earlier
+  end
   else arc_none
-
-(* The arc length for any classified arc is [now - store_ts]; the code
-   carries no payload, so the tracer's per-event path allocates
-   nothing. *)
-let note_load_dep_code t ~store_ts ~now =
-  let code = classify_code t ~store_ts in
-  (if code = arc_prev then begin
-     let len = now - store_ts in
-     if len < t.cur_min_prev then t.cur_min_prev <- len
-   end
-   else if code = arc_earlier then begin
-     let len = now - store_ts in
-     if len < t.cur_min_earlier then t.cur_min_earlier <- len
-   end);
-  code
 
 let over_limits t k =
   t.ld_lines > t.ld_limits.(k) || t.st_lines > t.st_limits.(k)
@@ -132,7 +130,7 @@ let over_limits t k =
    limits, report it (with the footprint at the crossing) to the
    observability sink. Counting needs no per-event compare: see
    [end_thread]. *)
-let note_overflow t ~now =
+let[@inline never] note_overflow t ~now =
   if (not t.overflowed) && over_limits t 0 then begin
     Obs.Sink.emit t.obs
       (Obs.Event.Overflow
@@ -142,13 +140,13 @@ let note_overflow t ~now =
 
 (** Overflow analysis (paper Sec. 4.2.2): [in_current_thread] is column
     (e) of Fig. 4 — the line was last touched by the current thread. *)
-let note_load_line t ~in_current_thread ~now =
+let[@inline] note_load_line t ~in_current_thread ~now =
   if not in_current_thread then begin
     t.ld_lines <- t.ld_lines + 1;
     if t.obs_on then note_overflow t ~now
   end
 
-let note_store_line t ~in_current_thread ~now =
+let[@inline] note_store_line t ~in_current_thread ~now =
   if not in_current_thread then begin
     t.st_lines <- t.st_lines + 1;
     if t.obs_on then note_overflow t ~now

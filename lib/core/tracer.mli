@@ -89,8 +89,20 @@ val departed : t -> int list
 (** The pairs that departed at a diverging release decision, ascending;
     pair 0 never departs. *)
 
+exception Bad_operand of string
+(** An event operand outside what the hardware model can index: a
+    negative heap address, a local slot outside [\[0, 2^20)], a frame
+    outside [\[0, max_int / 2^20\]], a negative local-store timestamp,
+    or an STL id outside [\[0, 2^20)] at a loop exit. The interpreter
+    never emits one; a replayed stream that carries one is a corrupt
+    trace, and replay reports it as such. The message names the
+    operand. *)
+
 val sink : t -> Hydra.Trace.sink
-(** The event interface to plug into the sequential interpreter. *)
+(** The event interface to plug into the sequential interpreter. Its
+    callbacks check each operand once, where the hardware model would
+    index by it. @raise Bad_operand on an operand outside the model's
+    domain. *)
 
 val stats : ?pair:int -> t -> (int * Stats.t) list
 (** Per-STL accumulated statistics under limit pair [pair] (default 0),

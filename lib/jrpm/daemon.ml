@@ -290,8 +290,8 @@ type task =
 
 type task_result =
   | R_workload of outcome
-  | R_replay of Replay.outcome
-  | R_cells of Explore.cell list
+  | R_replay of Replay.outcome * Obs.Event.t
+  | R_cells of Explore.cell list * Obs.Event.t
   | R_slept of float
   (* a record raised [Corrupt]: carried as a result, not as a worker's
      exception text, so the request fails with the typed error at every
@@ -331,10 +331,12 @@ let run_task task =
         R_workload (run_workload ~capture ~observe ~report workload)
     | T_replay { path; entry } ->
         let src = Mapping_cache.get (Lazy.force worker_cache) path in
-        R_replay (Replay.replay_entry ~src entry)
+        let p = Replay.replay_entry_points ~src entry in
+        R_replay (List.hd p.Replay.outcomes, Replay.work_event p)
     | T_explore_record { path; configs; entry } ->
         let src = Mapping_cache.get (Lazy.force worker_cache) path in
-        R_cells (Explore.eval_record ~src configs entry)
+        let cells, work = Explore.eval_record ~src configs entry in
+        R_cells (cells, work)
     | T_sleep s ->
         Unix.sleepf s;
         R_slept s
@@ -461,7 +463,7 @@ let plan ~index = function
           (fun results ->
             replay_result ~path
               (List.map
-                 (function R_replay o -> o | _ -> mismatch ())
+                 (function R_replay (o, _) -> o | _ -> mismatch ())
                  results));
       }
   | Request (Explore { path; grid }) ->
@@ -475,7 +477,7 @@ let plan ~index = function
             Explore.to_json
               (Explore.assemble_records ~archive:path ~configs
                  (List.map
-                    (function R_cells c -> c | _ -> mismatch ())
+                    (function R_cells (c, _) -> c | _ -> mismatch ())
                     results)));
       }
   | Request (Sleep s) ->
@@ -503,9 +505,18 @@ let run_tasks ~jobs tasks =
 
 (* The index comes from the worker cache, so the container is mapped
    before [run_tasks] forks and the per-call workers inherit it. *)
-let execute ~jobs op =
+let execute ?(obs = Obs.Sink.null) ~jobs op =
   let p = plan ~index:(Mapping_cache.get_entries (Lazy.force worker_cache)) op in
-  finish p (run_tasks ~jobs p.tasks)
+  let results = run_tasks ~jobs p.tasks in
+  let document = finish p results in
+  (* a replayed record's work counters, once per record, in task order *)
+  if Obs.Sink.enabled obs then
+    List.iter
+      (function
+        | R_replay (_, work) | R_cells (_, work) -> Obs.Sink.emit obs work
+        | R_workload _ | R_slept _ | R_corrupt _ -> ())
+      results;
+  document
 
 let sweep ~jobs ?capture ?observe ?report workloads =
   List.map

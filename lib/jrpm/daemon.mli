@@ -126,7 +126,7 @@ type outcome = {
   trace : string option;  (** with [capture]: the trace-store record *)
 }
 
-val execute : jobs:int -> op -> Obs.Json.t
+val execute : ?obs:Obs.Sink.t -> jobs:int -> op -> Obs.Json.t
 (** Run a [Profile], [Sweep], [Replay], [Explore] or [Sleep] op in this
     process and return the [result] document the server sends for it:
     [profile] → [{"summary": …}], [sweep] → [{"summaries": […]}] in
@@ -137,7 +137,10 @@ val execute : jobs:int -> op -> Obs.Json.t
     {!Scheduler.map_adaptive} over [jobs] workers, weighted by record
     events (times the {!Explore.record_weight} fusion groups for
     explore; a workload weighs [0.]); the container is mapped before
-    the workers fork, and they inherit it.
+    the workers fork, and they inherit it. After the tasks, [obs]
+    (default {!Obs.Sink.null}) receives each replayed record's
+    {!Replay.work_event}, in record order, whichever worker replayed
+    it.
     @raise Failure on an unknown workload, a missing record, a
     malformed grid spec, or a failed task;
     @raise Invalid_argument on an out-of-range grid point, and for

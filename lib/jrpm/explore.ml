@@ -141,8 +141,8 @@ let cell_of_outcome (o : Replay.outcome) =
   }
 
 let eval_record ~src configs entry =
-  List.map cell_of_outcome
-    (Replay.replay_entry_points ~hws:configs ~src entry).Replay.outcomes
+  let p = Replay.replay_entry_points ~hws:configs ~src entry in
+  (List.map cell_of_outcome p.Replay.outcomes, Replay.work_event p)
 
 let eval_cell ~src config entry =
   cell_of_outcome (Replay.replay_entry ~hw:config ~src entry)
@@ -247,7 +247,7 @@ let run ?jobs ~grid ~path () =
       ~label:(fun _ (e : Trace_store.Index.entry) ->
         "record " ^ e.Trace_store.Index.name)
       ~weights:(fun _ e -> record_weight ~src configs e)
-      (fun _ entry -> eval_record ~src configs entry)
+      (fun _ entry -> fst (eval_record ~src configs entry))
       (Trace_store.Index.of_src src)
   in
   assemble_records ~archive:path ~configs per_record

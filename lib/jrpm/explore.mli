@@ -100,11 +100,12 @@ type t = {
 
 val eval_record :
   src:Trace_store.Bytesrc.t -> Hydra.Config.t list ->
-  Trace_store.Index.entry -> cell list
+  Trace_store.Index.entry -> cell list * Obs.Event.t
 (** Replay one record of a pre-mapped container at every given config
     point ({!Replay.replay_entry_points}), returning one cell per point
-    in the given order — the grid's unit of work, shared by {!run} and
-    the {!Daemon} explore plan.
+    in the given order and the record's {!Replay.work_event} — the
+    grid's unit of work, shared by {!run} and the {!Daemon} explore
+    plan.
     @raise Trace_store.Reader.Corrupt / [Failure] as
     {!Replay.replay_entry_points}. *)
 

@@ -25,6 +25,13 @@ type t =
   | Tls_sync_stall of { pc : int; now : int }
   | Tls_work of { passes : int; steps : int; run_ahead : int }
   | Interp_work of { instructions : int }
+  | Replay_work of {
+      events : int;
+      bytes : int;
+      tracer_events : int;
+      tracer_runs : int;
+      splits : int;
+    }
 
 let label = function
   | Phase_begin _ -> "phase_begin"
@@ -42,6 +49,7 @@ let label = function
   | Tls_sync_stall _ -> "tls_sync_stall"
   | Tls_work _ -> "tls_work"
   | Interp_work _ -> "interp_work"
+  | Replay_work _ -> "replay_work"
 
 let all_labels =
   [
@@ -124,5 +132,13 @@ let to_json t =
           ("run_ahead", Json.Int run_ahead);
         ]
     | Interp_work { instructions } -> [ ("instructions", Json.Int instructions) ]
+    | Replay_work { events; bytes; tracer_events; tracer_runs; splits } ->
+        [
+          ("events", Json.Int events);
+          ("bytes", Json.Int bytes);
+          ("tracer_events", Json.Int tracer_events);
+          ("tracer_runs", Json.Int tracer_runs);
+          ("splits", Json.Int splits);
+        ]
   in
   Json.Obj (("event", Json.String (label t)) :: fields)

@@ -58,6 +58,21 @@ type t =
           once at its end. {!Recorder} adds it into the counter
           [interp.instructions]; it neither logs nor counts the
           event. *)
+  | Replay_work of {
+      events : int;
+      bytes : int;
+      tracer_events : int;
+      tracer_runs : int;
+      splits : int;
+    }
+      (** one replayed record's work, emitted once per record: the
+          events and record bytes decoded (over every decode of the
+          record, release-split re-decodes included), the events its
+          tracers consumed, its fused tracer runs and the runs added by
+          release splits. {!Recorder} adds them into the counters
+          [trace_store.events], [trace_store.bytes], [tracer.events],
+          [replay.tracer_runs] and [replay.splits]; it neither logs nor
+          counts the event. *)
 
 val label : t -> string
 (** Stable snake_case tag, also used as the JSON ["event"] field and as
@@ -66,8 +81,8 @@ val label : t -> string
 val all_labels : string list
 (** Every label {!label} can return for a logged event, in declaration
     order — used to pre-seed zero counters so exported dumps have a
-    stable shape. [Tls_work] and [Interp_work] are not logged, so their
-    labels are not here. *)
+    stable shape. [Tls_work], [Interp_work] and [Replay_work] are not
+    logged, so their labels are not here. *)
 
 val to_json : t -> Json.t
 (** One flat object: [{"event": label, ...payload fields}]. *)

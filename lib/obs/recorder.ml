@@ -19,6 +19,12 @@ let record t (e : Event.t) =
       Metrics.incr t.reg "tls.run_ahead" ~by:run_ahead
   | Event.Interp_work { instructions } ->
       Metrics.incr t.reg "interp.instructions" ~by:instructions
+  | Event.Replay_work { events; bytes; tracer_events; tracer_runs; splits } ->
+      Metrics.incr t.reg "trace_store.events" ~by:events;
+      Metrics.incr t.reg "trace_store.bytes" ~by:bytes;
+      Metrics.incr t.reg "tracer.events" ~by:tracer_events;
+      Metrics.incr t.reg "replay.tracer_runs" ~by:tracer_runs;
+      Metrics.incr t.reg "replay.splits" ~by:splits
   | _ ->
       Metrics.incr t.reg ("events." ^ Event.label e);
       (match e with

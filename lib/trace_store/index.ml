@@ -12,5 +12,4 @@ let of_src b =
   in
   walk []
 
-let of_string s = of_src (Bytesrc.Str s)
-let of_bigstring b = of_src (Bytesrc.Big b)
+let of_string s = of_src (Bytesrc.of_string s)

@@ -31,7 +31,4 @@ val of_src : Bytesrc.t -> entry list
     @raise Reader.Corrupt on a malformed container. *)
 
 val of_string : string -> entry list
-(** [of_src (Bytesrc.Str s)]. *)
-
-val of_bigstring : Bytesrc.bigstring -> entry list
-(** [of_src (Bytesrc.Big b)]. *)
+(** [of_src (Bytesrc.of_string s)]: indexes a copy of [s]. *)

@@ -24,7 +24,7 @@ let seg_cap = 1 lsl 16
 let chunk_cap = 1 lsl 18
 let max_events_per_byte = 64
 
-type state = { mutable last_now : int; preds : int array }
+type state = { preds : int array }
 
 let p_sloop_stl = 0
 let p_sloop_nlocals = 1
@@ -41,13 +41,12 @@ let p_local_load_pc = 11
 let p_local_store_frame = 12
 let p_local_store_slot = 13
 let p_call_callee = 14
-let pred_count = 15
+let p_now = 15
+let pred_count = 16
 
-let create_state () = { last_now = 0; preds = Array.make pred_count 0 }
+let create_state () = { preds = Array.make pred_count 0 }
 
-let reset_state st =
-  st.last_now <- 0;
-  Array.fill st.preds 0 pred_count 0
+let reset_state st = Array.fill st.preds 0 pred_count 0
 
 (* The record checksum: FNV-1a's step, h := (h xor w) * 0x01000193, over
    each events payload taken as 32-bit little-endian words, then over
@@ -57,10 +56,7 @@ let reset_state st =
    gives the same result as masking every step. For a fixed word each
    step is a bijection of the state (the prime is odd), and for a fixed
    state it is injective in the word, so any single changed word
-   changes the result. The backend match is outside the loops, so a
-   mapped chunk costs the same as a string chunk. *)
-external str_get32u : string -> int -> int32 = "%caml_string_get32u"
-
+   changes the result. *)
 external big_get32u : Bytesrc.bigstring -> int -> int32
   = "%caml_bigstring_get32u"
 
@@ -70,26 +66,14 @@ let[@inline] le32 w = Int32.to_int (if Sys.big_endian then swap32 w else w)
 let fnv_prime = 0x01000193
 let checksum_init = 0x811c9dc5
 
-let checksum h b ~pos ~len =
+let checksum h (b : Bytesrc.t) ~pos ~len =
   let words_end = pos + (len land lnot 3) and stop = pos + len in
-  let h = ref h in
-  (match b with
-  | Bytesrc.Str s ->
-      let i = ref pos in
-      while !i < words_end do
-        h := (!h lxor le32 (str_get32u s !i)) * fnv_prime;
-        i := !i + 4
-      done;
-      for i = words_end to stop - 1 do
-        h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
-      done
-  | Bytesrc.Big a ->
-      let i = ref pos in
-      while !i < words_end do
-        h := (!h lxor le32 (big_get32u a !i)) * fnv_prime;
-        i := !i + 4
-      done;
-      for i = words_end to stop - 1 do
-        h := (!h lxor Char.code (Bigarray.Array1.unsafe_get a i)) * fnv_prime
-      done);
+  let h = ref h and i = ref pos in
+  while !i < words_end do
+    h := (!h lxor le32 (big_get32u b !i)) * fnv_prime;
+    i := !i + 4
+  done;
+  for i = words_end to stop - 1 do
+    h := (!h lxor Char.code (Bytesrc.unsafe_get b i)) * fnv_prime
+  done;
   !h land 0xffffffff

@@ -137,13 +137,11 @@ val max_events_per_byte : int
 
 (** {2 Delta-codec state} *)
 
-type state = {
-  mutable last_now : int;  (** previous event's timestamp *)
-  preds : int array;       (** per-opcode operand predictors *)
-}
-(** The writer's and reader's shared prediction state; both sides must
-    mutate it identically for the deltas to cancel. Fresh (and at every
-    record begin): [last_now = 0], all predictors 0. *)
+type state = { preds : int array }
+(** The writer's and reader's shared prediction state: the per-opcode
+    operand predictors, and at {!p_now} the previous event's timestamp.
+    Both sides must mutate it identically for the deltas to cancel.
+    Fresh (and at every record begin): every slot 0. *)
 
 val create_state : unit -> state
 
@@ -151,7 +149,7 @@ val reset_state : state -> unit
 
 (** {3 Predictor slots} — index into [preds] for each (opcode, operand)
     pair; grouped per opcode so e.g. heap-load and heap-store addresses
-    predict independently. *)
+    predict independently. {!p_now} is every event's timestamp. *)
 
 val p_sloop_stl : int
 val p_sloop_nlocals : int
@@ -168,6 +166,7 @@ val p_local_load_pc : int
 val p_local_store_frame : int
 val p_local_store_slot : int
 val p_call_callee : int
+val p_now : int
 val pred_count : int
 
 val checksum_init : int

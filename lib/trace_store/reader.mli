@@ -12,8 +12,9 @@
     reader and the record parse exist once.
 
     A reader decodes in place over a {!Bytesrc.t} ({!of_src}, or
-    {!of_string} / {!of_bigstring}): the inlined-varint hot path reads
-    the source directly, allocation-free per event (a test pins the
+    {!of_string}), a bigstring: one segment loop decodes every event
+    inline, keeping its position in a register and each decoded operand
+    in its predictor slot, allocation-free per event (a test pins the
     minor words per replayed event), and skipping a record just
     advances an offset. Files are read through {!Bytesrc.map_file},
     which maps the container (or reads it whole where mapping fails).
@@ -60,15 +61,13 @@ type replay_stats = {
 val of_string : string -> t
 (** A direct reader over in-memory container bytes
     ({!Writer.container} output) — what the tests and property checks
-    drive. Equivalent to [of_src (Bytesrc.Str s)]. *)
+    drive. Equivalent to [of_src (Bytesrc.of_string s)], so it decodes
+    a copy of [s]. *)
 
 val of_src : Bytesrc.t -> t
 (** A direct reader over any byte source. Cheap (validates the header,
     copies nothing): the record-sharded decoder builds one per task
     over the shared mapping. @raise Corrupt on a bad header. *)
-
-val of_bigstring : Bytesrc.bigstring -> t
-(** [of_src (Bytesrc.Big b)]. *)
 
 val next_record : ?meta:bool -> t -> record option
 (** Advance to the next record and return its identity, or [None] at

@@ -5,11 +5,13 @@
    stay short and the probe loop always terminates); [link_prev] /
    [link_next] thread an intrusive doubly-linked eviction list through
    the occupied slots, oldest at [head], newest at [tail]. keys.(i) =
-   -1 marks an empty slot. *)
+   -1 marks an empty slot. Slot indices are always masked into range,
+   so the arrays are read unchecked. *)
 
 type t = {
   cap : int;
   mask : int; (* slot count - 1 *)
+  shift : int; (* word size - log2 (slot count): see [home] *)
   keys : int array;
   vals : int array;
   link_prev : int array; (* toward older; -1 = this is the oldest *)
@@ -23,16 +25,18 @@ type t = {
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Timestamp_cache.create";
   (* smallest power of two >= 2*capacity (and >= 8) *)
-  let slots =
-    let n = ref 8 in
-    while !n < 2 * capacity do
-      n := !n * 2
+  let bits =
+    let b = ref 3 in
+    while 1 lsl !b < 2 * capacity do
+      incr b
     done;
-    !n
+    !b
   in
+  let slots = 1 lsl bits in
   {
     cap = capacity;
     mask = slots - 1;
+    shift = Sys.int_size - bits;
     keys = Array.make slots (-1);
     vals = Array.make slots 0;
     link_prev = Array.make slots (-1);
@@ -47,29 +51,35 @@ let capacity t = t.cap
 let length t = t.len
 let evictions t = t.evicted
 
-(* Avalanching mix (xorshift*-style; the multiplier fits OCaml's 63-bit
-   int) so that the arithmetic key patterns the tracer produces
-   (consecutive cache lines, frame*2^20 + slot locals) spread over the
-   slots instead of clustering. *)
-let home t k =
-  let h = k lxor (k lsr 33) in
-  let h = h * 0x2545F4914F6CDD1D in
-  let h = h lxor (h lsr 29) in
-  h land t.mask
+let slots t = t.mask + 1
+
+(* Multiplicative hashing, as the TLS simulator's speculative tables
+   do: the top bits of [k] times an odd constant, one multiply and one
+   shift, so neither consecutive cache lines nor the frame*2^20 + slot
+   local keys pile up on one slot. *)
+let[@inline] home t k = (k * 0x2545F4914F6CDD1D) lsr t.shift
+
+let[@inline] key t i = Array.unsafe_get t.keys i
 
 (* Slot holding [k], or -1. The table is never more than half full, so
    the probe always reaches an empty slot. *)
-let rec probe_from t k i =
-  let ki = t.keys.(i) in
-  if ki = k then i
-  else if ki = -1 then -1
-  else probe_from t k ((i + 1) land t.mask)
-
-let find_slot t k = probe_from t k (home t k)
+let[@inline] find_slot t k =
+  let i = ref (home t k) in
+  while
+    let ki = key t !i in
+    ki <> k && ki <> -1
+  do
+    i := (!i + 1) land t.mask
+  done;
+  if key t !i = k then !i else -1
 
 (* First empty slot at or after [i]; the table is at most half full. *)
-let rec free_slot t i =
-  if t.keys.(i) = -1 then i else free_slot t ((i + 1) land t.mask)
+let free_slot t i =
+  let i = ref i in
+  while key t !i <> -1 do
+    i := (!i + 1) land t.mask
+  done;
+  !i
 
 (* ---- intrusive FIFO list surgery ---- *)
 
@@ -95,8 +105,8 @@ let push_newest t i =
 (* Tail-recursive with all state in parameters (a local [ref] would
    allocate, and this runs on the per-event path). *)
 let rec backward_shift t hole j =
-  if t.keys.(j) >= 0 then begin
-    let h = home t t.keys.(j) in
+  if key t j >= 0 then begin
+    let h = home t (key t j) in
     let hole_to_j = (j - hole) land t.mask in
     let home_to_j = (j - h) land t.mask in
     let hole =
@@ -154,10 +164,10 @@ let set t k v =
     t.len <- t.len + 1
   end
 
-let get t k =
+let[@inline] get t k =
   if k < 0 then invalid_arg "Timestamp_cache.get: negative key";
   let i = find_slot t k in
-  if i >= 0 then t.vals.(i) else -1
+  if i >= 0 then Array.unsafe_get t.vals i else -1
 
 let mem t k = find_slot t k >= 0
 

@@ -9,7 +9,11 @@
 
     - open addressing (linear probing, power-of-two slot count at most
       half full) over flat [int] arrays for keys and values — no boxed
-      tuples, no hashtable buckets;
+      tuples, no hashtable buckets. A key's probe starts at its
+      multiplicative hash, the top bits of the key times an odd
+      constant (one multiply and one shift, as the TLS simulator's
+      speculative tables hash), and the probe loop is inlined into
+      {!get};
     - the FIFO eviction order is kept as intrusive doubly-linked list
       links stored in two more [int] arrays indexed by slot — refresh
       and eviction are O(1) pointer surgery — no stale-queue records
@@ -59,6 +63,17 @@ val evict_oldest : t -> int
     a capacity eviction. *)
 
 val clear : t -> unit
+
+val slots : t -> int
+(** The slot count: the smallest power of two at least [2 * capacity]
+    and at least 8. *)
+
+val home : t -> int -> int
+(** [home t k] is the slot [k]'s probe starts at, in [\[0, slots t)].
+    Where a key sits never changes what the cache returns or evicts —
+    the eviction order lives in the intrusive links — so this is
+    exposed only for tests that build colliding or wrapping key
+    streams. *)
 
 val evictions : t -> int
 (** Total entries evicted (capacity evictions plus {!evict_oldest})

@@ -213,7 +213,7 @@ let test_local_slot_bound_rejected () =
   let s = Tracer.sink t in
   s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
   Alcotest.check_raises "oversized slot"
-    (Invalid_argument
+    (Tracer.Bad_operand
        (Printf.sprintf "Tracer: local slot %d outside [0, %d)" (1 lsl 20)
           (1 lsl 20)))
     (fun () -> s.Hydra.Trace.on_local_store ~frame:1 ~slot:(1 lsl 20) ~now:1)
@@ -225,10 +225,10 @@ let test_negative_address_rejected () =
   let s = Tracer.sink t in
   s.Hydra.Trace.on_sloop ~stl:0 ~nlocals:0 ~frame:1 ~now:0;
   Alcotest.check_raises "negative load address"
-    (Invalid_argument "Tracer: negative heap address -4") (fun () ->
+    (Tracer.Bad_operand "Tracer: negative heap address -4") (fun () ->
       s.Hydra.Trace.on_heap_load ~addr:(-4) ~pc:1 ~now:1);
   Alcotest.check_raises "negative store address"
-    (Invalid_argument "Tracer: negative heap address -1") (fun () ->
+    (Tracer.Bad_operand "Tracer: negative heap address -1") (fun () ->
       s.Hydra.Trace.on_heap_store ~addr:(-1) ~now:2);
   (* a benign address still works after the rejected ones *)
   s.Hydra.Trace.on_heap_store ~addr:8 ~now:3;

@@ -167,8 +167,8 @@ let test_tc_invalid () =
 (* Property: on any random stream of sets, Timestamp_cache agrees with
    Bounded_assoc_fifo on every lookup, the length, and the eviction
    count. Two key ranges: a dense one (0..9, heavy refresh traffic) and
-   a sparse one (multiples of a large stride, forcing probe collisions
-   and the backward-shift deletion path). *)
+   sparse ones (forcing probe collisions and the backward-shift
+   deletion path, across the table's wrap too). *)
 let tc_matches_fifo cap keys =
   let c = Tc.create ~capacity:cap in
   let f = Fifo.create ~capacity:cap in
@@ -193,15 +193,48 @@ let prop_tc_equiv_dense =
         (list_of_size (Gen.return 400) (pair (int_range 0 9) (int_range 0 1000))))
     (fun (cap, keys) -> tc_matches_fifo cap keys)
 
+(* The first [n] keys whose probe starts at [slot] in a cache of
+   [capacity]. *)
+let keys_homed ~capacity ~slot n =
+  let c = Tc.create ~capacity in
+  let rec go k acc left =
+    if left = 0 then List.rev acc
+    else if Tc.home c k = slot then go (k + 1) (k :: acc) (left - 1)
+    else go (k + 1) acc left
+  in
+  go 0 [] n
+
+(* Three key families over up to 8 entries: multiples of a large
+   stride; keys that all share one home slot, so every probe runs the
+   whole chain; and keys homed at the last two slots and the first, so
+   probe chains and backward-shift deletion wrap past the end. *)
+let gen_sparse_stream =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun cap ->
+    let last = Tc.slots (Tc.create ~capacity:cap) - 1 in
+    frequency
+      [
+        (2, return (List.init 31 (fun k -> k * 1_048_573)));
+        ( 1,
+          int_range 0 last >|= fun slot ->
+          keys_homed ~capacity:cap ~slot 12 );
+        ( 1,
+          return
+            (keys_homed ~capacity:cap ~slot:last 6
+            @ keys_homed ~capacity:cap ~slot:(last - 1) 3
+            @ keys_homed ~capacity:cap ~slot:0 3) );
+      ]
+    >>= fun pool ->
+    list_size (int_range 0 60) (pair (oneofl pool) (int_range 0 1000))
+    >|= fun keys -> (cap, keys))
+
 let prop_tc_equiv_sparse =
   QCheck.Test.make ~name:"timestamp cache = bounded fifo (sparse keys)"
     ~count:200
-    QCheck.(
-      pair (int_range 1 8)
-        (small_list
-           (pair
-              (map (fun k -> k * 1_048_573) (int_range 0 30))
-              (int_range 0 1000))))
+    (QCheck.make
+       ~print:
+         QCheck.Print.(pair int (list (pair int int)))
+       gen_sparse_stream)
     (fun (cap, keys) -> tc_matches_fifo cap keys)
 
 (* Churn including explicit evict_oldest, against a naive list model
